@@ -5,7 +5,7 @@ with Gaussian-rational coefficients, so equality is decidable and the bar
 involution v -> v^(-1) is a plain substitution.
 """
 
-from qcoideal import Scalar, bar_scalar, is_bar_fixed, qbinom, qshifted_factorial
+from qcoideal import Scalar, is_bar_fixed, qbinom, qshifted_factorial
 from qcoideal.grammar import scalar_to_text
 from qcoideal.scalars import ONE, ZERO, qbinom_eps
 
@@ -14,8 +14,8 @@ q = Scalar.q_pow(1)
 print("== fractions reduce to canonical form ==")
 s = (ONE - q ** 2) / (ONE - q ** 4)
 print("(1 - q^2)/(1 - q^4)      =", scalar_to_text(s))
-print("bar of it                =", scalar_to_text(bar_scalar(s)))
-print("equals q^2/(1 + q^2)?    ", bar_scalar(s) == q ** 2 / (ONE + q ** 2))
+print("bar of it                =", scalar_to_text(s.bar()))
+print("equals q^2/(1 + q^2)?    ", s.bar() == q ** 2 / (ONE + q ** 2))
 
 print()
 print("== bar-fixed elements ==")

@@ -20,7 +20,6 @@ from qcoideal import (
     serre_defect,
     validate_admissible,
     w_element,
-    z_element,
 )
 from qcoideal.grammar import element_to_text
 from qcoideal.scalars import ONE, Scalar
@@ -33,7 +32,7 @@ pair = validate_admissible(a2, set(), {1: 1, 2: 2})
 params = QSPParameters(pair, {1: q, 2: ONE + q})
 ctx = context_for(pair)
 print("B_1 =", element_to_text(b_generator(params, 1)))
-print("Z_1 =", element_to_text(z_element(ctx, 1)))
+print("Z_1 =", element_to_text(ctx.z(1)))
 closed = c_closed(params, 1, 2)
 oracle = c_oracle(params, 1, 2)
 print("closed right-hand side   =", element_to_text(closed))
@@ -46,7 +45,7 @@ b2 = cartan_datum("B", 2)
 pair = validate_admissible(b2, {2}, {1: 1, 2: 2})
 params = QSPParameters(pair, {1: q})
 ctx = context_for(pair)
-print("Z_1 =", element_to_text(z_element(ctx, 1)))
+print("Z_1 =", element_to_text(ctx.z(1)))
 print("W_12 =", element_to_text(w_element(ctx, 1, 2)))
 oracle = c_oracle(params, 1, 2)
 print("unified closed form agrees:", equals(c_closed(params, 1, 2), oracle))

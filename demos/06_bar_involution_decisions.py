@@ -11,7 +11,6 @@ from qcoideal import (
     check_ocZ,
     context_for,
     corollary_conditions,
-    ell,
     enumerate_admissible,
     nu_sign,
     validate_admissible,
@@ -26,7 +25,7 @@ print("== the sign and the q-power attached to each node ==")
 pair = validate_admissible(a3, {2}, {1: 3, 2: 2, 3: 1})
 ctx = context_for(pair)
 for i in (1, 3):
-    print(f"node {i}: nu = {nu_sign(ctx, i):+d}, ell = {scalar_to_text(ell(ctx, i))},"
+    print(f"node {i}: nu = {nu_sign(ctx, i):+d}, ell = {scalar_to_text(ctx.ell(i))},"
           f" bar(Z) identity verified: {check_ocZ(ctx, i)}")
 
 print()

@@ -10,7 +10,6 @@ involution of the coideal subalgebra exists.
 from .scalars import (
     Scalar,
     GaussianRational,
-    bar_scalar,
     is_bar_fixed,
     qbinom,
     qbinom_eps,
@@ -50,7 +49,6 @@ from .uqg import (
     counit,
     equals,
     is_zero,
-    multiply,
     omega,
     serre_polynomial,
     sigma,
@@ -74,9 +72,7 @@ from .qsp import (
     in_set_S,
     s_value,
     serre_defect,
-    theta_q_FK,
     w_element,
-    z_element,
 )
 from .barcheck import (
     BarReport,
@@ -87,7 +83,6 @@ from .barcheck import (
     canonical_params,
     check_ocZ,
     corollary_conditions,
-    ell,
     equiv_D,
     equiv_S,
     in_set_D,

@@ -16,7 +16,7 @@ from .braid import apply_word
 from .cartan import AdmissiblePair
 from .grammar import scalar_to_text
 from .qsp import MembershipError, QSPContext, QSPParameters, context_for, in_set_S
-from .scalars import ONE, Scalar, bar_scalar, is_bar_fixed
+from .scalars import ONE, Scalar, is_bar_fixed
 from .uqg import Element, _vpow, bar_element, equals, is_zero, sigma, skew_r
 
 
@@ -46,12 +46,8 @@ def tau_relabel(pair: AdmissiblePair, a: Element) -> Element:
 def nu_sign(ctx: QSPContext, i) -> int:
     """Sign comparing sigma . tau of the braid-twisted first-order component
     against the component itself; +1 or -1, anything else is an engine bug."""
-    cache = getattr(ctx, "_nu", None)
-    if cache is None:
-        cache = {}
-        ctx._nu = cache
-    if i in cache:
-        return cache[i]
+    if i in ctx.nu:
+        return ctx.nu[i]
     datum = ctx.datum
     if i in ctx.pair.X:
         raise ValueError("nu is defined for nodes outside X")
@@ -65,12 +61,8 @@ def nu_sign(ctx: QSPContext, i) -> int:
         raise EngineInconsistencyError(
             f"sigma-tau image of the twisted component at node {i} is not +-1 times itself"
         )
-    cache[i] = val
+    ctx.nu[i] = val
     return val
-
-
-def ell(ctx: QSPContext, i) -> Scalar:
-    return ctx.ell(i)
 
 
 def check_ocZ(ctx: QSPContext, i) -> bool:
@@ -160,7 +152,7 @@ def bar_exists(params: QSPParameters) -> BarReport:
             continue
         alpha_i = datum.simple_root(i)
         alpha_ti = datum.simple_root(ti)
-        lhs = bar_element(ctx.z(i)).scale(bar_scalar(params.c[i]))
+        lhs = bar_element(ctx.z(i)).scale(params.c[i].bar())
         rhs = ctx.z(ti).scale(
             params.c[ti] * _vpow(2 * datum.bilinear(alpha_i, alpha_ti))
         )
@@ -207,7 +199,7 @@ def corollary_conditions(params: QSPParameters) -> BarReport:
             lam = c[i] * _vpow(-exponent)
             ok = (c[i] == c[ti]) and bool(lam) and is_bar_fixed(lam)
         elif hyp_b:
-            ok = c[ti] == _vpow(2 * exponent) * bar_scalar(c[i])
+            ok = c[ti] == _vpow(2 * exponent) * c[i].bar()
         else:
             skipped.append(i)
             continue
@@ -243,7 +235,7 @@ def canonical_params(pair: AdmissiblePair) -> dict:
                 d[ti] = _vpow(pair.pairing_theta_2rho(ti))
         else:
             d[i] = _vpow(exponent)
-            d[ti] = _vpow(2 * exponent) * bar_scalar(d[i])
+            d[ti] = _vpow(2 * exponent) * d[i].bar()
     violations = in_set_D(pair, d)
     if violations:
         raise EngineInconsistencyError(
@@ -270,7 +262,7 @@ def in_set_D(pair: AdmissiblePair, d: dict):
             if d[i] != _vpow(exponent):
                 out.append(f"d_{i} must be the pinned q-power")
         else:
-            if d[ti] != _vpow(2 * exponent) * bar_scalar(d[i]):
+            if d[ti] != _vpow(2 * exponent) * d[i].bar():
                 out.append(f"d_{ti} must be q-power times bar(d_{i})")
     return out
 

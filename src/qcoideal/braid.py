@@ -104,9 +104,6 @@ class BraidOperator:
     double_prime: bool = True
     e: int = 1
 
-    def apply(self, a: Element) -> Element:
-        return apply_braid(self, a)
-
     def inverse(self) -> "BraidOperator":
         """T''_{i,e} and T'_{i,-e} are mutually inverse."""
         return BraidOperator(self.i, not self.double_prime, -self.e)

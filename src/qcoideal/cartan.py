@@ -407,6 +407,8 @@ class AdmissiblePair:
             if i not in self.X and self.tau[i] == i
             and all(datum.a(i, j) == 0 for j in sorted(self.X))
         )
+        # derived QSP data owned by the pair; see qsp.context_for
+        self.qsp_context = None
 
     def theta(self, beta):
         """Theta(beta) = -w_X(tau(beta)) on the root lattice."""

@@ -46,7 +46,6 @@ from .qsp import (
     c_oracle,
     context_for,
     w_element,
-    z_element,
 )
 from .suites import SUITES, run_suite
 from .uqg import ZeroTestGuardError
@@ -145,7 +144,7 @@ def _cmd_compute(args):
     if i is None:
         raise InputError("--i is required for compute")
     if what == "Zi":
-        elem = z_element(ctx, i)
+        elem = ctx.z(i)
     elif what == "Bi":
         elem = b_generator(params, i)
     elif what == "Wij":

@@ -5,9 +5,11 @@ For an admissible pair (X, tau) and parameter families c, s this module
 builds the coideal generators B_i, the distinguished first-order coproduct
 components Z_i and W_ij, the closed formulas for the Serre right-hand side
 C_ij(c) in the proved cases, and a projection-based oracle for C_ij(c)
-that works for arbitrary Cartan entries.  The headline check is
-`serre_defect`, the difference F_ij(B_i, B_j) - C_ij(c), which the engine
-must certify to be zero.
+that works for arbitrary Cartan entries.  `serre_projection` builds
+Y = F_ij(B_i, B_j) once together with its projection cell; the oracle is
+Y minus the cell, so the oracle's defect F_ij(B_i, B_j) - C_ij(c) is the
+cell itself.  The headline check is `serre_defect`, which the engine must
+certify to be zero.
 """
 
 from __future__ import annotations
@@ -116,7 +118,8 @@ class QSPParameters:
 
 
 class QSPContext:
-    """Cached per-pair data: w_X word, s(j), twisted generators, Z_i, ell_i."""
+    """Cached per-pair data: w_X word, s(j), twisted generators, Z_i, ell_i,
+    and the nu signs of `barcheck.nu_sign`."""
 
     def __init__(self, pair: AdmissiblePair):
         self.pair = pair
@@ -124,6 +127,7 @@ class QSPContext:
         self._s = {}
         self._theta_fk = {}
         self._z = {}
+        self.nu = {}
 
     def s(self, j) -> Scalar:
         v = self._s.get(j)
@@ -177,14 +181,6 @@ class QSPContext:
         return _vpow(2 * datum.bilinear(a, vec))
 
 
-def theta_q_FK(ctx: QSPContext, i) -> Element:
-    return ctx.theta_fk(i)
-
-
-def z_element(ctx: QSPContext, i) -> Element:
-    return ctx.z(i)
-
-
 def w_element(ctx: QSPContext, i, j) -> Element:
     """Second-order coproduct component, from the double skew derivation."""
     datum = ctx.datum
@@ -210,7 +206,7 @@ def b_generator(params: QSPParameters, i) -> Element:
     datum = params.datum
     if i in params.pair.X:
         return Element.F(datum, i)
-    ctx = _ctx_of(params)
+    ctx = context_for(params.pair)
     kinv = Element.K_i(datum, i, -1)
     out = Element.F(datum, i) + (ctx.theta_fk(i) * kinv).scale(params.c[i])
     si = params.s[i]
@@ -219,21 +215,12 @@ def b_generator(params: QSPParameters, i) -> Element:
     return out
 
 
-_CTX_CACHE = {}
-
-
 def context_for(pair: AdmissiblePair) -> QSPContext:
-    """Shared context cache for a pair (contexts are pure derived data)."""
-    key = id(pair)
-    ctx = _CTX_CACHE.get(key)
-    if ctx is None or ctx.pair is not pair:
-        ctx = QSPContext(pair)
-        _CTX_CACHE[key] = ctx
-    return ctx
-
-
-def _ctx_of(params: QSPParameters) -> QSPContext:
-    return context_for(params.pair)
+    """The pair's context, made on first use; the pair owns it, so the
+    context lives exactly as long as the pair."""
+    if pair.qsp_context is None:
+        pair.qsp_context = QSPContext(pair)
+    return pair.qsp_context
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +253,7 @@ def c_closed(params: QSPParameters, i, j) -> Element:
         raise NoClosedFormulaError(
             f"no closed formula in scope for i = {i} inside X"
         )
-    ctx = _ctx_of(params)
+    ctx = context_for(params.pair)
     ti = pair.tau[i]
     eps = datum.epsilon(i)
     if ti != i:
@@ -342,7 +329,7 @@ def c_closed_torus(params: QSPParameters, i, j) -> Element:
         raise NoClosedFormulaError(
             "torus-commutator closed form needs tau-fixed i outside X and j in X"
         )
-    ctx = _ctx_of(params)
+    ctx = context_for(params.pair)
     aij = datum.a(i, j)
     eps = datum.epsilon(i)
     Bj = b_generator(params, j)
@@ -374,12 +361,13 @@ def c_closed_torus(params: QSPParameters, i, j) -> Element:
     raise NoClosedFormulaError(f"torus-commutator form covers a_ij in {{0,-1,-2}}, got {aij}")
 
 
-def c_oracle(params: QSPParameters, i, j) -> Element:
-    """Projection oracle for C_ij(c), valid for arbitrary Cartan entries.
+def serre_projection(params: QSPParameters, i, j):
+    """(Y, cell): Y = F_ij(B_i, B_j) and its projection cell.
 
-    Computes Y = F_ij(B_i, B_j), takes the coproduct cell whose second
-    factor is exactly K_{-lambda_ij}, and returns Y minus that cell (the
-    projection formula with the counit applied).
+    The cell is the part of the coproduct of Y whose second factor is
+    exactly K_{-lambda_ij}, with the counit applied to that factor;
+    Y - cell is the projection formula for C_ij(c), so the cell is the
+    oracle's Serre defect.
     """
     datum = params.datum
     if i == j:
@@ -399,21 +387,29 @@ def c_oracle(params: QSPParameters, i, j) -> Element:
         e2, k2, f2 = m2
         if not e2 and not f2 and k2 == minus_lam:
             cell = cell + Element(datum, {m1: c})
+    return Y, cell
+
+
+def c_oracle(params: QSPParameters, i, j) -> Element:
+    """Projection oracle for C_ij(c), valid for arbitrary Cartan entries:
+    Y = F_ij(B_i, B_j) minus its projection cell (see `serre_projection`)."""
+    Y, cell = serre_projection(params, i, j)
     return Y - cell
 
 
 def serre_defect(params: QSPParameters, i, j, source: str = "oracle") -> Element:
-    """F_ij(B_i, B_j) - C_ij(c); the engine must certify this is zero."""
-    datum = params.datum
-    Bi = b_generator(params, i)
-    Bj = b_generator(params, j)
-    Y = serre_polynomial(datum, i, j, Bi, Bj)
+    """F_ij(B_i, B_j) - C_ij(c); the engine must certify this is zero.
+
+    For the oracle this is the projection cell itself.
+    """
     if source == "oracle":
-        C = c_oracle(params, i, j)
-    elif source == "closed":
+        return serre_projection(params, i, j)[1]
+    if source == "closed":
         C = c_closed(params, i, j)
     elif source == "closed-torus":
         C = c_closed_torus(params, i, j)
     else:
         raise ValueError(f"unknown C source {source!r}")
-    return Y - C
+    Bi = b_generator(params, i)
+    Bj = b_generator(params, j)
+    return serre_polynomial(params.datum, i, j, Bi, Bj) - C

@@ -386,10 +386,6 @@ ONE = Scalar({0: GQ_ONE})
 I_UNIT = Scalar({0: GQ_I})
 
 
-def bar_scalar(a: Scalar) -> Scalar:
-    return a.bar()
-
-
 def is_bar_fixed(a: Scalar) -> bool:
     return a.bar() == a
 

@@ -5,9 +5,12 @@ K_beta (beta any root-lattice vector), and an F-word, with Scalar
 coefficients.  Multiplication straightens with the torus commutation rules
 and the E-F commutator only; the quantum Serre relations are never
 rewritten, so representations are non-canonical and equality is decided
-semantically by `is_zero`, which pairs each graded bucket against the
-complete family of iterated skew-derivation functionals (faithful on every
-graded piece by nondegeneracy of the standard bilinear form).
+semantically.  One deletion-functional engine decides zero for elements
+and tensors alike: an Element is a tensor of one factor, and each graded
+bucket of the last factor is paired against the complete family of
+iterated skew-derivation functionals (faithful on every graded piece by
+nondegeneracy of the standard bilinear form).  One expansion loop computes
+the coproduct, optionally pruned to a single graded cell.
 
 Monomial keys are plain tuples (e_word, k_part, f_word); elements carry
 their CartanDatum.
@@ -178,9 +181,6 @@ class Element:
             return cls.zero(datum)
         return cls(datum, {(tuple(e), tuple(k), tuple(f)): coeff})
 
-    def copy(self):
-        return Element(self.datum, dict(self.terms))
-
     # -- linear structure ----------------------------------------------------
 
     def __eq__(self, other):
@@ -297,19 +297,6 @@ class Element:
             deg = self.degree_of_key(key)
             out.setdefault(deg, {})[key] = c
         return {deg: Element(self.datum, t) for deg, t in sorted(out.items())}
-
-    def is_homogeneous_plus(self):
-        """True when every monomial is a pure E-word (possibly with K) of one weight."""
-        wt = None
-        for (e, _k, f) in self.terms:
-            if f:
-                return False
-            w = word_weight(self.datum, e)
-            if wt is None:
-                wt = w
-            elif w != wt:
-                return False
-        return True
 
     def __repr__(self):
         from .grammar import element_to_text
@@ -453,9 +440,6 @@ class Tensor:
         return f"Tensor(arity={self.arity}, terms={len(self.terms)})"
 
 
-TensorElement = Tensor
-
-
 def _tensor_of_elements(elems, coeff):
     datum = elems[0].datum
     out = {}
@@ -474,10 +458,6 @@ def _tensor_of_elements(elems, coeff):
 
     rec(0, (), coeff)
     return Tensor(datum, len(elems), out)
-
-
-def element_to_tensor(a: Element) -> Tensor:
-    return Tensor(a.datum, 1, {(k,): c for k, c in a.terms.items()})
 
 
 def _tensor2_mul_gen(datum, cur, gen_kind, gen_arg):
@@ -520,94 +500,57 @@ def _tensor2_mul_gen(datum, cur, gen_kind, gen_arg):
     return out
 
 
+def _prune_cell(datum, cur, target, rest_e, rest_f):
+    """Keep the 2-tensor terms whose second factor can still reach Q-degree
+    `target` once the E-letters rest_e and F-letters rest_f are multiplied in."""
+    re_w = word_weight(datum, rest_e)
+    rf_w = word_weight(datum, rest_f)
+    kept = {}
+    for key, cc in cur.items():
+        e2, _k2, f2 = key[1]
+        we2 = word_weight(datum, e2)
+        wf2 = word_weight(datum, f2)
+        for x in range(datum.n):
+            need = target[x] - we2[x] + wf2[x]
+            if need > re_w[x] or need < -rf_w[x]:
+                break
+        else:
+            kept[key] = cc
+    return kept
+
+
 def coproduct(a: Element) -> Tensor:
     """Hopf coproduct, extended multiplicatively from the generator values."""
-    datum = a.datum
-    empty = ((), datum.zero_vector(), ())
-    out = {}
-    for (e, k, f), c in a.terms.items():
-        cur = {(empty, empty): c}
-        for i in e:
-            cur = _tensor2_mul_gen(datum, cur, "E", i)
-        if any(k):
-            cur = _tensor2_mul_gen(datum, cur, "K", k)
-        for j in f:
-            cur = _tensor2_mul_gen(datum, cur, "F", j)
-        for key, cc in cur.items():
-            prev = out.get(key)
-            if prev is None:
-                out[key] = cc
-            else:
-                s = prev + cc
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-    return Tensor(datum, 2, out)
+    return coproduct_graded(a, None)
 
 
-def coproduct_graded(a: Element, target) -> Tensor:
+def coproduct_graded(a: Element, target=None) -> Tensor:
     """Terms of the coproduct whose second factor has Q-degree `target`.
 
-    Branches whose second factor can no longer reach the target degree are
-    pruned before expansion, so single graded cells of large coproducts stay
+    With `target` None this is the whole coproduct.  Otherwise branches
+    whose second factor can no longer reach the target degree are pruned
+    after every generator, so single graded cells of large coproducts stay
     cheap.
     """
     datum = a.datum
-    target = tuple(target)
-    n = datum.n
     empty = ((), datum.zero_vector(), ())
     out = {}
     for (e, k, f), c in a.terms.items():
-        # suffix weights of the remaining letters, for feasibility pruning
-        rem_e = [word_weight(datum, e[t:]) for t in range(len(e) + 1)]
-        rem_f = [word_weight(datum, f[t:]) for t in range(len(f) + 1)]
-
-        def feasible(d2, te, tf):
-            re_w = rem_e[te]
-            rf_w = rem_f[tf]
-            for cidx in range(n):
-                need = target[cidx] - d2[cidx]
-                if need > re_w[cidx] or need < -rf_w[cidx]:
-                    return False
-            return True
-
         cur = {(empty, empty): c}
-        deg2 = {(empty, empty): (0,) * n}
         for t, i in enumerate(e):
-            p = datum.pos(i)
-            nxt = _tensor2_mul_gen(datum, cur, "E", i)
-            cur = {}
-            ndeg = {}
-            for key, cc in nxt.items():
-                e2 = key[1][0]
-                f2 = key[1][2]
-                we2 = word_weight(datum, e2)
-                wf2 = word_weight(datum, f2)
-                d2 = tuple(a_ - b_ for a_, b_ in zip(we2, wf2))
-                if feasible(d2, t + 1, 0):
-                    cur[key] = cc
-                    ndeg[key] = d2
-            deg2 = ndeg
+            cur = _tensor2_mul_gen(datum, cur, "E", i)
+            if target is not None:
+                cur = _prune_cell(datum, cur, target, e[t + 1:], f)
         if any(k):
             cur = _tensor2_mul_gen(datum, cur, "K", k)
         for t, j in enumerate(f):
-            nxt = _tensor2_mul_gen(datum, cur, "F", j)
-            cur = {}
-            for key, cc in nxt.items():
-                e2 = key[1][0]
-                f2 = key[1][2]
-                we2 = word_weight(datum, e2)
-                wf2 = word_weight(datum, f2)
-                d2 = tuple(a_ - b_ for a_, b_ in zip(we2, wf2))
-                if feasible(d2, len(e), t + 1):
-                    cur[key] = cc
+            cur = _tensor2_mul_gen(datum, cur, "F", j)
+            if target is not None:
+                cur = _prune_cell(datum, cur, target, (), f[t + 1:])
+        if target is not None:
+            # with no letters left, feasibility is an exact degree match
+            cur = _prune_cell(datum, cur, target, (), ())
         for key, cc in cur.items():
-            e2, _k2, f2 = key[1]
-            we2 = word_weight(datum, e2)
-            wf2 = word_weight(datum, f2)
-            if tuple(a_ - b_ for a_, b_ in zip(we2, wf2)) != target:
-                continue
             prev = out.get(key)
             if prev is None:
                 out[key] = cc
@@ -762,75 +705,92 @@ def _word_count(wt) -> int:
     return out
 
 
-def _delete_letter(datum, terms, i, side):
-    """Apply the prefix-weighted deletion functional step on one side."""
-    alpha = datum.simple_root(i)
-    out = {}
-    for (e, f), c in terms.items():
-        word = e if side == 0 else f
-        for p, letter in enumerate(word):
-            if letter != i:
-                continue
-            coeff = c * _qpow_pair(datum, alpha, word_weight(datum, word[:p]))
-            nw = word[:p] + word[p + 1:]
-            nkey = (nw, f) if side == 0 else (e, nw)
-            prev = out.get(nkey)
-            s = coeff if prev is None else prev + coeff
-            if s:
-                out[nkey] = s
-            elif prev is not None:
-                del out[nkey]
-    return out
+def _zero_walk(datum, terms, max_bucket) -> bool:
+    """The deletion-functional engine behind `is_zero` and `tensor_is_zero`.
 
-
-def _bucket_zero(datum, terms, ewt, fwt) -> bool:
-    if not terms:
-        return True
-    if any(ewt):
-        for p, cnt in enumerate(ewt):
-            if not cnt:
-                continue
-            i = datum.labels[p]
-            img = _delete_letter(datum, terms, i, 0)
-            nwt = tuple(c - (1 if t == p else 0) for t, c in enumerate(ewt))
-            if not _bucket_zero(datum, img, nwt, fwt):
-                return False
-        return True
-    if any(fwt):
-        for p, cnt in enumerate(fwt):
-            if not cnt:
-                continue
-            i = datum.labels[p]
-            img = _delete_letter(datum, terms, i, 1)
-            nwt = tuple(c - (1 if t == p else 0) for t, c in enumerate(fwt))
-            if not _bucket_zero(datum, img, ewt, nwt):
-                return False
-        return True
-    return all(not c for c in terms.values())
-
-
-def is_zero(a: Element, max_bucket: int = 10 ** 6) -> bool:
-    """Decide whether the element is zero in U_q(g).
-
-    Buckets terms by tri-degree and pairs each bucket against all iterated
-    left-skew-derivation functionals on the E-side and, transported through
-    omega, on the F-side.  `max_bucket` bounds the number of dual words per
-    bucket (E-words times F-words).
+    `terms` maps (prefix, key) to a coefficient: key is the monomial of the
+    last tensor factor and prefix the tuple of monomials before it, empty
+    for an Element.  Terms are bucketed by the tri-degree of the last factor
+    and every bucket is paired against all iterated deletion functionals;
+    whatever scalar is left on a prefix is tested as a tensor of one factor
+    fewer.
     """
-    datum = a.datum
     buckets = {}
-    for (e, k, f), c in a.terms.items():
+    for (prefix, (e, k, f)), c in terms.items():
         bkey = (word_weight(datum, e), k, word_weight(datum, f))
-        buckets.setdefault(bkey, {})[(e, f)] = c
-    for (ewt, _k, fwt), terms in buckets.items():
+        buckets.setdefault(bkey, {})[(prefix, e, f)] = c
+    for (ewt, _k, fwt), bucket in buckets.items():
         count = _word_count(ewt) * _word_count(fwt)
         if count > max_bucket:
             raise ZeroTestGuardError(
                 f"bucket with {count} dual-word evaluations exceeds guard {max_bucket}"
             )
-        if not _bucket_zero(datum, terms, ewt, fwt):
+        if not _reduce_bucket(datum, bucket, ewt, fwt, max_bucket):
             return False
     return True
+
+
+def _reduce_bucket(datum, terms, ewt, fwt, max_bucket) -> bool:
+    """Pair a bucket {(prefix, e_word, f_word): c} of E-weight ewt and
+    F-weight fwt against the prefix-weighted deletion functionals, deleting
+    E-letters first and then F-letters."""
+    if not terms:
+        return True
+    if not any(ewt) and not any(fwt):
+        rest = {}
+        for (prefix, _e, _f), c in terms.items():
+            prev = rest.get(prefix)
+            s = c if prev is None else prev + c
+            if s:
+                rest[prefix] = s
+            elif prev is not None:
+                del rest[prefix]
+        if () in rest:
+            # an Element whose functional value is a nonzero scalar
+            return False
+        return _zero_walk(
+            datum, {(p[:-1], p[-1]): c for p, c in rest.items()}, max_bucket
+        )
+    side = 0 if any(ewt) else 1
+    wt = ewt if side == 0 else fwt
+    for p, cnt in enumerate(wt):
+        if not cnt:
+            continue
+        i = datum.labels[p]
+        alpha = datum.simple_root(i)
+        img = {}
+        for (prefix, e, f), c in terms.items():
+            word = e if side == 0 else f
+            for pos, letter in enumerate(word):
+                if letter != i:
+                    continue
+                coeff = c * _qpow_pair(datum, alpha, word_weight(datum, word[:pos]))
+                nw = word[:pos] + word[pos + 1:]
+                nkey = (prefix, nw, f) if side == 0 else (prefix, e, nw)
+                prev = img.get(nkey)
+                s = coeff if prev is None else prev + coeff
+                if s:
+                    img[nkey] = s
+                elif prev is not None:
+                    del img[nkey]
+        nwt = tuple(c - (1 if t == p else 0) for t, c in enumerate(wt))
+        ok = (_reduce_bucket(datum, img, nwt, fwt, max_bucket) if side == 0
+              else _reduce_bucket(datum, img, ewt, nwt, max_bucket))
+        if not ok:
+            return False
+    return True
+
+
+def is_zero(a: Element, max_bucket: int = 10 ** 6) -> bool:
+    """Decide whether the element is zero in U_q(g).
+
+    The element is tested as a tensor of one factor: its terms are bucketed
+    by tri-degree and each bucket is paired against all iterated
+    left-skew-derivation functionals on the E-side and, transported through
+    omega, on the F-side.  `max_bucket` bounds the number of dual words per
+    bucket (E-words times F-words).
+    """
+    return _zero_walk(a.datum, {((), key): c for key, c in a.terms.items()}, max_bucket)
 
 
 def equals(a: Element, b: Element, max_bucket: int = 10 ** 6) -> bool:
@@ -838,72 +798,16 @@ def equals(a: Element, b: Element, max_bucket: int = 10 ** 6) -> bool:
     return is_zero(a - b, max_bucket=max_bucket)
 
 
-def multiply(a: Element, b: Element) -> Element:
-    return a * b
-
-
 def tensor_is_zero(t: Tensor, max_bucket: int = 10 ** 6) -> bool:
-    """Semantic zero test for tensors, reducing the last factor by functionals."""
-    datum = t.datum
-    if t.arity == 1:
-        return is_zero(t.as_element(), max_bucket=max_bucket)
-    buckets = {}
-    for keys, c in t.terms.items():
-        e, k, f = keys[-1]
-        bkey = (word_weight(datum, e), k, word_weight(datum, f))
-        buckets.setdefault(bkey, {})[(keys[:-1], e, f)] = c
+    """Semantic zero test for tensors.
 
-    def reduce_bucket(terms, ewt, fwt) -> bool:
-        if not terms:
-            return True
-        side = 0 if any(ewt) else (1 if any(fwt) else None)
-        if side is None:
-            rest = {}
-            for (prefix, _e, _f), c in terms.items():
-                prev = rest.get(prefix)
-                s = c if prev is None else prev + c
-                if s:
-                    rest[prefix] = s
-                elif prev is not None:
-                    del rest[prefix]
-            return tensor_is_zero(Tensor(datum, t.arity - 1, rest), max_bucket)
-        wt = ewt if side == 0 else fwt
-        for p, cnt in enumerate(wt):
-            if not cnt:
-                continue
-            i = datum.labels[p]
-            alpha = datum.simple_root(i)
-            img = {}
-            for (prefix, e, f), c in terms.items():
-                word = e if side == 0 else f
-                for pos, letter in enumerate(word):
-                    if letter != i:
-                        continue
-                    coeff = c * _qpow_pair(datum, alpha, word_weight(datum, word[:pos]))
-                    nw = word[:pos] + word[pos + 1:]
-                    nkey = (prefix, nw, f) if side == 0 else (prefix, e, nw)
-                    prev = img.get(nkey)
-                    s = coeff if prev is None else prev + coeff
-                    if s:
-                        img[nkey] = s
-                    elif prev is not None:
-                        del img[nkey]
-            nwt = tuple(c2 - (1 if t2 == p else 0) for t2, c2 in enumerate(wt))
-            ok = (reduce_bucket(img, nwt, fwt) if side == 0
-                  else reduce_bucket(img, ewt, nwt))
-            if not ok:
-                return False
-        return True
-
-    for (ewt, _k, fwt), terms in buckets.items():
-        count = _word_count(ewt) * _word_count(fwt)
-        if count > max_bucket:
-            raise ZeroTestGuardError(
-                f"bucket with {count} dual-word evaluations exceeds guard {max_bucket}"
-            )
-        if not reduce_bucket(terms, ewt, fwt):
-            return False
-    return True
+    Runs the engine of `is_zero` on the last factor, with the earlier
+    factors carried as a prefix of every term; the scalars left on each
+    prefix form a tensor of one factor fewer, tested the same way.
+    `max_bucket` guards every bucket of every factor.
+    """
+    terms = {(keys[:-1], keys[-1]): c for keys, c in t.terms.items()}
+    return _zero_walk(t.datum, terms, max_bucket)
 
 
 def tensor_equals(s: Tensor, t: Tensor, max_bucket: int = 10 ** 6) -> bool:

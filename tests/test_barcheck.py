@@ -8,15 +8,14 @@ from qcoideal.barcheck import (
     canonical_params,
     check_ocZ,
     corollary_conditions,
-    ell,
     equiv_D,
     equiv_S,
     in_set_D,
     nu_sign,
 )
 from qcoideal.cartan import CartanDatum, cartan_datum, validate_admissible
-from qcoideal.qsp import MembershipError, QSPParameters, b_generator, context_for, z_element
-from qcoideal.scalars import ONE, ZERO, Scalar, bar_scalar, qshifted_factorial
+from qcoideal.qsp import MembershipError, QSPParameters, b_generator, context_for
+from qcoideal.scalars import ONE, ZERO, Scalar, qshifted_factorial
 from qcoideal.uqg import Element, bar_element, coproduct, equals, tensor_equals
 
 Q = Scalar.q_pow(1)
@@ -41,15 +40,15 @@ def test_nu_examples():
 
 def test_ell_values():
     ctx = context_for(A2_QS)
-    assert ell(ctx, 1) == ONE
+    assert ctx.ell(1) == ONE
     ctx = context_for(AIV)
     datum = A3
     for i in (1, 3):
         a = datum.simple_root(i)
         w = datum.weyl_action(AIV.wX_word, a)
         vec = tuple(x - y - z for x, y, z in zip(a, w, AIV.two_rho_X))
-        assert ell(ctx, i) == Scalar.v_pow(2 * datum.bilinear(a, vec))
-    assert ell(ctx, 1) == ell(ctx, 3)
+        assert ctx.ell(i) == Scalar.v_pow(2 * datum.bilinear(a, vec))
+    assert ctx.ell(1) == ctx.ell(3)
 
 
 def test_bar_of_z():
@@ -99,7 +98,7 @@ def test_corollary_direct_cases():
     assert not bar_exists(params).exists
     # split-pair condition with an explicit bar twist
     c1 = ONE + Q ** 2
-    c3 = Scalar.v_pow(2 * AIV.pairing_theta_2rho(1)) * bar_scalar(c1)
+    c3 = Scalar.v_pow(2 * AIV.pairing_theta_2rho(1)) * c1.bar()
     params = QSPParameters(AIV, {1: c1, 3: c3})
     assert corollary_conditions(params).exists
     assert bar_exists(params).exists
@@ -142,12 +141,12 @@ def test_equivalence_relations():
     assert equiv_D(AIV, d, d)
     d2 = dict(d)
     d2[1] = d[1] * (Q + Q ** -1)
-    d2[3] = Scalar.v_pow(2 * AIV.pairing_theta_2rho(1)) * bar_scalar(d2[1])
+    d2[3] = Scalar.v_pow(2 * AIV.pairing_theta_2rho(1)) * d2[1].bar()
     assert not in_set_D(AIV, d2)
     assert equiv_D(AIV, d, d2)
     d3 = dict(d)
     d3[1] = d[1] * Q ** 2
-    d3[3] = Scalar.v_pow(2 * AIV.pairing_theta_2rho(1)) * bar_scalar(d3[1])
+    d3[3] = Scalar.v_pow(2 * AIV.pairing_theta_2rho(1)) * d3[1].bar()
     assert not in_set_D(AIV, d3)
     assert not equiv_D(AIV, d, d3)  # ratio q^2 is not bar-fixed
     with pytest.raises(MembershipError):
@@ -194,17 +193,17 @@ def _split_closed_form(params, i, barred):
     m = 1 - datum.a(i, ti)
     qi = Scalar.q_pow(eps)
     Bi = b_generator(params, i)
-    zi = z_element(ctx, i).scale(params.c[i])
-    zt = z_element(ctx, ti).scale(params.c[ti])
+    zi = ctx.z(i).scale(params.c[i])
+    zt = ctx.z(ti).scale(params.c[ti])
     c_plus = qi ** -m * qshifted_factorial(qi ** 2, m)
     c_minus = qi * qshifted_factorial(qi ** -2, m)
     pref = -((qi - qi ** -1) ** 2).inverse()
     if barred:
         zi = bar_element(zi)
         zt = bar_element(zt)
-        c_plus = bar_scalar(c_plus)
-        c_minus = bar_scalar(c_minus)
-        pref = bar_scalar(pref)
+        c_plus = c_plus.bar()
+        c_minus = c_minus.bar()
+        pref = pref.bar()
     Bim = Bi ** (m - 1)
     return ((Bim * zi).scale(c_plus) + (Bim * zt).scale(c_minus)).scale(pref)
 
@@ -213,7 +212,7 @@ def test_bar_twist_preserves_passing_relation():
     pair = validate_admissible(A2, set(), {1: 2, 2: 1})
     good = QSPParameters(pair, {
         1: Q ** 2,
-        2: Scalar.v_pow(2 * pair.pairing_theta_2rho(1)) * bar_scalar(Q ** 2),
+        2: Scalar.v_pow(2 * pair.pairing_theta_2rho(1)) * (Q ** 2).bar(),
     })
     assert bar_exists(good).exists
     assert equals(_split_closed_form(good, 1, False), _split_closed_form(good, 1, True))

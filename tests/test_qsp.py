@@ -1,4 +1,11 @@
+import gc
+import weakref
+
 import pytest
+
+import qcoideal.qsp as qsp_mod
+import qcoideal.suites as suites
+import qcoideal.uqg as uqg
 
 from qcoideal.braid import apply_word, braid_T, apply_braid
 from qcoideal.cartan import CartanDatum, cartan_datum, validate_admissible
@@ -15,12 +22,11 @@ from qcoideal.qsp import (
     in_set_S,
     s_value,
     serre_defect,
-    theta_q_FK,
+    serre_projection,
     w_element,
-    z_element,
 )
 from qcoideal.scalars import I_UNIT, ONE, ZERO, Scalar, qshifted_factorial
-from qcoideal.uqg import Element, equals, is_zero, skew_r
+from qcoideal.uqg import Element, equals, is_zero, serre_polynomial, skew_r
 
 Q = Scalar.q_pow(1)
 
@@ -44,13 +50,13 @@ def test_s_value_cases():
 
 def test_theta_twist_values():
     ctx = context_for(A2_SWAP)
-    assert theta_q_FK(ctx, 1) == Element.E(A2, 2).scale(-s_value(A2_SWAP, 2))
+    assert ctx.theta_fk(1) == Element.E(A2, 2).scale(-s_value(A2_SWAP, 2))
     ctx = context_for(AIV)
     want = apply_word(AIV.wX_word, Element.E(A3, 3)).scale(-s_value(AIV, 3))
-    assert theta_q_FK(ctx, 1) == want
+    assert ctx.theta_fk(1) == want
     ctx = context_for(BII)
     want = apply_braid(braid_T(B2, 2), Element.E(B2, 1)).scale(-ONE)
-    assert theta_q_FK(ctx, 1) == want
+    assert ctx.theta_fk(1) == want
 
 
 def test_b_generator_cases():
@@ -64,10 +70,10 @@ def test_b_generator_cases():
 
 def test_z_element_values():
     ctx = context_for(A2_QS)
-    assert z_element(ctx, 1) == Element.one(A2).scale(-ONE)
+    assert ctx.z(1) == Element.one(A2).scale(-ONE)
     ctx = context_for(A2_SWAP)
     kvec = tuple(b - a for a, b in zip(A2.simple_root(1), A2.simple_root(2)))
-    assert z_element(ctx, 1) == Element.K(A2, kvec).scale(-s_value(A2_SWAP, 2))
+    assert ctx.z(1) == Element.K(A2, kvec).scale(-s_value(A2_SWAP, 2))
     # AIV n=3: -s(3)(1 - q^{-2}) E_2 K_3 K_1^{-1}
     ctx = context_for(AIV)
     kvec = tuple(
@@ -76,7 +82,7 @@ def test_z_element_values():
     want = (Element.E(A3, 2) * Element.K(A3, kvec)).scale(
         -s_value(AIV, 3) * (ONE - Q ** -2)
     )
-    assert equals(z_element(ctx, 1), want)
+    assert equals(ctx.z(1), want)
 
 
 def test_w_element():
@@ -84,7 +90,7 @@ def test_w_element():
     # consistency with the double-derivation route
     pairing = B2.bilinear(B2.simple_root(1), B2.simple_root(2))
     assert pairing == -2
-    lhs = skew_r(2, z_element(ctx, 1), allow_k=True)
+    lhs = skew_r(2, ctx.z(1), allow_k=True)
     rhs = w_element(ctx, 1, 2).scale(ONE - Scalar.q_pow(2 * pairing))
     assert equals(lhs, rhs)
     # no X nodes in the quasi-split case: domain is empty
@@ -120,7 +126,7 @@ def test_c_closed_split_m1_simplification():
     got = c_closed(params, 1, 2)
     qdiff = Q - Q ** -1
     want = (
-        z_element(ctx, 1).scale(params.c[1]) - z_element(ctx, 2).scale(params.c[2])
+        ctx.z(1).scale(params.c[1]) - ctx.z(2).scale(params.c[2])
     ).scale(qdiff.inverse())
     assert equals(got, want)
     assert equals(got, c_oracle(params, 1, 2))
@@ -133,10 +139,10 @@ def test_c_oracle_matches_split_formula_m2():
     Bi = b_generator(params, 1)
     pref = -((Q - Q ** -1) ** 2).inverse()
     want = (
-        (Bi * z_element(ctx, 1).scale(params.c[1])).scale(
+        (Bi * ctx.z(1).scale(params.c[1])).scale(
             Q ** -m * qshifted_factorial(Q ** 2, m)
         )
-        + (Bi * z_element(ctx, 2).scale(params.c[2])).scale(
+        + (Bi * ctx.z(2).scale(params.c[2])).scale(
             Q * qshifted_factorial(Q ** -2, m)
         )
     ).scale(pref)
@@ -225,3 +231,46 @@ def test_serre_defect_with_s_parameters():
     for i, j in [(1, 2), (2, 1)]:
         assert equals(c_closed(params, i, j), c_oracle(params, i, j))
         assert is_zero(serre_defect(params, i, j))
+
+
+def test_oracle_defect_is_the_projection_cell():
+    cases = [
+        (QSPParameters(AIV, {1: Q, 3: ONE + Q}), [(1, 2), (2, 1), (1, 3)]),
+        (QSPParameters(BII, {1: Q}), [(1, 2), (2, 1)]),
+        (QSPParameters(A2_SWAP, {1: Q, 2: ONE + Q}), [(1, 2)]),
+    ]
+    for params, nodes in cases:
+        for i, j in nodes:
+            Y = serre_polynomial(
+                params.datum, i, j, b_generator(params, i), b_generator(params, j)
+            )
+            defect = serre_defect(params, i, j)
+            assert defect == Y - c_oracle(params, i, j)
+            assert serre_projection(params, i, j) == (Y, defect)
+
+
+def test_sweep_task_builds_the_serre_polynomial_once(monkeypatch):
+    calls = []
+    original = uqg.serre_polynomial
+
+    def counting(*args):
+        calls.append(args[1:3])
+        return original(*args)
+
+    for module in (uqg, qsp_mod, suites):
+        monkeypatch.setattr(module, "serre_polynomial", counting)
+    check = suites._serre_task(("A", 3, (2,), ((1, 3),), 1, 2, 10 ** 6))
+    assert check["ok"]
+    assert calls == [(1, 2)]
+
+
+def test_context_is_owned_by_its_pair():
+    pair = validate_admissible(A3, {2}, {1: 3, 2: 2, 3: 1})
+    ctx = context_for(pair)
+    assert context_for(pair) is ctx
+    assert context_for(AIV) is not ctx
+    ctx.z(1)
+    dropped = weakref.ref(pair)
+    del pair, ctx
+    gc.collect()
+    assert dropped() is None

@@ -8,6 +8,7 @@ from qcoideal.scalars import ONE, Scalar
 from qcoideal.uqg import (
     Element,
     ZeroTestGuardError,
+    _tensor_of_elements,
     adjoint_E,
     antipode,
     bar_element,
@@ -22,6 +23,7 @@ from qcoideal.uqg import (
     skew_ir,
     skew_r,
     tensor_equals,
+    tensor_is_zero,
     word_weight,
 )
 
@@ -237,3 +239,60 @@ def test_zero_test_guard():
     x = Element.E(A2, *([1] * 6 + [2] * 6))
     with pytest.raises(ZeroTestGuardError):
         is_zero(x, max_bucket=10)
+
+
+def _random_element(rng, datum, terms=3):
+    out = Element.zero(datum)
+    for _ in range(terms):
+        e = tuple(rng.choice(datum.labels) for _ in range(rng.randint(0, 2)))
+        k = tuple(rng.randint(-1, 1) for _ in range(datum.n))
+        f = tuple(rng.choice(datum.labels) for _ in range(rng.randint(0, 2)))
+        out = out + Element.monomial(datum, e, k, f, Scalar.q_pow(rng.randint(-2, 2)))
+    return out
+
+
+def _tensor(*elems):
+    return _tensor_of_elements(list(elems), ONE)
+
+
+def test_graded_cells_partition_the_coproduct():
+    rng = random.Random(21)
+    for datum in (A2, cartan_datum("B", 2)):
+        for _ in range(8):
+            x = _random_element(rng, datum)
+            full = coproduct(x)
+            assert coproduct_graded(x, None) == full
+            degrees = {x.degree_of_key(m2) for (_m1, m2) in full.terms}
+            merged = {}
+            for d in degrees:
+                cell = coproduct_graded(x, d)
+                assert cell.terms and not merged.keys() & cell.terms.keys()
+                merged.update(cell.terms)
+            assert merged == full.terms
+            absent = tuple(c + 5 for c in datum.zero_vector())
+            assert coproduct_graded(x, absent).terms == {}
+
+
+def test_tensor_zero_test_reduces_through_every_factor():
+    E1, E2, F1 = Element.E(A2, 1), Element.E(A2, 2), Element.F(A2, 1)
+    assert not tensor_is_zero(_tensor(E1 * E2 - E2 * E1, F1))
+    serre = serre_polynomial(A2, 1, 2, E1, E2)
+    assert serre.terms
+    assert tensor_is_zero(_tensor(serre, F1))
+
+
+def test_tensor_zero_test_guards_the_last_factor():
+    t = _tensor(Element.E(A2, 1), Element.E(A2, *([1] * 6 + [2] * 6)))
+    with pytest.raises(ZeroTestGuardError):
+        tensor_is_zero(t, max_bucket=10)
+
+
+def test_is_zero_agrees_with_the_tensor_of_one_factor():
+    rng = random.Random(22)
+    serre = serre_polynomial(A2, 1, 2, Element.E(A2, 1), Element.E(A2, 2))
+    samples = [serre, serre.scale(Q) + Element.F(A2, 2), Element.zero(A2)]
+    samples += [_random_element(rng, A2) for _ in range(10)]
+    samples += [serre * x for x in samples[3:6]] + [x * serre for x in samples[3:6]]
+    for x in samples:
+        assert is_zero(x) == tensor_is_zero(_tensor(x))
+    assert is_zero(serre) and not is_zero(samples[1])

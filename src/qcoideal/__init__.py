@@ -22,7 +22,6 @@ from .cartan import (
     AdmissiblePair,
     AdmissibleError,
     FiniteTypeError,
-    bilinear_form,
     cartan_datum,
     datum_from_json,
     datum_to_json,
@@ -30,12 +29,10 @@ from .cartan import (
     longest_word,
     parabolic_rho,
     rho_check_pairing,
-    theta_map,
     validate_admissible,
     admissible_violations,
     pair_from_json,
     pair_to_json,
-    weyl_action,
 )
 from .uqg import (
     Element,

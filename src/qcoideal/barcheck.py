@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .braid import apply_word
 from .cartan import AdmissiblePair
 from .grammar import scalar_to_text
 from .qsp import MembershipError, QSPContext, QSPParameters, context_for, in_set_S
@@ -48,10 +47,9 @@ def nu_sign(ctx: QSPContext, i) -> int:
     against the component itself; +1 or -1, anything else is an engine bug."""
     if i in ctx.nu:
         return ctx.nu[i]
-    datum = ctx.datum
     if i in ctx.pair.X:
         raise ValueError("nu is defined for nodes outside X")
-    P = skew_r(i, apply_word(ctx.pair.wX_word, Element.E(datum, i), check_reduced=False))
+    P = skew_r(i, ctx.twisted(i))
     Q = sigma(tau_relabel(ctx.pair, P))
     if is_zero(Q - P):
         val = 1

@@ -6,7 +6,9 @@ generator images are hardcoded; everything else extends multiplicatively.
 The transcription is pinned down by conformance identities (mutual
 inverses, braid relations, the sigma and bar intertwiners, and the
 weight-twist relation between the two families), which the test suite
-checks on every datum it touches.
+checks on every datum it touches.  Generator images are memoised in the
+datum's declared `caches` under "braid"; the twists T_{w_X}(E_j) of
+symmetric pairs under "twist" (`qsp.QSPContext.twisted`).
 """
 
 from __future__ import annotations
@@ -15,14 +17,6 @@ from dataclasses import dataclass
 
 from .scalars import ONE, Scalar, qfact
 from .uqg import Element, _vpow
-
-
-def _braid_cache(datum):
-    c = getattr(datum, "_braid_cache", None)
-    if c is None:
-        c = {}
-        datum._braid_cache = c
-    return c
 
 
 def _divided_power_coeff(datum, i, n) -> Scalar:
@@ -87,7 +81,7 @@ def _image_F(datum, i, e, double_prime, j) -> Element:
 
 
 def _gen_image(datum, i, e, double_prime, kind, j) -> Element:
-    cache = _braid_cache(datum)
+    cache = datum.caches["braid"]
     key = (i, e, double_prime, kind, j)
     img = cache.get(key)
     if img is None:

@@ -12,6 +12,7 @@ appear), indexed by position in the datum's label list.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
 
@@ -108,6 +109,9 @@ class CartanDatum:
         self.gram = tuple(
             tuple(eps[i] * A[i][j] for j in range(n)) for i in range(n)
         )
+        # derived data memoised per datum, one dict per namespace: "efinv"
+        # and "push" (uqg), "braid" (braid generator images), "twist" (qsp)
+        self.caches = defaultdict(dict)
 
     @property
     def n(self):
@@ -593,16 +597,3 @@ def pair_to_json(pair: AdmissiblePair):
         "tau": sorted([i, j] for i, j in pair.tau.items() if i < j),
     }
 
-
-# Free-function forms of the datum/pair operations.
-
-def bilinear_form(datum: CartanDatum, beta, gamma):
-    return datum.bilinear(beta, gamma)
-
-
-def weyl_action(datum: CartanDatum, word, beta):
-    return datum.weyl_action(word, beta)
-
-
-def theta_map(pair: AdmissiblePair, beta):
-    return pair.theta(beta)

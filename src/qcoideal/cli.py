@@ -205,19 +205,13 @@ def _cmd_canonical(args):
 def _cmd_nu_atlas(args):
     rows = []
     lines = []
-    specs = []
     for fam in (args.families or "A,B,C,D,G").split(","):
         fam = fam.strip()
         if not fam:
             continue
-        if fam.startswith("affine"):
-            specs.append((fam, args.max_rank))
-        else:
-            specs.append((fam, args.max_rank))
-    for fam, max_rank in specs:
         min_rank = {"B": 2, "C": 2, "D": 4, "E": 6, "F": 4, "G": 2}.get(fam, 1)
-        max_allowed = {"G": 2, "F": 4, "E": 8}.get(fam, max_rank)
-        for rank in range(min_rank, min(max_rank, max_allowed) + 1):
+        max_allowed = {"G": 2, "F": 4, "E": 8}.get(fam, args.max_rank)
+        for rank in range(min_rank, min(args.max_rank, max_allowed) + 1):
             try:
                 datum = cartan_datum(fam, rank)
             except ValueError:
@@ -252,6 +246,11 @@ def _cmd_verify(args):
         raise InputError(
             f"unknown suite {args.suite!r}; available: {', '.join(sorted(SUITES))}"
         )
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise InputError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
+    if args.max_bucket < 1:
+        raise InputError(f"--max-bucket must be at least 1, got {args.max_bucket}")
     ok, checks = run_suite(
         args.suite, seed=args.seed, max_bucket=args.max_bucket, jobs=args.jobs
     )
@@ -280,7 +279,8 @@ def _build_parser():
     ap.add_argument("--pair", help="admissible pair JSON: {\"X\": [...], \"tau\": [[i,j],...]}")
     ap.add_argument("--params", help="parameter JSON: {cartan, pair, c: {node: scalar}, s: {...}}")
     ap.add_argument("--out", help="write a deterministic JSON report to this path")
-    ap.add_argument("--jobs", type=int, default=1, help="parallel workers for verify sweeps")
+    ap.add_argument("--jobs", type=int, default=1,
+                    help="serre-oracle-sweep workers, one task per admissible pair (1..CPUs)")
     ap.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     ap.add_argument(
         "--max-bucket",

@@ -118,8 +118,13 @@ class QSPParameters:
 
 
 class QSPContext:
-    """Cached per-pair data: w_X word, s(j), twisted generators, Z_i, ell_i,
-    and the nu signs of `barcheck.nu_sign`."""
+    """Cached per-pair data: s(j), theta_q(F_i K_i), Z_i, ell_i, and the nu
+    signs of `barcheck.nu_sign`.
+
+    The pair owns its context (`context_for`), so these caches live exactly
+    as long as the pair.  The twists T_{w_X}(E_j) depend on the datum and X
+    alone, so `twisted` memoises them in the datum's `caches["twist"]`.
+    """
 
     def __init__(self, pair: AdmissiblePair):
         self.pair = pair
@@ -136,6 +141,17 @@ class QSPContext:
             self._s[j] = v
         return v
 
+    def twisted(self, j) -> Element:
+        """T_{w_X}(E_j), the braid twist every Z_i, theta_q and nu_i is built
+        from; pairs of one datum with the same X share it."""
+        cache = self.datum.caches["twist"]
+        key = (self.pair.wX_word, j)
+        v = cache.get(key)
+        if v is None:
+            v = apply_word(self.pair.wX_word, Element.E(self.datum, j), check_reduced=False)
+            cache[key] = v
+        return v
+
     def theta_fk(self, i) -> Element:
         """Image of F_i K_i under the quantum involution: -s(tau(i)) T_{w_X}(E_{tau(i)})."""
         v = self._theta_fk.get(i)
@@ -143,9 +159,7 @@ class QSPContext:
             if i in self.pair.X:
                 raise ValueError("theta_fk is defined for nodes outside X")
             ti = self.pair.tau[i]
-            v = apply_word(
-                self.pair.wX_word, Element.E(self.datum, ti), check_reduced=False
-            ).scale(-self.s(ti))
+            v = self.twisted(ti).scale(-self.s(ti))
             self._theta_fk[i] = v
         return v
 

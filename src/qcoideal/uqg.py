@@ -13,7 +13,10 @@ nondegeneracy of the standard bilinear form).  One expansion loop computes
 the coproduct, optionally pruned to a single graded cell.
 
 Monomial keys are plain tuples (e_word, k_part, f_word); elements carry
-their CartanDatum.
+their CartanDatum, and combining elements of two data raises ValueError.
+Memo tables that depend on the datum (the E-past-F pushes and
+1/(q_i - q_i^{-1})) live in the datum's declared `caches` under "push" and
+"efinv"; `_VPOW_CACHE` holds the datum-independent powers of v.
 """
 
 from __future__ import annotations
@@ -40,14 +43,6 @@ class ZeroTestGuardError(RuntimeError):
     """A graded bucket exceeded the word-evaluation guard of the zero test."""
 
 
-def _caches(datum):
-    c = getattr(datum, "_uqg_caches", None)
-    if c is None:
-        c = {"push": {}, "efinv": {}}
-        datum._uqg_caches = c
-    return c
-
-
 def word_weight(datum, word):
     w = [0] * datum.n
     for i in word:
@@ -57,7 +52,7 @@ def word_weight(datum, word):
 
 def _ef_inverse(datum, i) -> Scalar:
     """1 / (q_i - q_i^{-1}), cached per node."""
-    cache = _caches(datum)["efinv"]
+    cache = datum.caches["efinv"]
     s = cache.get(i)
     if s is None:
         e = datum.epsilon(i)
@@ -73,7 +68,7 @@ def _push_e(datum, f_word, i):
     * K_{k_sign * alpha_i} * F_{g_word}, with the K factor already commuted
     to the left of the F-word.
     """
-    cache = _caches(datum)["push"]
+    cache = datum.caches["push"]
     key = (f_word, i)
     out = cache.get(key)
     if out is not None:
@@ -193,7 +188,8 @@ class Element:
         return hash(frozenset((k, v) for k, v in self.terms.items()))
 
     def __add__(self, other):
-        assert self.datum is other.datum
+        if self.datum is not other.datum:
+            raise ValueError("elements of different Cartan data do not combine")
         out = dict(self.terms)
         for key, c in other.terms.items():
             prev = out.get(key)
@@ -234,7 +230,8 @@ class Element:
             return self.scale(other)
         if isinstance(other, int):
             return self.scale(Scalar.from_int(other))
-        assert self.datum is other.datum
+        if self.datum is not other.datum:
+            raise ValueError("elements of different Cartan data do not combine")
         datum = self.datum
         out = {}
         for (e2, k2, f2), c2 in other.terms.items():
@@ -328,7 +325,8 @@ class Tensor:
                 and self.terms == other.terms)
 
     def __add__(self, other):
-        assert self.datum is other.datum and self.arity == other.arity
+        if self.datum is not other.datum or self.arity != other.arity:
+            raise ValueError("tensors of different data or arities do not combine")
         out = dict(self.terms)
         for key, c in other.terms.items():
             prev = out.get(key)
@@ -355,7 +353,8 @@ class Tensor:
 
     def __mul__(self, other):
         """Factorwise product of tensors of equal arity."""
-        assert self.datum is other.datum and self.arity == other.arity
+        if self.datum is not other.datum or self.arity != other.arity:
+            raise ValueError("tensors of different data or arities do not combine")
         datum = self.datum
         out = Tensor.zero(datum, self.arity)
         for keys1, c1 in self.terms.items():
@@ -433,7 +432,8 @@ class Tensor:
         return total
 
     def as_element(self):
-        assert self.arity == 1
+        if self.arity != 1:
+            raise ValueError(f"only a tensor of arity 1 is an element, not {self.arity}")
         return Element(self.datum, {k[0]: c for k, c in self.terms.items()})
 
     def __repr__(self):

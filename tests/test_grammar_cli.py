@@ -110,6 +110,24 @@ def test_cli_verify_unknown_suite(capsys):
     assert main(["verify", "--suite", "does-not-exist"]) == 2
 
 
+def test_cli_verify_checks_limits_before_work(monkeypatch, capsys):
+    import os
+
+    import qcoideal.cli as cli
+    import qcoideal.suites as suites
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started despite an invalid limit")
+
+    monkeypatch.setattr(suites, "Pool", never)
+    monkeypatch.setattr(cli, "run_suite", never)
+    sweep = ["verify", "--suite", "serre-oracle-sweep"]
+    too_many = str((os.cpu_count() or 1) + 1)
+    assert main(["--jobs", "0"] + sweep) == 2
+    assert main(["--jobs", too_many] + sweep) == 2
+    assert main(["--max-bucket", "0"] + sweep) == 2
+
+
 def test_cli_engine_inconsistency_exit_code(monkeypatch, capsys):
     import qcoideal.cli as cli
     from qcoideal.barcheck import EngineInconsistencyError

@@ -257,11 +257,71 @@ def test_sweep_task_builds_the_serre_polynomial_once(monkeypatch):
         calls.append(args[1:3])
         return original(*args)
 
+    validations = []
+    original_validate = suites.validate_admissible
+
+    def counting_validate(*args):
+        validations.append(args)
+        return original_validate(*args)
+
     for module in (uqg, qsp_mod, suites):
         monkeypatch.setattr(module, "serre_polynomial", counting)
-    check = suites._serre_task(("A", 3, (2,), ((1, 3),), 1, 2, 10 ** 6))
-    assert check["ok"]
-    assert calls == [(1, 2)]
+    monkeypatch.setattr(suites, "validate_admissible", counting_validate)
+    checks = suites._serre_group(("A", 3, (2,), ((1, 3),), 10 ** 6))
+    assert all(c["ok"] for c in checks)
+    cases = [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
+    assert calls == cases
+    assert len(validations) == 1
+
+
+def test_sweep_failing_case_becomes_a_record(monkeypatch):
+    original = suites.serre_projection
+
+    def failing(params, i, j):
+        if (i, j) == (2, 3):
+            raise RuntimeError("forced")
+        return original(params, i, j)
+
+    monkeypatch.setattr(suites, "serre_projection", failing)
+    checks = suites._serre_group(("A", 3, (2,), ((1, 3),), 10 ** 6))
+    failed = [c for c in checks if not c["ok"]]
+    assert len(checks) == 6
+    assert failed == [
+        {"id": "serre/A3/X=[2]/tau=[(1, 3)]/(2,3)", "ok": False, "detail": "RuntimeError: forced"}
+    ]
+
+
+def test_sweep_pool_matches_serial(monkeypatch):
+    groups = suites._serre_tasks()[:3]
+    monkeypatch.setattr(suites, "_serre_tasks", lambda: groups)
+    serial = suites.suite_serre_sweep(jobs=1)
+    assert len(serial) == 6
+    assert suites.suite_serre_sweep(jobs=2) == serial
+
+
+def test_twist_is_built_once_per_node(monkeypatch):
+    # w_X = s_2 here, so every twist T_{w_X}(E_j), whoever builds it, is one
+    # braid application to E_j
+    import qcoideal.braid as braid
+    from qcoideal.barcheck import check_ocZ, nu_sign
+
+    twisted = []
+    original = braid.apply_braid
+
+    def counting(op, a):
+        (((e, _k, _f), _c),) = a.terms.items()
+        twisted.append(e)
+        return original(op, a)
+
+    monkeypatch.setattr(braid, "apply_braid", counting)
+    fresh = cartan_datum("A", 3)
+    ctx = context_for(validate_admissible(fresh, {2}, {1: 3, 2: 2, 3: 1}))
+    for i in (1, 3):
+        ctx.theta_fk(i)
+        ctx.z(i)
+        nu_sign(ctx, i)
+        assert check_ocZ(ctx, i)
+    assert sorted(twisted) == [(1,), (3,)]
 
 
 def test_context_is_owned_by_its_pair():

@@ -296,3 +296,16 @@ def test_is_zero_agrees_with_the_tensor_of_one_factor():
     for x in samples:
         assert is_zero(x) == tensor_is_zero(_tensor(x))
     assert is_zero(serre) and not is_zero(samples[1])
+
+
+def test_elements_of_two_data_do_not_mix():
+    a, b = cartan_datum("A", 2), cartan_datum("A", 2)
+    x, y = Element.E(a, 1), Element.E(b, 1)
+    with pytest.raises(ValueError):
+        x + y
+    with pytest.raises(ValueError):
+        x * y
+    with pytest.raises(ValueError):
+        coproduct(x) + coproduct(y)
+    with pytest.raises(ValueError):
+        coproduct(x).as_element()

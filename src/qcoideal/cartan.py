@@ -121,7 +121,7 @@ class CartanDatum:
         try:
             return self._pos[label]
         except KeyError:
-            raise KeyError(f"unknown node label {label!r}") from None
+            raise ValueError(f"unknown node label {label!r}") from None
 
     def a(self, i, j):
         return self.A[self.pos(i)][self.pos(j)]

@@ -143,6 +143,9 @@ def _cmd_compute(args):
     j = args.j
     if i is None:
         raise InputError("--i is required for compute")
+    for node in (i, j):
+        if node is not None:
+            datum.pos(node)  # an unknown label is an input error
     if what == "Zi":
         elem = ctx.z(i)
     elif what == "Bi":
@@ -333,11 +336,13 @@ def main(argv=None) -> int:
         ScalarParseError,
         ZeroTestGuardError,
         json.JSONDecodeError,
-        KeyError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (KeyError, AssertionError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

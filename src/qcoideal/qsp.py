@@ -99,7 +99,11 @@ def in_set_S(pair: AdmissiblePair, s: dict):
 
 
 class QSPParameters:
-    """Admissible pair plus validated parameter families c and s."""
+    """Admissible pair plus validated parameter families c and s.
+
+    The parameters own the generators B_i built from them (`b_generator`),
+    so each B_i is built once and lives as long as its c and s.
+    """
 
     def __init__(self, pair: AdmissiblePair, c: dict, s: dict = None, validate=True):
         self.pair = pair
@@ -107,6 +111,7 @@ class QSPParameters:
         self.c = {i: c[i] for i in free}
         s = s or {}
         self.s = {i: s.get(i, ZERO) for i in free}
+        self.b = {}
         if validate:
             violations = in_set_C(pair, self.c) + in_set_S(pair, self.s)
             if violations:
@@ -216,16 +221,21 @@ def w_element(ctx: QSPContext, i, j) -> Element:
 
 
 def b_generator(params: QSPParameters, i) -> Element:
-    """B_i = F_i + c_i theta_q(F_i K_i) K_i^{-1} + s_i K_i^{-1}; F_i inside X."""
+    """B_i = F_i + c_i theta_q(F_i K_i) K_i^{-1} + s_i K_i^{-1}; F_i inside X.
+    Memoised in `params.b`."""
+    out = params.b.get(i)
+    if out is not None:
+        return out
     datum = params.datum
-    if i in params.pair.X:
-        return Element.F(datum, i)
-    ctx = context_for(params.pair)
-    kinv = Element.K_i(datum, i, -1)
-    out = Element.F(datum, i) + (ctx.theta_fk(i) * kinv).scale(params.c[i])
-    si = params.s[i]
-    if si:
-        out = out + kinv.scale(si)
+    out = Element.F(datum, i)
+    if i not in params.pair.X:
+        ctx = context_for(params.pair)
+        kinv = Element.K_i(datum, i, -1)
+        out = out + (ctx.theta_fk(i) * kinv).scale(params.c[i])
+        si = params.s[i]
+        if si:
+            out = out + kinv.scale(si)
+    params.b[i] = out
     return out
 
 

@@ -9,10 +9,24 @@ Gaussian binomials and q-shifted factorials are provided on top.
 Canonical form: the denominator is monic with lowest exponent 0 and shares
 no factor with the numerator, so equality of Scalars is a plain structural
 check.
+
+Normalisation.  The denominators the engine meets, from 1/[n]_{q_i}!,
+(q_i - q_i^-1)^-1 and 1 - q^(2(a_i, a_j)), are products of cyclotomic
+polynomials Phi_k(v).  Each distinct denominator b is factored once, as
+b = lead * prod Phi_k^m_k * cofactor, and the factorisation is cached under
+a key of Python ints; a float test at e^(2 pi i / k) preselects the
+candidate k, and exact division confirms each factor.  A numerator is then
+reduced by trial division in integers, dividing by each Phi_k of b at most
+m_k times, and the reduced denominator is built from the factorisation and
+memoised.  Euclid (`_poly_gcd`) runs only on the cofactor, such as the
+v^2 + 3 of a user parameter c_i = 1/(v^2 + 3), and on the halves of Phi_k
+(4 | k) that a Gaussian numerator may share.  The monic gcd is unique, so
+this is the same canonical form as one Euclid on every pair.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -128,14 +142,6 @@ def _pmul(p, q):
     return r
 
 
-def _pscale(p, c):
-    if not c:
-        return {}
-    if c == GQ_ONE:
-        return dict(p)
-    return {e: x * c for e, x in p.items()}
-
-
 def _pshift(p, k):
     if k == 0:
         return dict(p)
@@ -203,6 +209,237 @@ def _poly_exact_div(p, g):
     return {e: c for e, c in enumerate(q) if c}
 
 
+# ---------------------------------------------------------------------------
+# Normalisation by a cached cyclotomic factorisation of each denominator.
+# ---------------------------------------------------------------------------
+
+_CYCLOTOMIC = {}  # k -> dense integer coefficients of Phi_k(v)
+_FACTORS = {}     # denominator key -> (cyclotomic factors, monic cofactor)
+_QUOTIENTS = {}   # (denominator key, exponents cancelled) -> monic quotient
+_GQ_INT = {}      # n -> GaussianRational(n), shared by the quotients
+
+
+def _int_poly(p):
+    """(L, re, im): dense integer lists with p = (re + i*im) / L; p has
+    min exponent 0."""
+    L = 1
+    for c in p.values():
+        for f in (c.re, c.im):
+            if f.denominator != 1:
+                L = math.lcm(L, f.denominator)
+    n = max(p) + 1
+    re = [0] * n
+    im = [0] * n
+    for e, c in p.items():
+        re[e] = c.re.numerator * (L // c.re.denominator)
+        im[e] = c.im.numerator * (L // c.im.denominator)
+    return L, re, im
+
+
+def _from_ints(re, im):
+    return {e: GaussianRational(x, y) for e, (x, y) in enumerate(zip(re, im)) if x or y}
+
+
+def _int_div(a, m):
+    """a / m for dense integer lists and monic m; None unless m divides a."""
+    dm = len(m) - 1
+    n = len(a) - dm
+    if n <= 0:
+        return None
+    tail = [(j, c) for j, c in enumerate(m[:dm]) if c]
+    a = list(a)
+    q = [0] * n
+    for k in range(n - 1, -1, -1):
+        c = a[k + dm]
+        if c:
+            q[k] = c
+            for j, mj in tail:
+                a[k + j] -= c * mj
+    if any(a[:dm]):
+        return None
+    return q
+
+
+def _divide_out(re, im, phi, limit):
+    """Divide re + i*im by phi as often as it divides, at most `limit`
+    times; returns (re, im, times)."""
+    real = not any(im)
+    j = 0
+    while j < limit:
+        qr = _int_div(re, phi)
+        if qr is None:
+            break
+        if real:
+            qi = [0] * len(qr)
+        else:
+            qi = _int_div(im, phi)
+            if qi is None:
+                break
+        re, im = qr, qi
+        j += 1
+    return re, im, j
+
+
+def _cyclotomic(k):
+    """Phi_k as a dense integer list: v^k - 1 over Phi_d for every proper
+    divisor d of k."""
+    phi = _CYCLOTOMIC.get(k)
+    if phi is None:
+        phi = [-1] + [0] * (k - 1) + [1]
+        for d in range(1, k):
+            if k % d == 0:
+                phi = _int_div(phi, _cyclotomic(d))
+        _CYCLOTOMIC[k] = phi
+    return phi
+
+
+def _totient(k):
+    out = n = k
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            out -= out // p
+        p += 1
+    if n > 1:
+        out -= out // n
+    return out
+
+
+def _orders(d):
+    """Every k with phi(k) <= d, ascending.  For k >= 3,
+    phi(k) > k / (e^gamma ln ln k + 3 / ln ln k) (Rosser & Schoenfeld,
+    Illinois J. Math. 6, 1962, Thm. 15), and that bound increases from
+    k = 30 on, so the search stops once it exceeds d."""
+    out = []
+    k = 1
+    while True:
+        if k > 30:
+            ll = math.log(math.log(k))
+            if k / (1.7811 * ll + 3 / ll) > d:
+                return out
+        if _totient(k) <= d:
+            out.append(k)
+        k += 1
+
+
+def _vanishes_at_root(z, k):
+    """Float preselection: is b(e^(2 pi i / k)) small against b's
+    coefficients?  Exact division confirms every factor it passes, and a
+    factor it misses stays in the cofactor, so it affects speed only."""
+    t = 2 * math.pi / k
+    w = complex(math.cos(t), math.sin(t))
+    acc = 0j
+    for c in reversed(z):
+        acc = acc * w + c
+    return abs(acc) <= 1e-9 * sum(abs(c) for c in z)
+
+
+def _factor(b):
+    """([(k, Phi_k, m_k)], cofactor) with b = lead(b) * prod Phi_k^m_k *
+    cofactor; the cofactor is monic, or None when it is 1."""
+    _, re, im = _int_poly(b)
+    top = max(max(map(abs, re)), max(map(abs, im)))
+    z = [complex(x / top, y / top) for x, y in zip(re, im)]
+    factors = []
+    for k in _orders(len(re) - 1):
+        if not _vanishes_at_root(z, k):
+            continue
+        phi = _cyclotomic(k)
+        re, im, m = _divide_out(re, im, phi, len(re))
+        if m:
+            factors.append((k, phi, m))
+    if len(re) == 1:
+        return factors, None
+    lead = GaussianRational(re[-1], im[-1])
+    return factors, {e: c / lead for e, c in _from_ints(re, im).items()}
+
+
+def _int_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _cyclotomic_product(factors, exponents, cofactor):
+    """prod Phi_k^n_k * cofactor; integer coefficients are shared objects,
+    so the memoised quotients stay small."""
+    out = [1]
+    for (_, phi, _), n in zip(factors, exponents):
+        for _ in range(n):
+            out = _int_mul(out, phi)
+    p = {}
+    for e, c in enumerate(out):
+        if c:
+            g = _GQ_INT.get(c)
+            if g is None:
+                g = _GQ_INT[c] = GaussianRational(c)
+            p[e] = g
+    return p if cofactor is None else _pmul(p, cofactor)
+
+
+def _cancel(a, b, shift):
+    """Canonical (num, den) of v^shift * a / b, or None when gcd(a, b) = 1.
+
+    a and b have min exponent 0 and b is not constant.  The gcd is found by
+    trial division of a, in integers, by the cyclotomic factors of b, and
+    by Euclid on the cofactor alone.
+    """
+    if len(a) == 1:
+        return None  # a is a constant, since both have min exponent 0
+    key = []
+    for e in sorted(b):
+        c = b[e]
+        key += (e, c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator)
+    key = tuple(key)
+    entry = _FACTORS.get(key)
+    if entry is None:
+        entry = _FACTORS[key] = _factor(b)
+    factors, cofactor = entry
+    L, re, im = _int_poly(a)
+    used = []
+    for _, phi, m in factors:
+        re, im, j = _divide_out(re, im, phi, m)
+        used.append(j)
+    used = tuple(used)
+    if any(re) and any(im):
+        # Phi_k with 4 | k splits in two over Q(i), and a numerator that is
+        # no Gaussian multiple of a rational one may share just one half
+        left = [m - j if k % 4 == 0 else 0 for (k, _, m), j in zip(factors, used)]
+        if any(left):
+            cofactor = _cyclotomic_product(factors, left, cofactor)
+    num = None
+    g = None
+    if cofactor is not None and len(re) > 1:
+        num = _from_ints(re, im)
+        g = _poly_gcd(num, cofactor)
+        if len(g) == 1:
+            g = None
+        else:
+            num = _poly_exact_div(num, g)
+    if g is None and not any(used):
+        return None
+    qkey = (key, used)
+    den = _QUOTIENTS.get(qkey)
+    if den is None:
+        left = [m - j for (_, _, m), j in zip(factors, used)]
+        den = _QUOTIENTS[qkey] = _cyclotomic_product(factors, left, entry[1])
+    if g is not None:
+        den = _poly_exact_div(den, g)
+    if num is None:
+        num = _from_ints(re, im)
+    scale = b[max(b)]
+    if L != 1:
+        scale = scale * GaussianRational(L)
+    if scale == GQ_ONE:
+        return {e + shift: c for e, c in num.items()}, den
+    return {e + shift: c / scale for e, c in num.items()}, den
+
+
 class Scalar:
     """Element of Q(i)(v), stored as a canonical reduced Laurent fraction."""
 
@@ -230,17 +467,11 @@ class Scalar:
             object.__setattr__(self, "den", {0: GQ_ONE})
             return
         if not _reduced:
-            g = _poly_gcd(a, b)
-            if len(g) > 1 or 0 not in g:
-                a = _poly_exact_div(a, g)
-                b = _poly_exact_div(b, g)
-                if len(b) == 1:
-                    c = b[0]
-                    if c != GQ_ONE:
-                        a = {e: x / c for e, x in a.items()}
-                    object.__setattr__(self, "num", _pshift(a, shift))
-                    object.__setattr__(self, "den", {0: GQ_ONE})
-                    return
+            cancelled = _cancel(a, b, shift)
+            if cancelled is not None:
+                object.__setattr__(self, "num", cancelled[0])
+                object.__setattr__(self, "den", cancelled[1])
+                return
         lead = b[max(b)]
         if lead != GQ_ONE:
             a = {e: x / lead for e, x in a.items()}

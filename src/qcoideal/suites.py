@@ -919,7 +919,7 @@ SUITES = {
 def run_suite(name, seed=0, max_bucket=10 ** 6, jobs=1):
     """Run a named suite; returns (all_ok, list of check records)."""
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     fn = SUITES[name]
     if name == "serre-oracle-sweep":
         checks = fn(seed=seed, max_bucket=max_bucket, jobs=jobs)

@@ -174,3 +174,34 @@ def test_cli_canonical(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "c_2 = v^-2" in out
+
+
+def test_cli_unknown_node_labels_are_input_errors(capsys):
+    pair = ["--cartan", "A:3", "--pair", '{"X": [5], "tau": []}']
+    assert main(pair + ["canonical"]) == 2
+    params = ["--params", '{"cartan": {"type": "A", "rank": 3}, '
+              '"pair": {"X": [2], "tau": [[1, 3]]}, "c": {"1": "q", "3": "q"}}']
+    assert main(params + ["compute", "--what", "Zi", "--i", "9"]) == 2
+    assert main(params + ["compute", "--what", "Cij-oracle", "--i", "1", "--j", "9"]) == 2
+    assert "unknown node label 9" in capsys.readouterr().err
+
+
+def test_cli_internal_lookup_errors_exit_3(monkeypatch, capsys):
+    import qcoideal.cli as cli
+
+    for exc in (KeyError("lost"), AssertionError("broken invariant")):
+        def raising(*args, _exc=exc, **kwargs):
+            raise _exc
+
+        monkeypatch.setattr(cli, "run_suite", raising)
+        assert main(["verify", "--suite", "scalars"]) == 3
+        assert "internal error: " + type(exc).__name__ in capsys.readouterr().err
+
+
+def test_run_suite_unknown_name_is_an_input_error():
+    import pytest
+
+    from qcoideal.suites import run_suite
+
+    with pytest.raises(ValueError, match="unknown suite"):
+        run_suite("does-not-exist")

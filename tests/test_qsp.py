@@ -334,3 +334,25 @@ def test_context_is_owned_by_its_pair():
     del pair, ctx
     gc.collect()
     assert dropped() is None
+
+
+def test_b_generator_is_built_once_per_parameter_set(monkeypatch):
+    built = []
+
+    class Counting(dict):
+        def __setitem__(self, i, b):
+            built.append(i)
+            super().__setitem__(i, b)
+
+    original = suites._default_params
+
+    def counting_params(pair):
+        params = original(pair)
+        params.b = Counting()
+        return params
+
+    monkeypatch.setattr(suites, "_default_params", counting_params)
+    checks = suites._serre_group(("A", 3, (2,), ((1, 3),), 10 ** 6))
+    assert all(c["ok"] for c in checks)
+    # serre_projection and c_closed ran for all six ordered (i, j)
+    assert sorted(built) == [1, 2, 3]

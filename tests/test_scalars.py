@@ -1,15 +1,24 @@
 import random
 
+import pytest
+
+from qcoideal import scalars
+from qcoideal.braid import apply_braid, apply_word, braid_T
+from qcoideal.cartan import cartan_datum
+from qcoideal.grammar import scalar_to_text
 from qcoideal.scalars import (
+    I_UNIT,
     ONE,
     ZERO,
     Scalar,
     is_bar_fixed,
     qbinom,
     qbinom_eps,
+    qfact,
     qint,
     qshifted_factorial,
 )
+from qcoideal.uqg import Element
 
 Q = Scalar.q_pow(1)
 V = Scalar.v_pow(1)
@@ -126,3 +135,147 @@ def test_bar_fixes_gaussian_unit():
     i = Scalar.i_unit()
     assert i.bar() == i
     assert i * i == Scalar.from_int(-1)
+
+
+# -- normalisation: cyclotomic factor cache, trial division, cofactor Euclid --
+
+def _n(k):
+    return Scalar.from_int(k)
+
+
+PINNED = [
+    # repeated cyclotomic factors
+    (lambda: (V ** 4 - ONE) ** 3 / (V ** 4 - ONE) ** 2, "v^4 - 1"),
+    # mixed denominator: cyclotomic factors times a non-cyclotomic one
+    (lambda: (V ** 2 + _n(3)) * (V + ONE) / ((V ** 4 - ONE) * (V ** 2 + _n(3))),
+     "( 1 )/( v^3 - v^2 + v - 1 )"),
+    # purely non-cyclotomic denominator
+    (lambda: (V ** 2 + _n(3)) * (V - _n(2)) / ((V ** 2 + _n(3)) * (V + _n(5))),
+     "( v - 2 )/( v + 5 )"),
+    # Gaussian-coefficient denominator
+    (lambda: (V ** 2 + ONE) / (V - I_UNIT), "v + i"),
+    # a Gaussian numerator sharing one Q(i)-half of Phi_4 and of Phi_12
+    (lambda: (V - I_UNIT) / (V ** 2 + ONE), "( 1 )/( v + i )"),
+    (lambda: (V ** 2 - I_UNIT * V - ONE) * (V + ONE) / ((V ** 4 - V ** 2 + ONE) * (V ** 2 + ONE)),
+     "( v + 1 )/( v^4 + i*v^3 + i*v - 1 )"),
+    # monomial numerator
+    (lambda: _n(3) * V ** 5 / (_n(2) * (V ** 2 + ONE)), "( 3/2*v^5 )/( v^2 + 1 )"),
+    (lambda: qfact(4).inverse() * qint(3) * qint(2), "( v^6 )/( v^12 + v^8 + v^4 + 1 )"),
+]
+
+
+@pytest.mark.parametrize("build, text", PINNED)
+def test_normaliser_pinned_cases(build, text):
+    s = build()
+    assert scalar_to_text(s) == text
+    assert min(s.den) == 0 and s.den[max(s.den)] == scalars.GQ_ONE
+
+
+def _fresh_caches(monkeypatch):
+    for name in ("_FACTORS", "_QUOTIENTS"):
+        monkeypatch.setattr(scalars, name, {})
+
+
+def _exercise():
+    out = [build() for build, _ in PINNED]
+    for n in range(1, 6):
+        for eps in (1, 2, 3):
+            out.append(qfact(n, eps).inverse() * qint(n + 1, eps) * Q ** (n - eps))
+            out.append((Q ** (2 * eps) - Q ** (-2 * eps)).inverse() * qbinom_eps(n + 2, 2, eps))
+    out.append((ONE - Q ** 6) / (ONE - Q ** 4) + (ONE - Q ** 2).inverse())
+    out.append((V - _n(2) * I_UNIT) * (V ** 4 + ONE) / ((V ** 8 - ONE) * (V - _n(2) * I_UNIT)))
+    return [(s.num, s.den) for s in out]
+
+
+def test_preselection_changes_speed_only(monkeypatch):
+    """With every float candidate rejected, every factor stays in the
+    cofactor and Euclid finds it: the results are identical."""
+    _fresh_caches(monkeypatch)
+    expected = _exercise()
+    gcds = []
+    original = scalars._poly_gcd
+
+    def counting(p, q):
+        gcds.append(len(q))
+        return original(p, q)
+
+    _fresh_caches(monkeypatch)
+    monkeypatch.setattr(scalars, "_vanishes_at_root", lambda z, k: False)
+    monkeypatch.setattr(scalars, "_poly_gcd", counting)
+    assert _exercise() == expected
+    assert gcds  # the cofactor path did the work
+
+
+def test_braid_images_need_no_euclid(monkeypatch):
+    calls = []
+    original = scalars._poly_gcd
+
+    def counting(p, q):
+        calls.append((p, q))
+        return original(p, q)
+
+    _fresh_caches(monkeypatch)
+    monkeypatch.setattr(scalars, "_poly_gcd", counting)
+    b2 = cartan_datum("B", 2)
+    for j in (1, 2):
+        e = Element.E(b2, j)
+        for i in (1, 2):
+            assert apply_braid(braid_T(b2, i), e)
+        assert apply_word((1, 2, 1, 2), e)
+    assert calls == []
+
+
+def test_normaliser_matches_sympy_cancel():
+    pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    from hypothesis import given, settings, strategies as st
+
+    v = sympy.Symbol("v")
+    units = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+
+    def to_scalar(coeffs):
+        return Scalar({e: scalars.GaussianRational(re, im) for e, (re, im) in enumerate(coeffs) if re or im})
+
+    def to_sympy(p):
+        """(polynomial, k) with p = v^k * polynomial and polynomial(0) != 0."""
+        k = min(p)
+        return sympy.Poly.from_dict({
+            (e - k,): sympy.Rational(c.re.numerator, c.re.denominator)
+            + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)
+            for e, c in p.items()
+        }, v, domain="QQ_I"), k
+
+    def build(cyc, other, unit, shift):
+        s = Scalar.gaussian(*unit) * V ** shift
+        for k, m in cyc:
+            s = s * to_scalar([(c, 0) for c in scalars._cyclotomic(k)]) ** m
+        return s if other is None else s * other
+
+    cyc = st.lists(st.tuples(st.sampled_from([1, 2, 3, 4, 6, 8, 12]), st.integers(1, 2)), max_size=3)
+    # v - r with |r| > 1, whose root is no root of unity, or a Q(i)-factor
+    # of Phi_4, Phi_8 or Phi_12
+    far = st.tuples(st.integers(-3, 3), st.integers(-2, 2)).filter(lambda t: t[0] ** 2 + t[1] ** 2 > 1)
+    halves = [V - I_UNIT, V + I_UNIT, V ** 2 - I_UNIT, V ** 2 + I_UNIT, V ** 2 - I_UNIT * V - ONE]
+    other = st.one_of(
+        st.none(),
+        far.map(lambda t: V - Scalar.gaussian(*t)),
+        st.sampled_from(halves),
+    )
+    side = st.tuples(cyc, other, st.sampled_from(units), st.integers(-3, 3))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(side, side)
+    def check(top, bottom):
+        a, b = build(*top), build(*bottom)
+        (an, ka), (ad, _) = to_sympy(a.num), to_sympy(a.den)
+        (bn, kb), (bd, _) = to_sympy(b.num), to_sympy(b.den)
+        # sympy's reduction of a / b; neither side has the factor v
+        p, q = (an * bd).cancel(ad * bn, include=True)
+        lead = q.LC()
+        s = a / b
+        (sn, ks), (sd, kd) = to_sympy(s.num), to_sympy(s.den)
+        assert kd == 0 and ks == ka - kb
+        assert sd == q.monic()
+        assert sn == p.mul_ground(1 / lead)
+
+    check()

@@ -22,6 +22,14 @@ memoised.  Euclid (`_poly_gcd`) runs only on the cofactor, such as the
 v^2 + 3 of a user parameter c_i = 1/(v^2 + 3), and on the halves of Phi_k
 (4 | k) that a Gaussian numerator may share.  The monic gcd is unique, so
 this is the same canonical form as one Euclid on every pair.
+
+Arithmetic.  A coefficient's components are Python ints when they are
+integral and Fractions only otherwise, so products and sums of integral
+coefficients never build a Fraction.  A sum of two fractions with
+different denominators that are both products of Phi_k is formed over
+their lcm, the larger exponent of each Phi_k, with the multipliers
+lcm / den memoised by their exponent vectors; when either denominator has
+a cofactor, the sum is formed over the product of the two.
 """
 
 from __future__ import annotations
@@ -30,14 +38,34 @@ import math
 from fractions import Fraction
 
 
+def _rational(x):
+    """x as an int when it is integral, else as a Fraction."""
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _quotient(a, b):
+    """a / b for rational a and nonzero rational b, as _rational gives it."""
+    if type(a) is int and type(b) is int:
+        return a // b if a % b == 0 else Fraction(a, b)
+    return _rational(a / b)
+
+
 class GaussianRational:
-    """a + b*i with exact rational components; immutable."""
+    """a + b*i with exact rational components; immutable.
+
+    A component is a Python int when it is integral and a Fraction (with
+    denominator > 1) otherwise, so + - * on integral values never builds a
+    Fraction.  Both types have .numerator and .denominator, compare equal
+    and hash alike, and the repr shows every component as a Fraction.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if isinstance(re, Fraction) else Fraction(re))
-        object.__setattr__(self, "im", im if isinstance(im, Fraction) else Fraction(im))
+        object.__setattr__(self, "re", re if type(re) is int else _rational(re))
+        object.__setattr__(self, "im", im if type(im) is int else _rational(im))
 
     def __setattr__(self, *a):
         raise AttributeError("GaussianRational is immutable")
@@ -65,7 +93,7 @@ class GaussianRational:
         return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other):
-        if self.im == 0 and other.im == 0:
+        if not self.im and not other.im:
             return GaussianRational(self.re * other.re, 0)
         return GaussianRational(
             self.re * other.re - self.im * other.im,
@@ -73,18 +101,18 @@ class GaussianRational:
         )
 
     def __truediv__(self, other):
-        if other.im == 0:
-            if other.re == 0:
+        if not other.im:
+            if not other.re:
                 raise ZeroDivisionError("division by zero Gaussian rational")
-            return GaussianRational(self.re / other.re, self.im / other.re)
+            return GaussianRational(_quotient(self.re, other.re), _quotient(self.im, other.re))
         n = other.re * other.re + other.im * other.im
         return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
+            _quotient(self.re * other.re + self.im * other.im, n),
+            _quotient(self.im * other.re - self.re * other.im, n),
         )
 
     def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
+        return f"GaussianRational({Fraction(self.re)!r}, {Fraction(self.im)!r})"
 
 
 GQ_ZERO = GaussianRational(0)
@@ -215,8 +243,8 @@ def _poly_exact_div(p, g):
 
 _CYCLOTOMIC = {}  # k -> dense integer coefficients of Phi_k(v)
 _FACTORS = {}     # denominator key -> (cyclotomic factors, monic cofactor)
-_QUOTIENTS = {}   # (denominator key, exponents cancelled) -> monic quotient
-_GQ_INT = {}      # n -> GaussianRational(n), shared by the quotients
+_PRODUCTS = {}    # ((k, n), ...) -> prod Phi_k^n: reduced denominators, lcms
+_GQ_INT = {}      # n -> GaussianRational(n), shared by the products
 
 
 def _int_poly(p):
@@ -365,21 +393,57 @@ def _int_mul(a, b):
     return out
 
 
-def _cyclotomic_product(factors, exponents, cofactor):
-    """prod Phi_k^n_k * cofactor; integer coefficients are shared objects,
-    so the memoised quotients stay small."""
-    out = [1]
-    for (_, phi, _), n in zip(factors, exponents):
-        for _ in range(n):
-            out = _int_mul(out, phi)
-    p = {}
-    for e, c in enumerate(out):
-        if c:
-            g = _GQ_INT.get(c)
-            if g is None:
-                g = _GQ_INT[c] = GaussianRational(c)
-            p[e] = g
-    return p if cofactor is None else _pmul(p, cofactor)
+def _phi_product(exponents):
+    """prod Phi_k^n over a dict {k: n}, memoised by its exponent vector;
+    integer coefficients are shared objects, so the memo stays small."""
+    key = tuple(sorted((k, n) for k, n in exponents.items() if n))
+    p = _PRODUCTS.get(key)
+    if p is None:
+        out = [1]
+        for k, n in key:
+            for _ in range(n):
+                out = _int_mul(out, _cyclotomic(k))
+        p = _PRODUCTS[key] = {}
+        for e, c in enumerate(out):
+            if c:
+                g = _GQ_INT.get(c)
+                if g is None:
+                    g = _GQ_INT[c] = GaussianRational(c)
+                p[e] = g
+    return p
+
+
+def _factored(b):
+    """b's factorisation by `_factor`, cached in `_FACTORS` under a flat
+    tuple of ints, five per term: (exponent, re numerator, re denominator,
+    im numerator, im denominator)."""
+    key = []
+    for e in sorted(b):
+        c = b[e]
+        key += (e, c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator)
+    key = tuple(key)
+    entry = _FACTORS.get(key)
+    if entry is None:
+        entry = _FACTORS[key] = _factor(b)
+    return entry
+
+
+def _lcm(b, d):
+    """(lcm / b, lcm / d, lcm) for canonical denominators b and d that are
+    products of Phi_k, taking the larger exponent of each Phi_k; None when
+    either has a cofactor."""
+    fb, cb = _factored(b)
+    fd, cd = _factored(d)
+    if cb is not None or cd is not None:
+        return None
+    mb = {k: m for k, _, m in fb}
+    md = {k: m for k, _, m in fd}
+    top = {k: max(mb.get(k, 0), md.get(k, 0)) for k in mb.keys() | md.keys()}
+    return (
+        _phi_product({k: n - mb.get(k, 0) for k, n in top.items()}),
+        _phi_product({k: n - md.get(k, 0) for k, n in top.items()}),
+        _phi_product(top),
+    )
 
 
 def _cancel(a, b, shift):
@@ -391,27 +455,21 @@ def _cancel(a, b, shift):
     """
     if len(a) == 1:
         return None  # a is a constant, since both have min exponent 0
-    key = []
-    for e in sorted(b):
-        c = b[e]
-        key += (e, c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator)
-    key = tuple(key)
-    entry = _FACTORS.get(key)
-    if entry is None:
-        entry = _FACTORS[key] = _factor(b)
-    factors, cofactor = entry
+    factors, rest = _factored(b)
     L, re, im = _int_poly(a)
-    used = []
-    for _, phi, m in factors:
+    left = {}
+    for k, phi, m in factors:
         re, im, j = _divide_out(re, im, phi, m)
-        used.append(j)
-    used = tuple(used)
+        left[k] = m - j
+    cofactor = rest
     if any(re) and any(im):
         # Phi_k with 4 | k splits in two over Q(i), and a numerator that is
         # no Gaussian multiple of a rational one may share just one half
-        left = [m - j if k % 4 == 0 else 0 for (k, _, m), j in zip(factors, used)]
-        if any(left):
-            cofactor = _cyclotomic_product(factors, left, cofactor)
+        halves = {k: n for k, n in left.items() if k % 4 == 0 and n}
+        if halves:
+            cofactor = _phi_product(halves)
+            if rest is not None:
+                cofactor = _pmul(cofactor, rest)
     num = None
     g = None
     if cofactor is not None and len(re) > 1:
@@ -421,13 +479,11 @@ def _cancel(a, b, shift):
             g = None
         else:
             num = _poly_exact_div(num, g)
-    if g is None and not any(used):
+    if g is None and all(left[k] == m for k, _, m in factors):
         return None
-    qkey = (key, used)
-    den = _QUOTIENTS.get(qkey)
-    if den is None:
-        left = [m - j for (_, _, m), j in zip(factors, used)]
-        den = _QUOTIENTS[qkey] = _cyclotomic_product(factors, left, entry[1])
+    den = _phi_product(left)
+    if rest is not None:
+        den = _pmul(den, rest)
     if g is not None:
         den = _poly_exact_div(den, g)
     if num is None:
@@ -550,10 +606,14 @@ class Scalar:
             return other
         if self.den == other.den:
             return Scalar(_padd(self.num, other.num), dict(self.den))
-        return Scalar(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den),
-        )
+        lcm = _lcm(self.den, other.den)
+        if lcm is None:
+            return Scalar(
+                _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
+                _pmul(self.den, other.den),
+            )
+        ms, mo, den = lcm
+        return Scalar(_padd(_pmul(self.num, ms), _pmul(other.num, mo)), den)
 
     def __sub__(self, other):
         return self + (-other)

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+
+import pytest
 
 from qcoideal.cartan import cartan_datum
 from qcoideal.cli import main
@@ -126,6 +129,18 @@ def test_cli_verify_checks_limits_before_work(monkeypatch, capsys):
     assert main(["--jobs", "0"] + sweep) == 2
     assert main(["--jobs", too_many] + sweep) == 2
     assert main(["--max-bucket", "0"] + sweep) == 2
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two CPUs")
+def test_cli_sweep_report_is_independent_of_jobs(tmp_path, capsys):
+    sweep = ["verify", "--suite", "serre-oracle-sweep"]
+    pooled, serial = tmp_path / "jobs2.json", tmp_path / "jobs1.json"
+    assert main(["--jobs", "2", "--out", str(pooled)] + sweep) == 0
+    pooled_out = capsys.readouterr().out
+    assert main(["--jobs", "1", "--out", str(serial)] + sweep) == 0
+    assert capsys.readouterr().out == pooled_out
+    assert pooled.read_bytes() == serial.read_bytes()
+    assert len(json.loads(serial.read_text())["checks"]) == 268
 
 
 def test_cli_engine_inconsistency_exit_code(monkeypatch, capsys):

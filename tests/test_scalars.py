@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -172,7 +173,7 @@ def test_normaliser_pinned_cases(build, text):
 
 
 def _fresh_caches(monkeypatch):
-    for name in ("_FACTORS", "_QUOTIENTS"):
+    for name in ("_FACTORS", "_PRODUCTS"):
         monkeypatch.setattr(scalars, name, {})
 
 
@@ -225,10 +226,17 @@ def test_braid_images_need_no_euclid(monkeypatch):
     assert calls == []
 
 
-def test_normaliser_matches_sympy_cancel():
+def _sympy_sides():
+    """(sympy, to_sympy, side, build) for the differential tests against
+    sympy.
+
+    build(*side) is a Scalar unit * v^shift * prod Phi_k^m * other, where
+    other is absent, v - r with |r| > 1, whose root is no root of unity, or
+    a Q(i)-factor of Phi_4, Phi_8 or Phi_12; to_sympy(p) is (polynomial, k)
+    with p = v^k * polynomial and polynomial(0) != 0."""
     pytest.importorskip("hypothesis")
     sympy = pytest.importorskip("sympy")
-    from hypothesis import given, settings, strategies as st
+    from hypothesis import strategies as st
 
     v = sympy.Symbol("v")
     units = [(1, 0), (-1, 0), (0, 1), (0, -1)]
@@ -237,7 +245,6 @@ def test_normaliser_matches_sympy_cancel():
         return Scalar({e: scalars.GaussianRational(re, im) for e, (re, im) in enumerate(coeffs) if re or im})
 
     def to_sympy(p):
-        """(polynomial, k) with p = v^k * polynomial and polynomial(0) != 0."""
         k = min(p)
         return sympy.Poly.from_dict({
             (e - k,): sympy.Rational(c.re.numerator, c.re.denominator)
@@ -252,8 +259,6 @@ def test_normaliser_matches_sympy_cancel():
         return s if other is None else s * other
 
     cyc = st.lists(st.tuples(st.sampled_from([1, 2, 3, 4, 6, 8, 12]), st.integers(1, 2)), max_size=3)
-    # v - r with |r| > 1, whose root is no root of unity, or a Q(i)-factor
-    # of Phi_4, Phi_8 or Phi_12
     far = st.tuples(st.integers(-3, 3), st.integers(-2, 2)).filter(lambda t: t[0] ** 2 + t[1] ** 2 > 1)
     halves = [V - I_UNIT, V + I_UNIT, V ** 2 - I_UNIT, V ** 2 + I_UNIT, V ** 2 - I_UNIT * V - ONE]
     other = st.one_of(
@@ -262,6 +267,12 @@ def test_normaliser_matches_sympy_cancel():
         st.sampled_from(halves),
     )
     side = st.tuples(cyc, other, st.sampled_from(units), st.integers(-3, 3))
+    return sympy, to_sympy, side, build
+
+
+def test_normaliser_matches_sympy_cancel():
+    sympy, to_sympy, side, build = _sympy_sides()
+    from hypothesis import given, settings
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(side, side)
@@ -279,3 +290,115 @@ def test_normaliser_matches_sympy_cancel():
         assert sn == p.mul_ground(1 / lead)
 
     check()
+
+
+def test_sum_matches_sympy_cancel():
+    """a + b for a = n1 / d1 and b = n2 / d2: both denominators pure
+    cyclotomic (the lcm path), or either with a cofactor (the product)."""
+    sympy, to_sympy, side, build = _sympy_sides()
+    from hypothesis import given, settings
+
+    paths = {"lcm": 0, "product": 0}
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(side, side, side, side)
+    def check(n1, d1, n2, d2):
+        a = build(*n1) / build(*d1)
+        b = build(*n2) / build(*d2)
+        paths["product" if scalars._lcm(a.den, b.den) is None else "lcm"] += 1
+        (an, ka), (ad, _) = to_sympy(a.num), to_sympy(a.den)
+        (bn, kb), (bd, _) = to_sympy(b.num), to_sympy(b.den)
+        k = min(ka, kb)
+        shift = sympy.Poly(sympy.Symbol("v"), an.gens[0], domain="QQ_I")
+        top = an * bd * shift ** (ka - k) + bn * ad * shift ** (kb - k)
+        s = a + b
+        if top.is_zero:
+            assert s == ZERO
+            return
+        # sympy's reduction of v^k * top / (ad * bd); ad * bd has no factor v
+        p, q = top.cancel(ad * bd, include=True)
+        j = min(m for (m,) in p.monoms())
+        p = p.exquo(shift ** j)
+        (sn, ks), (sd, kd) = to_sympy(s.num), to_sympy(s.den)
+        assert kd == 0 and ks == k + j
+        assert sd == q.monic()
+        assert sn == p.mul_ground(1 / q.LC())
+
+    check()
+    assert paths["lcm"] and paths["product"]
+
+
+def test_sum_is_formed_over_the_lcm(monkeypatch):
+    """1/[3]! + 1/[4]!: the denominators Phi_3 Phi_6 Phi_8 Phi_12 (degree
+    12) and Phi_3 Phi_6 Phi_8^2 Phi_12 Phi_16 (degree 24) have the second as
+    their lcm; their product has degree 36."""
+    a, b = qfact(3).inverse(), qfact(4).inverse()
+    degrees = []
+    original = scalars._cancel
+
+    def counting(num, den, shift):
+        degrees.append(max(den))
+        return original(num, den, shift)
+
+    monkeypatch.setattr(scalars, "_cancel", counting)
+    s = a + b
+    assert degrees == [24]
+    assert s * qfact(4) == qint(4) + ONE
+
+
+# -- coefficients: ints when integral, Fractions otherwise --
+
+def _components(c):
+    return type(c.re), type(c.im)
+
+
+def _integral(x):
+    return Fraction(x).denominator == 1
+
+
+def test_components_are_ints_exactly_when_integral():
+    G = scalars.GaussianRational
+    built = G(Fraction(6, 3), Fraction(-4, 2))
+    assert _components(built) == (int, int) and built.re == 2 and built.im == -2
+    assert _components(G(Fraction(1, 2), 3)) == (Fraction, int)
+    ints = [G(2, 0), G(-3, 5), G(0, 1)]
+    fracs = [G(Fraction(1, 2), 0), G(Fraction(3, 2), Fraction(-1, 2)), G(Fraction(2, 3), Fraction(1, 3))]
+    pairs = [(x, y) for x in ints for y in ints]
+    pairs += [(x, y) for x in ints for y in fracs] + [(y, x) for x in ints for y in fracs]
+    pairs += [(x, y) for x in fracs for y in fracs]
+    for x, y in pairs:
+        results = [x + y, x - y, x * y, x / y, -x]
+        for c in results:
+            for part in (c.re, c.im):
+                assert (type(part) is int) == _integral(part)
+    # int / int is exact, whether or not it is integral
+    assert G(6, 4) / G(2, 0) == G(3, 2) and _components(G(6, 4) / G(2, 0)) == (int, int)
+    assert G(1, 0) / G(2, 0) == G(Fraction(1, 2), 0)
+    assert G(1, 0) / G(1, 1) == G(Fraction(1, 2), Fraction(-1, 2))
+    # a Fraction sum that is integral comes back as an int
+    half = G(Fraction(1, 2), Fraction(1, 2))
+    assert _components(half + half) == (int, int)
+    assert _components(half * G(2, 0)) == (int, int)
+
+
+def test_int_and_fraction_built_values_agree():
+    G = scalars.GaussianRational
+    for re, im in [(2, 0), (-3, 5), (0, 1), (7, -1)]:
+        a = G(re, im)
+        b = G(Fraction(2 * re, 2), Fraction(3 * im, 3))
+        assert a == b and hash(a) == hash(b)
+        c = G(Fraction(2 * re + 1, 2)) - G(Fraction(1, 2)) + G(0, im)
+        assert a == c and hash(a) == hash(c)
+        assert a == re if not im else a != re
+    s = Scalar({0: G(2), 3: G(Fraction(1, 3))})
+    t = Scalar({0: G(Fraction(4, 2)), 3: G(Fraction(2, 6))})
+    assert s == t and hash(s) == hash(t)
+    assert Scalar.from_fraction(Fraction(8, 4)) == Scalar.from_int(2)
+    assert hash(Scalar.from_fraction(Fraction(8, 4))) == hash(Scalar.from_int(2))
+
+
+def test_gaussian_rational_repr():
+    G = scalars.GaussianRational
+    assert repr(G(2)) == "GaussianRational(Fraction(2, 1), Fraction(0, 1))"
+    assert repr(G(Fraction(6, 3), -1)) == "GaussianRational(Fraction(2, 1), Fraction(-1, 1))"
+    assert repr(G(Fraction(1, 2), Fraction(-2, 3))) == "GaussianRational(Fraction(1, 2), Fraction(-2, 3))"

@@ -109,8 +109,9 @@ class CartanDatum:
         self.gram = tuple(
             tuple(eps[i] * A[i][j] for j in range(n)) for i in range(n)
         )
-        # derived data memoised per datum, one dict per namespace: "efinv"
-        # and "push" (uqg), "braid" (braid generator images), "twist" (qsp)
+        # derived data memoised per datum, one dict per namespace: "weight"
+        # (word weights), "efinv" and "push" (uqg), "braid" (braid generator
+        # images), "twist" (qsp)
         self.caches = defaultdict(dict)
 
     @property
@@ -149,13 +150,6 @@ class CartanDatum:
 
     def root_norm(self, beta):
         return self.bilinear(beta, beta)
-
-    def coroot_pairing(self, gamma, beta):
-        """gamma(beta^vee) = 2(gamma, beta)/(beta, beta) as an exact value."""
-        num = 2 * self.bilinear(gamma, beta)
-        den = self.root_norm(beta)
-        f = Fraction(num, den)
-        return int(f) if f.denominator == 1 else f
 
     def reflect(self, i, beta):
         """Simple reflection s_i(beta) = beta - beta(h_i) alpha_i."""
@@ -425,9 +419,6 @@ class AdmissiblePair:
 
     def theta_alpha(self, i):
         return self._theta_cols[self.datum.pos(i)]
-
-    def in_Q_theta(self, beta) -> bool:
-        return self.theta(beta) == tuple(beta)
 
     def theta_fixed_vectors(self):
         """A spanning set of Theta-fixed integer lattice vectors (for tests)."""

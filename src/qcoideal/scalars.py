@@ -29,7 +29,9 @@ coefficients never build a Fraction.  A sum of two fractions with
 different denominators that are both products of Phi_k is formed over
 their lcm, the larger exponent of each Phi_k, with the multipliers
 lcm / den memoised by their exponent vectors; when either denominator has
-a cofactor, the sum is formed over the product of the two.
+a cofactor, the sum is formed over the product of the two.  A product
+with a unit monomial c * v^k, such as a q-power, only moves and scales the
+numerator and keeps the denominator: it is canonical without normalisation.
 """
 
 from __future__ import annotations
@@ -496,6 +498,15 @@ def _cancel(a, b, shift):
     return {e + shift: c / scale for e, c in num.items()}, den
 
 
+_DEN_ONE = {0: GQ_ONE}  # the denominator 1, shared and never mutated
+
+
+def _unit_den(den):
+    """Is the canonical denominator `den` equal to 1?  It is monic with
+    lowest exponent 0, so it is 1 exactly when it has one term."""
+    return len(den) == 1
+
+
 class Scalar:
     """Element of Q(i)(v), stored as a canonical reduced Laurent fraction."""
 
@@ -503,12 +514,12 @@ class Scalar:
 
     def __init__(self, num, den=None, _reduced=False):
         if den is None:
-            den = {0: GQ_ONE}
+            den = _DEN_ONE
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
             object.__setattr__(self, "num", {})
-            object.__setattr__(self, "den", {0: GQ_ONE})
+            object.__setattr__(self, "den", _DEN_ONE)
             return
         sn = min(num)
         sd = min(den)
@@ -520,7 +531,7 @@ class Scalar:
             if c != GQ_ONE:
                 a = {e: x / c for e, x in a.items()}
             object.__setattr__(self, "num", _pshift(a, shift))
-            object.__setattr__(self, "den", {0: GQ_ONE})
+            object.__setattr__(self, "den", _DEN_ONE)
             return
         if not _reduced:
             cancelled = _cancel(a, b, shift)
@@ -581,9 +592,6 @@ class Scalar:
     def is_zero(self):
         return not self.num
 
-    def is_one(self):
-        return self.num == {0: GQ_ONE} and self.den == {0: GQ_ONE}
-
     def __bool__(self):
         return bool(self.num)
 
@@ -626,15 +634,41 @@ class Scalar:
         object.__setattr__(s, "den", self.den)
         return s
 
+    def shifted(self, k):
+        """self * v^k.  v^k is a unit, so the result is canonical as it
+        stands: the numerator's exponents move by k and the denominator is
+        shared, with no normalisation."""
+        if not k or not self.num:
+            return self
+        s = Scalar.__new__(Scalar)
+        object.__setattr__(s, "num", {e + k: c for e, c in self.num.items()})
+        object.__setattr__(s, "den", self.den)
+        return s
+
+    def _times_monomial(self, k, c):
+        """self * c * v^k for a nonzero coefficient c, canonical as it stands."""
+        if c == GQ_ONE:
+            return self.shifted(k)
+        s = Scalar.__new__(Scalar)
+        object.__setattr__(s, "num", {e + k: x * c for e, x in self.num.items()})
+        object.__setattr__(s, "den", self.den)
+        return s
+
     def __mul__(self, other):
         if not self.num or not other.num:
             return ZERO
-        trivial_self = self.den == {0: GQ_ONE}
-        trivial_other = other.den == {0: GQ_ONE}
-        if trivial_self and trivial_other:
+        unit_self = _unit_den(self.den)
+        unit_other = _unit_den(other.den)
+        if unit_other and len(other.num) == 1:
+            (k, c), = other.num.items()
+            return self._times_monomial(k, c)
+        if unit_self and len(self.num) == 1:
+            (k, c), = self.num.items()
+            return other._times_monomial(k, c)
+        if unit_self and unit_other:
             s = Scalar.__new__(Scalar)
             object.__setattr__(s, "num", _pmul(self.num, other.num))
-            object.__setattr__(s, "den", {0: GQ_ONE})
+            object.__setattr__(s, "den", _DEN_ONE)
             return s
         return Scalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
@@ -720,7 +754,7 @@ def qbinom_eps(m: int, k: int, eps: int = 1) -> Scalar:
 
 
 def _extract_q_base(base: Scalar) -> int:
-    if base.den != {0: GQ_ONE} or len(base.num) != 1:
+    if not _unit_den(base.den) or len(base.num) != 1:
         raise ValueError("base must be a positive power of q")
     (e, c), = base.num.items()
     if c != GQ_ONE or e <= 0 or e % 2:

@@ -14,12 +14,20 @@ the coproduct, optionally pruned to a single graded cell.
 
 Monomial keys are plain tuples (e_word, k_part, f_word); elements carry
 their CartanDatum, and combining elements of two data raises ValueError.
-Memo tables that depend on the datum (the E-past-F pushes and
-1/(q_i - q_i^{-1})) live in the datum's declared `caches` under "push" and
-"efinv"; `_VPOW_CACHE` holds the datum-independent powers of v.
+Every q-power q^{(beta, gamma)} that straightening, the coproduct, the
+involutions and the zero walk meet is carried as the integer v-exponent
+2 (beta, gamma), read off the datum's integer Gram matrix, and reaches a
+coefficient as one `Scalar.shifted`: v^k is a unit, so the shifted
+coefficient is canonical without normalisation.
+Memo tables that depend on the datum (word weights, the E-past-F pushes
+and 1/(q_i - q_i^{-1})) live in the datum's declared `caches` under
+"weight", "push" and "efinv"; `_VPOW_CACHE` holds the datum-independent
+powers of v.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .scalars import ONE, Scalar, ZERO
 
@@ -34,20 +42,35 @@ def _vpow(k: int) -> Scalar:
     return s
 
 
-def _qpow_pair(datum, beta, gamma) -> Scalar:
-    """q^{(beta, gamma)} as a Scalar."""
-    return _vpow(2 * datum.bilinear(beta, gamma))
-
-
 class ZeroTestGuardError(RuntimeError):
     """A graded bucket exceeded the word-evaluation guard of the zero test."""
 
 
 def word_weight(datum, word):
-    w = [0] * datum.n
-    for i in word:
-        w[datum.pos(i)] += 1
-    return tuple(w)
+    """The Q-weight of a word of node labels, memoised per datum."""
+    cache = datum.caches["weight"]
+    w = cache.get(word)
+    if w is None:
+        v = [0] * datum.n
+        for i in word:
+            v[datum.pos(i)] += 1
+        w = cache[word] = tuple(v)
+    return w
+
+
+def _vexp(datum, beta, word):
+    """The v-exponent 2 (beta, wt(word)) of q^{(beta, wt(word))}."""
+    return 2 * datum.bilinear(beta, word_weight(datum, word)) if word else 0
+
+
+def _add_term(out, key, c):
+    """out[key] += c, dropping the key when the sum is zero."""
+    prev = out.get(key)
+    s = c if prev is None else prev + c
+    if s:
+        out[key] = s
+    elif prev is not None:
+        del out[key]
 
 
 def _ef_inverse(datum, i) -> Scalar:
@@ -62,59 +85,48 @@ def _ef_inverse(datum, i) -> Scalar:
 
 
 def _push_e(datum, f_word, i):
-    """Represent F_{f_word} * E_i as normal-ordered pieces.
+    """The torus pieces of F_{f_word} * E_i = E_i F_{f_word} + ...
 
-    Returns a list of (coeff, has_e, k_sign, g_word): coeff * [E_i if has_e]
-    * K_{k_sign * alpha_i} * F_{g_word}, with the K factor already commuted
-    to the left of the F-word.
+    Returns a list of (k_sign, g_word, x), one per letter i of f_word, for
+    the pieces -k_sign v^x / (q_i - q_i^{-1}) * K_{k_sign * alpha_i} F_{g_word},
+    with the K factor already commuted to the left of the F-word.
     """
     cache = datum.caches["push"]
     key = (f_word, i)
     out = cache.get(key)
-    if out is not None:
-        return out
-    if not f_word:
-        out = [(ONE, True, 0, ())]
-    else:
-        f1 = f_word[:-1]
-        j = f_word[-1]
-        out = [(c, he, ks, g + (j,)) for (c, he, ks, g) in _push_e(datum, f1, i)]
-        if j == i:
-            inv = _ef_inverse(datum, i)
-            alpha_i = datum.simple_root(i)
-            w = datum.bilinear(alpha_i, word_weight(datum, f1))
-            out.append((-(_vpow(2 * w) * inv), False, 1, f1))
-            out.append((_vpow(-2 * w) * inv, False, -1, f1))
-    cache[key] = out
+    if out is None:
+        out = []
+        if f_word:
+            f1, j = f_word[:-1], f_word[-1]
+            out = [(ks, g + (j,), x) for ks, g, x in _push_e(datum, f1, i)]
+            if j == i:
+                x = _vexp(datum, datum.simple_root(i), f1)
+                out += [(1, f1, x), (-1, f1, -x)]
+        cache[key] = out
     return out
 
 
-def _mono_times_E(datum, key, i):
-    """(E_e K_k F_f) * E_i as a dict of monomial pieces."""
+def _mono_times_E(datum, key, i, c):
+    """c * (E_e K_k F_f) * E_i as a list of (monomial, coefficient): E_i
+    moves past K_k with one shift, and the torus pieces of F_f E_i share
+    one product c / (q_i - q_i^{-1})."""
     e, k, f = key
-    alpha_i = datum.simple_root(i)
-    out = {}
-    for coeff, has_e, k_sign, g in _push_e(datum, f, i):
-        if has_e:
-            c = coeff * _qpow_pair(datum, k, alpha_i)
-            nk = k
-            ne = e + (i,)
-        else:
-            c = coeff
-            p = datum.pos(i)
-            nk = tuple(k[t] + (k_sign if t == p else 0) for t in range(datum.n))
-            ne = e
-        nkey = (ne, nk, g)
-        prev = out.get(nkey)
-        out[nkey] = c if prev is None else prev + c
+    p = datum.pos(i)
+    x = 2 * sum(map(mul, datum.gram[p], k))
+    out = [((e + (i,), k, f), c.shifted(x))]
+    pieces = _push_e(datum, f, i)
+    if pieces:
+        ci = c * _ef_inverse(datum, i)
+        for ks, g, x in pieces:
+            nk = tuple(b + ks if t == p else b for t, b in enumerate(k))
+            out.append(((e, nk, g), (ci if ks < 0 else -ci).shifted(x)))
     return out
 
 
 def _mono_times_K(datum, key, kvec):
+    """(E_e K_k F_f) * K_kvec = v^x E_e K_{k + kvec} F_f: the monomial and x."""
     e, k, f = key
-    coeff = _qpow_pair(datum, kvec, word_weight(datum, f))
-    nk = tuple(a + b for a, b in zip(k, kvec))
-    return (e, nk, f), coeff
+    return (e, tuple(a + b for a, b in zip(k, kvec)), f), _vexp(datum, kvec, f)
 
 
 class Element:
@@ -192,15 +204,7 @@ class Element:
             raise ValueError("elements of different Cartan data do not combine")
         out = dict(self.terms)
         for key, c in other.terms.items():
-            prev = out.get(key)
-            if prev is None:
-                out[key] = c
-            else:
-                s = prev + c
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+            _add_term(out, key, c)
         return Element(self.datum, out)
 
     def __neg__(self):
@@ -239,37 +243,18 @@ class Element:
             for i in e2:
                 nxt = {}
                 for key, c in cur.items():
-                    for nkey, pc in _mono_times_E(datum, key, i).items():
-                        prev = nxt.get(nkey)
-                        s = c * pc if prev is None else prev + c * pc
-                        if s:
-                            nxt[nkey] = s
-                        elif prev is not None:
-                            del nxt[nkey]
+                    for nkey, pc in _mono_times_E(datum, key, i, c):
+                        _add_term(nxt, nkey, pc)
                 cur = nxt
             if any(k2):
+                # distinct monomials stay distinct: nothing to collect
                 nxt = {}
                 for key, c in cur.items():
-                    nkey, pc = _mono_times_K(datum, key, k2)
-                    prev = nxt.get(nkey)
-                    s = c * pc if prev is None else prev + c * pc
-                    if s:
-                        nxt[nkey] = s
-                    elif prev is not None:
-                        del nxt[nkey]
+                    nkey, x = _mono_times_K(datum, key, k2)
+                    nxt[nkey] = c.shifted(x)
                 cur = nxt
-            if f2:
-                cur = {(e, k, f + f2): c for (e, k, f), c in cur.items()}
-            for key, c in cur.items():
-                prev = out.get(key)
-                if prev is None:
-                    out[key] = c
-                else:
-                    s = prev + c
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
+            for (e, k, f), c in cur.items():
+                _add_term(out, (e, k, f + f2), c)
         return Element(datum, out)
 
     def __pow__(self, n):
@@ -287,13 +272,6 @@ class Element:
         we = word_weight(self.datum, e)
         wf = word_weight(self.datum, f)
         return tuple(a - b for a, b in zip(we, wf))
-
-    def graded_components(self):
-        out = {}
-        for key, c in self.terms.items():
-            deg = self.degree_of_key(key)
-            out.setdefault(deg, {})[key] = c
-        return {deg: Element(self.datum, t) for deg, t in sorted(out.items())}
 
     def __repr__(self):
         from .grammar import element_to_text
@@ -329,15 +307,7 @@ class Tensor:
             raise ValueError("tensors of different data or arities do not combine")
         out = dict(self.terms)
         for key, c in other.terms.items():
-            prev = out.get(key)
-            if prev is None:
-                out[key] = c
-            else:
-                s = prev + c
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+            _add_term(out, key, c)
         return Tensor(self.datum, self.arity, out)
 
     def __neg__(self):
@@ -386,16 +356,7 @@ class Tensor:
         for keys, c in self.terms.items():
             inner = coproduct(Element(datum, {keys[slot]: c}))
             for (k1, k2), cc in inner.terms.items():
-                nkey = keys[:slot] + (k1, k2) + keys[slot + 1:]
-                prev = out.get(nkey)
-                if prev is None:
-                    out[nkey] = cc
-                else:
-                    s = prev + cc
-                    if s:
-                        out[nkey] = s
-                    else:
-                        del out[nkey]
+                _add_term(out, keys[:slot] + (k1, k2) + keys[slot + 1:], cc)
         return Tensor(datum, self.arity + 1, out)
 
     def counit_slot(self, slot):
@@ -406,18 +367,8 @@ class Tensor:
         out = {}
         for keys, c in self.terms.items():
             e, _k, f = keys[slot]
-            if e or f:
-                continue
-            nkey = keys[:slot] + keys[slot + 1:]
-            prev = out.get(nkey)
-            if prev is None:
-                out[nkey] = c
-            else:
-                s = prev + c
-                if s:
-                    out[nkey] = s
-                else:
-                    del out[nkey]
+            if not e and not f:
+                _add_term(out, keys[:slot] + keys[slot + 1:], c)
         return Tensor(datum, self.arity - 1, out)
 
     def contract(self):
@@ -446,12 +397,7 @@ def _tensor_of_elements(elems, coeff):
 
     def rec(t, keys, c):
         if t == len(elems):
-            prev = out.get(keys)
-            s = c if prev is None else prev + c
-            if s:
-                out[keys] = s
-            elif prev is not None:
-                del out[keys]
+            _add_term(out, keys, c)
             return
         for key, cc in elems[t].terms.items():
             rec(t + 1, keys + (key,), c * cc)
@@ -463,40 +409,30 @@ def _tensor_of_elements(elems, coeff):
 def _tensor2_mul_gen(datum, cur, gen_kind, gen_arg):
     """Multiply a 2-tensor dict by the coproduct of one generator."""
     out = {}
-
-    def put(k1, k2, c):
-        key = (k1, k2)
-        prev = out.get(key)
-        s = c if prev is None else prev + c
-        if s:
-            out[key] = s
-        elif prev is not None:
-            del out[key]
-
-    if gen_kind == "E":
+    if gen_kind == "E":  # E_i (x) 1 + K_i (x) E_i
         i = gen_arg
         alpha = datum.simple_root(i)
         for (m1, m2), c in cur.items():
-            for nk, pc in _mono_times_E(datum, m1, i).items():
-                put(nk, m2, c * pc)
-            k1key, c1 = _mono_times_K(datum, m1, alpha)
-            for nk2, pc2 in _mono_times_E(datum, m2, i).items():
-                put(k1key, nk2, c * c1 * pc2)
+            for nk, pc in _mono_times_E(datum, m1, i, c):
+                _add_term(out, (nk, m2), pc)
+            k1key, x = _mono_times_K(datum, m1, alpha)
+            for nk2, pc in _mono_times_E(datum, m2, i, c.shifted(x)):
+                _add_term(out, (k1key, nk2), pc)
     elif gen_kind == "K":
         kvec = gen_arg
         for (m1, m2), c in cur.items():
-            k1, c1 = _mono_times_K(datum, m1, kvec)
-            k2, c2 = _mono_times_K(datum, m2, kvec)
-            put(k1, k2, c * c1 * c2)
-    else:  # F_j
+            k1, x1 = _mono_times_K(datum, m1, kvec)
+            k2, x2 = _mono_times_K(datum, m2, kvec)
+            _add_term(out, (k1, k2), c.shifted(x1 + x2))
+    else:  # F_j (x) K_j^{-1} + 1 (x) F_j
         j = gen_arg
         minus = tuple(-x for x in datum.simple_root(j))
         for (m1, m2), c in cur.items():
             e1, k1, f1 = m1
-            k2key, c2 = _mono_times_K(datum, m2, minus)
-            put((e1, k1, f1 + (j,)), k2key, c * c2)
+            k2key, x = _mono_times_K(datum, m2, minus)
+            _add_term(out, ((e1, k1, f1 + (j,)), k2key), c.shifted(x))
             e2, k2, f2 = m2
-            put(m1, (e2, k2, f2 + (j,)), c)
+            _add_term(out, (m1, (e2, k2, f2 + (j,))), c)
     return out
 
 
@@ -551,15 +487,7 @@ def coproduct_graded(a: Element, target=None) -> Tensor:
             # with no letters left, feasibility is an exact degree match
             cur = _prune_cell(datum, cur, target, (), ())
         for key, cc in cur.items():
-            prev = out.get(key)
-            if prev is None:
-                out[key] = cc
-            else:
-                s = prev + cc
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+            _add_term(out, key, cc)
     return Tensor(datum, 2, out)
 
 
@@ -614,7 +542,7 @@ def sigma(a: Element) -> Element:
         if not f and not e:
             out = out + Element.monomial(datum, (), mk, (), c)
             continue
-        coeff = c * _qpow_pair(datum, mk, word_weight(datum, f))
+        coeff = c.shifted(_vexp(datum, mk, f))
         left = Element.monomial(datum, (), mk, tuple(reversed(f)), coeff)
         if e:
             left = left * Element.E(datum, *reversed(e))
@@ -628,7 +556,7 @@ def omega(a: Element) -> Element:
     out = Element.zero(datum)
     for (e, k, f), c in a.terms.items():
         mk = tuple(-x for x in k)
-        coeff = c * _qpow_pair(datum, mk, word_weight(datum, e))
+        coeff = c.shifted(_vexp(datum, mk, e))
         left = Element.monomial(datum, (), mk, e, coeff)
         if f:
             left = left * Element.E(datum, *f)
@@ -665,14 +593,8 @@ def skew_r(i, a: Element, allow_k: bool = False) -> Element:
         for p, letter in enumerate(e):
             if letter != i:
                 continue
-            coeff = c * _qpow_pair(datum, alpha, word_weight(datum, e[p + 1:]))
-            nkey = (e[:p] + e[p + 1:], k, f)
-            prev = out.get(nkey)
-            s = coeff if prev is None else prev + coeff
-            if s:
-                out[nkey] = s
-            elif prev is not None:
-                del out[nkey]
+            coeff = c.shifted(_vexp(datum, alpha, e[p + 1:]))
+            _add_term(out, (e[:p] + e[p + 1:], k, f), coeff)
     return Element(datum, out)
 
 
@@ -739,12 +661,7 @@ def _reduce_bucket(datum, terms, ewt, fwt, max_bucket) -> bool:
     if not any(ewt) and not any(fwt):
         rest = {}
         for (prefix, _e, _f), c in terms.items():
-            prev = rest.get(prefix)
-            s = c if prev is None else prev + c
-            if s:
-                rest[prefix] = s
-            elif prev is not None:
-                del rest[prefix]
+            _add_term(rest, prefix, c)
         if () in rest:
             # an Element whose functional value is a nonzero scalar
             return False
@@ -757,22 +674,18 @@ def _reduce_bucket(datum, terms, ewt, fwt, max_bucket) -> bool:
         if not cnt:
             continue
         i = datum.labels[p]
-        alpha = datum.simple_root(i)
+        # deleting i after the letters u costs v^{2 (alpha_i, wt(u))}
+        step = {lab: 2 * g for lab, g in zip(datum.labels, datum.gram[p])}
         img = {}
         for (prefix, e, f), c in terms.items():
             word = e if side == 0 else f
+            x = 0
             for pos, letter in enumerate(word):
-                if letter != i:
-                    continue
-                coeff = c * _qpow_pair(datum, alpha, word_weight(datum, word[:pos]))
-                nw = word[:pos] + word[pos + 1:]
-                nkey = (prefix, nw, f) if side == 0 else (prefix, e, nw)
-                prev = img.get(nkey)
-                s = coeff if prev is None else prev + coeff
-                if s:
-                    img[nkey] = s
-                elif prev is not None:
-                    del img[nkey]
+                if letter == i:
+                    nw = word[:pos] + word[pos + 1:]
+                    nkey = (prefix, nw, f) if side == 0 else (prefix, e, nw)
+                    _add_term(img, nkey, c.shifted(x))
+                x += step[letter]
         nwt = tuple(c - (1 if t == p else 0) for t, c in enumerate(wt))
         ok = (_reduce_bucket(datum, img, nwt, fwt, max_bucket) if side == 0
               else _reduce_bucket(datum, img, ewt, nwt, max_bucket))

@@ -15,7 +15,7 @@ import pytest
 
 from qcoideal import uqg
 from qcoideal.cartan import CartanDatum
-from qcoideal.scalars import ONE, Scalar
+from qcoideal.scalars import Scalar
 from qcoideal.uqg import Element, equals, is_zero, serre_polynomial
 
 Q = Scalar.q_pow(1)
@@ -59,28 +59,28 @@ def negate_ef_inverse(monkeypatch):
 
 
 def shift_k_past_f(monkeypatch):
-    """Multiply the q-power of K moving past a nonempty F-word by v^2."""
+    """Add 2 to the v-exponent of K moving past a nonempty F-word."""
     original = uqg._mono_times_K
 
     def mutant(datum, key, kvec):
-        nkey, coeff = original(datum, key, kvec)
-        return nkey, (coeff * Scalar.v_pow(2) if key[2] else coeff)
+        nkey, x = original(datum, key, kvec)
+        return nkey, (x + 2 if key[2] else x)
 
     monkeypatch.setattr(uqg, "_mono_times_K", mutant)
 
 
 def drop_deletion_qpower(monkeypatch):
     """Delete letters in the zero walk with coefficient 1 instead of their
-    q-power; the seam is the q-power the walk asks for."""
-    original = uqg._qpow_pair
+    q-power; the seam is the shift by which the walk applies it."""
+    original = Scalar.shifted
     walk = uqg._reduce_bucket.__code__
 
-    def mutant(datum, beta, gamma):
+    def mutant(self, k):
         if sys._getframe(1).f_code is walk:
-            return ONE
-        return original(datum, beta, gamma)
+            return self
+        return original(self, k)
 
-    monkeypatch.setattr(uqg, "_qpow_pair", mutant)
+    monkeypatch.setattr(Scalar, "shifted", mutant)
 
 
 MUTANTS = [

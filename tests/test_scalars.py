@@ -402,3 +402,44 @@ def test_gaussian_rational_repr():
     assert repr(G(2)) == "GaussianRational(Fraction(2, 1), Fraction(0, 1))"
     assert repr(G(Fraction(6, 3), -1)) == "GaussianRational(Fraction(2, 1), Fraction(-1, 1))"
     assert repr(G(Fraction(1, 2), Fraction(-2, 3))) == "GaussianRational(Fraction(1, 2), Fraction(-2, 3))"
+
+
+# -- products with a unit monomial c * v^k: one shift, no normalisation --
+
+def _denominator_kinds():
+    """Scalars whose denominators are 1, cyclotomic, Gaussian, and
+    cyclotomic times a cofactor."""
+    return [
+        qint(3) + V,
+        qfact(4).inverse() * qint(3),
+        (V ** 2 + ONE) / (V ** 3 - I_UNIT),
+        (V - _n(2)) * (V + ONE) / ((V ** 4 - ONE) * (V ** 2 + _n(3))),
+    ]
+
+
+def test_shift_is_the_product_by_a_v_power():
+    for x in _denominator_kinds():
+        for k in range(-5, 6):
+            y = x.shifted(k)
+            assert y == x * Scalar.v_pow(k) == Scalar.v_pow(k) * x
+            # the normaliser's own result for the same fraction
+            assert y == Scalar({e + k: c for e, c in x.num.items()}, dict(x.den))
+            assert y.den is x.den
+
+
+def test_monomial_products_never_normalise(monkeypatch):
+    xs = [x for x in _denominator_kinds() if len(x.den) > 1]
+    monomials = [Scalar.v_pow(k) for k in (-3, 0, 2)]
+    monomials += [Scalar.gaussian(2, -1) * V ** 3, Scalar.from_fraction(Fraction(-1, 3)) * V ** -2]
+    expected = [Scalar(scalars._pmul(x.num, m.num), dict(x.den)) for x in xs for m in monomials]
+    calls = []
+    original = scalars._cancel
+
+    def counting(num, den, shift):
+        calls.append(den)
+        return original(num, den, shift)
+
+    monkeypatch.setattr(scalars, "_cancel", counting)
+    assert [x * m for x in xs for m in monomials] == expected
+    assert [m * x for x in xs for m in monomials] == expected
+    assert calls == []

@@ -87,7 +87,7 @@ def _ef_inverse(datum, i) -> Scalar:
 def _push_e(datum, f_word, i):
     """The torus pieces of F_{f_word} * E_i = E_i F_{f_word} + ...
 
-    Returns a list of (k_sign, g_word, x), one per letter i of f_word, for
+    Returns a list of (k_sign, g_word, x), two per letter i of f_word, for
     the pieces -k_sign v^x / (q_i - q_i^{-1}) * K_{k_sign * alpha_i} F_{g_word},
     with the K factor already commuted to the left of the F-word.
     """

@@ -110,8 +110,9 @@ class CartanDatum:
             tuple(eps[i] * A[i][j] for j in range(n)) for i in range(n)
         )
         # derived data memoised per datum, one dict per namespace: "weight"
-        # (word weights), "efinv" and "push" (uqg), "braid" (braid generator
-        # images), "twist" (qsp)
+        # (word weights), "efinv", "push" and "good" (uqg; good-word prefixes
+        # per weight, the good Lyndon words under None), "braid" (braid
+        # generator images), "twist" (qsp)
         self.caches = defaultdict(dict)
 
     @property

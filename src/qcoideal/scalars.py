@@ -612,6 +612,12 @@ class Scalar:
             return self
         if not self.num:
             return other
+        if _unit_den(self.den) and _unit_den(other.den):
+            # a Laurent polynomial over 1 is canonical as it stands
+            s = Scalar.__new__(Scalar)
+            object.__setattr__(s, "num", _padd(self.num, other.num))
+            object.__setattr__(s, "den", _DEN_ONE)
+            return s
         if self.den == other.den:
             return Scalar(_padd(self.num, other.num), dict(self.den))
         lcm = _lcm(self.den, other.den)

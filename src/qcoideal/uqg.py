@@ -7,10 +7,16 @@ and the E-F commutator only; the quantum Serre relations are never
 rewritten, so representations are non-canonical and equality is decided
 semantically.  One deletion-functional engine decides zero for elements
 and tensors alike: an Element is a tensor of one factor, and each graded
-bucket of the last factor is paired against the complete family of
-iterated skew-derivation functionals (faithful on every graded piece by
-nondegeneracy of the standard bilinear form).  One expansion loop computes
-the coproduct, optionally pruned to a single graded cell.
+bucket of the last factor is paired against iterated skew-derivation
+functionals, whose complete family is faithful on every graded piece by
+nondegeneracy of the standard bilinear form.  The functional of a dual
+word is the coordinate at that word of the image in the quantum shuffle
+algebra (Rosso), and in finite type the lexicographically largest word of
+a nonzero image is one of Leclerc's good words, one per Kostant partition
+of the weight (Math. Z. 246, 2004).  There the walk deletes letters only
+along prefixes of good words; affine and indefinite data keep the complete
+family.  One expansion loop computes the coproduct, optionally pruned to a
+single graded cell.
 
 Monomial keys are plain tuples (e_word, k_part, f_word); elements carry
 their CartanDatum, and combining elements of two data raises ValueError.
@@ -19,16 +25,17 @@ involutions and the zero walk meet is carried as the integer v-exponent
 2 (beta, gamma), read off the datum's integer Gram matrix, and reaches a
 coefficient as one `Scalar.shifted`: v^k is a unit, so the shifted
 coefficient is canonical without normalisation.
-Memo tables that depend on the datum (word weights, the E-past-F pushes
-and 1/(q_i - q_i^{-1})) live in the datum's declared `caches` under
-"weight", "push" and "efinv"; `_VPOW_CACHE` holds the datum-independent
-powers of v.
+Memo tables that depend on the datum (word weights, the E-past-F pushes,
+1/(q_i - q_i^{-1}) and the good words) live in the datum's declared
+`caches` under "weight", "push", "efinv" and "good"; `_VPOW_CACHE` holds
+the datum-independent powers of v.
 """
 
 from __future__ import annotations
 
 from operator import mul
 
+from .cartan import FiniteTypeError, positive_parabolic_roots, vec_sub
 from .scalars import ONE, Scalar, ZERO
 
 _VPOW_CACHE = {0: ONE}
@@ -627,15 +634,77 @@ def _word_count(wt) -> int:
     return out
 
 
+def _good_lyndon(datum):
+    """Leclerc's good Lyndon word of each positive root, or None when the
+    datum is not of finite type.
+
+    Words are tuples of node positions, so tuple order is the lexicographic
+    order with letters ordered as in `datum.labels`: l(alpha_i) = (i,) and
+    l(gamma) = max{l(beta) l(beta') : beta + beta' = gamma, l(beta) < l(beta')}.
+    """
+    try:
+        roots = positive_parabolic_roots(datum, datum.labels)
+    except FiniteTypeError:
+        return None
+    lyndon = {}
+    for gamma in sorted(roots, key=sum):
+        if sum(gamma) == 1:
+            lyndon[gamma] = (gamma.index(1),)
+            continue
+        best = ()
+        for beta, u in lyndon.items():
+            w = lyndon.get(vec_sub(gamma, beta))
+            if w is not None and u < w and u + w > best:
+                best = u + w
+        lyndon[gamma] = best
+    return lyndon
+
+
+def _good_prefixes(datum, nu):
+    """The set of all prefixes, as words of labels, of Leclerc's good words
+    of weight nu, or None when the datum is not of finite type.
+
+    The good words are the concatenations of good Lyndon words in weakly
+    decreasing order, one for each Kostant partition of nu.  Cached per
+    datum in `datum.caches["good"]`, with the Lyndon table under None.
+    """
+    cache = datum.caches["good"]
+    if nu in cache:
+        return cache[nu]
+    if None not in cache:
+        cache[None] = _good_lyndon(datum)
+    lyndon = cache[None]
+    if lyndon is None:
+        cache[nu] = None
+        return None
+    factors = sorted(((w, beta) for beta, w in lyndon.items()), reverse=True)
+    labels = datum.labels
+    out = set()
+
+    def rec(start, rest, word):
+        if not any(rest):
+            word = tuple(labels[p] for p in word)
+            out.update(word[:t] for t in range(len(word) + 1))
+            return
+        for t in range(start, len(factors)):
+            w, beta = factors[t]
+            if all(b <= r for b, r in zip(beta, rest)):
+                rec(t, vec_sub(rest, beta), word + w)
+
+    rec(0, tuple(nu), ())
+    cache[nu] = frozenset(out)
+    return cache[nu]
+
+
 def _zero_walk(datum, terms, max_bucket) -> bool:
     """The deletion-functional engine behind `is_zero` and `tensor_is_zero`.
 
     `terms` maps (prefix, key) to a coefficient: key is the monomial of the
     last tensor factor and prefix the tuple of monomials before it, empty
     for an Element.  Terms are bucketed by the tri-degree of the last factor
-    and every bucket is paired against all iterated deletion functionals;
-    whatever scalar is left on a prefix is tested as a tensor of one factor
-    fewer.
+    and every bucket is paired against the iterated deletion functionals of
+    its good words (of all its words off finite type); whatever scalar is
+    left on a prefix is tested as a tensor of one factor fewer.
     """
     buckets = {}
     for (prefix, (e, k, f)), c in terms.items():
@@ -652,10 +721,16 @@ def _zero_walk(datum, terms, max_bucket) -> bool:
     return True
 
 
-def _reduce_bucket(datum, terms, ewt, fwt, max_bucket) -> bool:
+def _reduce_bucket(datum, terms, ewt, fwt, max_bucket, path=(), good=None) -> bool:
     """Pair a bucket {(prefix, e_word, f_word): c} of E-weight ewt and
     F-weight fwt against the prefix-weighted deletion functionals, deleting
-    E-letters first and then F-letters."""
+    E-letters first and then F-letters.
+
+    `path` is the word of letters deleted so far on the current side and
+    `good` the prefixes of the good words of that side's full weight, or
+    None off finite type: letter i is deleted only when path + (i,) is one
+    of them.  The path restarts on the F-side.
+    """
     if not terms:
         return True
     if not any(ewt) and not any(fwt):
@@ -670,10 +745,15 @@ def _reduce_bucket(datum, terms, ewt, fwt, max_bucket) -> bool:
         )
     side = 0 if any(ewt) else 1
     wt = ewt if side == 0 else fwt
+    if not path:
+        good = _good_prefixes(datum, wt)
     for p, cnt in enumerate(wt):
         if not cnt:
             continue
         i = datum.labels[p]
+        npath = path + (i,)
+        if good is not None and npath not in good:
+            continue
         # deleting i after the letters u costs v^{2 (alpha_i, wt(u))}
         step = {lab: 2 * g for lab, g in zip(datum.labels, datum.gram[p])}
         img = {}
@@ -687,8 +767,10 @@ def _reduce_bucket(datum, terms, ewt, fwt, max_bucket) -> bool:
                     _add_term(img, nkey, c.shifted(x))
                 x += step[letter]
         nwt = tuple(c - (1 if t == p else 0) for t, c in enumerate(wt))
-        ok = (_reduce_bucket(datum, img, nwt, fwt, max_bucket) if side == 0
-              else _reduce_bucket(datum, img, ewt, nwt, max_bucket))
+        if not any(nwt):
+            npath = ()
+        ok = (_reduce_bucket(datum, img, nwt, fwt, max_bucket, npath, good)
+              if side == 0 else _reduce_bucket(datum, img, ewt, nwt, max_bucket, npath, good))
         if not ok:
             return False
     return True
@@ -698,10 +780,12 @@ def is_zero(a: Element, max_bucket: int = 10 ** 6) -> bool:
     """Decide whether the element is zero in U_q(g).
 
     The element is tested as a tensor of one factor: its terms are bucketed
-    by tri-degree and each bucket is paired against all iterated
+    by tri-degree and each bucket is paired against the iterated
     left-skew-derivation functionals on the E-side and, transported through
-    omega, on the F-side.  `max_bucket` bounds the number of dual words per
-    bucket (E-words times F-words).
+    omega, on the F-side.  In finite type only the functionals of good words
+    are evaluated, which decide zero on each side; otherwise all of them.
+    `max_bucket` bounds the number of all dual words per bucket (E-words
+    times F-words), whichever are evaluated.
     """
     return _zero_walk(a.datum, {((), key): c for key, c in a.terms.items()}, max_bucket)
 

@@ -167,6 +167,19 @@ def test_cli_report_determinism(tmp_path, capsys):
     assert payload["passed"] is True and payload["seed"] == 5
 
 
+def test_recorded_digests_cover_every_suite():
+    """CI checks each seed-0 report and its stdout against the recorded
+    digests; a suite without both lines would escape that check."""
+    from pathlib import Path
+
+    from qcoideal.suites import SUITES
+
+    digests = Path(__file__).parent / "data" / "verify_seed0.sha256"
+    names = [line.split()[1] for line in digests.read_text().splitlines() if line.strip()]
+    expected = [f"verify-seed0/{s}.{ext}" for s in SUITES for ext in ("json", "txt")]
+    assert sorted(names) == sorted(expected)
+
+
 def test_cli_nu_atlas_report(tmp_path, capsys):
     out = tmp_path / "atlas.json"
     assert main(["--out", str(out), "nu-atlas", "--families", "G", "--max-rank", "2"]) == 0

@@ -3,8 +3,8 @@
 Every "zero" or "equal" verdict trusts straightening and the zero walk, so
 a bug in either one must fail loudly.  Each mutant patches one point with
 monkeypatch: the sign of the E-F commutator, the q-power that K picks up
-moving past an F-word, and the q-power of a letter deletion in the zero
-walk.  The unpatched engine passes every check, and each mutant fails the
+moving past an F-word, the q-power of a letter deletion in the zero walk,
+and the table of good words along which the walk deletes letters.  The unpatched engine passes every check, and each mutant fails the
 check named for it.  Each check builds a fresh datum, so no cache filled by
 the unpatched engine hides a mutant.
 """
@@ -46,10 +46,19 @@ def check_quantum_serre():
     return is_zero(serre_polynomial(d, 1, 2, Element.E(d, 1), Element.E(d, 2)))
 
 
+def check_q_commutator():
+    """E_1 E_2 - q^{-1} E_2 E_1 is not zero: its coordinate at the good word
+    21 vanishes, so only the good word 12 tells it from zero."""
+    d = _a2()
+    E1, E2 = Element.E(d, 1), Element.E(d, 2)
+    return not is_zero(E1 * E2 - (E2 * E1).scale(Q ** -1))
+
+
 CHECKS = {
     "ef-commutator": check_ef_commutator,
     "k-past-f": check_k_past_f,
     "quantum-serre": check_quantum_serre,
+    "q-commutator": check_q_commutator,
 }
 
 
@@ -83,10 +92,22 @@ def drop_deletion_qpower(monkeypatch):
     monkeypatch.setattr(Scalar, "shifted", mutant)
 
 
+def drop_good_word(monkeypatch):
+    """Drop the good word 12 from the A2 table at weight (1, 1)."""
+    original = uqg._good_prefixes
+
+    def mutant(datum, nu):
+        good = original(datum, nu)
+        return good - {(1, 2)} if nu == (1, 1) else good
+
+    monkeypatch.setattr(uqg, "_good_prefixes", mutant)
+
+
 MUTANTS = [
     ("ef-commutator", negate_ef_inverse),
     ("k-past-f", shift_k_past_f),
     ("quantum-serre", drop_deletion_qpower),
+    ("q-commutator", drop_good_word),
 ]
 
 

@@ -443,3 +443,28 @@ def test_monomial_products_never_normalise(monkeypatch):
     assert [x * m for x in xs for m in monomials] == expected
     assert [m * x for x in xs for m in monomials] == expected
     assert calls == []
+
+
+def test_polynomial_sums_never_normalise(monkeypatch):
+    polys = [ONE, V ** -2, qint(3) + V, Scalar.gaussian(2, -1) * V ** 3 - V, Q + Q ** -1]
+    polys += [-x for x in polys] + [Scalar.from_fraction(Fraction(-1, 3)) * V ** 4 + I_UNIT]
+    assert all(len(x.den) == 1 for x in polys)
+    expected = [Scalar(scalars._padd(x.num, y.num)) for x in polys for y in polys]
+    assert ZERO in expected
+    calls = []
+    original_cancel, original_init = scalars._cancel, Scalar.__init__
+
+    def counting_cancel(num, den, shift):
+        calls.append("cancel")
+        return original_cancel(num, den, shift)
+
+    def counting_init(self, num, den=None, _reduced=False):
+        calls.append("init")
+        original_init(self, num, den, _reduced)
+
+    monkeypatch.setattr(scalars, "_cancel", counting_cancel)
+    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    sums = [x + y for x in polys for y in polys]
+    assert calls == []
+    assert sums == expected
+    assert all(s.den is scalars._DEN_ONE for s in sums)

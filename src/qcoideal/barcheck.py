@@ -16,7 +16,7 @@ from .cartan import AdmissiblePair
 from .grammar import scalar_to_text
 from .qsp import MembershipError, QSPContext, QSPParameters, context_for, in_set_S
 from .scalars import ONE, Scalar, is_bar_fixed
-from .uqg import Element, _vpow, bar_element, equals, is_zero, sigma, skew_r
+from .uqg import Element, bar_element, equals, is_zero, sigma, skew_r
 
 
 class EngineInconsistencyError(RuntimeError):
@@ -104,8 +104,7 @@ def check_presentation_scope(pair: AdmissiblePair):
     """Raise OutOfScopeError unless every tau-fixed free node has Cartan
     entries in {0,-1,-2} towards X and {0,-1,-2,-3} towards free nodes."""
     datum = pair.datum
-    free = sorted(set(datum.labels) - pair.X)
-    for i in free:
+    for i in pair.free:
         if pair.tau[i] != i:
             continue
         for j in sorted(pair.X):
@@ -113,7 +112,7 @@ def check_presentation_scope(pair: AdmissiblePair):
                 raise OutOfScopeError(
                     f"a_{i}{j} = {datum.a(i, j)} with j in X leaves the proved scope"
                 )
-        for j in free:
+        for j in pair.free:
             if j != i and datum.a(i, j) < -3:
                 raise OutOfScopeError(
                     f"a_{i}{j} = {datum.a(i, j)} leaves the proved scope"
@@ -131,16 +130,15 @@ def bar_exists(params: QSPParameters) -> BarReport:
     datum = params.datum
     check_presentation_scope(pair)
     ctx = context_for(pair)
-    free = sorted(set(datum.labels) - pair.X)
     nu = {}
     ellv = {}
     ocz = {}
     failing = []
     skipped = []
-    for i in free:
+    for i in pair.free:
         nu[i] = nu_sign(ctx, i)
         ellv[i] = ctx.ell(i)
-    for i in free:
+    for i in pair.free:
         ti = pair.tau[i]
         relevant = ti != i or any(
             datum.a(i, j) != 0 for j in datum.labels if j != i
@@ -152,7 +150,7 @@ def bar_exists(params: QSPParameters) -> BarReport:
         alpha_ti = datum.simple_root(ti)
         lhs = bar_element(ctx.z(i)).scale(params.c[i].bar())
         rhs = ctx.z(ti).scale(
-            params.c[ti] * _vpow(2 * datum.bilinear(alpha_i, alpha_ti))
+            params.c[ti] * Scalar.v_pow(2 * datum.bilinear(alpha_i, alpha_ti))
         )
         ok = equals(lhs, rhs)
         ocz[i] = ok
@@ -170,13 +168,12 @@ def corollary_conditions(params: QSPParameters) -> BarReport:
     datum = params.datum
     check_presentation_scope(pair)
     ctx = context_for(pair)
-    free = sorted(set(datum.labels) - pair.X)
-    nu = {i: nu_sign(ctx, i) for i in free}
-    ellv = {i: ctx.ell(i) for i in free}
-    qdiff = _vpow(2) - _vpow(-2)
+    nu = {i: nu_sign(ctx, i) for i in pair.free}
+    ellv = {i: ctx.ell(i) for i in pair.free}
+    qdiff = Scalar.v_pow(2) - Scalar.v_pow(-2)
     c = {}
     rescaled = []
-    for i in free:
+    for i in pair.free:
         if nu[i] < 0:
             c[i] = params.c[i] / qdiff
             rescaled.append(i)
@@ -185,19 +182,19 @@ def corollary_conditions(params: QSPParameters) -> BarReport:
     results = {}
     failing = []
     skipped = []
-    for i in free:
+    for i in pair.free:
         ti = pair.tau[i]
         aith = datum.bilinear(datum.simple_root(i), pair.theta_alpha(i))
         exponent = pair.pairing_theta_2rho(i)
         hyp_a = (
-            ti == i and any(datum.a(i, j) != 0 for j in free if j != i)
+            ti == i and any(datum.a(i, j) != 0 for j in pair.free if j != i)
         ) or aith == 0
         hyp_b = ti != i and aith != 0
         if hyp_a:
-            lam = c[i] * _vpow(-exponent)
+            lam = c[i] * Scalar.v_pow(-exponent)
             ok = (c[i] == c[ti]) and bool(lam) and is_bar_fixed(lam)
         elif hyp_b:
-            ok = c[ti] == _vpow(2 * exponent) * c[i].bar()
+            ok = c[ti] == Scalar.v_pow(2 * exponent) * c[i].bar()
         else:
             skipped.append(i)
             continue
@@ -219,21 +216,20 @@ def canonical_params(pair: AdmissiblePair) -> dict:
     split pairs break the remaining freedom at the smaller index.
     """
     datum = pair.datum
-    free = sorted(set(datum.labels) - pair.X)
     d = {}
-    for i in free:
+    for i in pair.free:
         if i in d:
             continue
         ti = pair.tau[i]
         aith = datum.bilinear(datum.simple_root(i), pair.theta_alpha(i))
         exponent = pair.pairing_theta_2rho(i)
         if ti == i or aith == 0:
-            d[i] = _vpow(exponent)
+            d[i] = Scalar.v_pow(exponent)
             if ti != i:
-                d[ti] = _vpow(pair.pairing_theta_2rho(ti))
+                d[ti] = Scalar.v_pow(pair.pairing_theta_2rho(ti))
         else:
-            d[i] = _vpow(exponent)
-            d[ti] = _vpow(2 * exponent) * d[i].bar()
+            d[i] = Scalar.v_pow(exponent)
+            d[ti] = Scalar.v_pow(2 * exponent) * d[i].bar()
     violations = in_set_D(pair, d)
     if violations:
         raise EngineInconsistencyError(
@@ -245,22 +241,21 @@ def canonical_params(pair: AdmissiblePair) -> dict:
 def in_set_D(pair: AdmissiblePair, d: dict):
     """Violations of the canonical parameter-set conditions for d."""
     datum = pair.datum
-    free = sorted(set(datum.labels) - pair.X)
     out = []
-    for i in free:
+    for i in pair.free:
         if i not in d or not d[i]:
             out.append(f"missing or zero d_{i}")
     if out:
         return out
-    for i in free:
+    for i in pair.free:
         ti = pair.tau[i]
         aith = datum.bilinear(datum.simple_root(i), pair.theta_alpha(i))
         exponent = pair.pairing_theta_2rho(i)
         if ti == i or aith == 0:
-            if d[i] != _vpow(exponent):
+            if d[i] != Scalar.v_pow(exponent):
                 out.append(f"d_{i} must be the pinned q-power")
         else:
-            if d[ti] != _vpow(2 * exponent) * d[i].bar():
+            if d[ti] != Scalar.v_pow(2 * exponent) * d[i].bar():
                 out.append(f"d_{ti} must be q-power times bar(d_{i})")
     return out
 
@@ -272,9 +267,8 @@ def equiv_D(pair: AdmissiblePair, d: dict, d2: dict) -> bool:
         violations = in_set_D(pair, fam)
         if violations:
             raise MembershipError(violations)
-    free = sorted(set(pair.datum.labels) - pair.X)
     return all(
-        is_bar_fixed(d2[i] / d[i]) for i in free if pair.tau[i] != i
+        is_bar_fixed(d2[i] / d[i]) for i in pair.free if pair.tau[i] != i
     )
 
 

@@ -2,7 +2,9 @@
 
 Both families (single and double prime) with both signs are provided; the
 default `braid_T(datum, i)` is the double-prime, sign +1 operator.  Only
-generator images are hardcoded; everything else extends multiplicatively.
+the images of the E_j are written out; T_{i,e}(F_j) is the mirror of
+T_{i,-e}(E_j), with the E- and F-words swapped and each reversed, and
+everything else extends multiplicatively.
 The transcription is pinned down by conformance identities (mutual
 inverses, braid relations, the sigma and bar intertwiners, and the
 weight-twist relation between the two families), which the test suite
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .scalars import ONE, Scalar, qfact
-from .uqg import Element, _vpow
+from .uqg import Element
 
 
 def _divided_power_coeff(datum, i, n) -> Scalar:
@@ -31,7 +33,7 @@ def _image_E(datum, i, e, double_prime, j) -> Element:
         if double_prime:
             # -F_i K_i^e, normal ordered
             k = tuple(e * x for x in alpha)
-            return Element.monomial(datum, (), k, (i,), -_vpow(4 * e * eps))
+            return Element.monomial(datum, (), k, (i,), -Scalar.v_pow(4 * e * eps))
         k = tuple(e * x for x in alpha)
         return Element.monomial(datum, (), k, (i,), -ONE)
     m = -datum.a(i, j)
@@ -41,42 +43,14 @@ def _image_E(datum, i, e, double_prime, j) -> Element:
         s = m - r
         coeff = _divided_power_coeff(datum, i, r) * _divided_power_coeff(datum, i, s)
         if double_prime:
-            coeff = coeff * _vpow(-2 * e * eps * r)
+            coeff = coeff * Scalar.v_pow(-2 * e * eps * r)
             word = (i,) * s + (j,) + (i,) * r
         else:
-            coeff = coeff * _vpow(2 * e * eps * r)
+            coeff = coeff * Scalar.v_pow(2 * e * eps * r)
             word = (i,) * r + (j,) + (i,) * s
         if r % 2:
             coeff = -coeff
         out = out + Element.monomial(datum, word, zero, (), coeff)
-    return out
-
-
-def _image_F(datum, i, e, double_prime, j) -> Element:
-    eps = datum.epsilon(i)
-    if j == i:
-        alpha = datum.simple_root(i)
-        if double_prime:
-            # -K_i^{-e} E_i, normal ordered
-            k = tuple(-e * x for x in alpha)
-            return Element.monomial(datum, (i,), k, (), -_vpow(-4 * e * eps))
-        k = tuple(-e * x for x in alpha)
-        return Element.monomial(datum, (i,), k, (), -ONE)
-    m = -datum.a(i, j)
-    out = Element.zero(datum)
-    zero = datum.zero_vector()
-    for r in range(m + 1):
-        s = m - r
-        coeff = _divided_power_coeff(datum, i, r) * _divided_power_coeff(datum, i, s)
-        if double_prime:
-            coeff = coeff * _vpow(2 * e * eps * r)
-            word = (i,) * r + (j,) + (i,) * s
-        else:
-            coeff = coeff * _vpow(-2 * e * eps * r)
-            word = (i,) * s + (j,) + (i,) * r
-        if r % 2:
-            coeff = -coeff
-        out = out + Element.monomial(datum, (), zero, word, coeff)
     return out
 
 
@@ -85,7 +59,12 @@ def _gen_image(datum, i, e, double_prime, kind, j) -> Element:
     key = (i, e, double_prime, kind, j)
     img = cache.get(key)
     if img is None:
-        img = (_image_E if kind == "E" else _image_F)(datum, i, e, double_prime, j)
+        if kind == "E":
+            img = _image_E(datum, i, e, double_prime, j)
+        else:
+            # the mirror of T_{i,-e}(E_j)
+            mirror = _image_E(datum, i, -e, double_prime, j).terms
+            img = Element(datum, {(f[::-1], k, w[::-1]): c for (w, k, f), c in mirror.items()})
         cache[key] = img
     return img
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 _ROOT_CLOSURE_CAP = 2500
@@ -112,7 +113,8 @@ class CartanDatum:
         # derived data memoised per datum, one dict per namespace: "weight"
         # (word weights), "efinv", "push" and "good" (uqg; good-word prefixes
         # per weight, the good Lyndon words under None), "braid" (braid
-        # generator images), "twist" (qsp)
+        # generator images), "twist" (qsp).  A named datum is built once per
+        # process (`cartan_datum`), so its caches live for the whole process.
         self.caches = defaultdict(dict)
 
     @property
@@ -217,14 +219,24 @@ def _chain(n, arrows=()):
 
 
 def cartan_datum(kind: str, rank: int = 0) -> CartanDatum:
-    """Build a named datum: finite types A-G or untwisted affine 'affine:A'."""
+    """The named datum: finite types A-G or untwisted affine 'affine:A'.
+
+    Each named datum is built once per process, keyed by the stripped kind
+    and the rank ('affine:A1' reads as ('affine:A', 1)), so every caller
+    shares it and its `caches`.  `CartanDatum(...)` builds a fresh one.
+    """
     kind = kind.strip()
+    if kind == "affine:A1":
+        kind, rank = "affine:A", 1
+    return _named_datum(kind, rank)
+
+
+@cache
+def _named_datum(kind, rank):
     if kind.startswith("affine:"):
         fam = kind.split(":", 1)[1]
-        if fam not in ("A", "A1"):
+        if fam != "A":
             raise ValueError(f"unsupported affine family {fam!r}")
-        if fam == "A1":
-            rank = 1
         if rank == 1:
             return CartanDatum([[2, -2], [-2, 2]], labels=(0, 1))
         if rank < 2:
@@ -394,6 +406,7 @@ class AdmissiblePair:
     def __init__(self, datum, X, tau, wX_word, phiX_plus, two_rho_X):
         self.datum = datum
         self.X = frozenset(X)
+        self.free = tuple(sorted(set(datum.labels) - self.X))
         self.tau = dict(tau)
         self.wX_word = tuple(wX_word)
         self.phiX_plus = tuple(phiX_plus)

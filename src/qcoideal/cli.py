@@ -221,8 +221,7 @@ def _cmd_nu_atlas(args):
                 continue
             for pair in enumerate_admissible(datum):
                 ctx = context_for(pair)
-                free = sorted(set(datum.labels) - pair.X)
-                for i in free:
+                for i in pair.free:
                     nu = nu_sign(ctx, i)
                     rows.append({
                         "type": fam,

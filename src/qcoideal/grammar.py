@@ -329,7 +329,10 @@ def element_from_json(datum, obj):
         k = [0] * len(datum.labels)
         for lab, exp in t.get("K", {}).items():
             k[datum.pos(int(lab))] += int(exp)
-        key = (tuple(t.get("E", [])), tuple(k), tuple(t.get("F", [])))
+        e, f = tuple(t.get("E", [])), tuple(t.get("F", []))
+        for i in e + f:
+            datum.pos(i)
+        key = (e, tuple(k), f)
         coeff = parse_scalar(t["coeff"])
         if coeff:
             terms[key] = terms.get(key, ZERO) + coeff

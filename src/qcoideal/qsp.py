@@ -19,7 +19,6 @@ from .cartan import AdmissiblePair, rho_check_pairing, vec_sub
 from .scalars import ONE, ZERO, Scalar, fourth_root_power, qint, qshifted_factorial
 from .uqg import (
     Element,
-    _vpow,
     coproduct_graded,
     is_zero,
     serre_polynomial,
@@ -57,16 +56,15 @@ def s_value(pair: AdmissiblePair, j) -> Scalar:
 def in_set_C(pair: AdmissiblePair, c: dict):
     """Violations of the defining conditions of the parameter set for c."""
     out = []
-    free = sorted(set(pair.datum.labels) - pair.X)
-    for i in free:
+    for i in pair.free:
         if i not in c:
             out.append(f"missing parameter c_{i}")
     if out:
         return out
-    for i in free:
+    for i in pair.free:
         if not c[i]:
             out.append(f"c_{i} must be nonzero")
-    for i in free:
+    for i in pair.free:
         ti = pair.tau[i]
         if ti != i:
             ip = pair.datum.simple_root(i)
@@ -80,9 +78,8 @@ def in_set_S(pair: AdmissiblePair, s: dict):
     pair into even Cartan entries (the corrected column condition)."""
     out = []
     datum = pair.datum
-    free = sorted(set(datum.labels) - pair.X)
     ns = set(pair.I_ns)
-    for i in free:
+    for i in pair.free:
         si = s.get(i, ZERO)
         if not si:
             continue
@@ -107,10 +104,9 @@ class QSPParameters:
 
     def __init__(self, pair: AdmissiblePair, c: dict, s: dict = None, validate=True):
         self.pair = pair
-        free = sorted(set(pair.datum.labels) - pair.X)
-        self.c = {i: c[i] for i in free}
+        self.c = {i: c[i] for i in pair.free}
         s = s or {}
-        self.s = {i: s.get(i, ZERO) for i in free}
+        self.s = {i: s.get(i, ZERO) for i in pair.free}
         self.b = {}
         if validate:
             violations = in_set_C(pair, self.c) + in_set_S(pair, self.s)
@@ -197,7 +193,7 @@ class QSPContext:
         a = datum.simple_root(i)
         w = datum.weyl_action(self.pair.wX_word, a)
         vec = tuple(x - y - z for x, y, z in zip(a, w, self.pair.two_rho_X))
-        return _vpow(2 * datum.bilinear(a, vec))
+        return Scalar.v_pow(2 * datum.bilinear(a, vec))
 
 
 def w_element(ctx: QSPContext, i, j) -> Element:
@@ -216,7 +212,7 @@ def w_element(ctx: QSPContext, i, j) -> Element:
         raise ValueError(
             "w_element undefined: orthogonal nodes with nonvanishing numerator"
         )
-    denom = ONE - _vpow(4 * pairing)
+    denom = ONE - Scalar.v_pow(4 * pairing)
     return num.scale(denom.inverse())
 
 
@@ -252,12 +248,12 @@ def context_for(pair: AdmissiblePair) -> QSPContext:
 # ---------------------------------------------------------------------------
 
 def _qi(datum, i, n=1) -> Scalar:
-    return _vpow(2 * n * datum.epsilon(i))
+    return Scalar.v_pow(2 * n * datum.epsilon(i))
 
 
 def _qi_minus_inv(datum, i) -> Scalar:
     e = datum.epsilon(i)
-    return _vpow(2 * e) - _vpow(-2 * e)
+    return Scalar.v_pow(2 * e) - Scalar.v_pow(-2 * e)
 
 
 def c_closed(params: QSPParameters, i, j) -> Element:
@@ -288,8 +284,8 @@ def c_closed(params: QSPParameters, i, j) -> Element:
         Bim = Bi ** (m - 1)
         zi = ctx.z(i).scale(params.c[i])
         zt = ctx.z(ti).scale(params.c[ti])
-        term = (Bim * zi).scale(_qi(datum, i, -m) * qshifted_factorial(_vpow(4 * eps), m))
-        term = term + (Bim * zt).scale(_qi(datum, i) * qshifted_factorial(_vpow(-4 * eps), m))
+        term = (Bim * zi).scale(_qi(datum, i, -m) * qshifted_factorial(Scalar.v_pow(4 * eps), m))
+        term = term + (Bim * zt).scale(_qi(datum, i) * qshifted_factorial(Scalar.v_pow(-4 * eps), m))
         pref = -(_qi_minus_inv(datum, i) ** 2).inverse()
         return term.scale(pref)
     aij = datum.a(i, j)
@@ -332,14 +328,14 @@ def c_closed(params: QSPParameters, i, j) -> Element:
     denom = (_qi_minus_inv(datum, i) * _qi_minus_inv(datum, j)).inverse()
     if aij == -1:
         out = (Bj * zi).scale(_qi(datum, i))
-        out = out + (rz.scale(_qi(datum, i) ** 2) + irz.scale(_vpow(4 * epj) * _qi(datum, i, -1) ** 2)).scale(denom).scale(params.c[i])
+        out = out + (rz.scale(_qi(datum, i) ** 2) + irz.scale(Scalar.v_pow(4 * epj) * _qi(datum, i, -1) ** 2)).scale(denom).scale(params.c[i])
         return out
     if aij == -2:
         two = qint(2, eps)
         out = ((Bi * Bj - Bj * Bi) * zi).scale(_qi(datum, i) * two * two)
         jinv = _qi_minus_inv(datum, j).inverse()
         out = out + (Bi * rz).scale(-(_qi(datum, i) ** 4) * two * jinv).scale(params.c[i])
-        out = out + (Bi * irz).scale(_vpow(4 * epj) * (_qi(datum, i, -1) ** 6) * two * jinv).scale(params.c[i])
+        out = out + (Bi * irz).scale(Scalar.v_pow(4 * epj) * (_qi(datum, i, -1) ** 6) * two * jinv).scale(params.c[i])
         return out
     raise NoClosedFormulaError(f"unhandled case a_{i}{j} = {aij}")
 

@@ -65,7 +65,6 @@ from .uqg import (
     tensor_equals,
     word_weight,
     _tensor_of_elements,
-    _vpow,
 )
 
 Q = Scalar.q_pow(1)
@@ -129,10 +128,9 @@ def _default_params(pair):
     """Deterministic admissible parameter family for a pair (c from a fixed
     pool, s = 0), respecting the orthogonal-split equality constraint."""
     datum = pair.datum
-    free = sorted(set(datum.labels) - pair.X)
     pool = (Q, ONE + Q, Q ** -1, -Q)
     c = {}
-    for t, i in enumerate(free):
+    for t, i in enumerate(pair.free):
         ti = pair.tau[i]
         if ti in c and ti != i and datum.bilinear(
             datum.simple_root(i), pair.theta_alpha(i)
@@ -224,14 +222,14 @@ def suite_hopf(seed=0, max_bucket=10 ** 6):
         for i in labels:
             for j in labels:
                 Ki = Element.K_i(datum, i)
-                pair_q = _vpow(2 * datum.bilinear(datum.simple_root(i), datum.simple_root(j)))
+                pair_q = Scalar.v_pow(2 * datum.bilinear(datum.simple_root(i), datum.simple_root(j)))
                 ok2 = ok2 and Ki * Element.E(datum, j) == (Element.E(datum, j) * Ki).scale(pair_q)
                 ok2 = ok2 and Ki * Element.F(datum, j) == (Element.F(datum, j) * Ki).scale(pair_q.inverse())
                 lhs = Element.E(datum, i) * Element.F(datum, j) - Element.F(datum, j) * Element.E(datum, i)
                 if i == j:
                     e = datum.epsilon(i)
                     rhs = (Element.K_i(datum, i) - Element.K_i(datum, i, -1)).scale(
-                        (_vpow(2 * e) - _vpow(-2 * e)).inverse()
+                        (Scalar.v_pow(2 * e) - Scalar.v_pow(-2 * e)).inverse()
                     )
                 else:
                     rhs = Element.zero(datum)
@@ -306,7 +304,7 @@ def suite_derivations(seed=0, max_bucket=10 ** 6, words_per_datum=50):
                 x = x + Element.E(datum, *shuffled).scale(rng.choice(_SCALAR_POOL))
             for i in datum.labels:
                 e = datum.epsilon(i)
-                qi_diff = _vpow(2 * e) - _vpow(-2 * e)
+                qi_diff = Scalar.v_pow(2 * e) - Scalar.v_pow(-2 * e)
                 lhs = x * Element.F(datum, i) - Element.F(datum, i) * x
                 rhs = (
                     skew_r(i, x) * Element.K_i(datum, i)
@@ -317,7 +315,7 @@ def suite_derivations(seed=0, max_bucket=10 ** 6, words_per_datum=50):
             ok_sigma = ok_sigma and sigma(skew_r(i, x)) == skew_ir(i, sigma(x))
             ok_invol = ok_invol and sigma(sigma(x)) == x
             beta = word_weight(datum, w)
-            factor = _vpow(
+            factor = Scalar.v_pow(
                 2 * datum.bilinear(
                     datum.simple_root(i),
                     tuple(a - b for a, b in zip(datum.simple_root(i), beta)),
@@ -344,8 +342,6 @@ def suite_derivations(seed=0, max_bucket=10 ** 6, words_per_datum=50):
 def suite_braid(seed=0, max_bucket=10 ** 6):
     checks = []
     rng = random.Random(seed)
-    from .cartan import CartanDatum
-
     rank2_data = [
         ("m2", CartanDatum([[2, 0], [0, 2]])),
         ("m3", cartan_datum("A", 2)),
@@ -408,7 +404,7 @@ def suite_braid(seed=0, max_bucket=10 ** 6):
                 n = n2 // datum.epsilon(i)
                 for e in (1, -1):
                     rhs = apply_braid(BraidOperator(i, False, e), x).scale(
-                        _vpow(2 * datum.epsilon(i) * e * n)
+                        Scalar.v_pow(2 * datum.epsilon(i) * e * n)
                     )
                     if n % 2:
                         rhs = -rhs
@@ -470,7 +466,7 @@ def suite_sigma_tau(seed=0, max_bucket=10 ** 6):
         pair = _build_pair(kind, rank, X, tau_pairs)
         ctx = context_for(pair)
         name = f"{kind}{rank}/X={list(X)}"
-        for i in sorted(set(pair.datum.labels) - pair.X):
+        for i in pair.free:
             checks.append(
                 _check(f"sigma-tau/{name}/node-{i}", nu_sign(ctx, i) == 1)
             )
@@ -501,8 +497,7 @@ def suite_nu_atlas(seed=0, max_bucket=10 ** 6):
         )
         for pair in pairs:
             ctx = context_for(pair)
-            free = sorted(set(datum.labels) - pair.X)
-            ok = all(nu_sign(ctx, i) == 1 for i in free)
+            ok = all(nu_sign(ctx, i) == 1 for i in pair.free)
             checks.append(
                 _check(
                     f"nu-atlas/{kind}{rank}/X={sorted(pair.X)}/tau={sorted((a, b) for a, b in pair.tau.items() if a < b)}",
@@ -512,8 +507,7 @@ def suite_nu_atlas(seed=0, max_bucket=10 ** 6):
     for kind, rank, X, tau_pairs in AFFINE_SAMPLES:
         pair = _build_pair(kind, rank, X, tau_pairs)
         ctx = context_for(pair)
-        free = sorted(set(pair.datum.labels) - pair.X)
-        values = {i: nu_sign(ctx, i) for i in free}
+        values = {i: nu_sign(ctx, i) for i in pair.free}
         ok = all(v in (1, -1) for v in values.values())
         checks.append(
             _check(
@@ -535,17 +529,16 @@ def suite_bar_z(seed=0, max_bucket=10 ** 6):
         datum = cartan_datum(kind, rank)
         for pair in enumerate_admissible(datum):
             ctx = context_for(pair)
-            free = sorted(set(datum.labels) - pair.X)
-            if not free:
+            if not pair.free:
                 continue
-            ok = all(check_ocZ(ctx, i) for i in free)
+            ok = all(check_ocZ(ctx, i) for i in pair.free)
             oksym = all(
                 nu_sign(ctx, i) == nu_sign(ctx, pair.tau[i])
                 and ctx.ell(i) == ctx.ell(pair.tau[i])
-                for i in free
+                for i in pair.free
             )
             okcor = True
-            for i in free:
+            for i in pair.free:
                 sign = nu_sign(ctx, i)
                 # bar of the twisted component against its tau-partner, with
                 # the parity of alpha_i(2 rho_X^vee) entering as a sign
@@ -683,14 +676,13 @@ def suite_qsp_structure(seed=0, max_bucket=10 ** 6):
         ctx = context_for(pair)
         params = _default_params(pair)
         name = f"qsp/{kind}{rank}/X={list(X)}"
-        free = sorted(set(datum.labels) - pair.X)
         # torus commutation against the fixed sublattice
         ok1 = True
         for beta in pair.theta_fixed_vectors():
             K = Element.K(datum, beta)
             for i in datum.labels:
                 B = b_generator(params, i)
-                factor = _vpow(-2 * datum.bilinear(beta, datum.simple_root(i)))
+                factor = Scalar.v_pow(-2 * datum.bilinear(beta, datum.simple_root(i)))
                 ok1 = ok1 and equals(K * B, (B * K).scale(factor), max_bucket)
         checks.append(_check(f"{name}/torus-commutation", ok1))
         # E_i against B_j for i in X
@@ -703,14 +695,14 @@ def suite_qsp_structure(seed=0, max_bucket=10 ** 6):
                 if i == j:
                     e = datum.epsilon(i)
                     rhs = (Element.K_i(datum, i) - Element.K_i(datum, i, -1)).scale(
-                        (_vpow(2 * e) - _vpow(-2 * e)).inverse()
+                        (Scalar.v_pow(2 * e) - Scalar.v_pow(-2 * e)).inverse()
                     )
                 else:
                     rhs = Element.zero(datum)
                 ok2 = ok2 and equals(lhs, rhs, max_bucket)
         checks.append(_check(f"{name}/e-against-b", ok2))
         # first-order coproduct shape of the twisted element, and of B_i
-        for i in free:
+        for i in pair.free:
             ti = pair.tau[i]
             alpha_i = datum.simple_root(i)
             alpha_ti = datum.simple_root(ti)
@@ -768,7 +760,7 @@ def suite_qsp_structure(seed=0, max_bucket=10 ** 6):
             )
             checks.append(_check(f"{name}/coideal-first-order/node-{i}", okb))
         # Z commutation in the split setting
-        for i in free:
+        for i in pair.free:
             ti = pair.tau[i]
             if ti == i:
                 continue
@@ -777,16 +769,16 @@ def suite_qsp_structure(seed=0, max_bucket=10 ** 6):
             B = b_generator(params, i)
             okz = equals(
                 ctx.z(ti) * B,
-                (B * ctx.z(ti)).scale(_vpow(-2 * e * (m + 1))),
+                (B * ctx.z(ti)).scale(Scalar.v_pow(-2 * e * (m + 1))),
                 max_bucket,
             ) and equals(
                 ctx.z(i) * B,
-                (B * ctx.z(i)).scale(_vpow(2 * e * (m + 1))),
+                (B * ctx.z(i)).scale(Scalar.v_pow(2 * e * (m + 1))),
                 max_bucket,
             )
             checks.append(_check(f"{name}/z-commutation/node-{i}", okz))
         # W consistency through the double derivation
-        for i in free:
+        for i in pair.free:
             if pair.tau[i] != i:
                 continue
             for j in sorted(pair.X):
@@ -794,7 +786,7 @@ def suite_qsp_structure(seed=0, max_bucket=10 ** 6):
                 if pairing == 0:
                     continue
                 lhs = skew_r(j, ctx.z(i), allow_k=True)
-                rhs = w_element(ctx, i, j).scale(ONE - _vpow(4 * pairing))
+                rhs = w_element(ctx, i, j).scale(ONE - Scalar.v_pow(4 * pairing))
                 checks.append(
                     _check(
                         f"{name}/w-from-z/node-{i}-{j}",
@@ -840,10 +832,9 @@ def suite_bar_examples(seed=0, max_bucket=10 ** 6):
     pool = list(_SCALAR_POOL) + [Scalar.i_unit() * Q, (ONE + Q ** 2) * Q ** -1]
     for tag, pair in (("caseI", case1), ("caseII", case2)):
         agree = True
-        free = sorted(set(a3.labels) - pair.X)
         for _ in range(20):
             c = {}
-            for i in free:
+            for i in pair.free:
                 ti = pair.tau[i]
                 if ti in c and ti != i and a3.bilinear(
                     a3.simple_root(i), pair.theta_alpha(i)

@@ -25,10 +25,9 @@ involutions and the zero walk meet is carried as the integer v-exponent
 2 (beta, gamma), read off the datum's integer Gram matrix, and reaches a
 coefficient as one `Scalar.shifted`: v^k is a unit, so the shifted
 coefficient is canonical without normalisation.
-Memo tables that depend on the datum (word weights, the E-past-F pushes,
-1/(q_i - q_i^{-1}) and the good words) live in the datum's declared
-`caches` under "weight", "push", "efinv" and "good"; `_VPOW_CACHE` holds
-the datum-independent powers of v.
+Memo tables (word weights, the E-past-F pushes, 1/(q_i - q_i^{-1}) and
+the good words) live in the datum's declared `caches` under "weight",
+"push", "efinv" and "good".
 """
 
 from __future__ import annotations
@@ -37,17 +36,6 @@ from operator import mul
 
 from .cartan import FiniteTypeError, positive_parabolic_roots, vec_sub
 from .scalars import ONE, Scalar, ZERO
-
-_VPOW_CACHE = {0: ONE}
-
-
-def _vpow(k: int) -> Scalar:
-    s = _VPOW_CACHE.get(k)
-    if s is None:
-        s = Scalar.v_pow(k)
-        _VPOW_CACHE[k] = s
-    return s
-
 
 class ZeroTestGuardError(RuntimeError):
     """A graded bucket exceeded the word-evaluation guard of the zero test."""
@@ -86,7 +74,7 @@ def _ef_inverse(datum, i) -> Scalar:
     s = cache.get(i)
     if s is None:
         e = datum.epsilon(i)
-        s = (_vpow(2 * e) - _vpow(-2 * e)).inverse()
+        s = (Scalar.v_pow(2 * e) - Scalar.v_pow(-2 * e)).inverse()
         cache[i] = s
     return s
 
@@ -515,14 +503,14 @@ def antipode(a: Element) -> Element:
         for j in reversed(f):
             p = datum.pos(j)
             alpha = datum.simple_root(j)
-            coeff = -_vpow(4 * datum.eps[p])
+            coeff = -Scalar.v_pow(4 * datum.eps[p])
             prod = prod * Element.monomial(datum, (), alpha, (j,), coeff)
         if any(k):
             prod = prod * Element.K(datum, tuple(-x for x in k))
         for i in reversed(e):
             p = datum.pos(i)
             alpha = tuple(-x for x in datum.simple_root(i))
-            coeff = -_vpow(-4 * datum.eps[p])
+            coeff = -Scalar.v_pow(-4 * datum.eps[p])
             prod = prod * Element.monomial(datum, (i,), alpha, (), coeff)
         out = out + prod
     return out

@@ -4,6 +4,7 @@ import pytest
 
 from qcoideal.braid import BraidOperator, apply_braid, apply_word, braid_T, inverse_word
 from qcoideal.cartan import CartanDatum, cartan_datum, validate_admissible
+from qcoideal.grammar import parse_element
 from qcoideal.scalars import Scalar, qfact
 from qcoideal.uqg import Element, bar_element, equals, sigma
 
@@ -130,3 +131,36 @@ def test_grading_moves_by_reflection():
     tw = apply_braid(braid_T(A2, 2), Element.E(A2, 1))
     target = A2.reflect(2, A2.simple_root(1))
     assert all(tw.degree_of_key(k) == target for k in tw.terms)
+
+
+# T_{i,e}(F_j) as literal elements, written out independently of the
+# E-images they are now mirrored from: (type, i, j, double_prime, e) -> image
+F_IMAGES = {
+    ("A", 1, 2, True, 1): "F[1,2] * (-v^2) + F[2,1] * (1)",
+    ("A", 1, 2, True, -1): "F[1,2] * (-v^-2) + F[2,1] * (1)",
+    ("A", 1, 2, False, 1): "F[1,2] * (1) + F[2,1] * (-v^-2)",
+    ("A", 1, 2, False, -1): "F[1,2] * (1) + F[2,1] * (-v^2)",
+    ("A", 1, 1, True, 1): "E[1] K{1:-1} * (-v^-4)",
+    ("A", 1, 1, True, -1): "E[1] K{1:1} * (-v^4)",
+    ("A", 1, 1, False, 1): "E[1] K{1:-1} * (-1)",
+    ("A", 1, 1, False, -1): "E[1] K{1:1} * (-1)",
+    ("B", 1, 2, True, 1): "F[1,2] * (-v^4) + F[2,1] * (1)",
+    ("B", 1, 2, True, -1): "F[1,2] * (-v^-4) + F[2,1] * (1)",
+    ("B", 1, 2, False, 1): "F[1,2] * (1) + F[2,1] * (-v^-4)",
+    ("B", 1, 2, False, -1): "F[1,2] * (1) + F[2,1] * (-v^4)",
+    ("B", 2, 1, True, 1): "F[1,2,2] * (v^2/(v^4 + 1)) + F[2,1,2] * (-v^2)"
+                          " + F[2,2,1] * (v^6/(v^4 + 1))",
+    ("B", 2, 1, True, -1): "F[1,2,2] * (v^2/(v^4 + 1)) + F[2,1,2] * (-v^-2)"
+                           " + F[2,2,1] * (v^-2/(v^4 + 1))",
+    ("B", 2, 1, False, 1): "F[1,2,2] * (v^-2/(v^4 + 1)) + F[2,1,2] * (-v^-2)"
+                           " + F[2,2,1] * (v^2/(v^4 + 1))",
+    ("B", 2, 1, False, -1): "F[1,2,2] * (v^6/(v^4 + 1)) + F[2,1,2] * (-v^2)"
+                            " + F[2,2,1] * (v^2/(v^4 + 1))",
+}
+
+
+@pytest.mark.parametrize("kind, i, j, dp, e", sorted(F_IMAGES))
+def test_f_images_are_pinned(kind, i, j, dp, e):
+    datum = cartan_datum(kind, 2)
+    got = apply_braid(BraidOperator(i, dp, e), Element.F(datum, j))
+    assert got == parse_element(datum, F_IMAGES[kind, i, j, dp, e])

@@ -9,6 +9,8 @@ from qcoideal.cartan import (
     CartanDatum,
     FiniteTypeError,
     cartan_datum,
+    datum_from_json,
+    datum_to_json,
     enumerate_admissible,
     longest_word,
     parabolic_rho,
@@ -97,7 +99,8 @@ def test_validate_admissible_examples():
     a3 = cartan_datum("A", 3)
     pair = validate_admissible(a3, {2}, {1: 3, 2: 2, 3: 1})
     assert pair.X == frozenset({2})
-    validate_admissible(a3, set(), {i: i for i in a3.labels})
+    assert pair.free == (1, 3)
+    assert validate_admissible(a3, set(), {i: i for i in a3.labels}).free == (1, 2, 3)
     with pytest.raises(AdmissibleError) as err:
         validate_admissible(a3, {2}, {i: i for i in a3.labels})
     assert any("rho_X^vee" in v for v in err.value.violations)
@@ -268,3 +271,19 @@ def test_datum_validation():
         CartanDatum([[2, -1], [-1, 2]], eps=(2, 2))  # not coprime
     datum = CartanDatum([[2, -2], [-1, 2]])
     assert datum.eps == (1, 2)
+
+
+def test_named_data_are_built_once_per_process():
+    a3 = cartan_datum("A", 3)
+    assert cartan_datum(" A", 3) is a3
+    assert cartan_datum("A", rank=3) is a3
+    assert datum_from_json({"type": "A", "rank": 3}) is a3
+    assert cartan_datum("affine:A1") is cartan_datum("affine:A", 1)
+    assert cartan_datum("affine:A1", 5) is cartan_datum("affine:A", 1)
+    assert cartan_datum("A", 4) is not a3
+    # an explicit matrix always builds a fresh datum with its own caches
+    fresh = CartanDatum(a3.A)
+    assert fresh is not a3 and fresh.caches is not a3.caches
+    assert datum_from_json(datum_to_json(a3)) is not a3
+    with pytest.raises(ValueError):
+        cartan_datum("affine:B", 2)

@@ -69,6 +69,14 @@ def test_element_roundtrip_random():
         assert element_from_json(datum, element_to_json(x)) == x
 
 
+def test_element_from_json_rejects_unknown_letters():
+    for word in ({"E": [9], "F": []}, {"E": [1], "F": [2, 9]}):
+        with pytest.raises(ValueError, match="unknown node label 9"):
+            element_from_json(A2, {"terms": [dict(word, coeff="1")]})
+    with pytest.raises(ValueError, match="unknown node label 9"):
+        parse_element(A2, "E[9] * (1)")
+
+
 def test_cli_validate_pair_exit_codes(capsys):
     assert main(["--cartan", "A:3", "--pair", '{"X": [2], "tau": [[1,3]]}',
                  "validate-pair"]) == 0

@@ -314,7 +314,7 @@ def test_twist_is_built_once_per_node(monkeypatch):
         return original(op, a)
 
     monkeypatch.setattr(braid, "apply_braid", counting)
-    fresh = cartan_datum("A", 3)
+    fresh = CartanDatum(cartan_datum("A", 3).A)
     ctx = context_for(validate_admissible(fresh, {2}, {1: 3, 2: 2, 3: 1}))
     for i in (1, 3):
         ctx.theta_fk(i)

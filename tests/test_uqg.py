@@ -3,7 +3,7 @@ import random
 import pytest
 
 from qcoideal.braid import apply_braid, braid_T
-from qcoideal.cartan import cartan_datum
+from qcoideal.cartan import CartanDatum, cartan_datum
 from qcoideal.scalars import ONE, Scalar
 from qcoideal.uqg import (
     Element,
@@ -299,7 +299,7 @@ def test_is_zero_agrees_with_the_tensor_of_one_factor():
 
 
 def test_elements_of_two_data_do_not_mix():
-    a, b = cartan_datum("A", 2), cartan_datum("A", 2)
+    a, b = cartan_datum("A", 2), CartanDatum(cartan_datum("A", 2).A)
     x, y = Element.E(a, 1), Element.E(b, 1)
     with pytest.raises(ValueError):
         x + y

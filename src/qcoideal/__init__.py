@@ -27,7 +27,6 @@ from .cartan import (
     datum_to_json,
     enumerate_admissible,
     longest_word,
-    parabolic_rho,
     rho_check_pairing,
     validate_admissible,
     admissible_violations,

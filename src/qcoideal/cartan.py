@@ -4,7 +4,8 @@ Covers the bilinear form (alpha_i, alpha_j) = eps_i * a_ij, Weyl group
 actions and reduced words, parabolic data for finite-type subsets X
 (positive roots, longest element, half sums of roots and coroots), the
 lattice involution coming from a diagram involution, and validation and
-enumeration of admissible pairs (X, tau).
+enumeration of admissible pairs (X, tau).  The datum's `caches` hold the
+parabolic data of each X ("parabolic") and the admissible pairs ("pairs").
 
 Root vectors are plain tuples of integers (or Fractions where half sums
 appear), indexed by position in the datum's label list.
@@ -110,11 +111,15 @@ class CartanDatum:
         self.gram = tuple(
             tuple(eps[i] * A[i][j] for j in range(n)) for i in range(n)
         )
-        # derived data memoised per datum, one dict per namespace: "weight"
-        # (word weights), "efinv", "push" and "good" (uqg; good-word prefixes
-        # per weight, the good Lyndon words under None), "braid" (braid
-        # generator images), "twist" (qsp).  A named datum is built once per
-        # process (`cartan_datum`), so its caches live for the whole process.
+        # derived data memoised per datum, one dict per namespace:
+        # "parabolic" (Phi_X^+, w_X word and 2 rho_X per sorted X, None for
+        # an infinite-type X), "pairs" (the enumerated admissible pairs under
+        # None), "weight" (word weights), "efinv", "push" and "good" (uqg;
+        # good-word prefixes per weight, the good Lyndon words under None),
+        # "braid" (braid generator images), "twist" (qsp).  A named datum is
+        # built once per process (`cartan_datum`), so its caches, and with
+        # them its enumerated pairs and their QSP contexts, live for the
+        # whole process.
         self.caches = defaultdict(dict)
 
     @property
@@ -191,10 +196,6 @@ class CartanDatum:
 
 def _is_positive(beta):
     return any(beta) and all(c >= 0 for c in beta)
-
-
-def vec_add(beta, gamma):
-    return tuple(b + c for b, c in zip(beta, gamma))
 
 
 def vec_sub(beta, gamma):
@@ -316,13 +317,29 @@ def datum_to_json(datum: CartanDatum):
 # Parabolic data.
 # ---------------------------------------------------------------------------
 
-def parabolic_roots(datum: CartanDatum, X):
-    """All roots of the sub root system on X via reflection closure.
+def _parabolic(datum: CartanDatum, X):
+    """(Phi_X^+, a reduced word for w_X, 2*rho_X), built once per (datum, X)
+    in `datum.caches["parabolic"]`.
 
-    Raises FiniteTypeError when the closure exceeds the growth cap, which
-    happens exactly when the parabolic is of infinite type.
+    An infinite-type X is remembered too: every call for it raises
+    FiniteTypeError.
     """
-    X = sorted(X)
+    key = tuple(sorted(X))
+    cache = datum.caches["parabolic"]
+    if key not in cache:
+        cache[key] = _parabolic_data(datum, key)
+    data = cache[key]
+    if data is None:
+        raise FiniteTypeError("parabolic not finite type")
+    return data
+
+
+def _parabolic_data(datum, X):
+    """Phi_X^+ by reflection closure of the simple roots of X, or None when
+    the closure exceeds the growth cap, which happens exactly when X is of
+    infinite type.  The word for w_X reflects the strictly X-dominant vector
+    2*rho_X to the antidominant chamber, so its length is |Phi_X^+|.
+    """
     roots = {datum.simple_root(j) for j in X}
     frontier = list(roots)
     while frontier:
@@ -334,34 +351,10 @@ def parabolic_roots(datum: CartanDatum, X):
                     roots.add(img)
                     new.append(img)
         if len(roots) > _ROOT_CLOSURE_CAP:
-            raise FiniteTypeError("parabolic not finite type")
+            return None
         frontier = new
-    return sorted(roots)
-
-
-def is_finite_type(datum: CartanDatum, X) -> bool:
-    try:
-        parabolic_roots(datum, X)
-        return True
-    except FiniteTypeError:
-        return False
-
-
-def positive_parabolic_roots(datum: CartanDatum, X):
-    return [b for b in parabolic_roots(datum, X) if _is_positive(b)]
-
-
-def longest_word(datum: CartanDatum, X):
-    """A reduced word for the longest element w_X, as a left-to-right product.
-
-    Produced by reflecting the strictly X-dominant vector 2*rho_X to the
-    antidominant chamber; the word length equals |Phi_X^+| by construction.
-    """
-    X = sorted(X)
-    plus = positive_parabolic_roots(datum, X)
-    v = datum.zero_vector()
-    for b in plus:
-        v = vec_add(v, b)
+    plus = tuple(b for b in sorted(roots) if _is_positive(b))
+    v = two_rho = tuple(map(sum, zip(datum.zero_vector(), *plus)))
     applied = []
     while True:
         for j in X:
@@ -374,17 +367,16 @@ def longest_word(datum: CartanDatum, X):
     word = tuple(reversed(applied))
     if len(word) != len(plus):
         raise RuntimeError("internal: longest-element descent produced a non-reduced word")
-    return word
+    return plus, word, two_rho
 
 
-def parabolic_rho(datum: CartanDatum, X):
-    """(rho_X as Fraction tuple, 2*rho_X as int tuple, Phi_X^+)."""
-    plus = positive_parabolic_roots(datum, X)
-    two_rho = datum.zero_vector()
-    for b in plus:
-        two_rho = vec_add(two_rho, b)
-    rho = tuple(Fraction(c, 2) for c in two_rho)
-    return rho, two_rho, tuple(plus)
+def positive_parabolic_roots(datum: CartanDatum, X):
+    return _parabolic(datum, X)[0]
+
+
+def longest_word(datum: CartanDatum, X):
+    """A reduced word for the longest element w_X, as a left-to-right product."""
+    return _parabolic(datum, X)[1]
 
 
 def rho_check_pairing(datum: CartanDatum, X, gamma):
@@ -403,14 +395,12 @@ def rho_check_pairing(datum: CartanDatum, X, gamma):
 class AdmissiblePair:
     """A validated pair (X, tau) with derived parabolic and involution data."""
 
-    def __init__(self, datum, X, tau, wX_word, phiX_plus, two_rho_X):
+    def __init__(self, datum, X, tau):
         self.datum = datum
         self.X = frozenset(X)
         self.free = tuple(sorted(set(datum.labels) - self.X))
         self.tau = dict(tau)
-        self.wX_word = tuple(wX_word)
-        self.phiX_plus = tuple(phiX_plus)
-        self.two_rho_X = tuple(two_rho_X)
+        _, self.wX_word, self.two_rho_X = _parabolic(datum, X)
         self._theta_cols = tuple(
             self.theta(datum.simple_root(lab)) for lab in datum.labels
         )
@@ -529,9 +519,7 @@ def validate_admissible(datum: CartanDatum, X, tau) -> AdmissiblePair:
     violations = admissible_violations(datum, X, tau)
     if violations:
         raise AdmissibleError(violations)
-    wX = longest_word(datum, X)
-    _, two_rho, plus = parabolic_rho(datum, X)
-    return AdmissiblePair(datum, X, tau, wX, plus, two_rho)
+    return AdmissiblePair(datum, X, tau)
 
 
 def _involutions(labels):
@@ -559,11 +547,22 @@ def _involutions(labels):
 
 
 def enumerate_admissible(datum: CartanDatum):
-    """All admissible pairs, ordered lexicographically in (X, tau)."""
+    """All admissible pairs as a tuple, ordered lexicographically in (X, tau).
+
+    Enumerated once per datum in `datum.caches["pairs"]`, so every caller
+    shares the pairs and the QSP contexts they own.
+    """
     if datum.n > _ENUMERATION_RANK_CAP:
         raise ValueError(
             f"admissible-pair enumeration is capped at rank {_ENUMERATION_RANK_CAP}"
         )
+    cache = datum.caches["pairs"]
+    if None not in cache:
+        cache[None] = _enumerate(datum)
+    return cache[None]
+
+
+def _enumerate(datum):
     labels = sorted(datum.labels)
     taus = [
         t for t in _involutions(labels)
@@ -573,17 +572,14 @@ def enumerate_admissible(datum: CartanDatum):
     for size in range(datum.n + 1):
         subsets.extend(sorted(combinations(labels, size)))
     subsets.sort()
-    out = []
-    for X in subsets:
-        if not is_finite_type(datum, X):
-            continue
-        for tau in taus:
-            if {tau[i] for i in X} != set(X):
-                continue
-            if not admissible_violations(datum, X, tau):
-                out.append(validate_admissible(datum, X, tau))
+    out = [
+        AdmissiblePair(datum, X, tau)
+        for X in subsets
+        for tau in taus
+        if not admissible_violations(datum, X, tau)
+    ]
     out.sort(key=lambda p: (sorted(p.X), tuple(p.tau[i] for i in labels)))
-    return out
+    return tuple(out)
 
 
 def pair_from_json(datum: CartanDatum, obj) -> AdmissiblePair:

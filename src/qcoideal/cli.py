@@ -212,9 +212,7 @@ def _cmd_nu_atlas(args):
         fam = fam.strip()
         if not fam:
             continue
-        min_rank = {"B": 2, "C": 2, "D": 4, "E": 6, "F": 4, "G": 2}.get(fam, 1)
-        max_allowed = {"G": 2, "F": 4, "E": 8}.get(fam, args.max_rank)
-        for rank in range(min_rank, min(args.max_rank, max_allowed) + 1):
+        for rank in range(1, args.max_rank + 1):
             try:
                 datum = cartan_datum(fam, rank)
             except ValueError:
@@ -339,7 +337,7 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (KeyError, AssertionError) as exc:
+    except (KeyError, AssertionError, RuntimeError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -180,7 +180,10 @@ class _ScalarParser:
 
 
 def parse_scalar(text: str) -> Scalar:
-    return _ScalarParser(text).parse()
+    try:
+        return _ScalarParser(text).parse()
+    except ZeroDivisionError:
+        raise ScalarParseError(f"division by zero in scalar text {text!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -102,16 +102,17 @@ class QSPParameters:
     so each B_i is built once and lives as long as its c and s.
     """
 
-    def __init__(self, pair: AdmissiblePair, c: dict, s: dict = None, validate=True):
-        self.pair = pair
-        self.c = {i: c[i] for i in pair.free}
+    def __init__(self, pair: AdmissiblePair, c: dict, s: dict = None):
         s = s or {}
+        for i in (*c, *s):
+            pair.datum.pos(i)  # an unknown label is an input error
+        self.pair = pair
+        self.c = {i: c[i] for i in pair.free if i in c}
         self.s = {i: s.get(i, ZERO) for i in pair.free}
         self.b = {}
-        if validate:
-            violations = in_set_C(pair, self.c) + in_set_S(pair, self.s)
-            if violations:
-                raise MembershipError(violations)
+        violations = in_set_C(pair, self.c) + in_set_S(pair, self.s)
+        if violations:
+            raise MembershipError(violations)
 
     @property
     def datum(self):
@@ -119,8 +120,8 @@ class QSPParameters:
 
 
 class QSPContext:
-    """Cached per-pair data: s(j), theta_q(F_i K_i), Z_i, ell_i, and the nu
-    signs of `barcheck.nu_sign`.
+    """Cached per-pair data: theta_q(F_i K_i), Z_i, and the nu signs of
+    `barcheck.nu_sign`.
 
     The pair owns its context (`context_for`), so these caches live exactly
     as long as the pair.  The twists T_{w_X}(E_j) depend on the datum and X
@@ -130,17 +131,9 @@ class QSPContext:
     def __init__(self, pair: AdmissiblePair):
         self.pair = pair
         self.datum = pair.datum
-        self._s = {}
         self._theta_fk = {}
         self._z = {}
         self.nu = {}
-
-    def s(self, j) -> Scalar:
-        v = self._s.get(j)
-        if v is None:
-            v = s_value(self.pair, j)
-            self._s[j] = v
-        return v
 
     def twisted(self, j) -> Element:
         """T_{w_X}(E_j), the braid twist every Z_i, theta_q and nu_i is built
@@ -160,7 +153,7 @@ class QSPContext:
             if i in self.pair.X:
                 raise ValueError("theta_fk is defined for nodes outside X")
             ti = self.pair.tau[i]
-            v = self.twisted(ti).scale(-self.s(ti))
+            v = self.twisted(ti).scale(-s_value(self.pair, ti))
             self._theta_fk[i] = v
         return v
 

@@ -192,7 +192,7 @@ def suite_scalars(seed=0, max_bucket=10 ** 6):
 # hopf
 # ---------------------------------------------------------------------------
 
-def _gen_elements(datum):
+def _generators(datum):
     out = []
     for i in datum.labels:
         out.append(Element.E(datum, i))
@@ -242,7 +242,7 @@ def suite_hopf(seed=0, max_bucket=10 ** 6):
             checks.append(_check(f"hopf/{name}/serre-E({i},{j})", is_zero(sE, max_bucket)))
             checks.append(_check(f"hopf/{name}/serre-F({i},{j})", is_zero(sF, max_bucket)))
         # coproduct is an algebra map; Hopf axioms on generators + random draws
-        gens = _gen_elements(datum)
+        gens = _generators(datum)
         randoms = [_random_element(rng, datum, max_len=4, n_terms=1) for _ in range(8)]
         okm = True
         for t in range(4):
@@ -287,14 +287,14 @@ def _r_via_coproduct(x, i):
     return out
 
 
-def suite_derivations(seed=0, max_bucket=10 ** 6, words_per_datum=50):
+def suite_derivations(seed=0, max_bucket=10 ** 6):
     checks = []
     rng = random.Random(seed)
     for kind, rank in HOPF_DATA:
         datum = cartan_datum(kind, rank)
         name = _dname(kind, rank)
         ok_comm = ok_sigma = ok_bar = ok_cop = ok_invol = True
-        for _ in range(words_per_datum):
+        for _ in range(50):
             w = _random_word(rng, datum, max_len=4)
             x = Element.E(datum, *w)
             if rng.random() < 0.3 and len(w) > 1:
@@ -354,7 +354,7 @@ def suite_braid(seed=0, max_bucket=10 ** 6):
         w2 = tuple(2 if t % 2 == 0 else 1 for t in range(m))
         ok = all(
             equals(apply_word(w1, g), apply_word(w2, g), max_bucket)
-            for g in _gen_elements(datum)
+            for g in _generators(datum)
         )
         checks.append(_check(f"braid/{tag}/braid-relation", ok))
     for kind, rank in HOPF_DATA:
@@ -364,14 +364,14 @@ def suite_braid(seed=0, max_bucket=10 ** 6):
         ok_sig = True
         ok_bar = True
         ok_t21 = True
-        samples = _gen_elements(datum) + [
+        samples = _generators(datum) + [
             _random_element(rng, datum, max_len=3, n_terms=1) for _ in range(3)
         ]
         for i in datum.labels:
             for e in (1, -1):
                 fwd = BraidOperator(i, True, e)
                 bwd = fwd.inverse()
-                for g in _gen_elements(datum):
+                for g in _generators(datum):
                     ok_inv = ok_inv and equals(
                         apply_braid(bwd, apply_braid(fwd, g)), g, max_bucket
                     )
@@ -861,13 +861,13 @@ def suite_bar_examples(seed=0, max_bucket=10 ** 6):
 # grammar round-trips
 # ---------------------------------------------------------------------------
 
-def suite_roundtrip(seed=0, max_bucket=10 ** 6, n_elements=200):
+def suite_roundtrip(seed=0, max_bucket=10 ** 6):
     checks = []
     rng = random.Random(seed)
     data = [cartan_datum("A", 2), cartan_datum("B", 2), cartan_datum("A", 3)]
     ok = True
     bad = ""
-    for t in range(n_elements):
+    for t in range(200):
         datum = data[t % len(data)]
         x = _random_element(rng, datum, max_len=3, n_terms=rng.randint(1, 3))
         denom = rng.choice((ONE, ONE + Q ** 2, Q - Q ** -1))

@@ -13,7 +13,6 @@ from qcoideal.cartan import (
     datum_to_json,
     enumerate_admissible,
     longest_word,
-    parabolic_rho,
     positive_parabolic_roots,
     rho_check_pairing,
     validate_admissible,
@@ -79,7 +78,7 @@ def test_parabolic_rho():
     a3 = cartan_datum("A", 3)
     # empty X: all pairings vanish
     for j in a3.labels:
-        _, two_rho, _ = parabolic_rho(a3, set())
+        two_rho = validate_admissible(a3, set(), {i: i for i in a3.labels}).two_rho_X
         assert a3.bilinear(a3.simple_root(j), two_rho) == 0
         assert rho_check_pairing(a3, set(), a3.simple_root(j)) == 0
     # single-node parabolic
@@ -287,3 +286,68 @@ def test_named_data_are_built_once_per_process():
     assert datum_from_json(datum_to_json(a3)) is not a3
     with pytest.raises(ValueError):
         cartan_datum("affine:B", 2)
+
+
+def test_atlas_builds_each_parabolic_and_enumeration_once(monkeypatch):
+    import functools
+
+    import qcoideal.cartan as cartan
+    from qcoideal.suites import run_suite
+
+    # named data of their own, so no cache warmed by another test hides a rebuild
+    monkeypatch.setattr(cartan, "_named_datum", functools.cache(cartan._named_datum.__wrapped__))
+    closures, enumerations = [], []
+    build, enumerate_ = cartan._parabolic_data, cartan._enumerate
+
+    def counting_build(datum, X):
+        closures.append((datum, X))
+        return build(datum, X)
+
+    def counting_enumerate(datum):
+        enumerations.append(datum)
+        return enumerate_(datum)
+
+    monkeypatch.setattr(cartan, "_parabolic_data", counting_build)
+    monkeypatch.setattr(cartan, "_enumerate", counting_enumerate)
+    for suite in ("nu-atlas", "bar-z", "bar-examples", "sigma-tau", "qsp-structure"):
+        assert run_suite(suite, seed=0)[0]
+    assert len(closures) == len({(id(d), X) for d, X in closures}) == 72
+    assert len(enumerations) == len({id(d) for d in enumerations}) == 9
+
+
+def test_infinite_type_is_remembered(monkeypatch):
+    import qcoideal.cartan as cartan
+
+    builds = []
+    build = cartan._parabolic_data
+
+    def counting_build(datum, X):
+        builds.append(X)
+        return build(datum, X)
+
+    monkeypatch.setattr(cartan, "_parabolic_data", counting_build)
+    aff = CartanDatum(cartan_datum("affine:A", 2).A)
+    for _ in range(2):
+        with pytest.raises(FiniteTypeError, match="finite type"):
+            longest_word(aff, set(aff.labels))
+    assert builds == [tuple(aff.labels)]
+
+
+def test_enumerated_pairs_are_shared_per_datum():
+    a3 = cartan_datum("A", 3)
+    pairs = enumerate_admissible(a3)
+    assert isinstance(pairs, tuple)
+    assert enumerate_admissible(a3) is pairs
+    fresh = CartanDatum(a3.A)
+    own = enumerate_admissible(fresh)
+    assert own is not pairs and all(p.datum is fresh for p in own)
+    assert [(p.X, p.tau) for p in own] == [(p.X, p.tau) for p in pairs]
+
+
+def test_validate_admissible_builds_a_new_pair_each_call():
+    a3 = cartan_datum("A", 3)
+    tau = {1: 3, 2: 2, 3: 1}
+    first, second = validate_admissible(a3, {2}, tau), validate_admissible(a3, {2}, tau)
+    assert first is not second
+    assert first.wX_word == second.wX_word == (2,)
+    assert first.two_rho_X == second.two_rho_X == a3.simple_root(2)

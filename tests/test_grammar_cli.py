@@ -10,6 +10,7 @@ from qcoideal.grammar import (
     element_from_json,
     element_to_json,
     element_to_text,
+    ScalarParseError,
     parse_element,
     parse_scalar,
     scalar_to_text,
@@ -67,6 +68,12 @@ def test_element_roundtrip_random():
             x = x + Element.monomial(datum, letters[:cut], kvec, letters[cut:], coeff)
         assert parse_element(datum, element_to_text(x)) == x
         assert element_from_json(datum, element_to_json(x)) == x
+
+
+def test_scalar_division_by_zero_is_a_parse_error():
+    for text in ("1/0", "(q-q)^-1"):
+        with pytest.raises(ScalarParseError, match="division by zero"):
+            parse_scalar(text)
 
 
 def test_element_from_json_rejects_unknown_letters():
@@ -232,6 +239,33 @@ def test_cli_internal_lookup_errors_exit_3(monkeypatch, capsys):
         monkeypatch.setattr(cli, "run_suite", raising)
         assert main(["verify", "--suite", "scalars"]) == 3
         assert "internal error: " + type(exc).__name__ in capsys.readouterr().err
+
+
+def test_cli_parameter_errors_are_input_errors(capsys):
+    pair = ["--cartan", "A:3", "--pair", '{"X": [2], "tau": [[1,3]]}']
+    cases = [
+        ('{"c": {"1": "q"}}', "missing parameter c_3"),
+        ('{"c": {"1": "q", "3": "q", "9": "q"}}', "unknown node label 9"),
+        ('{"c": {"1": "q", "3": "q"}, "s": {"9": "q"}}', "unknown node label 9"),
+        ('{"c": {"1": "1/0", "3": "q"}}', "division by zero"),
+        ('{"c": {"1": "(q-q)^-1", "3": "q"}}', "division by zero"),
+    ]
+    for params, message in cases:
+        assert main(pair + ["--params", params, "bar-exists"]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_cli_internal_runtime_errors_exit_3(monkeypatch, capsys):
+    import qcoideal.qsp as qsp
+
+    def leaving_home(self, i):
+        raise RuntimeError("internal: Z element left its graded home")
+
+    monkeypatch.setattr(qsp.QSPContext, "_compute_z", leaving_home)
+    argv = ["--cartan", "A:2", "--pair", '{"X": [], "tau": []}',
+            "--params", '{"c": {"1": "q", "2": "1"}}', "compute", "--what", "Zi", "--i", "1"]
+    assert main(argv) == 3
+    assert "internal error: RuntimeError: internal: Z element" in capsys.readouterr().err
 
 
 def test_run_suite_unknown_name_is_an_input_error():

@@ -208,6 +208,14 @@ def test_parameter_set_membership():
     assert not in_set_C(A2_SWAP, {1: Q, 2: Q ** 2})
 
 
+def test_parameters_report_missing_and_unknown_nodes():
+    with pytest.raises(MembershipError, match="missing parameter c_3"):
+        QSPParameters(AIV, {1: Q})
+    for c, s in (({1: Q, 3: Q, 9: Q}, None), ({1: Q, 3: Q}, {9: Q})):
+        with pytest.raises(ValueError, match="unknown node label 9"):
+            QSPParameters(AIV, c, s)
+
+
 def test_s_membership_uses_column_entries():
     # quasi-split B_2: node 1 sees a_{21} = -2 (allowed), node 2 sees
     # a_{12} = -1 (forbidden); this orientation is the corrected condition

@@ -25,13 +25,19 @@ this is the same canonical form as one Euclid on every pair.
 
 Arithmetic.  A coefficient's components are Python ints when they are
 integral and Fractions only otherwise, so products and sums of integral
-coefficients never build a Fraction.  A sum of two fractions with
-different denominators that are both products of Phi_k is formed over
-their lcm, the larger exponent of each Phi_k, with the multipliers
-lcm / den memoised by their exponent vectors; when either denominator has
-a cofactor, the sum is formed over the product of the two.  A product
-with a unit monomial c * v^k, such as a q-power, only moves and scales the
-numerator and keeps the denominator: it is canonical without normalisation.
+coefficients never build a Fraction.  Every sum that meets a denominator
+other than 1 goes through one n-ary sum, `scalar_sum`: addends over one
+denominator are summed as polynomials, the distinct denominators, when
+all are products of Phi_k, are brought over their lcm, the largest
+exponent of each Phi_k, with the multipliers lcm / den memoised by their
+exponent vectors, and otherwise over their product; the one fraction is
+then normalised once, since a sum of reduced fractions needs only one
+reduction at the end (Knuth, TAOCP vol. 2, 4.5.1).  `Scalar.__add__` is
+its case of two addends, and straightening sums all the addends of a key
+at once.  A sum of polynomials over 1 is canonical as it stands and is
+never normalised.  A product with a unit monomial c * v^k, such as a
+q-power, only moves and scales the numerator and keeps the denominator: it
+is canonical without normalisation.
 """
 
 from __future__ import annotations
@@ -127,7 +133,11 @@ GQ_I = GaussianRational(0, 1)
 # ---------------------------------------------------------------------------
 
 def _padd(p, q):
-    r = dict(p)
+    return _padd_into(dict(p), q)
+
+
+def _padd_into(r, q):
+    """r += q in place; returns r."""
     for e, c in q.items():
         s = r.get(e)
         if s is None:
@@ -430,22 +440,26 @@ def _factored(b):
     return entry
 
 
-def _lcm(b, d):
-    """(lcm / b, lcm / d, lcm) for canonical denominators b and d that are
-    products of Phi_k, taking the larger exponent of each Phi_k; None when
-    either has a cofactor."""
-    fb, cb = _factored(b)
-    fd, cd = _factored(d)
-    if cb is not None or cd is not None:
-        return None
-    mb = {k: m for k, _, m in fb}
-    md = {k: m for k, _, m in fd}
-    top = {k: max(mb.get(k, 0), md.get(k, 0)) for k in mb.keys() | md.keys()}
-    return (
-        _phi_product({k: n - mb.get(k, 0) for k, n in top.items()}),
-        _phi_product({k: n - md.get(k, 0) for k, n in top.items()}),
-        _phi_product(top),
-    )
+def _lcm(*dens):
+    """(multipliers, lcm) for canonical denominators that are products of
+    Phi_k: the lcm takes the largest exponent of each Phi_k, and the
+    multipliers are lcm / den in the order given; None when any has a
+    cofactor."""
+    exponents = []
+    for den in dens:
+        factors, cofactor = _factored(den)
+        if cofactor is not None:
+            return None
+        exponents.append({k: m for k, _, m in factors})
+    top = {}
+    for ex in exponents:
+        for k, m in ex.items():
+            if m > top.get(k, 0):
+                top[k] = m
+    multipliers = [
+        _phi_product({k: n - ex.get(k, 0) for k, n in top.items()}) for ex in exponents
+    ]
+    return multipliers, _phi_product(top)
 
 
 def _cancel(a, b, shift):
@@ -618,16 +632,7 @@ class Scalar:
             object.__setattr__(s, "num", _padd(self.num, other.num))
             object.__setattr__(s, "den", _DEN_ONE)
             return s
-        if self.den == other.den:
-            return Scalar(_padd(self.num, other.num), dict(self.den))
-        lcm = _lcm(self.den, other.den)
-        if lcm is None:
-            return Scalar(
-                _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-                _pmul(self.den, other.den),
-            )
-        ms, mo, den = lcm
-        return Scalar(_padd(_pmul(self.num, ms), _pmul(other.num, mo)), den)
+        return scalar_sum((self, other))
 
     def __sub__(self, other):
         return self + (-other)
@@ -710,6 +715,51 @@ class Scalar:
     def __repr__(self):
         from .grammar import scalar_to_text
         return f"Scalar({scalar_to_text(self)!r})"
+
+
+def scalar_sum(addends) -> Scalar:
+    """The canonical sum of an iterable of Scalars, normalised once.
+
+    Addends over one denominator are summed as polynomials; the groups of
+    distinct denominators are brought over their lcm (`_lcm`), or over
+    their product when any has a cofactor, and the one fraction is
+    reduced by one `Scalar.__init__`.
+    """
+    groups = []  # [denominator, numerator sum]
+    for a in addends:
+        if not a.num:
+            continue
+        for g in groups:
+            if g[0] is a.den or g[0] == a.den:
+                _padd_into(g[1], a.num)
+                break
+        else:
+            groups.append([a.den, dict(a.num)])
+    if not groups:
+        return ZERO
+    if len(groups) == 1:
+        den, num = groups[0]
+        return Scalar(num, den)
+    dens = [g[0] for g in groups]
+    lcm = _lcm(*dens)
+    if lcm is None:
+        # a cofactor: the product of the distinct denominators
+        den = _DEN_ONE
+        for b in dens:
+            den = _pmul(den, b)
+        multipliers = []
+        for t in range(len(dens)):
+            m = _DEN_ONE
+            for u, b in enumerate(dens):
+                if u != t:
+                    m = _pmul(m, b)
+            multipliers.append(m)
+    else:
+        multipliers, den = lcm
+    num = {}
+    for (_, n), m in zip(groups, multipliers):
+        _padd_into(num, _pmul(n, m))
+    return Scalar(num, den)
 
 
 ZERO = Scalar({})

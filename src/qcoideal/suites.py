@@ -599,6 +599,12 @@ def suite_cij(seed=0, max_bucket=10 ** 6):
     return checks
 
 
+def _pair_tag(pair):
+    """(X, tau_pairs) of a pair as sorted tuples."""
+    X = tuple(sorted(pair.X))
+    return X, tuple(sorted((a, b) for a, b in pair.tau.items() if a < b))
+
+
 def _serre_tasks():
     """One sweep task (kind, rank, X, tau_pairs) per admissible atlas pair
     with an ordered pair (i, j) of distinct nodes."""
@@ -608,9 +614,7 @@ def _serre_tasks():
         if datum.n < 2:
             continue
         for pair in enumerate_admissible(datum):
-            X = tuple(sorted(pair.X))
-            tp = tuple(sorted((a, b) for a, b in pair.tau.items() if a < b))
-            tasks.append((kind, rank, X, tp))
+            tasks.append((kind, rank) + _pair_tag(pair))
     return tasks
 
 
@@ -627,10 +631,15 @@ def _serre_case(params, i, j, max_bucket):
 
 
 def _serre_group(args):
-    """Check every ordered (i, j) of one pair, built once with its default
-    parameters; a case that raises becomes that case's failing record."""
+    """Check every ordered (i, j) of one pair, taken from its datum's
+    enumerated pairs, with its default parameters; a case that raises
+    becomes that case's failing record."""
     kind, rank, X, tau_pairs, max_bucket = args
-    params = _default_params(_build_pair(kind, rank, X, tau_pairs))
+    pair = next(
+        p for p in enumerate_admissible(cartan_datum(kind, rank))
+        if _pair_tag(p) == (X, tau_pairs)
+    )
+    params = _default_params(pair)
     checks = []
     for i, j in itertools.permutations(params.datum.labels, 2):
         tag = f"serre/{kind}{rank}/X={list(X)}/tau={list(tau_pairs)}/({i},{j})"

@@ -24,7 +24,20 @@ Every q-power q^{(beta, gamma)} that straightening, the coproduct, the
 involutions and the zero walk meet is carried as the integer v-exponent
 2 (beta, gamma), read off the datum's integer Gram matrix, and reaches a
 coefficient as one `Scalar.shifted`: v^k is a unit, so the shifted
-coefficient is canonical without normalisation.
+coefficient is canonical without normalisation.  Within each letter pass
+of a product and in its final collection, coefficients over 1 are summed
+as they meet, and the addends of a key that meet a denominator other than
+1 are summed once, by `scalar_sum`, when the pass ends.
+
+Normal-ordered monomials are a basis of the algebra without Serre
+relations that straightening works in, so two expressions of one element
+of that algebra straighten to the same terms.  The Serre polynomial
+F_ij(x, y) = sum_n (-1)^n [m choose n]_{q_i} x^{m-n} y x^n, m = 1 - a_ij,
+is therefore built as the iterated q-commutator (ad_q x)^m (y): left and
+right multiplication by x commute, and by the q-binomial theorem
+prod_{k<m} (L_x - q_i^{m-1-2k} R_x) is the binomial sum (Jantzen,
+*Lectures on Quantum Groups*, 1996, ch. 4), with 2m products instead of
+3m + 2.
 Memo tables (word weights, the E-past-F pushes, 1/(q_i - q_i^{-1}) and
 the good words) live in the datum's declared `caches` under "weight",
 "push", "efinv" and "good".
@@ -35,7 +48,7 @@ from __future__ import annotations
 from operator import mul
 
 from .cartan import FiniteTypeError, positive_parabolic_roots, vec_sub
-from .scalars import ONE, Scalar, ZERO
+from .scalars import ONE, Scalar, ZERO, scalar_sum
 
 class ZeroTestGuardError(RuntimeError):
     """A graded bucket exceeded the word-evaluation guard of the zero test."""
@@ -66,6 +79,40 @@ def _add_term(out, key, c):
         out[key] = s
     elif prev is not None:
         del out[key]
+
+
+def _gather(out, key, c):
+    """out[key] += c, except that a sum meeting a denominator other than 1
+    is deferred: the key holds the list of its addends until `_settle`."""
+    prev = out.get(key)
+    if prev is None:
+        out[key] = c
+    elif prev.__class__ is list:
+        prev.append(c)
+    elif len(prev.den) == 1 and len(c.den) == 1:
+        s = prev + c
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+    else:
+        out[key] = [prev, c]
+
+
+def _settle(out):
+    """Sum every deferred key of `_gather` with one normalisation, dropping
+    the sums that vanish; returns out."""
+    zero = []
+    for key, c in out.items():
+        if c.__class__ is list:
+            s = scalar_sum(c)
+            if s:
+                out[key] = s
+            else:
+                zero.append(key)
+    for key in zero:
+        del out[key]
+    return out
 
 
 def _ef_inverse(datum, i) -> Scalar:
@@ -239,8 +286,8 @@ class Element:
                 nxt = {}
                 for key, c in cur.items():
                     for nkey, pc in _mono_times_E(datum, key, i, c):
-                        _add_term(nxt, nkey, pc)
-                cur = nxt
+                        _gather(nxt, nkey, pc)
+                cur = _settle(nxt)
             if any(k2):
                 # distinct monomials stay distinct: nothing to collect
                 nxt = {}
@@ -249,8 +296,8 @@ class Element:
                     nxt[nkey] = c.shifted(x)
                 cur = nxt
             for (e, k, f), c in cur.items():
-                _add_term(out, (e, k, f + f2), c)
-        return Element(datum, out)
+                _gather(out, (e, k, f + f2), c)
+        return Element(datum, _settle(out))
 
     def __pow__(self, n):
         if n < 0:
@@ -529,20 +576,26 @@ def bar_element(a: Element) -> Element:
 
 
 def sigma(a: Element) -> Element:
-    """Algebra antiautomorphism with sigma(E_i)=E_i, sigma(F_i)=F_i, sigma(K)=K^{-1}."""
+    """Algebra antiautomorphism with sigma(E_i)=E_i, sigma(F_i)=F_i, sigma(K)=K^{-1}.
+
+    An F-free term E_e K_k maps to K_{-k} E_{rev e} = v^{2 (-k, wt e)}
+    E_{rev e} K_{-k}, already in normal order; a term with F-letters maps
+    to the straightened product K_{-k} F_{rev f} E_{rev e}.
+    """
     datum = a.datum
-    out = Element.zero(datum)
+    out = {}
     for (e, k, f), c in a.terms.items():
         mk = tuple(-x for x in k)
-        if not f and not e:
-            out = out + Element.monomial(datum, (), mk, (), c)
+        if not f:
+            _add_term(out, (e[::-1], mk, ()), c.shifted(_vexp(datum, mk, e)))
             continue
         coeff = c.shifted(_vexp(datum, mk, f))
-        left = Element.monomial(datum, (), mk, tuple(reversed(f)), coeff)
+        left = Element.monomial(datum, (), mk, f[::-1], coeff)
         if e:
             left = left * Element.E(datum, *reversed(e))
-        out = out + left
-    return out
+        for key, cc in left.terms.items():
+            _add_term(out, key, cc)
+    return Element(datum, out)
 
 
 def omega(a: Element) -> Element:
@@ -800,18 +853,19 @@ def tensor_equals(s: Tensor, t: Tensor, max_bucket: int = 10 ** 6) -> bool:
 
 
 def serre_polynomial(datum, i, j, x: Element, y: Element) -> Element:
-    """F_ij(x, y) = sum_n (-1)^n [1-a_ij choose n]_{q_i} x^{1-a_ij-n} y x^n."""
-    from .scalars import qbinom_eps
+    """F_ij(x, y) = sum_n (-1)^n [m choose n]_{q_i} x^{m-n} y x^n, m = 1 - a_ij,
+    built as the iterated q-commutator z <- x z - q_i^{m-1-2k} z x for
+    k = 0..m-1, starting from z = y.
 
+    Left and right multiplication by x commute, so by the q-binomial theorem
+    prod_k (L_x - q_i^{m-1-2k} R_x) = sum_n (-1)^n [m choose n]_{q_i}
+    L_x^{m-n} R_x^n: both forms are the same element of the algebra without
+    Serre relations that straightening works in, whose normal-ordered
+    monomials are a basis, so they have the same terms.
+    """
     m = 1 - datum.a(i, j)
     eps = datum.epsilon(i)
-    powers = [Element.one(datum)]
-    for _ in range(m):
-        powers.append(powers[-1] * x)
-    out = Element.zero(datum)
-    for nn in range(m + 1):
-        coeff = qbinom_eps(m, nn, eps)
-        if nn % 2:
-            coeff = -coeff
-        out = out + (powers[m - nn] * y * powers[nn]).scale(coeff)
-    return out
+    z = y
+    for k in range(m):
+        z = x * z - (z * x).scale(Scalar.v_pow(2 * eps * (m - 1 - 2 * k)))
+    return z

@@ -3,6 +3,7 @@ import weakref
 
 import pytest
 
+import qcoideal.cartan as cartan_mod
 import qcoideal.qsp as qsp_mod
 import qcoideal.suites as suites
 import qcoideal.uqg as uqg
@@ -279,7 +280,24 @@ def test_sweep_task_builds_the_serre_polynomial_once(monkeypatch):
     assert all(c["ok"] for c in checks)
     cases = [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
     assert calls == cases
-    assert len(validations) == 1
+    assert validations == []  # the pair comes from its datum's enumeration
+
+
+def test_serre_sweep_validates_no_pair(monkeypatch):
+    """Every sweep group takes its pair from the enumeration that listed
+    it, so the sweep builds no pair of its own."""
+    validations = []
+
+    def counting_validate(*args):
+        validations.append(args)
+        raise AssertionError("the sweep validated a pair")
+
+    for module in (cartan_mod, suites):
+        monkeypatch.setattr(module, "validate_admissible", counting_validate)
+    monkeypatch.setattr(suites, "_serre_case", lambda params, i, j, max_bucket: (True, ""))
+    ok, checks = suites.run_suite("serre-oracle-sweep")
+    assert ok and len(checks) == 268
+    assert validations == []
 
 
 def test_sweep_failing_case_becomes_a_record(monkeypatch):

@@ -292,13 +292,49 @@ def test_normaliser_matches_sympy_cancel():
     check()
 
 
+def _sympy_sum(sympy, to_sympy, addends):
+    """sympy's reduction of a sum of Scalars as (k, p, q), the sum being
+    v^k p / q with p(0) != 0, q(0) != 0 and q monic; None for zero."""
+    sides = [(to_sympy(a.num), to_sympy(a.den)[0]) for a in addends]
+    k = min(ka for (_, ka), _ in sides)
+    shift = sympy.Poly(sympy.Symbol("v"), sides[0][0][0].gens[0], domain="QQ_I")
+    top = bottom = None
+    for t, ((an, ka), _) in enumerate(sides):
+        term = an * shift ** (ka - k)
+        for u, (_, ad) in enumerate(sides):
+            if u != t:
+                term = term * ad
+        top = term if top is None else top + term
+        bottom = sides[t][1] if bottom is None else bottom * sides[t][1]
+    if top.is_zero:
+        return None
+    # the product of the denominators has no factor v
+    p, q = top.cancel(bottom, include=True)
+    j = min(m for (m,) in p.monoms())
+    return k + j, p.exquo(shift ** j).mul_ground(1 / q.LC()), q.monic()
+
+
 def test_sum_matches_sympy_cancel():
     """a + b for a = n1 / d1 and b = n2 / d2: both denominators pure
-    cyclotomic (the lcm path), or either with a cofactor (the product)."""
+    cyclotomic (the lcm path), or either with a cofactor (the product);
+    and the n-ary `scalar_sum` of three or four such fractions, one of
+    them cancelled by its negative in some draws."""
     sympy, to_sympy, side, build = _sympy_sides()
     from hypothesis import given, settings
+    from hypothesis import strategies as st
 
     paths = {"lcm": 0, "product": 0}
+
+    def agrees(s, addends):
+        expected = _sympy_sum(sympy, to_sympy, addends)
+        if expected is None:
+            assert s == ZERO
+            return
+        k, p, q = expected
+        (sn, ks), (sd, kd) = to_sympy(s.num), to_sympy(s.den)
+        assert kd == 0 and ks == k
+        assert sd == q
+        assert sn == p
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(side, side, side, side)
@@ -306,26 +342,24 @@ def test_sum_matches_sympy_cancel():
         a = build(*n1) / build(*d1)
         b = build(*n2) / build(*d2)
         paths["product" if scalars._lcm(a.den, b.den) is None else "lcm"] += 1
-        (an, ka), (ad, _) = to_sympy(a.num), to_sympy(a.den)
-        (bn, kb), (bd, _) = to_sympy(b.num), to_sympy(b.den)
-        k = min(ka, kb)
-        shift = sympy.Poly(sympy.Symbol("v"), an.gens[0], domain="QQ_I")
-        top = an * bd * shift ** (ka - k) + bn * ad * shift ** (kb - k)
-        s = a + b
-        if top.is_zero:
-            assert s == ZERO
-            return
-        # sympy's reduction of v^k * top / (ad * bd); ad * bd has no factor v
-        p, q = top.cancel(ad * bd, include=True)
-        j = min(m for (m,) in p.monoms())
-        p = p.exquo(shift ** j)
-        (sn, ks), (sd, kd) = to_sympy(s.num), to_sympy(s.den)
-        assert kd == 0 and ks == k + j
-        assert sd == q.monic()
-        assert sn == p.mul_ground(1 / q.LC())
+        agrees(a + b, [a, b])
 
     check()
     assert paths["lcm"] and paths["product"]
+
+    sizes = {"cancelled": 0, "nonzero": 0}
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(side, side), min_size=3, max_size=4), st.booleans())
+    def check_nary(fractions, cancel):
+        addends = [build(*n) / build(*d) for n, d in fractions]
+        if cancel:
+            addends.append(-addends[0])
+        sizes["cancelled" if cancel else "nonzero"] += 1
+        agrees(scalars.scalar_sum(addends), addends)
+
+    check_nary()
+    assert sizes["cancelled"] and sizes["nonzero"]
 
 
 def test_sum_is_formed_over_the_lcm(monkeypatch):
@@ -344,6 +378,66 @@ def test_sum_is_formed_over_the_lcm(monkeypatch):
     s = a + b
     assert degrees == [24]
     assert s * qfact(4) == qint(4) + ONE
+
+
+def _sum_pool():
+    """Addends over 1, over products of Phi_k, with a cofactor, and
+    Gaussian numerators over Phi_4 that may share one of its halves."""
+    phi4 = V ** 2 + ONE
+    return [
+        ONE, V ** -2, qint(3) + V, Scalar.gaussian(2, -1) * V ** 3,
+        qfact(3).inverse(), qfact(4).inverse() * qint(2), (Q - Q ** -1).inverse(),
+        (ONE - Q ** 4).inverse() * V, qfact(2).inverse() * Q ** 3,
+        (V ** 2 + _n(3)).inverse(), (V - _n(2)) / ((V ** 4 - ONE) * (V ** 2 + _n(3))),
+        (V + _n(2) * I_UNIT) / phi4, (V - I_UNIT) * V / phi4 ** 2, I_UNIT / phi4,
+    ]
+
+
+def test_scalar_sum_is_the_left_fold(monkeypatch):
+    """scalar_sum equals the left fold of + on random lists, including
+    lists whose addends cancel, with at most one normalisation."""
+    from functools import reduce
+
+    pool = _sum_pool()
+    rng = random.Random(31)
+    inits = []
+    original_init = Scalar.__init__
+
+    def counting_init(self, num, den=None, _reduced=False):
+        inits.append(den)
+        original_init(self, num, den, _reduced)
+
+    zeros = 0
+    for _ in range(80):
+        addends = [rng.choice(pool) * rng.choice((ONE, -ONE, Q, _n(3))) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.3:
+            addends += [-x for x in addends[:rng.randint(1, len(addends))]]
+        rng.shuffle(addends)
+        folded = reduce(lambda x, y: x + y, addends, ZERO)
+        monkeypatch.setattr(Scalar, "__init__", counting_init)
+        s = scalars.scalar_sum(addends)
+        monkeypatch.setattr(Scalar, "__init__", original_init)
+        assert len(inits) <= 1
+        inits.clear()
+        assert s == folded
+        assert Scalar(dict(s.num), dict(s.den)) == s
+        zeros += not s
+    assert zeros
+    assert scalars.scalar_sum([]) == ZERO
+
+
+def test_braid_image_products_have_canonical_coefficients():
+    """Straightening sums the coefficients that meet on a key once, over
+    their lcm: every coefficient comes out canonical."""
+    rng = random.Random(32)
+    g2 = cartan_datum("G", 2)
+    gens = [Element.E(g2, 1), Element.E(g2, 2), Element.F(g2, 1), Element.F(g2, 2)]
+    images = [apply_word(w, x) for w in ((1, 2), (2, 1, 2)) for x in gens]
+    for _ in range(6):
+        prod = rng.choice(images) * rng.choice(images)
+        assert prod.terms
+        for c in prod.terms.values():
+            assert c and Scalar(dict(c.num), dict(c.den)) == c
 
 
 # -- coefficients: ints when integral, Fractions otherwise --

@@ -4,7 +4,7 @@ import pytest
 
 from qcoideal.braid import apply_braid, braid_T
 from qcoideal.cartan import CartanDatum, cartan_datum
-from qcoideal.scalars import ONE, Scalar
+from qcoideal.scalars import I_UNIT, ONE, Scalar, qbinom_eps, qint
 from qcoideal.uqg import (
     Element,
     ZeroTestGuardError,
@@ -309,3 +309,63 @@ def test_elements_of_two_data_do_not_mix():
         coproduct(x) + coproduct(y)
     with pytest.raises(ValueError):
         coproduct(x).as_element()
+
+
+def _serre_binomial(datum, i, j, x, y):
+    """The Serre polynomial in its binomial form,
+    sum_n (-1)^n [m choose n]_{q_i} x^{m-n} y x^n with m = 1 - a_ij."""
+    m = 1 - datum.a(i, j)
+    eps = datum.epsilon(i)
+    out = Element.zero(datum)
+    for n in range(m + 1):
+        coeff = qbinom_eps(m, n, eps)
+        if n % 2:
+            coeff = -coeff
+        out = out + (x ** (m - n) * y * x ** n).scale(coeff)
+    return out
+
+
+def test_serre_polynomial_matches_the_binomial_form():
+    """The iterated q-commutator has the terms of the binomial form, for
+    a_ij = 0, -1, -2, -3 and non-homogeneous x, y with E, K and F parts."""
+    V = Scalar.v_pow(1)
+    coeffs = [ONE, Q, (V ** 2 + Scalar.from_int(3)).inverse(), qint(2).inverse(), I_UNIT * V - ONE]
+
+    def draw(rng, datum, i):
+        out = Element.zero(datum)
+        for e, f in (((i,), ()), ((), (i,)), ((), ())):
+            k = tuple(rng.randint(-1, 1) for _ in range(datum.n))
+            out = out + Element.monomial(datum, e, k, f, rng.choice(coeffs))
+        return out
+
+    rng = random.Random(10)
+    a1xa1 = CartanDatum([[2, 0], [0, 2]])
+    b2, g2 = cartan_datum("B", 2), cartan_datum("G", 2)
+    cases = [(a1xa1, 1, 2), (A2, 1, 2), (b2, 1, 2), (b2, 2, 1), (g2, 1, 2), (g2, 2, 1)]
+    assert sorted({d.a(i, j) for d, i, j in cases}) == [-3, -2, -1, 0]
+    for datum, i, j in cases:
+        x, y = draw(rng, datum, i), draw(rng, datum, j)
+        new = serre_polynomial(datum, i, j, x, y)
+        assert new.terms and new == _serre_binomial(datum, i, j, x, y)
+    # the Serre relation itself, on the generators
+    for datum, i, j in cases:
+        Ei, Ej = Element.E(datum, i), Element.E(datum, j)
+        assert serre_polynomial(datum, i, j, Ei, Ej) == _serre_binomial(datum, i, j, Ei, Ej)
+
+
+def test_sigma_of_f_free_terms_is_the_straightened_product():
+    """sigma(E_e K_k) = K_{-k} E_{rev e}, key for key, for random F-free
+    elements."""
+    rng = random.Random(11)
+    for datum in (A2, cartan_datum("B", 2), cartan_datum("G", 2)):
+        for _ in range(6):
+            x = Element.zero(datum)
+            for _ in range(4):
+                e = tuple(rng.choice(datum.labels) for _ in range(rng.randint(0, 3)))
+                k = tuple(rng.randint(-2, 2) for _ in range(datum.n))
+                x = x + Element.monomial(datum, e, k, (), Scalar.q_pow(rng.randint(-2, 2)) + ONE)
+            expected = Element.zero(datum)
+            for (e, k, _f), c in x.terms.items():
+                mk = tuple(-b for b in k)
+                expected = expected + (Element.K(datum, mk) * Element.E(datum, *reversed(e))).scale(c)
+            assert sigma(x) == expected

@@ -8,40 +8,44 @@ everything else extends multiplicatively.
 The transcription is pinned down by conformance identities (mutual
 inverses, braid relations, the sigma and bar intertwiners, and the
 weight-twist relation between the two families), which the test suite
-checks on every datum it touches.  Generator images are memoised in the
-datum's declared `caches` under "braid"; the twists T_{w_X}(E_j) of
-symmetric pairs under "twist" (`qsp.QSPContext.twisted`).
+checks on every datum it touches.
+
+Each operator is an algebra automorphism (Lusztig, *Introduction to
+Quantum Groups*, 1993, ch. 37), so the image of an E- or F-word is the
+image of the word without its last letter times the image of that letter.
+These images carry no coefficient and are memoised per prefix in the
+datum's declared `caches` under "braid", keyed by (i, e, family, E or F,
+word), with one object per distinct monomial and coefficient drawn from
+"braid-pool".  A monomial's image is its E-word's image times K_{s_i beta}
+times its F-word's image, scaled once by its coefficient.  The twists
+T_{w_X}(E_j) of symmetric pairs are memoised under "twist"
+(`qsp.QSPContext.twisted`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 from .scalars import ONE, Scalar, qfact
-from .uqg import Element
-
-
-def _divided_power_coeff(datum, i, n) -> Scalar:
-    return qfact(n, datum.epsilon(i)).inverse()
+from .uqg import Element, _gather, _settle
 
 
 def _image_E(datum, i, e, double_prime, j) -> Element:
     """Image of E_j under T^(family)_{i,e}."""
     eps = datum.epsilon(i)
     if j == i:
-        alpha = datum.simple_root(i)
-        if double_prime:
-            # -F_i K_i^e, normal ordered
-            k = tuple(e * x for x in alpha)
-            return Element.monomial(datum, (), k, (i,), -Scalar.v_pow(4 * e * eps))
-        k = tuple(e * x for x in alpha)
-        return Element.monomial(datum, (), k, (i,), -ONE)
+        # double prime: -F_i K_i^e, normal ordered
+        k = tuple(e * x for x in datum.simple_root(i))
+        c = -Scalar.v_pow(4 * e * eps) if double_prime else -ONE
+        return Element.monomial(datum, (), k, (i,), c)
     m = -datum.a(i, j)
     out = Element.zero(datum)
     zero = datum.zero_vector()
     for r in range(m + 1):
         s = m - r
-        coeff = _divided_power_coeff(datum, i, r) * _divided_power_coeff(datum, i, s)
+        coeff = qfact(r, eps).inverse() * qfact(s, eps).inverse()
         if double_prime:
             coeff = coeff * Scalar.v_pow(-2 * e * eps * r)
             word = (i,) * s + (j,) + (i,) * r
@@ -54,18 +58,30 @@ def _image_E(datum, i, e, double_prime, j) -> Element:
     return out
 
 
-def _gen_image(datum, i, e, double_prime, kind, j) -> Element:
+def _word_image(datum, op, kind, word) -> Element:
+    """Image of the nonempty E- or F-word (kind "E" or "F") under the
+    operator, memoised per prefix."""
     cache = datum.caches["braid"]
-    key = (i, e, double_prime, kind, j)
-    img = cache.get(key)
-    if img is None:
-        if kind == "E":
-            img = _image_E(datum, i, e, double_prime, j)
-        else:
-            # the mirror of T_{i,-e}(E_j)
-            mirror = _image_E(datum, i, -e, double_prime, j).terms
-            img = Element(datum, {(f[::-1], k, w[::-1]): c for (w, k, f), c in mirror.items()})
-        cache[key] = img
+    img = cache.get((op.i, op.e, op.double_prime, kind, word))
+    if img is not None:
+        return img
+    pool = datum.caches["braid-pool"]
+    for n in range(1, len(word) + 1):
+        key = (op.i, op.e, op.double_prime, kind, word[:n])
+        nxt = cache.get(key)
+        if nxt is None:
+            if n > 1:
+                nxt = img * _word_image(datum, op, kind, word[n - 1:n])
+            elif kind == "E":
+                nxt = _image_E(datum, op.i, op.e, op.double_prime, word[0])
+            else:
+                # the mirror of T_{i,-e}(E_j)
+                mirror = _image_E(datum, op.i, -op.e, op.double_prime, word[0]).terms
+                nxt = Element(datum, {(f[::-1], k, w[::-1]): c for (w, k, f), c in mirror.items()})
+            # the images repeat most monomials and coefficients: hold one of each
+            nxt.terms = {pool.setdefault(m, m): pool.setdefault(c, c) for m, c in nxt.terms.items()}
+            cache[key] = nxt
+        img = nxt
     return img
 
 
@@ -90,36 +106,35 @@ def braid_T(datum, i) -> BraidOperator:
 def apply_braid(op: BraidOperator, a: Element) -> Element:
     """Apply the operator monomialwise as an algebra map; K_beta -> K_{s_i beta}."""
     datum = a.datum
-    out = Element.zero(datum)
+    out = {}
     for (e_word, k, f_word), c in a.terms.items():
-        prod = Element.unit(datum, c)
-        for letter in e_word:
-            prod = prod * _gen_image(datum, op.i, op.e, op.double_prime, "E", letter)
+        parts = [_word_image(datum, op, "E", e_word)] if e_word else []
         if any(k):
-            prod = prod * Element.K(datum, datum.reflect(op.i, k))
-        for letter in f_word:
-            prod = prod * _gen_image(datum, op.i, op.e, op.double_prime, "F", letter)
-        out = out + prod
-    return out
+            parts.append(Element.K(datum, datum.reflect(op.i, k)))
+        if f_word:
+            parts.append(_word_image(datum, op, "F", f_word))
+        img = reduce(mul, parts) if parts else Element.one(datum)
+        for key, x in img.terms.items():
+            _gather(out, key, x * c)
+    return Element(datum, _settle(out))
+
+
+def _along(word, a, check_reduced, inverse):
+    """T_w along a reduced word (the last letter acts first), or T_w^{-1}."""
+    word = tuple(word)
+    if check_reduced and not a.datum.is_reduced(word):
+        raise ValueError(f"word {word} is not reduced")
+    for i in (word if inverse else reversed(word)):
+        op = BraidOperator(i)
+        a = apply_braid(op.inverse() if inverse else op, a)
+    return a
 
 
 def apply_word(word, a: Element, check_reduced: bool = True) -> Element:
     """T_w for w given by a reduced word (left-to-right product of T_i)."""
-    datum = a.datum
-    word = tuple(word)
-    if check_reduced and not datum.is_reduced(word):
-        raise ValueError(f"word {word} is not reduced")
-    for i in reversed(word):
-        a = apply_braid(BraidOperator(i), a)
-    return a
+    return _along(word, a, check_reduced, inverse=False)
 
 
 def inverse_word(word, a: Element, check_reduced: bool = True) -> Element:
     """T_w^{-1} along the same reduced word."""
-    datum = a.datum
-    word = tuple(word)
-    if check_reduced and not datum.is_reduced(word):
-        raise ValueError(f"word {word} is not reduced")
-    for i in word:
-        a = apply_braid(BraidOperator(i, double_prime=False, e=-1), a)
-    return a
+    return _along(word, a, check_reduced, inverse=True)

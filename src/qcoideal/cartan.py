@@ -116,10 +116,11 @@ class CartanDatum:
         # an infinite-type X), "pairs" (the enumerated admissible pairs under
         # None), "weight" (word weights), "efinv", "push" and "good" (uqg;
         # good-word prefixes per weight, the good Lyndon words under None),
-        # "braid" (braid generator images), "twist" (qsp).  A named datum is
-        # built once per process (`cartan_datum`), so its caches, and with
-        # them its enumerated pairs and their QSP contexts, live for the
-        # whole process.
+        # "braid" (braid images of E- and F-words, per prefix), "braid-pool"
+        # (one object per monomial and coefficient of those images), "twist"
+        # (qsp).  A named datum is built once per process (`cartan_datum`),
+        # so its caches, and with them its enumerated pairs and their QSP
+        # contexts, live for the whole process.
         self.caches = defaultdict(dict)
 
     @property

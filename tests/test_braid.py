@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from qcoideal.braid import BraidOperator, apply_braid, apply_word, braid_T, inverse_word
+from qcoideal.braid import (
+    BraidOperator,
+    _image_E,
+    apply_braid,
+    apply_word,
+    braid_T,
+    inverse_word,
+)
 from qcoideal.cartan import CartanDatum, cartan_datum, validate_admissible
 from qcoideal.grammar import parse_element
 from qcoideal.scalars import Scalar, qfact
@@ -48,6 +55,14 @@ def test_divided_power_formula_doubly_laced():
     assert got == expect
     pair = validate_admissible(b2, {2}, {1: 1, 2: 2})
     assert equals(apply_word(pair.wX_word, Element.E(b2, 1)), got)
+
+
+def test_long_word_images_are_built_iteratively():
+    # a word image is built one prefix at a time, so the length of an input
+    # word is not bounded by the interpreter's recursion limit
+    a3 = CartanDatum(cartan_datum("A", 3).A)
+    x = Element.E(a3, *(3,) * 1200)
+    assert apply_braid(braid_T(a3, 1), x) == x
 
 
 def test_apply_word_checks_reducedness():
@@ -164,3 +179,58 @@ def test_f_images_are_pinned(kind, i, j, dp, e):
     datum = cartan_datum(kind, 2)
     got = apply_braid(BraidOperator(i, dp, e), Element.F(datum, j))
     assert got == parse_element(datum, F_IMAGES[kind, i, j, dp, e])
+
+
+def _reference_braid(op, a):
+    """The operator as the product of its generator images, rebuilt for
+    every monomial with the coefficient multiplied in first: no memo."""
+    datum = a.datum
+
+    def image(kind, j):
+        if kind == "E":
+            return _image_E(datum, op.i, op.e, op.double_prime, j)
+        mirror = _image_E(datum, op.i, -op.e, op.double_prime, j).terms
+        return Element(datum, {(f[::-1], k, w[::-1]): c for (w, k, f), c in mirror.items()})
+
+    out = Element.zero(datum)
+    for (e_word, k, f_word), c in a.terms.items():
+        prod = Element.unit(datum, c)
+        for letter in e_word:
+            prod = prod * image("E", letter)
+        if any(k):
+            prod = prod * Element.K(datum, datum.reflect(op.i, k))
+        for letter in f_word:
+            prod = prod * image("F", letter)
+        out = out + prod
+    return out
+
+
+def _random_element(datum, rng):
+    coeffs = (Scalar.from_int(1), Q, -Q ** -2, qfact(2, 1).inverse(), Scalar.from_int(3))
+    labels = datum.labels
+    # one word as both E- and F-word, so an image memoised for one kind
+    # would answer for the other
+    w = (labels[0], labels[-1])
+    out = Element.monomial(datum, w, datum.zero_vector(), w, rng.choice(coeffs))
+    for _ in range(3):
+        e = tuple(rng.choice(labels) for _ in range(rng.randint(0, 3)))
+        f = tuple(rng.choice(labels) for _ in range(rng.randint(0, 2)))
+        k = tuple(rng.randint(-1, 1) for _ in labels)
+        out = out + Element.monomial(datum, e, k, f, rng.choice(coeffs))
+    return out
+
+
+@pytest.mark.parametrize("kind, rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3)])
+def test_memoised_images_match_per_monomial_products(kind, rank):
+    # every operator runs on the same fresh datum, so each one after the
+    # first finds the memo filled by the others: a memo key that lost the
+    # node, the sign, the family or the kind returns a wrong image
+    datum = CartanDatum(cartan_datum(kind, rank).A)
+    rng = random.Random(11 * rank + ord(kind))
+    elems = [_random_element(datum, rng) for _ in range(3)]
+    for i in datum.labels:
+        for dp in (True, False):
+            for e in (1, -1):
+                op = BraidOperator(i, dp, e)
+                for x in elems:
+                    assert apply_braid(op, x) == _reference_braid(op, x)

@@ -4,9 +4,10 @@ Every "zero" or "equal" verdict trusts straightening and the zero walk, so
 a bug in either one must fail loudly.  Each mutant patches one point with
 monkeypatch: the sign of the E-F commutator, the q-power that K picks up
 moving past an F-word, the q-power of a letter deletion in the zero walk,
-and the table of good words along which the walk deletes letters.  The unpatched engine passes every check, and each mutant fails the
-check named for it.  Each check builds a fresh datum, so no cache filled by
-the unpatched engine hides a mutant.
+the table of good words along which the walk deletes letters, and the key
+of the memo of braid images of words.  The unpatched engine passes every
+check, and each mutant fails the check named for it.  Each check builds a
+fresh datum, so no cache filled by the unpatched engine hides a mutant.
 """
 
 import sys
@@ -14,6 +15,7 @@ import sys
 import pytest
 
 from qcoideal import uqg
+from qcoideal.braid import BraidOperator, apply_braid
 from qcoideal.cartan import CartanDatum
 from qcoideal.scalars import Scalar
 from qcoideal.uqg import Element, equals, is_zero, serre_polynomial
@@ -54,11 +56,22 @@ def check_q_commutator():
     return not is_zero(E1 * E2 - (E2 * E1).scale(Q ** -1))
 
 
+def check_braid_inverse_warm():
+    """T'_{1,-1}(T''_{1,1}(x)) = x for x = E_1 E_2, after T''_{1,-1} has
+    memoised the images of the words of x."""
+    d = _a2()
+    x = Element.E(d, 1, 2)
+    apply_braid(BraidOperator(1, True, -1), x)
+    op = BraidOperator(1, True, 1)
+    return equals(apply_braid(op.inverse(), apply_braid(op, x)), x)
+
+
 CHECKS = {
     "ef-commutator": check_ef_commutator,
     "k-past-f": check_k_past_f,
     "quantum-serre": check_quantum_serre,
     "q-commutator": check_q_commutator,
+    "braid-inverse-warm": check_braid_inverse_warm,
 }
 
 
@@ -103,11 +116,33 @@ def drop_good_word(monkeypatch):
     monkeypatch.setattr(uqg, "_good_prefixes", mutant)
 
 
+def drop_braid_sign(monkeypatch):
+    """Key the braid word-image memo of every new datum without the sign e,
+    (i, e, double_prime, kind, word) -> (i, double_prime, kind, word), so an
+    image memoised for one sign answers for the other."""
+
+    class SignBlind(dict):
+        def get(self, key, default=None):
+            return dict.get(self, key[:1] + key[2:], default)
+
+        def __setitem__(self, key, value):
+            dict.__setitem__(self, key[:1] + key[2:], value)
+
+    original = CartanDatum.__init__
+
+    def mutant(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        self.caches["braid"] = SignBlind()
+
+    monkeypatch.setattr(CartanDatum, "__init__", mutant)
+
+
 MUTANTS = [
     ("ef-commutator", negate_ef_inverse),
     ("k-past-f", shift_k_past_f),
     ("quantum-serre", drop_deletion_qpower),
     ("q-commutator", drop_good_word),
+    ("braid-inverse-warm", drop_braid_sign),
 ]
 
 

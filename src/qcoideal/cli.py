@@ -337,7 +337,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (KeyError, AssertionError, RuntimeError) as exc:
+    except (KeyError, AssertionError, RuntimeError, ArithmeticError) as exc:
+        # ArithmeticError: a polynomial division the engine takes to be exact
+        # is not; a division by zero in the input is a ScalarParseError above
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

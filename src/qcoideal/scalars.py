@@ -12,36 +12,35 @@ check.
 
 Normalisation.  The denominators the engine meets, from 1/[n]_{q_i}!,
 (q_i - q_i^-1)^-1 and 1 - q^(2(a_i, a_j)), are products of cyclotomic
-polynomials Phi_k(v).  Each distinct denominator b is factored once, as
-b = lead * prod Phi_k^m_k * cofactor, and the factorisation is cached under
-a key of Python ints; a float test at e^(2 pi i / k) preselects the
-candidate k, and exact division confirms each factor.  A numerator is then
-reduced by trial division in integers, dividing by each Phi_k of b at most
-m_k times, and the reduced denominator is built from the factorisation and
-memoised.  Euclid (`_poly_gcd`) runs only on the cofactor, such as the
-v^2 + 3 of a user parameter c_i = 1/(v^2 + 3), and on the halves of Phi_k
-(4 | k) that a Gaussian numerator may share.  The monic gcd is unique, so
-this is the same canonical form as one Euclid on every pair.
+polynomials Phi_k(v), and such a denominator is kept with its exponent
+vector {k: m_k}: `den` is a `_Den`, the dict of prod Phi_k^m_k carrying
+the vector, one object per vector.  A numerator is reduced by trial
+division, in integers, by the Phi_k of a vector.  A denominator from
+outside (`Scalar(num, den)`, `inverse`) is factored once, as
+lead * prod Phi_k^m_k * cofactor, cached under a key of Python ints: a
+float test at e^(2 pi i / k) preselects each k and exact division confirms
+it.  Euclid (`_poly_gcd`) runs only on the cofactor, such as the v^2 + 3 of
+a user parameter c_i = 1/(v^2 + 3), and on the halves of Phi_k (4 | k)
+that a Gaussian numerator may share; such a denominator stays a plain
+dict.  The monic gcd is unique, so this is the canonical form of Euclid.
 
-Arithmetic.  A coefficient's components are Python ints when they are
-integral and Fractions only otherwise, so products and sums of integral
-coefficients never build a Fraction.  Every sum that meets a denominator
-other than 1 goes through one n-ary sum, `scalar_sum`: addends over one
-denominator are summed as polynomials, the distinct denominators, when
-all are products of Phi_k, are brought over their lcm, the largest
-exponent of each Phi_k, with the multipliers lcm / den memoised by their
-exponent vectors, and otherwise over their product; the one fraction is
-then normalised once, since a sum of reduced fractions needs only one
-reduction at the end (Knuth, TAOCP vol. 2, 4.5.1).  `Scalar.__add__` is
-its case of two addends, and straightening sums all the addends of a key
-at once.  A sum of polynomials over 1 is canonical as it stands and is
-never normalised.  A product with a unit monomial c * v^k, such as a
-q-power, only moves and scales the numerator and keeps the denominator: it
-is canonical without normalisation.
+Arithmetic.  Coefficient components are ints when integral and Fractions
+only otherwise.  A product of reduced a/b and c/d divides a only by the
+Phi_k of d and c only by those of b, and adds the vectors (Henrici's
+cross-cancellation; Knuth, TAOCP vol. 2, 4.5.1).  Every sum that meets a
+denominator other than 1 is one n-ary `scalar_sum`: addends over one
+denominator are summed as polynomials, the groups are brought over the
+lcm, the componentwise maximum of the vectors, and the sum is divided only
+by the Phi_k whose top exponent two or more addends reach.  A cofactor, or
+a Gaussian numerator against a Phi_k with 4 | k, sends a product or sum to
+the full normaliser.  Sums over 1, products with a unit monomial c * v^k
+and the bar involution (each Phi_k is self-reciprocal up to a unit) keep
+the denominator and never normalise.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -151,10 +150,6 @@ def _padd_into(r, q):
     return r
 
 
-def _pneg(p):
-    return {e: -c for e, c in p.items()}
-
-
 def _pmul(p, q):
     if not p or not q:
         return {}
@@ -189,7 +184,7 @@ def _pshift(p, k):
 
 
 def _to_dense(p):
-    """Dense coefficient list [c_0, ..., c_d] for a polynomial with min exp 0."""
+    """Dense coefficient list [c_0, ..., c_d], c_d != 0, of a dict with min exp 0."""
     d = max(p)
     out = [GQ_ZERO] * (d + 1)
     for e, c in p.items():
@@ -217,67 +212,58 @@ def _dense_divmod(a, b):
     return q, a
 
 
-def _dense_trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
 def _poly_gcd(p, q):
     """Monic gcd of two polynomials given as dicts with min exponent 0."""
-    a = _dense_trim(_to_dense(p))
-    b = _dense_trim(_to_dense(q))
+    a, b = _to_dense(p), _to_dense(q)
     while b:
         _, r = _dense_divmod(a, b)
         a, b = b, r
-    lead = a[-1]
-    if lead != GQ_ONE:
-        a = [c / lead for c in a]
-    return {e: c for e, c in enumerate(a) if c}
+    return {e: c / a[-1] for e, c in enumerate(a) if c}
 
 
 def _poly_exact_div(p, g):
     """p / g for dicts with min exp 0; remainder is required to vanish."""
-    if len(g) == 1 and 0 in g:
-        c = g[0]
-        if c == GQ_ONE:
-            return dict(p)
-        return {e: x / c for e, x in p.items()}
-    q, r = _dense_divmod(_dense_trim(_to_dense(p)), _dense_trim(_to_dense(g)))
+    q, r = _dense_divmod(_to_dense(p), _to_dense(g))
     if r:
         raise ArithmeticError("non-exact polynomial division")
     return {e: c for e, c in enumerate(q) if c}
 
 
 # ---------------------------------------------------------------------------
-# Normalisation by a cached cyclotomic factorisation of each denominator.
+# Denominators as exponent vectors over the cyclotomic polynomials Phi_k.
 # ---------------------------------------------------------------------------
 
 _CYCLOTOMIC = {}  # k -> dense integer coefficients of Phi_k(v)
-_FACTORS = {}     # denominator key -> (cyclotomic factors, monic cofactor)
-_PRODUCTS = {}    # ((k, n), ...) -> prod Phi_k^n: reduced denominators, lcms
+_FACTORS = {}     # denominator key -> (exponent vector, monic cofactor)
+_PRODUCTS = {}    # ((k, n), ...) -> prod Phi_k^n as its interned _Den
 _GQ_INT = {}      # n -> GaussianRational(n), shared by the products
 
 
-def _int_poly(p):
-    """(L, re, im): dense integer lists with p = (re + i*im) / L; p has
-    min exponent 0."""
-    L = 1
-    for c in p.values():
-        for f in (c.re, c.im):
-            if f.denominator != 1:
-                L = math.lcm(L, f.denominator)
-    n = max(p) + 1
-    re = [0] * n
-    im = [0] * n
+class _Den(dict):
+    """A canonical denominator prod Phi_k^n_k: its {exponent: coefficient}
+    dict, carrying its exponent vector `phi` ({k: n_k}, no zero n_k).
+    `_phi_product` makes one object per vector, and none is ever mutated."""
+
+    __slots__ = ("phi",)
+
+
+def _int_poly(p, s=0):
+    """(L, re, im): dense integer lists with p = v^s (re + i*im) / L, where
+    s = min(p)."""
+    L = math.lcm(*[f.denominator for c in p.values() for f in (c.re, c.im)])
+    n = max(p) + 1 - s
+    re, im = [0] * n, [0] * n
     for e, c in p.items():
-        re[e] = c.re.numerator * (L // c.re.denominator)
-        im[e] = c.im.numerator * (L // c.im.denominator)
+        re[e - s] = c.re.numerator * (L // c.re.denominator)
+        im[e - s] = c.im.numerator * (L // c.im.denominator)
     return L, re, im
 
 
-def _from_ints(re, im):
-    return {e: GaussianRational(x, y) for e, (x, y) in enumerate(zip(re, im)) if x or y}
+def _from_ints(re, im, s=0, L=1):
+    """v^s (re + i*im) / L as a polynomial dict."""
+    if L != 1:
+        re, im = [_quotient(x, L) for x in re], [_quotient(y, L) for y in im]
+    return {e + s: GaussianRational(x, y) for e, (x, y) in enumerate(zip(re, im)) if x or y}
 
 
 def _int_div(a, m):
@@ -300,9 +286,23 @@ def _int_div(a, m):
     return q
 
 
-def _divide_out(re, im, phi, limit):
-    """Divide re + i*im by phi as often as it divides, at most `limit`
-    times; returns (re, im, times)."""
+def _misses(a, k):
+    """For k = 1, 2 or 4: is a(1), a(-1) or a(i) not 0, so that Phi_k does
+    not divide the dense integer list a?  Each is a sum of slices."""
+    if k == 1:
+        return sum(a) != 0
+    if k == 2:
+        return sum(a[::2]) != sum(a[1::2])
+    return sum(a[::4]) != sum(a[2::4]) or sum(a[1::4]) != sum(a[3::4])
+
+
+def _divide_out(re, im, k, limit):
+    """Divide re + i*im by Phi_k as often as it divides, at most `limit`
+    times; returns (re, im, times).  Phi_1, Phi_2 and Phi_4, the factors of
+    q_i - q_i^-1, are first tested by their roots (`_misses`)."""
+    if k in (1, 2, 4) and (_misses(re, k) or _misses(im, k)):
+        return re, im, 0
+    phi = _cyclotomic(k)
     real = not any(im)
     j = 0
     while j < limit:
@@ -318,6 +318,26 @@ def _divide_out(re, im, phi, limit):
         re, im = qr, qi
         j += 1
     return re, im, j
+
+
+def _strip(p, vec):
+    """(q, left, split): q = p / prod Phi_k^(vec[k] - left[k]), dividing p
+    by each Phi_k of the exponent vector `vec` as often as it divides, at
+    most vec[k] times; q is p and left is vec when nothing divides.  split
+    says that q is Gaussian and left keeps a Phi_k with 4 | k: over Q(i)
+    such a Phi_k is the product of two halves, and q may share one."""
+    if len(p) == 1 or not vec:
+        return p, vec, False  # a monomial shares no factor with Phi_k
+    s = min(p)
+    L, re, im = _int_poly(p, s)
+    left = {}
+    for k, m in vec.items():
+        re, im, j = _divide_out(re, im, k, m)
+        left[k] = m - j
+    split = any(re) and any(im) and any(n for k, n in left.items() if k % 4 == 0)
+    if left == vec:
+        return p, vec, split
+    return _from_ints(re, im, s, L), left, split
 
 
 def _cyclotomic(k):
@@ -377,23 +397,22 @@ def _vanishes_at_root(z, k):
 
 
 def _factor(b):
-    """([(k, Phi_k, m_k)], cofactor) with b = lead(b) * prod Phi_k^m_k *
-    cofactor; the cofactor is monic, or None when it is 1."""
+    """({k: m_k}, cofactor) with b = lead(b) * prod Phi_k^m_k * cofactor;
+    the cofactor is monic, or None when it is 1."""
     _, re, im = _int_poly(b)
     top = max(max(map(abs, re)), max(map(abs, im)))
     z = [complex(x / top, y / top) for x, y in zip(re, im)]
-    factors = []
+    vec = {}
     for k in _orders(len(re) - 1):
         if not _vanishes_at_root(z, k):
             continue
-        phi = _cyclotomic(k)
-        re, im, m = _divide_out(re, im, phi, len(re))
+        re, im, m = _divide_out(re, im, k, len(re))
         if m:
-            factors.append((k, phi, m))
+            vec[k] = m
     if len(re) == 1:
-        return factors, None
+        return vec, None
     lead = GaussianRational(re[-1], im[-1])
-    return factors, {e: c / lead for e, c in _from_ints(re, im).items()}
+    return vec, {e: c / lead for e, c in _from_ints(re, im).items()}
 
 
 def _int_mul(a, b):
@@ -406,8 +425,9 @@ def _int_mul(a, b):
 
 
 def _phi_product(exponents):
-    """prod Phi_k^n over a dict {k: n}, memoised by its exponent vector;
-    integer coefficients are shared objects, so the memo stays small."""
+    """prod Phi_k^n over a dict {k: n} as its `_Den`, one per exponent
+    vector; integer coefficients are shared objects, so the memo stays
+    small."""
     key = tuple(sorted((k, n) for k, n in exponents.items() if n))
     p = _PRODUCTS.get(key)
     if p is None:
@@ -415,20 +435,19 @@ def _phi_product(exponents):
         for k, n in key:
             for _ in range(n):
                 out = _int_mul(out, _cyclotomic(k))
-        p = _PRODUCTS[key] = {}
+        p = _PRODUCTS[key] = _Den()
+        p.phi = dict(key)
         for e, c in enumerate(out):
             if c:
-                g = _GQ_INT.get(c)
-                if g is None:
-                    g = _GQ_INT[c] = GaussianRational(c)
-                p[e] = g
+                p[e] = _GQ_INT.setdefault(c, GaussianRational(c))
     return p
 
 
 def _factored(b):
     """b's factorisation by `_factor`, cached in `_FACTORS` under a flat
     tuple of ints, five per term: (exponent, re numerator, re denominator,
-    im numerator, im denominator)."""
+    im numerator, im denominator).  Only denominators from outside the
+    arithmetic meet it: those of `Scalar(num, den)` and `inverse`."""
     key = []
     for e in sorted(b):
         c = b[e]
@@ -440,79 +459,49 @@ def _factored(b):
     return entry
 
 
-def _lcm(*dens):
-    """(multipliers, lcm) for canonical denominators that are products of
-    Phi_k: the lcm takes the largest exponent of each Phi_k, and the
-    multipliers are lcm / den in the order given; None when any has a
-    cofactor."""
-    exponents = []
-    for den in dens:
-        factors, cofactor = _factored(den)
-        if cofactor is not None:
-            return None
-        exponents.append({k: m for k, _, m in factors})
-    top = {}
-    for ex in exponents:
-        for k, m in ex.items():
-            if m > top.get(k, 0):
-                top[k] = m
-    multipliers = [
-        _phi_product({k: n - ex.get(k, 0) for k, n in top.items()}) for ex in exponents
-    ]
-    return multipliers, _phi_product(top)
+def _cancel(a, b, shift, reduced):
+    """Canonical (num, den) of v^shift * a / b.
 
-
-def _cancel(a, b, shift):
-    """Canonical (num, den) of v^shift * a / b, or None when gcd(a, b) = 1.
-
-    a and b have min exponent 0 and b is not constant.  The gcd is found by
-    trial division of a, in integers, by the cyclotomic factors of b, and
-    by Euclid on the cofactor alone.
+    a and b have min exponent 0 and b is not constant.  b is factored
+    (`_factored`); unless gcd(a, b) = 1 is known (`reduced`), a is divided
+    by the Phi_k of b (`_strip`), and Euclid runs on the cofactor alone and
+    on the Q(i)-halves of Phi_k (4 | k) that a Gaussian a may share.  A
+    denominator that is a product of Phi_k comes out as its `_Den`, also
+    when Euclid cancels its cofactor.
     """
-    if len(a) == 1:
-        return None  # a is a constant, since both have min exponent 0
-    factors, rest = _factored(b)
-    L, re, im = _int_poly(a)
-    left = {}
-    for k, phi, m in factors:
-        re, im, j = _divide_out(re, im, phi, m)
-        left[k] = m - j
-    cofactor = rest
-    if any(re) and any(im):
-        # Phi_k with 4 | k splits in two over Q(i), and a numerator that is
-        # no Gaussian multiple of a rational one may share just one half
-        halves = {k: n for k, n in left.items() if k % 4 == 0 and n}
-        if halves:
-            cofactor = _phi_product(halves)
-            if rest is not None:
-                cofactor = _pmul(cofactor, rest)
-    num = None
-    g = None
-    if cofactor is not None and len(re) > 1:
-        num = _from_ints(re, im)
-        g = _poly_gcd(num, cofactor)
-        if len(g) == 1:
-            g = None
-        else:
-            num = _poly_exact_div(num, g)
-    if g is None and all(left[k] == m for k, _, m in factors):
-        return None
-    den = _phi_product(left)
+    vec, rest = _factored(b)
+    split = False
+    if not reduced:
+        a, vec, split = _strip(a, vec)
+    den = _phi_product(vec)
+    halves = _phi_product({k: n for k, n in vec.items() if k % 4 == 0}) if split else _DEN_ONE
     if rest is not None:
-        den = _pmul(den, rest)
-    if g is not None:
-        den = _poly_exact_div(den, g)
-    if num is None:
-        num = _from_ints(re, im)
-    scale = b[max(b)]
-    if L != 1:
-        scale = scale * GaussianRational(L)
-    if scale == GQ_ONE:
-        return {e + shift: c for e, c in num.items()}, den
-    return {e + shift: c / scale for e, c in num.items()}, den
+        den, halves = _pmul(den, rest), _pmul(halves, rest)
+    if len(halves) > 1 and not reduced and len(a) > 1:
+        g = _poly_gcd(a, halves)
+        if len(g) > 1:
+            a = _poly_exact_div(a, g)
+            vec, rest = _factored(_poly_exact_div(den, g))
+            den = _phi_product(vec) if rest is None else _pmul(_phi_product(vec), rest)
+    lead = b[max(b)]
+    return {e + shift: c / lead for e, c in a.items()}, den
 
 
-_DEN_ONE = {0: GQ_ONE}  # the denominator 1, shared and never mutated
+def _normalised(num, dens):
+    """Scalar(num, prod dens) by the full normaliser: the fallback for a
+    cofactor and for a Q(i)-half that a Gaussian numerator may share."""
+    return Scalar(num, functools.reduce(_pmul, dens))
+
+
+def _make(num, den):
+    """The Scalar num / den for a pair known to be canonical."""
+    s = Scalar.__new__(Scalar)
+    object.__setattr__(s, "num", num)
+    object.__setattr__(s, "den", den)
+    return s
+
+
+_DEN_ONE = _phi_product({})  # the denominator 1, shared and never mutated
 
 
 def _unit_den(den):
@@ -535,8 +524,7 @@ class Scalar:
             object.__setattr__(self, "num", {})
             object.__setattr__(self, "den", _DEN_ONE)
             return
-        sn = min(num)
-        sd = min(den)
+        sn, sd = min(num), min(den)
         a = _pshift(num, -sn) if sn else dict(num)
         b = _pshift(den, -sd) if sd else dict(den)
         shift = sn - sd
@@ -544,21 +532,11 @@ class Scalar:
             c = b[0]
             if c != GQ_ONE:
                 a = {e: x / c for e, x in a.items()}
-            object.__setattr__(self, "num", _pshift(a, shift))
-            object.__setattr__(self, "den", _DEN_ONE)
-            return
-        if not _reduced:
-            cancelled = _cancel(a, b, shift)
-            if cancelled is not None:
-                object.__setattr__(self, "num", cancelled[0])
-                object.__setattr__(self, "den", cancelled[1])
-                return
-        lead = b[max(b)]
-        if lead != GQ_ONE:
-            a = {e: x / lead for e, x in a.items()}
-            b = {e: x / lead for e, x in b.items()}
-        object.__setattr__(self, "num", _pshift(a, shift))
-        object.__setattr__(self, "den", b)
+            num, den = _pshift(a, shift), _DEN_ONE
+        else:
+            num, den = _cancel(a, b, shift, _reduced)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("Scalar is immutable")
@@ -628,10 +606,7 @@ class Scalar:
             return other
         if _unit_den(self.den) and _unit_den(other.den):
             # a Laurent polynomial over 1 is canonical as it stands
-            s = Scalar.__new__(Scalar)
-            object.__setattr__(s, "num", _padd(self.num, other.num))
-            object.__setattr__(s, "den", _DEN_ONE)
-            return s
+            return _make(_padd(self.num, other.num), _DEN_ONE)
         return scalar_sum((self, other))
 
     def __sub__(self, other):
@@ -640,10 +615,7 @@ class Scalar:
     def __neg__(self):
         if not self.num:
             return self
-        s = Scalar.__new__(Scalar)
-        object.__setattr__(s, "num", _pneg(self.num))
-        object.__setattr__(s, "den", self.den)
-        return s
+        return _make({e: -c for e, c in self.num.items()}, self.den)
 
     def shifted(self, k):
         """self * v^k.  v^k is a unit, so the result is canonical as it
@@ -651,19 +623,13 @@ class Scalar:
         shared, with no normalisation."""
         if not k or not self.num:
             return self
-        s = Scalar.__new__(Scalar)
-        object.__setattr__(s, "num", {e + k: c for e, c in self.num.items()})
-        object.__setattr__(s, "den", self.den)
-        return s
+        return _make({e + k: c for e, c in self.num.items()}, self.den)
 
     def _times_monomial(self, k, c):
         """self * c * v^k for a nonzero coefficient c, canonical as it stands."""
         if c == GQ_ONE:
             return self.shifted(k)
-        s = Scalar.__new__(Scalar)
-        object.__setattr__(s, "num", {e + k: x * c for e, x in self.num.items()})
-        object.__setattr__(s, "den", self.den)
-        return s
+        return _make({e + k: x * c for e, x in self.num.items()}, self.den)
 
     def __mul__(self, other):
         if not self.num or not other.num:
@@ -677,11 +643,21 @@ class Scalar:
             (k, c), = self.num.items()
             return other._times_monomial(k, c)
         if unit_self and unit_other:
-            s = Scalar.__new__(Scalar)
-            object.__setattr__(s, "num", _pmul(self.num, other.num))
-            object.__setattr__(s, "den", _DEN_ONE)
-            return s
-        return Scalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
+            return _make(_pmul(self.num, other.num), _DEN_ONE)
+        b, d = self.den, other.den
+        if b.__class__ is _Den and d.__class__ is _Den:
+            # (a / b)(c / d) with gcd(a, b) = gcd(c, d) = 1: only a and d,
+            # and c and b, may share a factor (Henrici's cross-cancellation)
+            a, d_left, split = _strip(self.num, d.phi)
+            if not split:
+                c, b_left, split = _strip(other.num, b.phi)
+            if not split:
+                if b_left and d_left:
+                    d_left = {k: b_left.get(k, 0) + d_left.get(k, 0) for k in b_left.keys() | d_left.keys()}
+                vec = d_left or b_left
+                den = d if vec is d.phi else b if vec is b.phi else _phi_product(vec)
+                return _make(_pmul(a, c), den)
+        return _normalised(_pmul(self.num, other.num), (b, d))
 
     def inverse(self):
         if not self.num:
@@ -706,11 +682,14 @@ class Scalar:
         """Field automorphism v -> v^(-1), fixing all Gaussian rationals."""
         if not self.num:
             return self
-        return Scalar(
-            {-e: c for e, c in self.num.items()},
-            {-e: c for e, c in self.den.items()},
-            _reduced=True,
-        )
+        den = self.den
+        if den.__class__ is _Den:
+            # Phi_1(1/v) = -v^-1 Phi_1(v) and Phi_k(1/v) = v^-phi(k) Phi_k(v)
+            # for k > 1, so b(1/v) = (-1)^m_1 v^-deg(b) b(v)
+            top = max(den)
+            s = _make({top - e: c for e, c in self.num.items()}, den)
+            return -s if den.phi.get(1, 0) % 2 else s
+        return Scalar({-e: c for e, c in self.num.items()}, {-e: c for e, c in den.items()}, _reduced=True)
 
     def __repr__(self):
         from .grammar import scalar_to_text
@@ -720,46 +699,66 @@ class Scalar:
 def scalar_sum(addends) -> Scalar:
     """The canonical sum of an iterable of Scalars, normalised once.
 
-    Addends over one denominator are summed as polynomials; the groups of
-    distinct denominators are brought over their lcm (`_lcm`), or over
-    their product when any has a cofactor, and the one fraction is
-    reduced by one `Scalar.__init__`.
+    Addends over one denominator are summed as polynomials, and the groups
+    brought over the lcm of their exponent vectors.  The sum is divided only
+    by the Phi_k whose top exponent two or more addends reach: where one
+    reduced addend alone reaches it, every other term carries Phi_k and that
+    addend does not.  A plain-dict denominator sends the sum over the
+    product of the denominators to `Scalar.__init__`.
     """
-    groups = []  # [denominator, numerator sum]
+    groups = []  # [denominator, numerator sum, addends, first addend]
     for a in addends:
         if not a.num:
             continue
         for g in groups:
             if g[0] is a.den or g[0] == a.den:
-                _padd_into(g[1], a.num)
+                g[1] = _padd(g[1], a.num) if g[2] == 1 else _padd_into(g[1], a.num)
+                g[2] += 1
                 break
         else:
-            groups.append([a.den, dict(a.num)])
+            groups.append([a.den, a.num, 1, a])
+    groups = [g for g in groups if g[1]]
     if not groups:
         return ZERO
+    if len(groups) == 1 and groups[0][2] == 1:
+        return groups[0][3]
+    if any(g[0].__class__ is not _Den for g in groups):
+        num = {}
+        for g in groups:
+            m = g[1]
+            for h in groups:
+                if h is not g:
+                    m = _pmul(m, h[0])
+            _padd_into(num, m)
+        return _normalised(num, [g[0] for g in groups])
+    top = {}
+    reach = {}  # k -> addends whose denominator has Phi_k^top[k]
+    for den, _, n, _ in groups:
+        for k, m in den.phi.items():
+            t = top.get(k, 0)
+            if m > t:
+                top[k] = m
+                reach[k] = n
+            elif m == t:
+                reach[k] += n
     if len(groups) == 1:
-        den, num = groups[0]
-        return Scalar(num, den)
-    dens = [g[0] for g in groups]
-    lcm = _lcm(*dens)
-    if lcm is None:
-        # a cofactor: the product of the distinct denominators
-        den = _DEN_ONE
-        for b in dens:
-            den = _pmul(den, b)
-        multipliers = []
-        for t in range(len(dens)):
-            m = _DEN_ONE
-            for u, b in enumerate(dens):
-                if u != t:
-                    m = _pmul(m, b)
-            multipliers.append(m)
+        num = groups[0][1]
     else:
-        multipliers, den = lcm
-    num = {}
-    for (_, n), m in zip(groups, multipliers):
-        _padd_into(num, _pmul(n, m))
-    return Scalar(num, den)
+        num = {}
+        for den, p, _, _ in groups:
+            _padd_into(num, _pmul(p, _phi_product({k: t - den.phi.get(k, 0) for k, t in top.items()})))
+        if not num:
+            return ZERO
+    shared = {k: top[k] for k, n in reach.items() if n > 1}
+    reduced, left, split = _strip(num, shared)
+    if split:
+        return Scalar(num, _phi_product(top))
+    if left is shared:
+        den = groups[0][0] if len(groups) == 1 else _phi_product(top)
+    else:
+        top.update(left)
+        den = _phi_product(top)
+    return _make(reduced, den)
 
 
 ZERO = Scalar({})

@@ -268,6 +268,26 @@ def test_cli_internal_runtime_errors_exit_3(monkeypatch, capsys):
     assert "internal error: RuntimeError: internal: Z element" in capsys.readouterr().err
 
 
+def test_cli_non_exact_division_is_an_internal_error(monkeypatch, capsys):
+    """A wrong gcd makes the normaliser's exact division fail: an internal
+    error (exit 3), not a traceback; a division by zero in the input stays
+    an input error (exit 2)."""
+    from qcoideal import scalars
+
+    pair = ["--cartan", "A:3", "--pair", '{"X": [2], "tau": [[1,3]]}']
+    # c_1 = (q - 1) / (q + 3): its cofactor v^2 + 3 goes to Euclid
+    params = ["--params", '{"c": {"1": "(q-1)/(q+3)", "3": "q"}}', "bar-exists"]
+    wrong_gcd = {0: scalars.GaussianRational(5), 1: scalars.GQ_ONE}
+    monkeypatch.setattr(scalars, "_poly_gcd", lambda p, q: wrong_gcd)
+    assert main(pair + params) == 3
+    assert "internal error: ArithmeticError: non-exact polynomial division" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert main(pair + params) in (0, 1)
+    zero = ["--params", '{"c": {"1": "(q-1)/(q-q)", "3": "q"}}', "bar-exists"]
+    assert main(pair + zero) == 2
+    assert "division by zero" in capsys.readouterr().err
+
+
 def test_run_suite_unknown_name_is_an_input_error():
     import pytest
 

@@ -1,23 +1,26 @@
 """Planted bugs: each mutant of the engine must make a named check fail.
 
-Every "zero" or "equal" verdict trusts straightening and the zero walk, so
-a bug in either one must fail loudly.  Each mutant patches one point with
-monkeypatch: the sign of the E-F commutator, the q-power that K picks up
-moving past an F-word, the q-power of a letter deletion in the zero walk,
-the table of good words along which the walk deletes letters, and the key
-of the memo of braid images of words.  The unpatched engine passes every
-check, and each mutant fails the check named for it.  Each check builds a
-fresh datum, so no cache filled by the unpatched engine hides a mutant.
+Every "zero" or "equal" verdict trusts straightening, the zero walk and
+the canonical form of scalars, so a bug in any one must fail loudly.  Each
+mutant patches one point with monkeypatch: the sign of the E-F commutator,
+the q-power that K picks up moving past an F-word, the q-power of a letter
+deletion in the zero walk, the table of good words along which the walk
+deletes letters, the key of the memo of braid images of words, the
+cross-cancellation of scalar products, and the reduction of a sum whose
+addends share a denominator.  The unpatched engine passes every check, and
+each mutant fails the check named for it.  Each check builds a fresh datum
+and fresh scalars, so no cache filled by the unpatched engine hides a
+mutant.
 """
 
 import sys
 
 import pytest
 
-from qcoideal import uqg
+from qcoideal import scalars, uqg
 from qcoideal.braid import BraidOperator, apply_braid
 from qcoideal.cartan import CartanDatum
-from qcoideal.scalars import Scalar
+from qcoideal.scalars import ONE, Scalar, qfact, qint
 from qcoideal.uqg import Element, equals, is_zero, serre_polynomial
 
 Q = Scalar.q_pow(1)
@@ -66,12 +69,29 @@ def check_braid_inverse_warm():
     return equals(apply_braid(op.inverse(), apply_braid(op, x)), x)
 
 
+def check_cross_cancellation():
+    """(1/[2]) [2] = 1 and (1/[3]!) [3] = 1/[2]: the factors that cancel sit
+    in the numerator of the right operand and the denominator of the
+    left."""
+    return qint(2).inverse() * qint(2) == ONE and qfact(3).inverse() * qint(3) == qint(2).inverse()
+
+
+def check_sum_over_one_denominator():
+    """q/(q - q^-1) - q^-1/(q - q^-1) + 1/[3] = 1 + 1/[3]: the two addends over
+    (q - q^-1) alone reach its factors, and their sum is divisible by all
+    of them."""
+    e = (Q - Q ** -1).inverse()
+    return scalars.scalar_sum([Q * e, -(Q ** -1 * e), qint(3).inverse()]) == ONE + qint(3).inverse()
+
+
 CHECKS = {
     "ef-commutator": check_ef_commutator,
     "k-past-f": check_k_past_f,
     "quantum-serre": check_quantum_serre,
     "q-commutator": check_q_commutator,
     "braid-inverse-warm": check_braid_inverse_warm,
+    "cross-cancellation": check_cross_cancellation,
+    "sum-over-one-denominator": check_sum_over_one_denominator,
 }
 
 
@@ -137,12 +157,49 @@ def drop_braid_sign(monkeypatch):
     monkeypatch.setattr(CartanDatum, "__init__", mutant)
 
 
+def skip_c_against_b(monkeypatch):
+    """Cross-cancel a product (a / b)(c / d) by trying a against the Phi_k
+    of d only: c is never divided by those of b."""
+    original = scalars._strip
+    mul = Scalar.__mul__.__code__
+
+    def mutant(p, vec):
+        caller = sys._getframe(1)
+        if caller.f_code is mul and p is caller.f_locals["other"].num:
+            return p, vec, False
+        return original(p, vec)
+
+    monkeypatch.setattr(scalars, "_strip", mutant)
+
+
+def sum_groups_as_reduced(monkeypatch):
+    """Sum the addends over each denominator first, and pass each group's
+    sum on to `scalar_sum` as one addend taken to be reduced."""
+    original = scalars.scalar_sum
+
+    def mutant(addends):
+        groups = []  # [denominator, numerator sum]
+        for a in addends:
+            for g in groups:
+                if g[0] == a.den:
+                    g[1] = scalars._padd(g[1], a.num)
+                    break
+            else:
+                groups.append([a.den, a.num])
+        return original([scalars._make(num, den) for den, num in groups if num])
+
+    monkeypatch.setattr(scalars, "scalar_sum", mutant)
+    monkeypatch.setattr(uqg, "scalar_sum", mutant)
+
+
 MUTANTS = [
     ("ef-commutator", negate_ef_inverse),
     ("k-past-f", shift_k_past_f),
     ("quantum-serre", drop_deletion_qpower),
     ("q-commutator", drop_good_word),
     ("braid-inverse-warm", drop_braid_sign),
+    ("cross-cancellation", skip_c_against_b),
+    ("sum-over-one-denominator", sum_groups_as_reduced),
 ]
 
 

@@ -173,6 +173,10 @@ def test_normaliser_pinned_cases(build, text):
 
 
 def _fresh_caches(monkeypatch):
+    """Empty the factorisations of outside denominators and the table of
+    denominators by exponent vector, so nothing found before hides a
+    factor; denominators built afterwards are new objects, equal to the
+    old ones but not identical."""
     for name in ("_FACTORS", "_PRODUCTS"):
         monkeypatch.setattr(scalars, name, {})
 
@@ -314,11 +318,30 @@ def _sympy_sum(sympy, to_sympy, addends):
     return k + j, p.exquo(shift ** j).mul_ground(1 / q.LC()), q.monic()
 
 
+def _agrees_with_sympy(sympy, to_sympy, s, addends):
+    """Is the Scalar s the sum of `addends` (objects with .num and .den,
+    not necessarily reduced) as sympy reduces it?"""
+    expected = _sympy_sum(sympy, to_sympy, addends)
+    if expected is None:
+        assert s == ZERO
+        return
+    k, p, q = expected
+    (sn, ks), (sd, kd) = to_sympy(s.num), to_sympy(s.den)
+    assert kd == 0 and ks == k
+    assert sd == q
+    assert sn == p
+
+
+def _over_vectors(*xs):
+    """Do all the Scalars xs keep their denominators as exponent vectors?"""
+    return all(isinstance(x.den, scalars._Den) for x in xs)
+
+
 def test_sum_matches_sympy_cancel():
-    """a + b for a = n1 / d1 and b = n2 / d2: both denominators pure
-    cyclotomic (the lcm path), or either with a cofactor (the product);
-    and the n-ary `scalar_sum` of three or four such fractions, one of
-    them cancelled by its negative in some draws."""
+    """a + b for a = n1 / d1 and b = n2 / d2: both denominators products of
+    Phi_k (the lcm of exponent vectors), or either with a cofactor or a
+    Q(i)-half (the product); and the n-ary `scalar_sum` of three or four
+    such fractions, one of them cancelled by its negative in some draws."""
     sympy, to_sympy, side, build = _sympy_sides()
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -326,22 +349,14 @@ def test_sum_matches_sympy_cancel():
     paths = {"lcm": 0, "product": 0}
 
     def agrees(s, addends):
-        expected = _sympy_sum(sympy, to_sympy, addends)
-        if expected is None:
-            assert s == ZERO
-            return
-        k, p, q = expected
-        (sn, ks), (sd, kd) = to_sympy(s.num), to_sympy(s.den)
-        assert kd == 0 and ks == k
-        assert sd == q
-        assert sn == p
+        _agrees_with_sympy(sympy, to_sympy, s, addends)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(side, side, side, side)
     def check(n1, d1, n2, d2):
         a = build(*n1) / build(*d1)
         b = build(*n2) / build(*d2)
-        paths["product" if scalars._lcm(a.den, b.den) is None else "lcm"] += 1
+        paths["lcm" if _over_vectors(a, b) else "product"] += 1
         agrees(a + b, [a, b])
 
     check()
@@ -363,21 +378,127 @@ def test_sum_matches_sympy_cancel():
 
 
 def test_sum_is_formed_over_the_lcm(monkeypatch):
-    """1/[3]! + 1/[4]!: the denominators Phi_3 Phi_6 Phi_8 Phi_12 (degree
-    12) and Phi_3 Phi_6 Phi_8^2 Phi_12 Phi_16 (degree 24) have the second as
-    their lcm; their product has degree 36."""
+    """1/[3]! + 1/[4]! = v^6 / D3 + v^12 / D4: the denominators
+    D3 = Phi_3 Phi_6 Phi_8 Phi_12 (degree 12) and
+    D4 = Phi_3 Phi_6 Phi_8^2 Phi_12 Phi_16 (degree 24) have D4 as their lcm,
+    and their product has degree 36.  Over the lcm the numerator is
+    v^6 (Phi_8 Phi_16 + v^6), of span 12; over the product it would be
+    v^6 (D4 + v^6 D3), of span 24.  The one trial division sees the first,
+    and only against Phi_3, Phi_6 and Phi_12, whose top exponents both
+    addends reach."""
     a, b = qfact(3).inverse(), qfact(4).inverse()
-    degrees = []
-    original = scalars._cancel
+    assert _over_vectors(a, b)
+    seen = []
+    original = scalars._strip
 
-    def counting(num, den, shift):
-        degrees.append(max(den))
-        return original(num, den, shift)
+    def recording(p, vec):
+        seen.append((p, dict(vec)))
+        return original(p, vec)
 
-    monkeypatch.setattr(scalars, "_cancel", counting)
+    monkeypatch.setattr(scalars, "_strip", recording)
     s = a + b
-    assert degrees == [24]
+    monkeypatch.setattr(scalars, "_strip", original)
+    (num, vec), = seen
+    assert vec == {3: 1, 6: 1, 12: 1}
+    lcm = scalars._phi_product({3: 1, 6: 1, 8: 2, 12: 1, 16: 1})
+    assert lcm == b.den and max(lcm) == 24
+    assert min(num) == 6 and max(num) - min(num) == 12
+    assert Scalar(num, dict(lcm)) == s
     assert s * qfact(4) == qint(4) + ONE
+
+
+def test_root_tests_agree_with_trial_division():
+    """`_misses` proves that Phi_1, Phi_2 or Phi_4 does not divide an
+    integer polynomial exactly when trial division finds a remainder."""
+    rng = random.Random(33)
+    phis = {k: scalars._cyclotomic(k) for k in (1, 2, 4)}
+    for _ in range(300):
+        a = [rng.randint(-2, 2) for _ in range(rng.randint(1, 9))]
+        for k, phi in phis.items():
+            if rng.random() < 0.5:
+                a = scalars._int_mul(a, phi)
+            if any(a):
+                assert scalars._misses(a, k) == (scalars._int_div(a, phi) is None), (a, k)
+
+
+def _phi(k):
+    return Scalar({e: scalars.GaussianRational(c) for e, c in enumerate(scalars._cyclotomic(k)) if c})
+
+
+def _differential_cases():
+    """(name, product factors or sum addends, result over an exponent
+    vector?) for the differential tests of products and sums."""
+    p1, p2, p3, p4, p8 = (_phi(k) for k in (1, 2, 3, 4, 8))
+    e = (Q - Q ** -1).inverse()
+    products = [
+        ("real numerators over Phi_k products",
+         [p3 * (V + _n(2)) / (p2 * p8), p8 * p2 / (p3 ** 2 * p1)], True),
+        ("1/[3]! times [3]", [qfact(3).inverse(), qint(3)], True),
+        ("a Gaussian numerator shares one half of Phi_4",
+         [(V - I_UNIT) * (V + _n(2)) / p3, (p4 * p2).inverse()], False),
+        ("a Gaussian numerator shares one half of Phi_8",
+         [(V ** 2 + I_UNIT) * V / p1, V / (p8 * p3)], False),
+        ("a Gaussian numerator shares no half of Phi_4", [(V + _n(2) * I_UNIT) / p3, p4.inverse()], True),
+        ("a v^2 + 3 cofactor", [(V + ONE) / (V ** 2 + _n(3)), (V ** 2 + _n(3)) / (p4 * p1)], True),
+        ("a v^2 + 3 cofactor that stays", [(V - ONE) / (V ** 2 + _n(3)), p2.inverse()], False),
+    ]
+    sums = [
+        ("one addend alone reaches the top of Phi_4", [p4 ** -2, V / p4, p3.inverse()], True),
+        ("one addend alone reaches Phi_8^2 and Phi_16", [qfact(3).inverse(), qfact(4).inverse()], True),
+        ("a Gaussian sum shares one half of Phi_4", [I_UNIT / p4, V / p4], False),
+        ("a Gaussian sum shares one half of Phi_8", [V ** 2 / p8, I_UNIT / p8], False),
+        ("a v^2 + 3 cofactor", [(V ** 2 + _n(3)).inverse(), p2.inverse()], False),
+        ("trap: a group of two over one denominator sums to 1", [Q * e, -Q ** -1 * e, p3.inverse()], True),
+        ("trap: one group divisible by Phi_2", [V / p2, p2.inverse()], True),
+        ("trap: a group of two divisible by Phi_1 only",
+         [V ** 2 / (p1 * p3), -(p1 * p3).inverse(), p3 ** -2], True),
+    ]
+    return products, sums
+
+
+def _full_normaliser(pairs):
+    """The sum of the fractions (num, den) over the product of their
+    denominators, through `Scalar.__init__` alone."""
+    den = {0: scalars.GQ_ONE}
+    for _, d in pairs:
+        den = scalars._pmul(den, d)
+    num = {}
+    for t, (n, _) in enumerate(pairs):
+        for u, (_, d) in enumerate(pairs):
+            if u != t:
+                n = scalars._pmul(n, d)
+        num = scalars._padd(num, n)
+    return Scalar(num, den)
+
+
+def test_products_and_sums_match_the_full_normaliser_and_sympy():
+    """Cross-cancelled products and `scalar_sum` equal the full
+    normaliser key for key, and sympy's cancel over QQ_I; the cases where
+    a Gaussian numerator may share one Q(i)-half of Phi_4 or Phi_8, or a
+    v^2 + 3 cofactor stays, end over plain dicts, the others over exponent
+    vectors."""
+    from types import SimpleNamespace
+
+    sympy, to_sympy, _, _ = _sympy_sides()
+    products, sums = _differential_cases()
+    for name, (x, y), vector in products:
+        assert _over_vectors(x, y) or "cofactor" in name, name
+        full = _full_normaliser([(scalars._pmul(x.num, y.num), scalars._pmul(x.den, y.den))])
+        unreduced = SimpleNamespace(num=full.num, den=full.den)
+        for s in (x * y, y * x):
+            assert (s.num, s.den) == (full.num, full.den), name
+            assert _over_vectors(s) == _over_vectors(full) == vector, name
+            _agrees_with_sympy(sympy, to_sympy, s, [unreduced])
+    for name, addends, vector in sums:
+        full = _full_normaliser([(a.num, a.den) for a in addends])
+        for order in (addends, addends[::-1]):
+            s = scalars.scalar_sum(order)
+            assert (s.num, s.den) == (full.num, full.den), name
+            assert _over_vectors(s) == _over_vectors(full) == vector, name
+            _agrees_with_sympy(sympy, to_sympy, s, order)
+            # the bar involution keeps an exponent vector as it stands
+            barred = Scalar({-e: c for e, c in s.num.items()}, {-e: c for e, c in s.den.items()})
+            assert (s.bar().num, s.bar().den) == (barred.num, barred.den), name
 
 
 def _sum_pool():
@@ -527,16 +648,26 @@ def test_monomial_products_never_normalise(monkeypatch):
     monomials += [Scalar.gaussian(2, -1) * V ** 3, Scalar.from_fraction(Fraction(-1, 3)) * V ** -2]
     expected = [Scalar(scalars._pmul(x.num, m.num), dict(x.den)) for x in xs for m in monomials]
     calls = []
-    original = scalars._cancel
+    original_cancel, original_strip, original_init = scalars._cancel, scalars._strip, Scalar.__init__
 
-    def counting(num, den, shift):
-        calls.append(den)
-        return original(num, den, shift)
+    def counting_cancel(num, den, shift, reduced):
+        calls.append("cancel")
+        return original_cancel(num, den, shift, reduced)
 
-    monkeypatch.setattr(scalars, "_cancel", counting)
-    assert [x * m for x in xs for m in monomials] == expected
-    assert [m * x for x in xs for m in monomials] == expected
+    def counting_strip(p, vec):
+        calls.append("strip")
+        return original_strip(p, vec)
+
+    def counting_init(self, num, den=None, _reduced=False):
+        calls.append("init")
+        original_init(self, num, den, _reduced)
+
+    monkeypatch.setattr(scalars, "_cancel", counting_cancel)
+    monkeypatch.setattr(scalars, "_strip", counting_strip)
+    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    products = [x * m for x in xs for m in monomials] + [m * x for x in xs for m in monomials]
     assert calls == []
+    assert products == expected + expected
 
 
 def test_polynomial_sums_never_normalise(monkeypatch):
@@ -546,17 +677,22 @@ def test_polynomial_sums_never_normalise(monkeypatch):
     expected = [Scalar(scalars._padd(x.num, y.num)) for x in polys for y in polys]
     assert ZERO in expected
     calls = []
-    original_cancel, original_init = scalars._cancel, Scalar.__init__
+    original_cancel, original_strip, original_init = scalars._cancel, scalars._strip, Scalar.__init__
 
-    def counting_cancel(num, den, shift):
+    def counting_cancel(num, den, shift, reduced):
         calls.append("cancel")
-        return original_cancel(num, den, shift)
+        return original_cancel(num, den, shift, reduced)
+
+    def counting_strip(p, vec):
+        calls.append("strip")
+        return original_strip(p, vec)
 
     def counting_init(self, num, den=None, _reduced=False):
         calls.append("init")
         original_init(self, num, den, _reduced)
 
     monkeypatch.setattr(scalars, "_cancel", counting_cancel)
+    monkeypatch.setattr(scalars, "_strip", counting_strip)
     monkeypatch.setattr(Scalar, "__init__", counting_init)
     sums = [x + y for x in polys for y in polys]
     assert calls == []

@@ -446,8 +446,8 @@ def _phi_product(exponents):
 def _factored(b):
     """b's factorisation by `_factor`, cached in `_FACTORS` under a flat
     tuple of ints, five per term: (exponent, re numerator, re denominator,
-    im numerator, im denominator).  Only denominators from outside the
-    arithmetic meet it: those of `Scalar(num, den)` and `inverse`."""
+    im numerator, im denominator).  Products and sums never call it: only
+    `Scalar(num, den)`, `inverse` and the Euclid fallback factor."""
     key = []
     for e in sorted(b):
         c = b[e]

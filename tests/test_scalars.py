@@ -348,16 +348,13 @@ def test_sum_matches_sympy_cancel():
 
     paths = {"lcm": 0, "product": 0}
 
-    def agrees(s, addends):
-        _agrees_with_sympy(sympy, to_sympy, s, addends)
-
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(side, side, side, side)
     def check(n1, d1, n2, d2):
         a = build(*n1) / build(*d1)
         b = build(*n2) / build(*d2)
         paths["lcm" if _over_vectors(a, b) else "product"] += 1
-        agrees(a + b, [a, b])
+        _agrees_with_sympy(sympy, to_sympy, a + b, [a, b])
 
     check()
     assert paths["lcm"] and paths["product"]
@@ -371,7 +368,7 @@ def test_sum_matches_sympy_cancel():
         if cancel:
             addends.append(-addends[0])
         sizes["cancelled" if cancel else "nonzero"] += 1
-        agrees(scalars.scalar_sum(addends), addends)
+        _agrees_with_sympy(sympy, to_sympy, scalars.scalar_sum(addends), addends)
 
     check_nary()
     assert sizes["cancelled"] and sizes["nonzero"]

@@ -478,6 +478,8 @@ def test_products_and_sums_match_the_full_normaliser_and_sympy():
 
     sympy, to_sympy, _, _ = _sympy_sides()
     products, sums = _differential_cases()
+    # a result over an odd power of Phi_1 checks the sign that bar takes
+    assert any(vector and (x * y).den.phi.get(1, 0) % 2 for _, (x, y), vector in products)
     for name, (x, y), vector in products:
         assert _over_vectors(x, y) or "cofactor" in name, name
         full = _full_normaliser([(scalars._pmul(x.num, y.num), scalars._pmul(x.den, y.den))])
@@ -486,6 +488,7 @@ def test_products_and_sums_match_the_full_normaliser_and_sympy():
             assert (s.num, s.den) == (full.num, full.den), name
             assert _over_vectors(s) == _over_vectors(full) == vector, name
             _agrees_with_sympy(sympy, to_sympy, s, [unreduced])
+            _bar_is_the_substitution(s, name)
     for name, addends, vector in sums:
         full = _full_normaliser([(a.num, a.den) for a in addends])
         for order in (addends, addends[::-1]):
@@ -493,9 +496,15 @@ def test_products_and_sums_match_the_full_normaliser_and_sympy():
             assert (s.num, s.den) == (full.num, full.den), name
             assert _over_vectors(s) == _over_vectors(full) == vector, name
             _agrees_with_sympy(sympy, to_sympy, s, order)
-            # the bar involution keeps an exponent vector as it stands
-            barred = Scalar({-e: c for e, c in s.num.items()}, {-e: c for e, c in s.den.items()})
-            assert (s.bar().num, s.bar().den) == (barred.num, barred.den), name
+            _bar_is_the_substitution(s, name)
+
+
+def _bar_is_the_substitution(s, name):
+    """s.bar() equals the full normaliser of v -> 1/v applied to num and
+    den; over an exponent vector it keeps the denominator, and Phi_1(1/v)
+    = -v^-1 Phi_1(v) gives the sign."""
+    barred = Scalar({-e: c for e, c in s.num.items()}, {-e: c for e, c in s.den.items()})
+    assert (s.bar().num, s.bar().den) == (barred.num, barred.den), name
 
 
 def _sum_pool():

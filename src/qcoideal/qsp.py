@@ -19,6 +19,7 @@ from .cartan import AdmissiblePair, rho_check_pairing, vec_sub
 from .scalars import ONE, ZERO, Scalar, fourth_root_power, qint, qshifted_factorial
 from .uqg import (
     Element,
+    _ef_inverse,
     coproduct_graded,
     is_zero,
     serre_polynomial,
@@ -279,7 +280,7 @@ def c_closed(params: QSPParameters, i, j) -> Element:
         zt = ctx.z(ti).scale(params.c[ti])
         term = (Bim * zi).scale(_qi(datum, i, -m) * qshifted_factorial(Scalar.v_pow(4 * eps), m))
         term = term + (Bim * zt).scale(_qi(datum, i) * qshifted_factorial(Scalar.v_pow(-4 * eps), m))
-        pref = -(_qi_minus_inv(datum, i) ** 2).inverse()
+        pref = -(_ef_inverse(datum, i) ** 2)
         return term.scale(pref)
     aij = datum.a(i, j)
     if aij == 0:
@@ -318,7 +319,7 @@ def c_closed(params: QSPParameters, i, j) -> Element:
     epj = datum.epsilon(j)
     rz = skew_r(j, ctx.z(i), allow_k=True) * Element.K_i(datum, j)
     irz = skew_ir(j, ctx.z(i), allow_k=True) * Element.K_i(datum, j, -1)
-    denom = (_qi_minus_inv(datum, i) * _qi_minus_inv(datum, j)).inverse()
+    denom = _ef_inverse(datum, i) * _ef_inverse(datum, j)
     if aij == -1:
         out = (Bj * zi).scale(_qi(datum, i))
         out = out + (rz.scale(_qi(datum, i) ** 2) + irz.scale(Scalar.v_pow(4 * epj) * _qi(datum, i, -1) ** 2)).scale(denom).scale(params.c[i])
@@ -326,7 +327,7 @@ def c_closed(params: QSPParameters, i, j) -> Element:
     if aij == -2:
         two = qint(2, eps)
         out = ((Bi * Bj - Bj * Bi) * zi).scale(_qi(datum, i) * two * two)
-        jinv = _qi_minus_inv(datum, j).inverse()
+        jinv = _ef_inverse(datum, j)
         out = out + (Bi * rz).scale(-(_qi(datum, i) ** 4) * two * jinv).scale(params.c[i])
         out = out + (Bi * irz).scale(Scalar.v_pow(4 * epj) * (_qi(datum, i, -1) ** 6) * two * jinv).scale(params.c[i])
         return out
@@ -352,8 +353,8 @@ def c_closed_torus(params: QSPParameters, i, j) -> Element:
     if aij == 0:
         return Element.zero(datum)
     if aij == -1:
-        out = ((Bj * zi).scale(qi ** 2) - zi * Bj).scale(_qi_minus_inv(datum, i).inverse())
-        out = out + wij.scale((qi + _qi(datum, i, -1)) * _qi_minus_inv(datum, j).inverse())
+        out = ((Bj * zi).scale(qi ** 2) - zi * Bj).scale(_ef_inverse(datum, i))
+        out = out + wij.scale((qi + _qi(datum, i, -1)) * _ef_inverse(datum, j))
         return out
     if aij == -2:
         Bi = b_generator(params, i)
@@ -362,10 +363,10 @@ def c_closed_torus(params: QSPParameters, i, j) -> Element:
         out = (inner * zi).scale(qi ** 2)
         inner2 = (Bi * Bj).scale(Scalar.from_int(2) + _qi(datum, i, -1) ** 2) - (Bj * Bi).scale(three)
         out = out - zi * inner2
-        out = out.scale(_qi_minus_inv(datum, i).inverse())
+        out = out.scale(_ef_inverse(datum, i))
         coeff = (
             _qi_minus_inv(datum, i)
-            * _qi_minus_inv(datum, j).inverse()
+            * _ef_inverse(datum, j)
             * (qi + _qi(datum, i, -1)) ** 2
             * three
         )
@@ -393,14 +394,10 @@ def serre_projection(params: QSPParameters, i, j):
         m * a + b
         for a, b in zip(datum.simple_root(i), datum.simple_root(j))
     )
-    minus_lam = tuple(-x for x in lam)
-    cell = Element.zero(datum)
+    unit = ((), tuple(-x for x in lam), ())
     graded = coproduct_graded(Y, datum.zero_vector())
-    for (m1, m2), c in graded.terms.items():
-        e2, k2, f2 = m2
-        if not e2 and not f2 and k2 == minus_lam:
-            cell = cell + Element(datum, {m1: c})
-    return Y, cell
+    cell = {m1: c for (m1, m2), c in graded.terms.items() if m2 == unit}
+    return Y, Element(datum, cell)
 
 
 def c_oracle(params: QSPParameters, i, j) -> Element:

@@ -64,6 +64,7 @@ from .uqg import (
     skew_r,
     tensor_equals,
     word_weight,
+    _ef_inverse,
     _tensor_of_elements,
 )
 
@@ -227,9 +228,8 @@ def suite_hopf(seed=0, max_bucket=10 ** 6):
                 ok2 = ok2 and Ki * Element.F(datum, j) == (Element.F(datum, j) * Ki).scale(pair_q.inverse())
                 lhs = Element.E(datum, i) * Element.F(datum, j) - Element.F(datum, j) * Element.E(datum, i)
                 if i == j:
-                    e = datum.epsilon(i)
                     rhs = (Element.K_i(datum, i) - Element.K_i(datum, i, -1)).scale(
-                        (Scalar.v_pow(2 * e) - Scalar.v_pow(-2 * e)).inverse()
+                        _ef_inverse(datum, i)
                     )
                 else:
                     rhs = Element.zero(datum)
@@ -274,17 +274,13 @@ def _r_via_coproduct(x, i):
     """First-order coproduct extraction of the right skew derivation."""
     datum = x.datum
     alpha = datum.simple_root(i)
-    cell = coproduct_graded(x, alpha)
-    out = Element.zero(datum)
-    single = ((i,), datum.zero_vector(), ())
-    for (m1, m2), c in cell.terms.items():
-        if m2 != single:
-            continue
-        e1, k1, f1 = m1
-        if k1 != alpha:
-            continue
-        out = out + Element.monomial(datum, e1, datum.zero_vector(), f1, c)
-    return out
+    zero = datum.zero_vector()
+    single = ((i,), zero, ())
+    return Element(datum, {
+        (e1, zero, f1): c
+        for ((e1, k1, f1), m2), c in coproduct_graded(x, alpha).terms.items()
+        if m2 == single and k1 == alpha
+    })
 
 
 def suite_derivations(seed=0, max_bucket=10 ** 6):
@@ -303,13 +299,11 @@ def suite_derivations(seed=0, max_bucket=10 ** 6):
                 rng.shuffle(shuffled)
                 x = x + Element.E(datum, *shuffled).scale(rng.choice(_SCALAR_POOL))
             for i in datum.labels:
-                e = datum.epsilon(i)
-                qi_diff = Scalar.v_pow(2 * e) - Scalar.v_pow(-2 * e)
                 lhs = x * Element.F(datum, i) - Element.F(datum, i) * x
                 rhs = (
                     skew_r(i, x) * Element.K_i(datum, i)
                     - Element.K_i(datum, i, -1) * skew_ir(i, x)
-                ).scale(qi_diff.inverse())
+                ).scale(_ef_inverse(datum, i))
                 ok_comm = ok_comm and equals(lhs, rhs, max_bucket)
             i = rng.choice(datum.labels)
             ok_sigma = ok_sigma and sigma(skew_r(i, x)) == skew_ir(i, sigma(x))
@@ -702,9 +696,8 @@ def suite_qsp_structure(seed=0, max_bucket=10 ** 6):
                     params, j
                 ) * Element.E(datum, i)
                 if i == j:
-                    e = datum.epsilon(i)
                     rhs = (Element.K_i(datum, i) - Element.K_i(datum, i, -1)).scale(
-                        (Scalar.v_pow(2 * e) - Scalar.v_pow(-2 * e)).inverse()
+                        _ef_inverse(datum, i)
                     )
                 else:
                     rhs = Element.zero(datum)
@@ -749,19 +742,14 @@ def suite_qsp_structure(seed=0, max_bucket=10 ** 6):
             # B_i first-order coproduct cells
             B = b_generator(params, i)
             cop = coproduct(B)
-            kcell = Element.zero(datum)
-            fcell = Element.zero(datum)
-            zcell = Element.zero(datum)
             kkey = ((), tuple(-x for x in alpha_i), ())
             fkey = ((), datum.zero_vector(), (i,))
             zkey = ((ti,), tuple(-x for x in alpha_i), ())
+            cells = {kkey: {}, fkey: {}, zkey: {}}
             for (m1, m2), c in cop.terms.items():
-                if m2 == kkey:
-                    kcell = kcell + Element(datum, {m1: c})
-                elif m2 == fkey:
-                    fcell = fcell + Element(datum, {m1: c})
-                elif m2 == zkey:
-                    zcell = zcell + Element(datum, {m1: c})
+                if m2 in cells:
+                    cells[m2][m1] = c
+            kcell, fcell, zcell = (Element(datum, cells[key]) for key in (kkey, fkey, zkey))
             okb = equals(kcell, B, max_bucket)
             okb = okb and equals(fcell, Element.one(datum), max_bucket)
             okb = okb and equals(

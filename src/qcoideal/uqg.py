@@ -15,8 +15,23 @@ algebra (Rosso), and in finite type the lexicographically largest word of
 a nonzero image is one of Leclerc's good words, one per Kostant partition
 of the weight (Math. Z. 246, 2004).  There the walk deletes letters only
 along prefixes of good words; affine and indefinite data keep the complete
-family.  One expansion loop computes the coproduct, optionally pruned to a
-single graded cell.
+family.
+
+The coproduct, with Delta(E_i) = E_i (x) 1 + K_i (x) E_i, Delta(K_beta) =
+K_beta (x) K_beta and Delta(F_i) = F_i (x) K_i^{-1} + 1 (x) F_i, is
+expanded per monomial in closed form, a sum over the subsets S of the
+E-letters and T of the F-letters that move to the second factor (Jantzen,
+ch. 4; Rosso's quantum shuffles), each subset kept in word order:
+
+    Delta(E_e K_k F_f) = sum_{S, T} v^x E_{e-S} K_{k+wt S} F_{f-T}
+                                    (x) E_S K_{k-wt(f-T)} F_T,
+    x = sum_{s in S, u not in S, u > s} 2 (alpha_{e_s}, alpha_{e_u})
+      - sum_{t not in T, u in T, u < t} 2 (alpha_{f_t}, alpha_{f_u}).
+
+Every term is in normal order, and its second factor has Q-degree
+wt S - wt T; a graded cell enumerates only the splits of its degree.  The
+splits of repeated letters that meet on one term are summed as a Laurent
+polynomial in v, which multiplies the monomial's coefficient once.
 
 Monomial keys are plain tuples (e_word, k_part, f_word); elements carry
 their CartanDatum, and combining elements of two data raises ValueError.
@@ -45,7 +60,7 @@ the good words) live in the datum's declared `caches` under "weight",
 
 from __future__ import annotations
 
-from operator import mul
+from operator import add, lt, mul, sub
 
 from .cartan import FiniteTypeError, positive_parabolic_roots, vec_sub
 from .scalars import ONE, Scalar, ZERO, scalar_sum
@@ -448,53 +463,34 @@ def _tensor_of_elements(elems, coeff):
     return Tensor(datum, len(elems), out)
 
 
-def _tensor2_mul_gen(datum, cur, gen_kind, gen_arg):
-    """Multiply a 2-tensor dict by the coproduct of one generator."""
-    out = {}
-    if gen_kind == "E":  # E_i (x) 1 + K_i (x) E_i
-        i = gen_arg
-        alpha = datum.simple_root(i)
-        for (m1, m2), c in cur.items():
-            for nk, pc in _mono_times_E(datum, m1, i, c):
-                _add_term(out, (nk, m2), pc)
-            k1key, x = _mono_times_K(datum, m1, alpha)
-            for nk2, pc in _mono_times_E(datum, m2, i, c.shifted(x)):
-                _add_term(out, (k1key, nk2), pc)
-    elif gen_kind == "K":
-        kvec = gen_arg
-        for (m1, m2), c in cur.items():
-            k1, x1 = _mono_times_K(datum, m1, kvec)
-            k2, x2 = _mono_times_K(datum, m2, kvec)
-            _add_term(out, (k1, k2), c.shifted(x1 + x2))
-    else:  # F_j (x) K_j^{-1} + 1 (x) F_j
-        j = gen_arg
-        minus = tuple(-x for x in datum.simple_root(j))
-        for (m1, m2), c in cur.items():
-            e1, k1, f1 = m1
-            k2key, x = _mono_times_K(datum, m2, minus)
-            _add_term(out, ((e1, k1, f1 + (j,)), k2key), c.shifted(x))
-            e2, k2, f2 = m2
-            _add_term(out, (m1, (e2, k2, f2 + (j,))), c)
-    return out
-
-
-def _prune_cell(datum, cur, target, rest_e, rest_f):
-    """Keep the 2-tensor terms whose second factor can still reach Q-degree
-    `target` once the E-letters rest_e and F-letters rest_f are multiplied in."""
-    re_w = word_weight(datum, rest_e)
-    rf_w = word_weight(datum, rest_f)
-    kept = {}
-    for key, cc in cur.items():
-        e2, _k2, f2 = key[1]
-        we2 = word_weight(datum, e2)
-        wf2 = word_weight(datum, f2)
-        for x in range(datum.n):
-            need = target[x] - we2[x] + wf2[x]
-            if need > re_w[x] or need < -rf_w[x]:
-                break
-        else:
-            kept[key] = cc
-    return kept
+def _splits(datum, word, sign, lo, hi):
+    """The splits of an E-word (sign 1) or F-word (sign -1) into the letters
+    that stay in the first factor and those that move to the second, with
+    lo <= wt(moved) <= hi unless lo is None: {(stay, moved, wt(moved)): P},
+    P the sum of v^x over the splits onto that pair, where each staying
+    letter u adds sign * 2 (alpha_u, wt of the letters moved before it) to
+    x.  A letter branches only where the bounds let it both stay and move.
+    """
+    left = list(word_weight(datum, word))
+    if lo is not None and (min(hi) < 0 or any(map(lt, left, lo))):
+        return {}
+    zero = datum.zero_vector()
+    if lo is not None and not any(hi):  # only the split that moves nothing
+        return {(word, (), zero): ONE} if max(lo) <= 0 else {}
+    states = {((), (), zero): ONE}
+    for u in word:
+        p = datum.pos(u)
+        left[p] -= 1
+        row = datum.gram[p]
+        nxt = {}
+        for (stay, moved, wt), s in states.items():
+            if lo is None or wt[p] + left[p] >= lo[p]:
+                x = sign * 2 * sum(map(mul, row, wt))
+                _add_term(nxt, (stay + (u,), moved, wt), s.shifted(x))
+            if lo is None or wt[p] < hi[p]:
+                _add_term(nxt, (stay, moved + (u,), wt[:p] + (wt[p] + 1,) + wt[p + 1:]), s)
+        states = nxt
+    return states
 
 
 def coproduct(a: Element) -> Tensor:
@@ -503,33 +499,42 @@ def coproduct(a: Element) -> Tensor:
 
 
 def coproduct_graded(a: Element, target=None) -> Tensor:
-    """Terms of the coproduct whose second factor has Q-degree `target`.
+    """Terms of the coproduct whose second factor has Q-degree `target`,
+    all of them when `target` is None.
 
-    With `target` None this is the whole coproduct.  Otherwise branches
-    whose second factor can no longer reach the target degree are pruned
-    after every generator, so single graded cells of large coproducts stay
-    cheap.
+    A monomial expands over the subsets S of its E-letters and T of its
+    F-letters that move to the second factor, in word order:
+    Delta(E_e K_k F_f) = sum_{S,T} v^x E_{e-S} K_{k+wt S} F_{f-T} (x)
+    E_S K_{k-wt(f-T)} F_T with x = sum_{s in S, u > s, u not in S}
+    2 (alpha_{e_s}, alpha_{e_u}) - sum_{t not in T, u < t, u in T}
+    2 (alpha_{f_t}, alpha_{f_u}), every term in normal order and of
+    degree wt S - wt T.  Only splits of the target degree are built:
+    target <= wt S <= target + wt f bounds the E-side, its splits bound
+    the F-side, and the two are joined on the degree.  Terms come in the
+    order of the letter-by-letter product.
     """
     datum = a.datum
-    empty = ((), datum.zero_vector(), ())
     out = {}
     for (e, k, f), c in a.terms.items():
-        cur = {(empty, empty): c}
-        for t, i in enumerate(e):
-            cur = _tensor2_mul_gen(datum, cur, "E", i)
-            if target is not None:
-                cur = _prune_cell(datum, cur, target, e[t + 1:], f)
-        if any(k):
-            cur = _tensor2_mul_gen(datum, cur, "K", k)
-        for t, j in enumerate(f):
-            cur = _tensor2_mul_gen(datum, cur, "F", j)
-            if target is not None:
-                cur = _prune_cell(datum, cur, target, (), f[t + 1:])
-        if target is not None:
-            # with no letters left, feasibility is an exact degree match
-            cur = _prune_cell(datum, cur, target, (), ())
-        for key, cc in cur.items():
-            _add_term(out, key, cc)
+        wf = word_weight(datum, f)
+        if target is None:
+            es, fs = _splits(datum, e, 1, None, None), _splits(datum, f, -1, None, None)
+        else:
+            es = _splits(datum, e, 1, target, tuple(map(add, target, wf)))
+            if not es:
+                continue
+            need = [tuple(map(sub, wt, target)) for _, _, wt in es]  # the values of wt T
+            fs = _splits(datum, f, -1, tuple(map(min, zip(*need))), tuple(map(max, zip(*need))))
+        k2 = tuple(map(sub, k, wf))
+        by_degree = {}  # the F-splits in order, under wt T (under None for all)
+        for (stay, moved, wt), pf in fs.items():
+            part = (stay, tuple(map(add, k2, wt)), moved, pf)
+            by_degree.setdefault(None if target is None else wt, []).append(part)
+        for (rest, moved, wt), pe in es.items():
+            k1 = tuple(map(add, k, wt))
+            degree = None if target is None else tuple(map(sub, wt, target))
+            for stay, k2t, fmoved, pf in by_degree.get(degree, ()):
+                _add_term(out, ((rest, k1, stay), (moved, k2t, fmoved)), c * pe * pf)
     return Tensor(datum, 2, out)
 
 

@@ -195,6 +195,23 @@ def test_recorded_digests_cover_every_suite():
     assert sorted(names) == sorted(expected)
 
 
+@pytest.mark.parametrize("suite", ["hopf", "derivations", "cij-closed-vs-oracle", "qsp-structure"])
+def test_coproduct_suite_reports_match_the_recorded_digests(suite, tmp_path, capsys):
+    """`verify --suite S --seed 0 --out` writes the report and prints the
+    text whose sha256 digests are recorded, for the suites that use the
+    coproduct."""
+    import hashlib
+    from pathlib import Path
+
+    digests = Path(__file__).parent / "data" / "verify_seed0.sha256"
+    recorded = dict(reversed(line.split()) for line in digests.read_text().splitlines() if line.strip())
+    out = tmp_path / f"{suite}.json"
+    assert main(["--seed", "0", "--out", str(out), "verify", "--suite", suite]) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == recorded[f"verify-seed0/{suite}.json"]
+    assert hashlib.sha256(stdout).hexdigest() == recorded[f"verify-seed0/{suite}.txt"]
+
+
 def test_cli_nu_atlas_report(tmp_path, capsys):
     out = tmp_path / "atlas.json"
     assert main(["--out", str(out), "nu-atlas", "--families", "G", "--max-rank", "2"]) == 0

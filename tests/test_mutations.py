@@ -6,8 +6,9 @@ mutant patches one point with monkeypatch: the sign of the E-F commutator,
 the q-power that K picks up moving past an F-word, the q-power of a letter
 deletion in the zero walk, the table of good words along which the walk
 deletes letters, the key of the memo of braid images of words, the
-cross-cancellation of scalar products, and the reduction of a sum whose
-addends share a denominator.  The unpatched engine passes every check, and
+cross-cancellation of scalar products, the reduction of a sum whose
+addends share a denominator, and the sign of the q-power that each side
+of a coproduct split carries.  The unpatched engine passes every check, and
 each mutant fails the check named for it.  Each check builds a fresh datum
 and fresh scalars, so no cache filled by the unpatched engine hides a
 mutant.
@@ -21,7 +22,7 @@ from qcoideal import scalars, uqg
 from qcoideal.braid import BraidOperator, apply_braid
 from qcoideal.cartan import CartanDatum
 from qcoideal.scalars import ONE, Scalar, qfact, qint
-from qcoideal.uqg import Element, equals, is_zero, serre_polynomial
+from qcoideal.uqg import Element, coproduct, equals, is_zero, serre_polynomial, tensor_equals
 
 Q = Scalar.q_pow(1)
 
@@ -84,6 +85,26 @@ def check_sum_over_one_denominator():
     return scalars.scalar_sum([Q * e, -(Q ** -1 * e), qint(3).inverse()]) == ONE + qint(3).inverse()
 
 
+def _coproduct_of_product(d, letters):
+    """Delta(x) against the product of the generators' coproducts, for the
+    word `letters` of ("E" | "F", node) in normal order."""
+    gens = [Element.E(d, i) if kind == "E" else Element.F(d, i) for kind, i in letters]
+    x, rhs = gens[0], coproduct(gens[0])
+    for g in gens[1:]:
+        x, rhs = x * g, rhs * coproduct(g)
+    return tensor_equals(coproduct(x), rhs)
+
+
+def check_coproduct_e_side():
+    """Delta(E_1 E_2 F_1) = Delta(E_1) Delta(E_2) Delta(F_1)."""
+    return _coproduct_of_product(_a2(), [("E", 1), ("E", 2), ("F", 1)])
+
+
+def check_coproduct_f_side():
+    """Delta(E_1 F_1 F_2) = Delta(E_1) Delta(F_1) Delta(F_2)."""
+    return _coproduct_of_product(_a2(), [("E", 1), ("F", 1), ("F", 2)])
+
+
 CHECKS = {
     "ef-commutator": check_ef_commutator,
     "k-past-f": check_k_past_f,
@@ -92,6 +113,8 @@ CHECKS = {
     "braid-inverse-warm": check_braid_inverse_warm,
     "cross-cancellation": check_cross_cancellation,
     "sum-over-one-denominator": check_sum_over_one_denominator,
+    "coproduct-e-side": check_coproduct_e_side,
+    "coproduct-f-side": check_coproduct_f_side,
 }
 
 
@@ -192,6 +215,25 @@ def sum_groups_as_reduced(monkeypatch):
     monkeypatch.setattr(uqg, "scalar_sum", mutant)
 
 
+def _flip_split_sign(monkeypatch, side):
+    """Give the q-power of the coproduct splits of E-words (side 1) or of
+    F-words (side -1) the wrong sign."""
+    original = uqg._splits
+
+    def mutant(datum, word, sign, lo, hi):
+        return original(datum, word, -sign if sign == side else sign, lo, hi)
+
+    monkeypatch.setattr(uqg, "_splits", mutant)
+
+
+def flip_e_split_sign(monkeypatch):
+    _flip_split_sign(monkeypatch, 1)
+
+
+def flip_f_split_sign(monkeypatch):
+    _flip_split_sign(monkeypatch, -1)
+
+
 MUTANTS = [
     ("ef-commutator", negate_ef_inverse),
     ("k-past-f", shift_k_past_f),
@@ -200,6 +242,8 @@ MUTANTS = [
     ("braid-inverse-warm", drop_braid_sign),
     ("cross-cancellation", skip_c_against_b),
     ("sum-over-one-denominator", sum_groups_as_reduced),
+    ("coproduct-e-side", flip_e_split_sign),
+    ("coproduct-f-side", flip_f_split_sign),
 ]
 
 

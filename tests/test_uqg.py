@@ -369,3 +369,121 @@ def test_sigma_of_f_free_terms_is_the_straightened_product():
                 mk = tuple(-b for b in k)
                 expected = expected + (Element.K(datum, mk) * Element.E(datum, *reversed(e))).scale(c)
             assert sigma(x) == expected
+
+
+def _letter_by_letter_coproduct(a):
+    """The coproduct as the product of the generators' coproducts, one
+    letter at a time: (E_e K_k F_f) is multiplied out as Delta(E_{e_1}) ...
+    Delta(K_k) Delta(F_{f_1}) ..., each factor by straightening."""
+    datum = a.datum
+    one = ((), datum.zero_vector(), ())
+    terms = {}
+    for (e, k, f), c in a.terms.items():
+        cur = {(one, one): c}
+        for kind, arg in [("E", i) for i in e] + [("K", k)] + [("F", j) for j in f]:
+            if kind == "E":
+                gen = [(((arg,), datum.zero_vector(), ()), one),
+                       (((), datum.simple_root(arg), ()), ((arg,), datum.zero_vector(), ()))]
+            elif kind == "K":
+                gen = [(((), arg, ()), ((), arg, ()))]
+            else:
+                minus = tuple(-x for x in datum.simple_root(arg))
+                gen = [(((), datum.zero_vector(), (arg,)), ((), minus, ())),
+                       (one, ((), datum.zero_vector(), (arg,)))]
+            nxt = {}
+            for (m1, m2), cc in cur.items():
+                for g1, g2 in gen:
+                    p1 = Element(datum, {m1: cc}) * Element(datum, {g1: ONE})
+                    p2 = Element(datum, {m2: ONE}) * Element(datum, {g2: ONE})
+                    for k1, c1 in p1.terms.items():
+                        for k2, c2 in p2.terms.items():
+                            s = nxt.get((k1, k2))
+                            nxt[(k1, k2)] = c1 * c2 if s is None else s + c1 * c2
+            cur = {key: cc for key, cc in nxt.items() if cc}
+        for key, cc in cur.items():
+            s = terms[key] + cc if key in terms else cc
+            if s:
+                terms[key] = s
+            else:
+                del terms[key]
+    return terms
+
+
+def _word_element(rng, datum):
+    """Two to four monomials whose E- and F-words repeat letters, with K
+    parts and Scalar coefficients, some with a denominator."""
+    coeffs = [ONE, Q, Scalar.from_int(3), qint(2).inverse(), (Q - Q ** -1).inverse()]
+    out = Element.zero(datum)
+    for _ in range(rng.randint(2, 4)):
+        labels = datum.labels[:2] if rng.random() < 0.5 else datum.labels
+        e = tuple(rng.choice(labels) for _ in range(rng.randint(0, 4)))
+        k = tuple(rng.randint(-1, 1) for _ in range(datum.n))
+        f = tuple(rng.choice(labels) for _ in range(rng.randint(0, 3)))
+        out = out + Element.monomial(datum, e, k, f, rng.choice(coeffs))
+    return out
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "D4", "affine:A1"])
+def test_coproduct_matches_the_letter_by_letter_product(name):
+    """The subset expansion of each monomial equals the product of the
+    generators' coproducts, term for term and in the same order, for the
+    whole coproduct, every graded cell present and one absent cell."""
+    datum = cartan_datum(name[:-1], int(name[-1]))
+    rng = random.Random(23)
+    for _ in range(6):
+        x = _word_element(rng, datum)
+        want = _letter_by_letter_coproduct(x)
+        assert list(coproduct(x).terms.items()) == list(want.items())
+        degrees = {x.degree_of_key(m2) for _m1, m2 in want}
+        absent = tuple(c + 5 for c in datum.zero_vector())
+        assert absent not in degrees
+        for d in sorted(degrees) + [absent]:
+            cell = [(key, c) for key, c in want.items() if x.degree_of_key(key[1]) == d]
+            assert list(coproduct_graded(x, d).terms.items()) == cell
+
+
+def test_coproduct_of_two_letter_words():
+    """Delta(E_1 E_1) = E_1^2 (x) 1 + (1 + q^2) E_1 K_1 (x) E_1 + K_1^2 (x) E_1^2
+    and Delta(F_1 F_2) = F_1 F_2 (x) K_1^{-1} K_2^{-1} + F_1 (x) K_1^{-1} F_2
+    + q F_2 (x) K_2^{-1} F_1 + 1 (x) F_1 F_2 on A2."""
+    z = A2.zero_vector()
+    assert coproduct(Element.E(A2, 1, 1)).terms == {
+        (((1, 1), z, ()), ((), z, ())): ONE,
+        (((1,), (1, 0), ()), ((1,), z, ())): ONE + Q ** 2,
+        (((), (2, 0), ()), ((1, 1), z, ())): ONE,
+    }
+    assert coproduct(Element.F(A2, 1, 2)).terms == {
+        (((), z, (1, 2)), ((), (-1, -1), ())): ONE,
+        (((), z, (1,)), ((), (-1, 0), (2,))): ONE,
+        (((), z, (2,)), ((), (0, -1), (1,))): Q,
+        (((), z, ()), ((), z, (1, 2))): ONE,
+    }
+
+
+def test_serre_projection_cell_is_the_terms_of_y_over_k_minus_lambda():
+    """The oracle's cell is exactly the terms E_e K_k F_f of
+    Y = F_ij(B_i, B_j) with k - wt f = -lambda_ij, on the closed-formula
+    cases and every ordered (i, j) of every admissible pair of A3 and B3."""
+    from qcoideal.cartan import enumerate_admissible
+    from qcoideal.qsp import serre_projection
+    from qcoideal.suites import CLOSED_CASES, _build_pair, _default_params
+
+    cases = []
+    for kind, rank, X, tau_pairs, i, j, _torus in CLOSED_CASES:
+        cases.append((_default_params(_build_pair(kind, rank, X, tau_pairs)), i, j))
+    for kind in ("A", "B"):
+        datum = cartan_datum(kind, 3)
+        for pair in enumerate_admissible(datum):
+            params = _default_params(pair)
+            cases += [(params, i, j) for i in datum.labels for j in datum.labels if i != j]
+    assert len(cases) > 60
+    for params, i, j in cases:
+        datum = params.datum
+        Y, cell = serre_projection(params, i, j)
+        m = 1 - datum.a(i, j)
+        lam = tuple(m * a + b for a, b in zip(datum.simple_root(i), datum.simple_root(j)))
+        want = {
+            (e, k, f): c for (e, k, f), c in Y.terms.items()
+            if tuple(a - b for a, b in zip(k, word_weight(datum, f))) == tuple(-x for x in lam)
+        }
+        assert cell.terms == want

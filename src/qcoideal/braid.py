@@ -29,7 +29,7 @@ from functools import reduce
 from operator import mul
 
 from .scalars import ONE, Scalar, qfact
-from .uqg import Element, _gather, _settle
+from .uqg import Element, _add_term, _gather, _settle
 
 
 def _image_E(datum, i, e, double_prime, j) -> Element:
@@ -41,7 +41,7 @@ def _image_E(datum, i, e, double_prime, j) -> Element:
         c = -Scalar.v_pow(4 * e * eps) if double_prime else -ONE
         return Element.monomial(datum, (), k, (i,), c)
     m = -datum.a(i, j)
-    out = Element.zero(datum)
+    out = {}
     zero = datum.zero_vector()
     for r in range(m + 1):
         s = m - r
@@ -54,8 +54,8 @@ def _image_E(datum, i, e, double_prime, j) -> Element:
             word = (i,) * r + (j,) + (i,) * s
         if r % 2:
             coeff = -coeff
-        out = out + Element.monomial(datum, word, zero, (), coeff)
-    return out
+        _add_term(out, (word, zero, ()), coeff)
+    return Element(datum, out)
 
 
 def _word_image(datum, op, kind, word) -> Element:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GQ_ONE, GaussianRational, Scalar, ZERO, I_UNIT
+from .scalars import GQ_ONE, GaussianRational, Scalar, I_UNIT
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +241,7 @@ def _parse_index_list(body: str):
 
 
 def parse_element(datum, text: str):
-    from .uqg import Element
+    from .uqg import Element, _add_term
 
     text = text.strip()
     if text == "0":
@@ -265,13 +265,7 @@ def parse_element(datum, text: str):
             raise ScalarParseError("element term lacks '* (coeff)' part")
         mono_text = chunk[:star].strip()
         coeff = parse_scalar(chunk[star + 1:].strip())
-        key = _parse_monomial(datum, mono_text)
-        if key in terms:
-            coeff = terms[key] + coeff
-        if coeff:
-            terms[key] = coeff
-        elif key in terms:
-            del terms[key]
+        _add_term(terms, _parse_monomial(datum, mono_text), coeff)
     return Element(datum, terms)
 
 
@@ -325,7 +319,7 @@ def element_to_json(a):
 
 
 def element_from_json(datum, obj):
-    from .uqg import Element
+    from .uqg import Element, _add_term
 
     terms = {}
     for t in obj["terms"]:
@@ -335,10 +329,5 @@ def element_from_json(datum, obj):
         e, f = tuple(t.get("E", [])), tuple(t.get("F", []))
         for i in e + f:
             datum.pos(i)
-        key = (e, tuple(k), f)
-        coeff = parse_scalar(t["coeff"])
-        if coeff:
-            terms[key] = terms.get(key, ZERO) + coeff
-            if not terms[key]:
-                del terms[key]
+        _add_term(terms, (e, tuple(k), f), parse_scalar(t["coeff"]))
     return Element(datum, terms)

@@ -64,6 +64,7 @@ from .uqg import (
     skew_r,
     tensor_equals,
     word_weight,
+    _add_term,
     _ef_inverse,
     _tensor_of_elements,
 )
@@ -115,14 +116,14 @@ def _random_word(rng, datum, max_len=4):
 
 
 def _random_element(rng, datum, max_len=4, n_terms=2):
-    out = Element.zero(datum)
+    out = {}
     for _ in range(n_terms):
         letters = _random_word(rng, datum, max_len)
         cut = rng.randint(0, len(letters))
         kvec = tuple(rng.randint(-1, 1) for _ in datum.labels)
         coeff = rng.choice(_SCALAR_POOL)
-        out = out + Element.monomial(datum, letters[:cut], kvec, letters[cut:], coeff)
-    return out
+        _add_term(out, (letters[:cut], kvec, letters[cut:]), coeff)
+    return Element(datum, out)
 
 
 def _default_params(pair):

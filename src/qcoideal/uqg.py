@@ -33,8 +33,13 @@ wt S - wt T; a graded cell enumerates only the splits of its degree.  The
 splits of repeated letters that meet on one term are summed as a Laurent
 polynomial in v, which multiplies the monomial's coefficient once.
 
-Monomial keys are plain tuples (e_word, k_part, f_word); elements carry
-their CartanDatum, and combining elements of two data raises ValueError.
+Element and Tensor share one linear layer, `_Linear`: a dict from keys to
+nonzero Scalars over one CartanDatum, in insertion order, with ==, +, -,
+negation and `scale`.  An Element's keys are monomials, plain tuples
+(e_word, k_part, f_word); a Tensor's are tuples of them, one per factor.
+Combinations of two classes, data or arities do not combine (ValueError).
+Sums are built in place by `_add_term`, which drops a key that cancels, and
+the maps of one tensor factor are one splice.
 Every q-power q^{(beta, gamma)} that straightening, the coproduct, the
 involutions and the zero walk meet is carried as the integer v-exponent
 2 (beta, gamma), read off the datum's integer Gram matrix, and reaches a
@@ -63,7 +68,7 @@ from __future__ import annotations
 from operator import add, lt, mul, sub
 
 from .cartan import FiniteTypeError, positive_parabolic_roots, vec_sub
-from .scalars import ONE, Scalar, ZERO, scalar_sum
+from .scalars import ONE, Scalar, scalar_sum
 
 class ZeroTestGuardError(RuntimeError):
     """A graded bucket exceeded the word-evaluation guard of the zero test."""
@@ -186,10 +191,62 @@ def _mono_times_K(datum, key, kvec):
     return (e, tuple(a + b for a, b in zip(k, kvec)), f), _vexp(datum, kvec, f)
 
 
-class Element:
-    """Finite Scalar-linear combination of normal-ordered monomials."""
+class _Linear:
+    """The linear structure of Element and Tensor: a Scalar-linear
+    combination {key: coefficient} over one CartanDatum.  `_args` are the
+    constructor arguments before the terms (datum, and arity for a Tensor);
+    only combinations of one class and one `_args` combine."""
 
     __slots__ = ("datum", "terms")
+
+    def _args(self):
+        return (self.datum,)
+
+    def _like(self, terms):
+        return self.__class__(*self._args(), terms)
+
+    def _check(self, other):
+        if self.__class__ is not other.__class__ or self._args() != other._args():
+            raise ValueError("combinations of different kinds, data or arities do not combine")
+
+    def __eq__(self, other):
+        """Structural equality of representations (use `equals` for semantic)."""
+        if self.__class__ is not other.__class__:
+            return NotImplemented
+        return self._args() == other._args() and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            _add_term(out, key, c)
+        return self._like(out)
+
+    def __sub__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            _add_term(out, key, -c)
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def scale(self, scalar):
+        if not scalar:
+            return self._like({})
+        if scalar is ONE:
+            return self
+        return self._like({k: c * scalar for k, c in self.terms.items()})
+
+
+class Element(_Linear):
+    """Finite Scalar-linear combination of normal-ordered monomials."""
+
+    __slots__ = ()
 
     def __init__(self, datum, terms=None):
         self.datum = datum
@@ -245,37 +302,7 @@ class Element:
             return cls.zero(datum)
         return cls(datum, {(tuple(e), tuple(k), tuple(f)): coeff})
 
-    # -- linear structure ----------------------------------------------------
-
-    def __eq__(self, other):
-        """Structural equality of representations (use `equals` for semantic)."""
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.datum is other.datum and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset((k, v) for k, v in self.terms.items()))
-
-    def __add__(self, other):
-        if self.datum is not other.datum:
-            raise ValueError("elements of different Cartan data do not combine")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _add_term(out, key, c)
-        return Element(self.datum, out)
-
-    def __neg__(self):
-        return Element(self.datum, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, scalar):
-        if not scalar:
-            return Element.zero(self.datum)
-        if scalar is ONE:
-            return self
-        return Element(self.datum, {k: c * scalar for k, c in self.terms.items()})
+    # -- multiplication ------------------------------------------------------
 
     def __rmul__(self, other):
         if isinstance(other, Scalar):
@@ -284,13 +311,9 @@ class Element:
             return self.scale(Scalar.from_int(other))
         return NotImplemented
 
-    # -- multiplication ------------------------------------------------------
-
     def __mul__(self, other):
-        if isinstance(other, Scalar):
-            return self.scale(other)
-        if isinstance(other, int):
-            return self.scale(Scalar.from_int(other))
+        if other.__class__ is not Element:
+            return self.__rmul__(other)  # a Scalar or an int
         if self.datum is not other.datum:
             raise ValueError("elements of different Cartan data do not combine")
         datum = self.datum
@@ -339,105 +362,74 @@ class Element:
 # Hopf structure.
 # ---------------------------------------------------------------------------
 
-class Tensor:
+class Tensor(_Linear):
     """Finite linear combination of tuples of normal-ordered monomials."""
 
-    __slots__ = ("datum", "arity", "terms")
+    __slots__ = ("arity",)
 
     def __init__(self, datum, arity, terms=None):
         self.datum = datum
         self.arity = arity
         self.terms = {} if terms is None else terms
 
-    @classmethod
-    def zero(cls, datum, arity):
-        return cls(datum, arity, {})
-
-    def __eq__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return (self.datum is other.datum and self.arity == other.arity
-                and self.terms == other.terms)
-
-    def __add__(self, other):
-        if self.datum is not other.datum or self.arity != other.arity:
-            raise ValueError("tensors of different data or arities do not combine")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _add_term(out, key, c)
-        return Tensor(self.datum, self.arity, out)
-
-    def __neg__(self):
-        return Tensor(self.datum, self.arity, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, scalar):
-        if not scalar:
-            return Tensor.zero(self.datum, self.arity)
-        return Tensor(self.datum, self.arity, {k: c * scalar for k, c in self.terms.items()})
+    def _args(self):
+        return (self.datum, self.arity)
 
     def __mul__(self, other):
         """Factorwise product of tensors of equal arity."""
-        if self.datum is not other.datum or self.arity != other.arity:
-            raise ValueError("tensors of different data or arities do not combine")
+        self._check(other)
         datum = self.datum
-        out = Tensor.zero(datum, self.arity)
+        out = {}
         for keys1, c1 in self.terms.items():
             for keys2, c2 in other.terms.items():
-                slots = [
-                    Element(datum, {keys1[t]: ONE}) * Element(datum, {keys2[t]: ONE})
-                    for t in range(self.arity)
-                ]
-                out = out + _tensor_of_elements(slots, c1 * c2)
-        return out
+                prod = _tensor_of_elements([
+                    Element(datum, {m1: ONE}) * Element(datum, {m2: ONE})
+                    for m1, m2 in zip(keys1, keys2)
+                ], c1 * c2)
+                for keys, c in prod.terms.items():
+                    _add_term(out, keys, c)
+        return Tensor(datum, self.arity, out)
+
+    def _splice(self, slot, arity, image):
+        """Replace the factor at `slot` of every term by image(monomial), an
+        iterable of (tuple of monomials, coefficient) multiplied by the
+        term's coefficient; the result has the given arity."""
+        out = {}
+        for keys, c in self.terms.items():
+            for sub, cc in image(keys[slot]):
+                _add_term(out, keys[:slot] + sub + keys[slot + 1:], c * cc)
+        return Tensor(self.datum, arity, out)
 
     def map_slot(self, slot, fn):
         """Apply an Element -> Element linear map to one tensor factor."""
         datum = self.datum
-        out = Tensor.zero(datum, self.arity)
-        for keys, c in self.terms.items():
-            img = fn(Element(datum, {keys[slot]: ONE}))
-            pieces = [
-                Element(datum, {keys[t]: ONE}) if t != slot else img
-                for t in range(self.arity)
-            ]
-            out = out + _tensor_of_elements(pieces, c)
-        return out
+        return self._splice(slot, self.arity, lambda m: (
+            ((key,), c) for key, c in fn(Element(datum, {m: ONE})).terms.items()
+        ))
 
     def coproduct_slot(self, slot):
         """Apply the coproduct to one factor, raising the arity by one."""
         datum = self.datum
-        out = {}
-        for keys, c in self.terms.items():
-            inner = coproduct(Element(datum, {keys[slot]: c}))
-            for (k1, k2), cc in inner.terms.items():
-                _add_term(out, keys[:slot] + (k1, k2) + keys[slot + 1:], cc)
-        return Tensor(datum, self.arity + 1, out)
+        return self._splice(
+            slot, self.arity + 1, lambda m: coproduct(Element(datum, {m: ONE})).terms.items())
 
     def counit_slot(self, slot):
         """Apply the counit to one factor, lowering the arity by one."""
-        datum = self.datum
         if self.arity == 1:
             raise ValueError("use counit() on Elements")
-        out = {}
-        for keys, c in self.terms.items():
-            e, _k, f = keys[slot]
-            if not e and not f:
-                _add_term(out, keys[:slot] + keys[slot + 1:], c)
-        return Tensor(datum, self.arity - 1, out)
+        return self._splice(slot, self.arity - 1, lambda m: [] if m[0] or m[2] else [((), ONE)])
 
     def contract(self):
         """Multiply all tensor factors together, left to right."""
         datum = self.datum
-        total = Element.zero(datum)
+        out = {}
         for keys, c in self.terms.items():
             prod = Element(datum, {keys[0]: c})
             for t in range(1, self.arity):
                 prod = prod * Element(datum, {keys[t]: ONE})
-            total = total + prod
-        return total
+            for key, cc in prod.terms.items():
+                _add_term(out, key, cc)
+        return Element(datum, out)
 
     def as_element(self):
         if self.arity != 1:
@@ -449,18 +441,12 @@ class Tensor:
 
 
 def _tensor_of_elements(elems, coeff):
-    datum = elems[0].datum
-    out = {}
-
-    def rec(t, keys, c):
-        if t == len(elems):
-            _add_term(out, keys, c)
-            return
-        for key, cc in elems[t].terms.items():
-            rec(t + 1, keys + (key,), c * cc)
-
-    rec(0, (), coeff)
-    return Tensor(datum, len(elems), out)
+    """coeff times the tensor product of the elements, the last factor
+    varying fastest; its keys are distinct, so no term needs collecting."""
+    parts = [((), coeff)]
+    for x in elems:
+        parts = [(keys + (m,), c * cc) for keys, c in parts for m, cc in x.terms.items()]
+    return Tensor(elems[0].datum, len(elems), dict(parts))
 
 
 def _splits(datum, word, sign, lo, hi):
@@ -539,17 +525,13 @@ def coproduct_graded(a: Element, target=None) -> Tensor:
 
 
 def counit(a: Element) -> Scalar:
-    total = ZERO
-    for (e, _k, f), c in a.terms.items():
-        if not e and not f:
-            total = total + c
-    return total
+    return scalar_sum([c for (e, _k, f), c in a.terms.items() if not e and not f])
 
 
 def antipode(a: Element) -> Element:
     """Antihomomorphism with S(E_i) = -K_i^{-1}E_i, S(F_i) = -F_iK_i, S(K) = K^{-1}."""
     datum = a.datum
-    out = Element.zero(datum)
+    out = {}
     for (e, k, f), c in a.terms.items():
         prod = Element.unit(datum, c)
         for j in reversed(f):
@@ -564,8 +546,9 @@ def antipode(a: Element) -> Element:
             alpha = tuple(-x for x in datum.simple_root(i))
             coeff = -Scalar.v_pow(-4 * datum.eps[p])
             prod = prod * Element.monomial(datum, (i,), alpha, (), coeff)
-        out = out + prod
-    return out
+        for key, cc in prod.terms.items():
+            _add_term(out, key, cc)
+    return Element(datum, out)
 
 
 # ---------------------------------------------------------------------------
@@ -606,15 +589,16 @@ def sigma(a: Element) -> Element:
 def omega(a: Element) -> Element:
     """Algebra automorphism swapping E_i and F_i and inverting K_beta."""
     datum = a.datum
-    out = Element.zero(datum)
+    out = {}
     for (e, k, f), c in a.terms.items():
         mk = tuple(-x for x in k)
         coeff = c.shifted(_vexp(datum, mk, e))
         left = Element.monomial(datum, (), mk, e, coeff)
         if f:
             left = left * Element.E(datum, *f)
-        out = out + left
-    return out
+        for key, cc in left.terms.items():
+            _add_term(out, key, cc)
+    return Element(datum, out)
 
 
 # ---------------------------------------------------------------------------
@@ -652,8 +636,20 @@ def skew_r(i, a: Element, allow_k: bool = False) -> Element:
 
 
 def skew_ir(i, a: Element, allow_k: bool = False) -> Element:
-    """Left skew derivation, realized as sigma . r_i . sigma."""
-    return sigma(skew_r(i, sigma(a), allow_k=allow_k))
+    """Left skew derivation sigma . r_i . sigma: deletes each letter i of
+    E_e K_k with the q-power of the pairing of alpha_i against the letters
+    to its left, times q^{-(alpha_i, k)}.  Positions are visited from right
+    to left, the order in which r_i meets them in sigma(a)."""
+    datum = a.datum
+    _check_skew_input(a, allow_k)
+    alpha = datum.simple_root(i)
+    out = {}
+    for (e, k, f), c in a.terms.items():
+        x = -2 * datum.bilinear(alpha, k)
+        for p in range(len(e) - 1, -1, -1):
+            if e[p] == i:
+                _add_term(out, (e[:p] + e[p + 1:], k, f), c.shifted(x + _vexp(datum, alpha, e[:p])))
+    return Element(datum, out)
 
 
 def adjoint_E(i, x: Element) -> Element:

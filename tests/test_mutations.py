@@ -7,8 +7,9 @@ the q-power that K picks up moving past an F-word, the q-power of a letter
 deletion in the zero walk, the table of good words along which the walk
 deletes letters, the key of the memo of braid images of words, the
 cross-cancellation of scalar products, the reduction of a sum whose
-addends share a denominator, and the sign of the q-power that each side
-of a coproduct split carries.  The unpatched engine passes every check, and
+addends share a denominator, the sign of the q-power that each side
+of a coproduct split carries, and the q-power that the torus part gives a
+left skew derivation.  The unpatched engine passes every check, and
 each mutant fails the check named for it.  Each check builds a fresh datum
 and fresh scalars, so no cache filled by the unpatched engine hides a
 mutant.
@@ -22,7 +23,17 @@ from qcoideal import scalars, uqg
 from qcoideal.braid import BraidOperator, apply_braid
 from qcoideal.cartan import CartanDatum
 from qcoideal.scalars import ONE, Scalar, qfact, qint
-from qcoideal.uqg import Element, coproduct, equals, is_zero, serre_polynomial, tensor_equals
+from qcoideal.uqg import (
+    Element,
+    coproduct,
+    equals,
+    is_zero,
+    serre_polynomial,
+    sigma,
+    skew_ir,
+    skew_r,
+    tensor_equals,
+)
 
 Q = Scalar.q_pow(1)
 
@@ -105,6 +116,16 @@ def check_coproduct_f_side():
     return _coproduct_of_product(_a2(), [("E", 1), ("F", 1), ("F", 2)])
 
 
+def check_skew_ir_torus():
+    """The left skew derivation of E_1 E_2 E_1 K_1 is sigma . r_1 . sigma,
+    key for key and in order: its torus part gives each deleted letter
+    q^{-(alpha_1, alpha_1)}."""
+    d = _a2()
+    x = Element.monomial(d, (1, 2, 1), (1, 0), ())
+    want = sigma(skew_r(1, sigma(x), allow_k=True))
+    return list(skew_ir(1, x, allow_k=True).terms.items()) == list(want.terms.items())
+
+
 CHECKS = {
     "ef-commutator": check_ef_commutator,
     "k-past-f": check_k_past_f,
@@ -115,6 +136,7 @@ CHECKS = {
     "sum-over-one-denominator": check_sum_over_one_denominator,
     "coproduct-e-side": check_coproduct_e_side,
     "coproduct-f-side": check_coproduct_f_side,
+    "skew-ir-torus": check_skew_ir_torus,
 }
 
 
@@ -234,6 +256,21 @@ def flip_f_split_sign(monkeypatch):
     _flip_split_sign(monkeypatch, -1)
 
 
+def drop_skew_torus_shift(monkeypatch):
+    """Drop the shift -2 (alpha_i, k) that the torus part K_k gives each
+    letter that the left skew derivation deletes; the seam is the pairing
+    that `skew_ir` takes itself."""
+    original = CartanDatum.bilinear
+    code = uqg.skew_ir.__code__
+
+    def mutant(self, beta, gamma):
+        if sys._getframe(1).f_code is code:
+            return 0
+        return original(self, beta, gamma)
+
+    monkeypatch.setattr(CartanDatum, "bilinear", mutant)
+
+
 MUTANTS = [
     ("ef-commutator", negate_ef_inverse),
     ("k-past-f", shift_k_past_f),
@@ -244,6 +281,7 @@ MUTANTS = [
     ("sum-over-one-denominator", sum_groups_as_reduced),
     ("coproduct-e-side", flip_e_split_sign),
     ("coproduct-f-side", flip_f_split_sign),
+    ("skew-ir-torus", drop_skew_torus_shift),
 ]
 
 

@@ -7,7 +7,9 @@ from qcoideal.cartan import CartanDatum, cartan_datum
 from qcoideal.scalars import I_UNIT, ONE, Scalar, qbinom_eps, qint
 from qcoideal.uqg import (
     Element,
+    Tensor,
     ZeroTestGuardError,
+    _add_term,
     _tensor_of_elements,
     adjoint_E,
     antipode,
@@ -306,9 +308,22 @@ def test_elements_of_two_data_do_not_mix():
     with pytest.raises(ValueError):
         x * y
     with pytest.raises(ValueError):
+        x - y
+    with pytest.raises(ValueError):
         coproduct(x) + coproduct(y)
     with pytest.raises(ValueError):
         coproduct(x).as_element()
+    # tensors of one datum but different arities
+    t2 = coproduct(x)
+    t3 = t2.coproduct_slot(0)
+    for op in (lambda s, t: s + t, lambda s, t: s - t, lambda s, t: s * t):
+        with pytest.raises(ValueError):
+            op(t2, t3)
+        with pytest.raises(ValueError):
+            op(t3, t2)
+    # an element is not a tensor of one factor for the linear operations
+    with pytest.raises(ValueError):
+        x + _tensor(x)
 
 
 def _serre_binomial(datum, i, j, x, y):
@@ -487,3 +502,133 @@ def test_serre_projection_cell_is_the_terms_of_y_over_k_minus_lambda():
             if tuple(a - b for a, b in zip(k, word_weight(datum, f))) == tuple(-x for x in lam)
         }
         assert cell.terms == want
+
+
+def _k_word_element(rng, datum, allow_k):
+    """One to three monomials E_e K_k of one weight, with K parts when
+    allow_k."""
+    w = tuple(rng.choice(datum.labels) for _ in range(rng.randint(1, 4)))
+    out = Element.zero(datum)
+    for _ in range(rng.randint(1, 3)):
+        e = list(w)
+        rng.shuffle(e)
+        k = tuple(rng.randint(-2, 2) for _ in range(datum.n)) if allow_k else datum.zero_vector()
+        out = out + Element.monomial(datum, e, k, (), Scalar.q_pow(rng.randint(-2, 2)) + ONE)
+    return out
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3", "D4", "affine:A1"])
+def test_skew_ir_is_the_conjugated_right_derivation(name):
+    """The word formula of the left skew derivation equals sigma . r_i .
+    sigma, key for key and in order, with and without K parts."""
+    datum = cartan_datum(name[:-1], int(name[-1]))
+    rng = random.Random(31)
+    shifted = 0
+    for allow_k in (False, True):
+        for _ in range(25):
+            x = _k_word_element(rng, datum, allow_k)
+            for i in datum.labels:
+                want = sigma(skew_r(i, sigma(x), allow_k=allow_k))
+                assert list(skew_ir(i, x, allow_k=allow_k).terms.items()) == list(want.terms.items())
+                alpha = datum.simple_root(i)
+                if want.terms and any(datum.bilinear(alpha, k) for _e, k, _f in x.terms):
+                    shifted += 1
+    assert shifted > 10  # the K branch is reached with (alpha_i, k) != 0
+
+
+# The linear maps of a tensor as per-term loops that copy the whole sum on
+# every term, kept as the reference for the order of the terms.
+
+def _ref_tensor_of_elements(elems, coeff):
+    datum = elems[0].datum
+    out = {}
+
+    def rec(t, keys, c):
+        if t == len(elems):
+            _add_term(out, keys, c)
+            return
+        for key, cc in elems[t].terms.items():
+            rec(t + 1, keys + (key,), c * cc)
+
+    rec(0, (), coeff)
+    return Tensor(datum, len(elems), out)
+
+
+def _ref_mul(s, t):
+    datum = s.datum
+    out = Tensor(datum, s.arity)
+    for keys1, c1 in s.terms.items():
+        for keys2, c2 in t.terms.items():
+            slots = [
+                Element(datum, {keys1[u]: ONE}) * Element(datum, {keys2[u]: ONE})
+                for u in range(s.arity)
+            ]
+            out = out + _ref_tensor_of_elements(slots, c1 * c2)
+    return out
+
+
+def _ref_map_slot(t, slot, fn):
+    datum = t.datum
+    out = Tensor(datum, t.arity)
+    for keys, c in t.terms.items():
+        img = fn(Element(datum, {keys[slot]: ONE}))
+        pieces = [Element(datum, {keys[u]: ONE}) if u != slot else img for u in range(t.arity)]
+        out = out + _ref_tensor_of_elements(pieces, c)
+    return out
+
+
+def _ref_coproduct_slot(t, slot):
+    datum = t.datum
+    out = {}
+    for keys, c in t.terms.items():
+        inner = coproduct(Element(datum, {keys[slot]: c}))
+        for (k1, k2), cc in inner.terms.items():
+            _add_term(out, keys[:slot] + (k1, k2) + keys[slot + 1:], cc)
+    return Tensor(datum, t.arity + 1, out)
+
+
+def _ref_counit_slot(t, slot):
+    out = {}
+    for keys, c in t.terms.items():
+        e, _k, f = keys[slot]
+        if not e and not f:
+            _add_term(out, keys[:slot] + keys[slot + 1:], c)
+    return Tensor(t.datum, t.arity - 1, out)
+
+
+def _ref_contract(t):
+    datum = t.datum
+    total = Element.zero(datum)
+    for keys, c in t.terms.items():
+        prod = Element(datum, {keys[0]: c})
+        for u in range(1, t.arity):
+            prod = prod * Element(datum, {keys[u]: ONE})
+        total = total + prod
+    return total
+
+
+def _items(x):
+    return list(x.terms.items())
+
+
+@pytest.mark.parametrize("name", ["A2", "B2"])
+def test_tensor_maps_keep_the_order_of_the_per_term_loops(name):
+    """Tensor products, the slot maps and contraction give the terms of
+    the per-term loops, key for key and in order, on tensors of arity 2
+    and 3 whose slots repeat monomials."""
+    datum = cartan_datum(name[:-1], int(name[-1]))
+    rng = random.Random(32)
+    E1 = Element.E(datum, datum.labels[0])
+    for _ in range(3):
+        x, y = _random_element(rng, datum, terms=2), _random_element(rng, datum, terms=2)
+        t2 = coproduct(x)
+        t3 = coproduct(y).coproduct_slot(1)
+        assert _items(t2 * coproduct(y)) == _items(_ref_mul(t2, coproduct(y)))
+        assert _items(t3 * t3) == _items(_ref_mul(t3, t3))
+        for t in (t2, t3):
+            for slot in range(t.arity):
+                for fn in (antipode, omega, lambda a: a * E1 - E1 * a):
+                    assert _items(t.map_slot(slot, fn)) == _items(_ref_map_slot(t, slot, fn))
+                assert _items(t.coproduct_slot(slot)) == _items(_ref_coproduct_slot(t, slot))
+                assert _items(t.counit_slot(slot)) == _items(_ref_counit_slot(t, slot))
+            assert _items(t.contract()) == _items(_ref_contract(t))

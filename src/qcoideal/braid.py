@@ -16,7 +16,7 @@ image of the word without its last letter times the image of that letter.
 These images carry no coefficient and are memoised per prefix in the
 datum's declared `caches` under "braid", keyed by (i, e, family, E or F,
 word), with one object per distinct monomial and coefficient drawn from
-"braid-pool".  A monomial's image is its E-word's image times K_{s_i beta}
+"pool".  A monomial's image is its E-word's image times K_{s_i beta}
 times its F-word's image, scaled once by its coefficient.  The twists
 T_{w_X}(E_j) of symmetric pairs are memoised under "twist"
 (`qsp.QSPContext.twisted`).
@@ -65,7 +65,7 @@ def _word_image(datum, op, kind, word) -> Element:
     img = cache.get((op.i, op.e, op.double_prime, kind, word))
     if img is not None:
         return img
-    pool = datum.caches["braid-pool"]
+    pool = datum.caches["pool"]
     for n in range(1, len(word) + 1):
         key = (op.i, op.e, op.double_prime, kind, word[:n])
         nxt = cache.get(key)

@@ -632,6 +632,8 @@ class Scalar:
         return _make({e + k: x * c for e, x in self.num.items()}, self.den)
 
     def __mul__(self, other):
+        if other.__class__ is not Scalar:
+            return NotImplemented  # Element.__rmul__ scales an Element
         if not self.num or not other.num:
             return ZERO
         unit_self = _unit_den(self.den)

@@ -44,10 +44,20 @@ Every q-power q^{(beta, gamma)} that straightening, the coproduct, the
 involutions and the zero walk meet is carried as the integer v-exponent
 2 (beta, gamma), read off the datum's integer Gram matrix, and reaches a
 coefficient as one `Scalar.shifted`: v^k is a unit, so the shifted
-coefficient is canonical without normalisation.  Within each letter pass
-of a product and in its final collection, coefficients over 1 are summed
-as they meet, and the addends of a key that meet a denominator other than
-1 are summed once, by `scalar_sum`, when the pass ends.
+coefficient is canonical without normalisation.
+
+A product of monomials is E_{e1} K_{k1} (F_{f1} E_{e2}) K_{k2} F_{f2}.  The
+normal-ordered expansion of F_f E_e is a multiplication table in the sense
+of the PBW engines for G-algebras (Levandovskyy, thesis, Kaiserslautern,
+2005): it is built once per datum and pair of words (f, e), by letter
+passes from F_f in which each E-letter passes K with one shift and the
+F-word through the E-F commutator, and kept in the "commute" table.  A
+product reads each table term E_e K_k F_f as E_{e1 e} K_{k1 + k + k2}
+F_{f f2} times v^{2 (k1, wt e) + 2 (k2, wt f)}; when f1 or e2 is empty it
+needs no table.  In a letter pass and in a product's collection,
+coefficients over 1 are summed as they meet, and the addends of a key that
+meet a denominator other than 1 are summed once, by `scalar_sum`, at the
+end.
 
 Normal-ordered monomials are a basis of the algebra without Serre
 relations that straightening works in, so two expressions of one element
@@ -58,9 +68,11 @@ right multiplication by x commute, and by the q-binomial theorem
 prod_{k<m} (L_x - q_i^{m-1-2k} R_x) is the binomial sum (Jantzen,
 *Lectures on Quantum Groups*, 1996, ch. 4), with 2m products instead of
 3m + 2.
-Memo tables (word weights, the E-past-F pushes, 1/(q_i - q_i^{-1}) and
-the good words) live in the datum's declared `caches` under "weight",
-"push", "efinv" and "good".
+Memo tables (word weights, the E-past-F pushes, the commutation table,
+1/(q_i - q_i^{-1}) and the good words) live in the datum's declared
+`caches` under "weight", "push", "commute", "efinv" and "good"; the
+commutation table and the braid images draw one object per word, vector
+and scalar from "pool".
 """
 
 from __future__ import annotations
@@ -185,10 +197,47 @@ def _mono_times_E(datum, key, i, c):
     return out
 
 
-def _mono_times_K(datum, key, kvec):
-    """(E_e K_k F_f) * K_kvec = v^x E_e K_{k + kvec} F_f: the monomial and x."""
-    e, k, f = key
-    return (e, tuple(a + b for a, b in zip(k, kvec)), f), _vexp(datum, kvec, f)
+def _shift_row(datum, k):
+    """(2 (k, alpha_p))_p, the v-exponent each letter at position p picks up
+    in passing K_k, or None for k = 0; 2 (k, wt w) = sum_p row_p wt(w)_p."""
+    if not any(k):
+        return None
+    return tuple(2 * sum(map(mul, row, k)) for row in datum.gram)
+
+
+def _pass_shift(datum, r1, e, r2, f):
+    """2 (k1, wt e) + 2 (k2, wt f) from the shift rows r1 of k1 and r2 of
+    k2: E_e moving left past K_{k1}, and K_{k2} moving left past F_f."""
+    x = 0
+    if r1 and e:
+        x = sum(map(mul, r1, word_weight(datum, e)))
+    if r2 and f:
+        x += sum(map(mul, r2, word_weight(datum, f)))
+    return x
+
+
+def _commute(datum, f, e):
+    """F_f E_e in normal order, as a tuple of terms (E-word, K-vector,
+    F-word, coefficient).  Built once per (f, e) by the letter pass from
+    F_f and memoised in `datum.caches["commute"]`; words, vectors and
+    scalars are drawn from the datum's "pool"."""
+    cache = datum.caches["commute"]
+    key = (f, e)
+    out = cache.get(key)
+    if out is None:
+        cur = {((), datum.zero_vector(), f): ONE}
+        for i in e:
+            nxt = {}
+            for mono, c in cur.items():
+                for nkey, pc in _mono_times_E(datum, mono, i, c):
+                    _gather(nxt, nkey, pc)
+            cur = _settle(nxt)
+        intern = datum.caches["pool"].setdefault
+        out = cache[key] = tuple(
+            (intern(e1, e1), intern(k, k), intern(f1, f1), intern(c, c))
+            for (e1, k, f1), c in cur.items()
+        )
+    return out
 
 
 class _Linear:
@@ -312,29 +361,29 @@ class Element(_Linear):
         return NotImplemented
 
     def __mul__(self, other):
+        """(E_{e1} K_{k1} F_{f1})(E_{e2} K_{k2} F_{f2}) = E_{e1} K_{k1}
+        (F_{f1} E_{e2}) K_{k2} F_{f2}: each term E_e K_k F_f of the table
+        expansion of F_{f1} E_{e2} gives E_{e1 e} K_{k1 + k + k2} F_{f f2},
+        v^{2 (k1, wt e) + 2 (k2, wt f)} times the coefficients' product."""
         if other.__class__ is not Element:
             return self.__rmul__(other)  # a Scalar or an int
         if self.datum is not other.datum:
             raise ValueError("elements of different Cartan data do not combine")
         datum = self.datum
         out = {}
+        left = [(e1, k1, f1, c1, _shift_row(datum, k1)) for (e1, k1, f1), c1 in self.terms.items()]
         for (e2, k2, f2), c2 in other.terms.items():
-            cur = {key: c * c2 for key, c in self.terms.items()}
-            for i in e2:
-                nxt = {}
-                for key, c in cur.items():
-                    for nkey, pc in _mono_times_E(datum, key, i, c):
-                        _gather(nxt, nkey, pc)
-                cur = _settle(nxt)
-            if any(k2):
-                # distinct monomials stay distinct: nothing to collect
-                nxt = {}
-                for key, c in cur.items():
-                    nkey, x = _mono_times_K(datum, key, k2)
-                    nxt[nkey] = c.shifted(x)
-                cur = nxt
-            for (e, k, f), c in cur.items():
-                _gather(out, (e, k, f + f2), c)
+            r2 = _shift_row(datum, k2)
+            for e1, k1, f1, c1, r1 in left:
+                c = c1 * c2
+                k12 = tuple(map(add, k1, k2))
+                if not f1 or not e2:  # F_{f1} E_{e2} = E_{e2} F_{f1}
+                    x = _pass_shift(datum, r1, e2, r2, f1)
+                    _gather(out, (e1 + e2, k12, f1 + f2), c.shifted(x))
+                    continue
+                for e, k, f, cc in _commute(datum, f1, e2):
+                    x = _pass_shift(datum, r1, e, r2, f)
+                    _gather(out, (e1 + e, tuple(map(add, k12, k)), f + f2), (c * cc).shifted(x))
         return Element(datum, _settle(out))
 
     def __pow__(self, n):

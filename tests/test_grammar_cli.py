@@ -1,6 +1,9 @@
+import hashlib
+import importlib.util
 import json
 import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -312,3 +315,20 @@ def test_run_suite_unknown_name_is_an_input_error():
 
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("does-not-exist")
+
+
+def test_compute_reports_match_the_recorded_digests(tmp_path):
+    """Every `compute` report of the closed-formula cases and its stdout
+    have the digest recorded in tests/data/compute.sha256."""
+    here = Path(__file__).parent
+    spec = importlib.util.spec_from_file_location("compute_reports", here / "compute_reports.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    written = module.write_reports(tmp_path / "compute-reports")
+    recorded = {}
+    for line in (here / "data" / "compute.sha256").read_text().splitlines():
+        digest, path = line.split()
+        recorded[path] = digest
+    assert sorted(recorded) == sorted(f"compute-reports/{name}" for name in written)
+    for path, digest in recorded.items():
+        assert hashlib.sha256((tmp_path / path).read_bytes()).hexdigest() == digest, path

@@ -3,9 +3,10 @@
 Every "zero" or "equal" verdict trusts straightening, the zero walk and
 the canonical form of scalars, so a bug in any one must fail loudly.  Each
 mutant patches one point with monkeypatch: the sign of the E-F commutator,
-the q-power that K picks up moving past an F-word, the q-power of a letter
-deletion in the zero walk, the table of good words along which the walk
-deletes letters, the key of the memo of braid images of words, the
+the q-power that K picks up moving past an F-word, the key of the table of
+normal-ordered products F_f E_e, the q-power of a letter deletion in the
+zero walk, the table of good words along which the walk deletes letters,
+the key of the memo of braid images of words, the
 cross-cancellation of scalar products, the reduction of a sum whose
 addends share a denominator, the sign of the q-power that each side
 of a coproduct split carries, and the q-power that the torus part gives a
@@ -55,6 +56,21 @@ def check_k_past_f():
     d = _a2()
     F2 = Element.F(d, 2)
     return equals(Element.K_i(d, 1) * F2 * Element.K_i(d, 1, -1), F2.scale(Q))
+
+
+def _f2_e1(warm):
+    """F_2 E_1 = E_1 F_2 on A2, after F_1 E_1 has filled its entry of the
+    commutation table when warm."""
+    d = _a2()
+    if warm:
+        Element.F(d, 1) * Element.E(d, 1)
+    return equals(Element.F(d, 2) * Element.E(d, 1), Element.E(d, 1) * Element.F(d, 2))
+
+
+def check_commute_warm():
+    """F_2 E_1 = E_1 F_2, read from the commutation table after it holds
+    the expansion of F_1 E_1 for the same E-word."""
+    return _f2_e1(warm=True)
 
 
 def check_quantum_serre():
@@ -129,6 +145,7 @@ def check_skew_ir_torus():
 CHECKS = {
     "ef-commutator": check_ef_commutator,
     "k-past-f": check_k_past_f,
+    "commute-warm": check_commute_warm,
     "quantum-serre": check_quantum_serre,
     "q-commutator": check_q_commutator,
     "braid-inverse-warm": check_braid_inverse_warm,
@@ -146,14 +163,40 @@ def negate_ef_inverse(monkeypatch):
 
 
 def shift_k_past_f(monkeypatch):
-    """Add 2 to the v-exponent of K moving past a nonempty F-word."""
-    original = uqg._mono_times_K
+    """Add 2 per letter to the v-exponent that K_{k2} of a right factor
+    picks up moving left past a nonempty F-word."""
+    original = uqg._pass_shift
 
-    def mutant(datum, key, kvec):
-        nkey, x = original(datum, key, kvec)
-        return nkey, (x + 2 if key[2] else x)
+    def mutant(datum, r1, e, r2, f):
+        return original(datum, r1, e, r2, f) + (2 * len(f) if r2 and f else 0)
 
-    monkeypatch.setattr(uqg, "_mono_times_K", mutant)
+    monkeypatch.setattr(uqg, "_pass_shift", mutant)
+
+
+def _install_cache(monkeypatch, name, cls):
+    """Give every new datum an instance of cls as its cache `name`."""
+    original = CartanDatum.__init__
+
+    def mutant(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        self.caches[name] = cls()
+
+    monkeypatch.setattr(CartanDatum, "__init__", mutant)
+
+
+def key_table_on_e(monkeypatch):
+    """Key the commutation table of every new datum on the E-word alone,
+    (f, e) -> e, so the expansion stored for one F-word answers for
+    another."""
+
+    class FBlind(dict):
+        def get(self, key, default=None):
+            return dict.get(self, key[1], default)
+
+        def __setitem__(self, key, value):
+            dict.__setitem__(self, key[1], value)
+
+    _install_cache(monkeypatch, "commute", FBlind)
 
 
 def drop_deletion_qpower(monkeypatch):
@@ -193,13 +236,7 @@ def drop_braid_sign(monkeypatch):
         def __setitem__(self, key, value):
             dict.__setitem__(self, key[:1] + key[2:], value)
 
-    original = CartanDatum.__init__
-
-    def mutant(self, *args, **kwargs):
-        original(self, *args, **kwargs)
-        self.caches["braid"] = SignBlind()
-
-    monkeypatch.setattr(CartanDatum, "__init__", mutant)
+    _install_cache(monkeypatch, "braid", SignBlind)
 
 
 def skip_c_against_b(monkeypatch):
@@ -274,6 +311,7 @@ def drop_skew_torus_shift(monkeypatch):
 MUTANTS = [
     ("ef-commutator", negate_ef_inverse),
     ("k-past-f", shift_k_past_f),
+    ("commute-warm", key_table_on_e),
     ("quantum-serre", drop_deletion_qpower),
     ("q-commutator", drop_good_word),
     ("braid-inverse-warm", drop_braid_sign),
@@ -294,3 +332,10 @@ def test_engine_passes_check(name):
 def test_mutant_fails_its_check(monkeypatch, name, mutate):
     mutate(monkeypatch)
     assert not CHECKS[name]()
+
+
+def test_table_mutant_passes_on_a_cold_table(monkeypatch):
+    """The E-keyed table answers F_2 E_1 correctly while it is cold: only
+    an entry filled for another F-word exposes it."""
+    key_table_on_e(monkeypatch)
+    assert _f2_e1(warm=False)

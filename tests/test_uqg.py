@@ -1,4 +1,6 @@
+import itertools
 import random
+from operator import add
 
 import pytest
 
@@ -10,6 +12,9 @@ from qcoideal.uqg import (
     Tensor,
     ZeroTestGuardError,
     _add_term,
+    _gather,
+    _mono_times_E,
+    _settle,
     _tensor_of_elements,
     adjoint_E,
     antipode,
@@ -476,21 +481,25 @@ def test_coproduct_of_two_letter_words():
 
 
 def test_serre_projection_cell_is_the_terms_of_y_over_k_minus_lambda():
-    """The oracle's cell is exactly the terms E_e K_k F_f of
-    Y = F_ij(B_i, B_j) with k - wt f = -lambda_ij, on the closed-formula
-    cases and every ordered (i, j) of every admissible pair of A3 and B3."""
+    """The oracle's cell, the part of the coproduct of Y = F_ij(B_i, B_j)
+    whose second factor is exactly K_{-lambda_ij}, is, key for key and in
+    order, the terms E_e K_k F_f of Y with k - wt f = -lambda_ij, on the
+    closed-formula cases, every ordered (i, j) of every admissible pair of
+    A3 and B3 and of every fifth pair of the sweep: the cell could be read
+    off Y with no coproduct."""
     from qcoideal.cartan import enumerate_admissible
     from qcoideal.qsp import serre_projection
-    from qcoideal.suites import CLOSED_CASES, _build_pair, _default_params
+    from qcoideal.suites import CLOSED_CASES, _build_pair, _default_params, _serre_tasks
 
     cases = []
     for kind, rank, X, tau_pairs, i, j, _torus in CLOSED_CASES:
         cases.append((_default_params(_build_pair(kind, rank, X, tau_pairs)), i, j))
-    for kind in ("A", "B"):
-        datum = cartan_datum(kind, 3)
-        for pair in enumerate_admissible(datum):
-            params = _default_params(pair)
-            cases += [(params, i, j) for i in datum.labels for j in datum.labels if i != j]
+    pairs = [pair for kind in ("A", "B") for pair in enumerate_admissible(cartan_datum(kind, 3))]
+    for kind, rank, X, tau_pairs in _serre_tasks()[::5]:
+        pairs.append(_build_pair(kind, rank, X, tau_pairs))
+    for pair in pairs:
+        params = _default_params(pair)
+        cases += [(params, i, j) for i, j in itertools.permutations(pair.datum.labels, 2)]
     assert len(cases) > 60
     for params, i, j in cases:
         datum = params.datum
@@ -501,7 +510,7 @@ def test_serre_projection_cell_is_the_terms_of_y_over_k_minus_lambda():
             (e, k, f): c for (e, k, f), c in Y.terms.items()
             if tuple(a - b for a, b in zip(k, word_weight(datum, f))) == tuple(-x for x in lam)
         }
-        assert cell.terms == want
+        assert list(cell.terms.items()) == list(want.items())
 
 
 def _k_word_element(rng, datum, allow_k):
@@ -632,3 +641,87 @@ def test_tensor_maps_keep_the_order_of_the_per_term_loops(name):
                 assert _items(t.coproduct_slot(slot)) == _items(_ref_coproduct_slot(t, slot))
                 assert _items(t.counit_slot(slot)) == _items(_ref_counit_slot(t, slot))
             assert _items(t.contract()) == _items(_ref_contract(t))
+
+
+def test_scalar_times_element_scales_it():
+    q = Scalar.v_pow(1)
+    assert q * Element.E(A2, 1) == Element.E(A2, 1).scale(q)
+
+
+# The product by letter passes, which the commutation table replaced, kept
+# as the reference for the table product.
+
+def _letter_pass_mul(a, b):
+    """{monomial: coefficient} of a * b by one letter pass over a for every
+    E-letter of every term of b, then K_{k2} moved left past each F-word
+    and F_{f2} appended."""
+    datum = a.datum
+    out = {}
+    for (e2, k2, f2), c2 in b.terms.items():
+        cur = {key: c * c2 for key, c in a.terms.items()}
+        for i in e2:
+            nxt = {}
+            for key, c in cur.items():
+                for nkey, pc in _mono_times_E(datum, key, i, c):
+                    _gather(nxt, nkey, pc)
+            cur = _settle(nxt)
+        for (e, k, f), c in cur.items():
+            x = 2 * datum.bilinear(k2, word_weight(datum, f))
+            _gather(out, (e, tuple(map(add, k, k2)), f + f2), c.shifted(x))
+    return _settle(out)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "affine:A1"])
+def test_table_product_matches_the_letter_pass(name):
+    """Products through the commutation table equal the letter-pass
+    products, on random elements with K parts and denominators on both
+    sides."""
+    datum = cartan_datum(name[:-1], int(name[-1]))
+    rng = random.Random(41)
+    both = 0  # pairs of terms with K parts on both sides that meet the table
+    for _ in range(12):
+        x, y = _word_element(rng, datum), _word_element(rng, datum)
+        assert (x * y).terms == _letter_pass_mul(x, y)
+        both += sum(1 for (_e1, k1, f1) in x.terms for (e2, k2, _f2) in y.terms
+                    if any(k1) and any(k2) and f1 and e2)
+    assert both > 10
+
+
+def test_two_data_never_share_a_table():
+    """Each datum fills its own table: two data of one matrix keep two
+    tables, and B2 and its transpose C2 expand F_1 F_2 E_2 E_1 each with
+    its own q_i."""
+    a, b = CartanDatum(A2.A), CartanDatum(A2.A)
+    Element.F(a, 1) * Element.E(a, 1)
+    assert a.caches["commute"] and not b.caches["commute"]
+    b2 = CartanDatum(cartan_datum("B", 2).A)
+    c2 = CartanDatum(tuple(zip(*b2.A)))
+    products = []
+    for d in (b2, c2, b2):
+        x, y = Element.F(d, 1, 2), Element.E(d, 2, 1)
+        assert (x * y).terms == _letter_pass_mul(x, y)
+        products.append((x * y).terms)
+    assert products[0] != products[1] and products[0] == products[2]
+    assert b2.caches["commute"] is not c2.caches["commute"]
+
+
+def _table_state(datum):
+    """A deep copy of the commutation table, its scalars as dicts."""
+    return {key: [(e, k, f, dict(c.num), dict(c.den)) for e, k, f, c in entry]
+            for key, entry in datum.caches["commute"].items()}
+
+
+def test_products_leave_the_table_as_it_was():
+    """A second product, and sums and zero tests of the first, neither
+    change a stored entry nor the product."""
+    datum = CartanDatum(cartan_datum("G", 2).A)
+    rng = random.Random(43)
+    x = _word_element(rng, datum) + Element.monomial(datum, (2,), (1, -1), (1, 2, 1), qint(2).inverse())
+    y = _word_element(rng, datum) + Element.monomial(datum, (1, 1, 2), (0, 1), (2,), Q)
+    first = x * y
+    state = _table_state(datum)
+    assert state
+    second = x * y
+    assert second.terms == first.terms
+    assert is_zero(first + first - second - second)
+    assert _table_state(datum) == state

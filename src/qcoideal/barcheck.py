@@ -5,7 +5,10 @@ braid-twisted generator component), the q-power ell_i, verifies how the
 bar involution of the ambient algebra acts on the Z elements, decides for
 concrete parameter families whether the intrinsic bar involution of the
 coideal subalgebra exists, and provides the canonical parameter choice and
-the equivalence relations on parameter families.
+the equivalence relations on parameter families.  Both deciders refuse a
+pair outside the proved scope of the presentation, the one rule of
+`qsp.scope_violation`, and read the case split of the parameter sets off
+the pair (`theta_orthogonal`, `isolated`).
 """
 
 from __future__ import annotations
@@ -14,7 +17,14 @@ from dataclasses import dataclass, field
 
 from .cartan import AdmissiblePair
 from .grammar import scalar_to_text
-from .qsp import MembershipError, QSPContext, QSPParameters, context_for, in_set_S
+from .qsp import (
+    MembershipError,
+    QSPContext,
+    QSPParameters,
+    context_for,
+    in_set_S,
+    scope_violation,
+)
 from .scalars import ONE, Scalar, is_bar_fixed
 from .uqg import Element, bar_element, equals, is_zero, sigma, skew_r
 
@@ -101,30 +111,23 @@ class BarReport:
 
 
 def check_presentation_scope(pair: AdmissiblePair):
-    """Raise OutOfScopeError unless every tau-fixed free node has Cartan
-    entries in {0,-1,-2} towards X and {0,-1,-2,-3} towards free nodes."""
-    datum = pair.datum
+    """Raise OutOfScopeError unless `qsp.scope_violation` is silent for every
+    tau-fixed free node i, towards X first and then towards the free nodes."""
     for i in pair.free:
         if pair.tau[i] != i:
             continue
-        for j in sorted(pair.X):
-            if datum.a(i, j) < -2:
-                raise OutOfScopeError(
-                    f"a_{i}{j} = {datum.a(i, j)} with j in X leaves the proved scope"
-                )
-        for j in pair.free:
-            if j != i and datum.a(i, j) < -3:
-                raise OutOfScopeError(
-                    f"a_{i}{j} = {datum.a(i, j)} leaves the proved scope"
-                )
+        for j in (*sorted(pair.X), *pair.free):
+            violation = scope_violation(pair, i, j)
+            if violation:
+                raise OutOfScopeError(f"{violation} leaves the proved scope")
 
 
 def bar_exists(params: QSPParameters) -> BarReport:
     """Decide existence of the intrinsic bar involution for these parameters.
 
     A node is checked when it is split under tau or sees any other node of
-    the Cartan matrix; tau-fixed isolated rank-one components are skipped
-    (their parameter never matters).
+    the Cartan matrix; tau-fixed isolated rank-one components
+    (`pair.isolated`) are skipped (their parameter never matters).
     """
     pair = params.pair
     datum = params.datum
@@ -139,13 +142,10 @@ def bar_exists(params: QSPParameters) -> BarReport:
         nu[i] = nu_sign(ctx, i)
         ellv[i] = ctx.ell(i)
     for i in pair.free:
-        ti = pair.tau[i]
-        relevant = ti != i or any(
-            datum.a(i, j) != 0 for j in datum.labels if j != i
-        )
-        if not relevant:
+        if i in pair.isolated:
             skipped.append(i)
             continue
+        ti = pair.tau[i]
         alpha_i = datum.simple_root(i)
         alpha_ti = datum.simple_root(ti)
         lhs = bar_element(ctx.z(i)).scale(params.c[i].bar())
@@ -165,7 +165,6 @@ def corollary_conditions(params: QSPParameters) -> BarReport:
     bar involution existing (with the sign-rescaling convention applied on
     nodes where nu = -1).  Mirrors `bar_exists` but touches only scalars."""
     pair = params.pair
-    datum = params.datum
     check_presentation_scope(pair)
     ctx = context_for(pair)
     nu = {i: nu_sign(ctx, i) for i in pair.free}
@@ -183,21 +182,16 @@ def corollary_conditions(params: QSPParameters) -> BarReport:
     failing = []
     skipped = []
     for i in pair.free:
-        ti = pair.tau[i]
-        aith = datum.bilinear(datum.simple_root(i), pair.theta_alpha(i))
-        exponent = pair.pairing_theta_2rho(i)
-        hyp_a = (
-            ti == i and any(datum.a(i, j) != 0 for j in pair.free if j != i)
-        ) or aith == 0
-        hyp_b = ti != i and aith != 0
-        if hyp_a:
-            lam = c[i] * Scalar.v_pow(-exponent)
-            ok = (c[i] == c[ti]) and bool(lam) and is_bar_fixed(lam)
-        elif hyp_b:
-            ok = c[ti] == Scalar.v_pow(2 * exponent) * c[i].bar()
-        else:
+        if i in pair.isolated:
             skipped.append(i)
             continue
+        ti = pair.tau[i]
+        exponent = pair.pairing_theta_2rho(i)
+        if ti == i or i in pair.theta_orthogonal:
+            lam = c[i] * Scalar.v_pow(-exponent)
+            ok = (c[i] == c[ti]) and bool(lam) and is_bar_fixed(lam)
+        else:
+            ok = c[ti] == Scalar.v_pow(2 * exponent) * c[i].bar()
         results[i] = ok
         if not ok:
             failing.append(i)
@@ -215,15 +209,13 @@ def canonical_params(pair: AdmissiblePair) -> dict:
     Tau-fixed or theta-orthogonal nodes get the pinned square-root q-power;
     split pairs break the remaining freedom at the smaller index.
     """
-    datum = pair.datum
     d = {}
     for i in pair.free:
         if i in d:
             continue
         ti = pair.tau[i]
-        aith = datum.bilinear(datum.simple_root(i), pair.theta_alpha(i))
         exponent = pair.pairing_theta_2rho(i)
-        if ti == i or aith == 0:
+        if ti == i or i in pair.theta_orthogonal:
             d[i] = Scalar.v_pow(exponent)
             if ti != i:
                 d[ti] = Scalar.v_pow(pair.pairing_theta_2rho(ti))
@@ -240,7 +232,6 @@ def canonical_params(pair: AdmissiblePair) -> dict:
 
 def in_set_D(pair: AdmissiblePair, d: dict):
     """Violations of the canonical parameter-set conditions for d."""
-    datum = pair.datum
     out = []
     for i in pair.free:
         if i not in d or not d[i]:
@@ -249,9 +240,8 @@ def in_set_D(pair: AdmissiblePair, d: dict):
         return out
     for i in pair.free:
         ti = pair.tau[i]
-        aith = datum.bilinear(datum.simple_root(i), pair.theta_alpha(i))
         exponent = pair.pairing_theta_2rho(i)
-        if ti == i or aith == 0:
+        if ti == i or i in pair.theta_orthogonal:
             if d[i] != Scalar.v_pow(exponent):
                 out.append(f"d_{i} must be the pinned q-power")
         else:

@@ -17,6 +17,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import gcd, lcm
 
 _ROOT_CLOSURE_CAP = 2500
 _ENUMERATION_RANK_CAP = 10
@@ -53,20 +54,10 @@ def _symmetrizer(A):
                         stack.append(j)
                     elif eps[j] != want:
                         raise ValueError("Cartan matrix is not symmetrizable")
-    lcm = 1
-    for e in eps:
-        lcm = lcm * e.denominator // _gcd(lcm, e.denominator)
-    out = [int(e * lcm) for e in eps]
-    g = 0
-    for e in out:
-        g = _gcd(g, e)
+    m = lcm(*(e.denominator for e in eps))
+    out = [int(e * m) for e in eps]
+    g = gcd(*out)
     return tuple(e // g for e in out)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 class CartanDatum:
@@ -94,10 +85,7 @@ class CartanDatum:
             eps = tuple(int(x) for x in eps)
             if len(eps) != n or any(e <= 0 for e in eps):
                 raise ValueError("symmetrizers must be positive")
-            g = 0
-            for e in eps:
-                g = _gcd(g, e)
-            if g != 1:
+            if gcd(*eps) != 1:
                 raise ValueError("symmetrizers must be coprime")
             for i in range(n):
                 for j in range(n):
@@ -407,9 +395,20 @@ class AdmissiblePair:
             self.theta(datum.simple_root(lab)) for lab in datum.labels
         )
         self.I_ns = tuple(
-            i for i in datum.labels
-            if i not in self.X and self.tau[i] == i
-            and all(datum.a(i, j) == 0 for j in sorted(self.X))
+            i for i in self.free
+            if self.tau[i] == i and all(datum.a(i, j) == 0 for j in self.X)
+        )
+        # the case split of the parameter sets: the free i with
+        # (alpha_i, Theta(alpha_i)) = 0, and the tau-fixed free i that no
+        # other node of I sees (isolated rank-one components)
+        self.theta_orthogonal = tuple(
+            i for i in self.free
+            if not datum.bilinear(datum.simple_root(i), self.theta_alpha(i))
+        )
+        self.isolated = tuple(
+            i for i in self.free
+            if self.tau[i] == i
+            and all(datum.a(i, j) == 0 for j in datum.labels if j != i)
         )
         # derived QSP data owned by the pair; see qsp.context_for
         self.qsp_context = None
@@ -427,47 +426,15 @@ class AdmissiblePair:
         return self._theta_cols[self.datum.pos(i)]
 
     def theta_fixed_vectors(self):
-        """A spanning set of Theta-fixed integer lattice vectors (for tests)."""
-        n = self.datum.n
-        # rational kernel of (Theta - id), cleared to primitive integer vectors
-        rows = []
-        for p in range(n):
-            col = self._theta_cols[p]
-            rows.append([Fraction(col[q] - (1 if q == p else 0)) for q in range(n)])
-        # transpose: Theta acts columnwise on coordinates
-        M = [[rows[q][p] for q in range(n)] for p in range(n)]
-        pivots = []
-        r = 0
-        for c in range(n):
-            pr = next((k for k in range(r, n) if M[k][c]), None)
-            if pr is None:
-                continue
-            M[r], M[pr] = M[pr], M[r]
-            pv = M[r][c]
-            M[r] = [x / pv for x in M[r]]
-            for k in range(n):
-                if k != r and M[k][c]:
-                    f = M[k][c]
-                    M[k] = [a - f * b for a, b in zip(M[k], M[r])]
-            pivots.append(c)
-            r += 1
-        free = [c for c in range(n) if c not in pivots]
-        basis = []
-        for c in free:
-            vec = [Fraction(0)] * n
-            vec[c] = Fraction(1)
-            for row, pc in zip(M[:r], pivots):
-                vec[pc] = -row[c]
-            lcm = 1
-            for x in vec:
-                lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
-            ivec = tuple(int(x * lcm) for x in vec)
-            g = 0
-            for x in ivec:
-                g = _gcd(g, x)
-            if g:
-                basis.append(tuple(x // g for x in ivec))
-        return tuple(basis)
+        """The nonzero alpha_p + Theta(alpha_p), one per vector up to sign.
+
+        Theta is an involution, so they span its fixed sublattice over Q."""
+        out = []
+        for p, col in enumerate(self._theta_cols):
+            vec = tuple(c + (q == p) for q, c in enumerate(col))
+            if any(vec) and vec not in out and vec_neg(vec) not in out:
+                out.append(vec)
+        return tuple(out)
 
     def pairing_theta_2rho(self, i):
         """(alpha_i, Theta(alpha_i) - 2 rho_X) as an integer."""
@@ -584,14 +551,20 @@ def _enumerate(datum):
     return tuple(out)
 
 
+def tau_from_swaps(datum: CartanDatum, swaps):
+    """The diagram map as a dict on every label: each swap (i, j) exchanges
+    i and j, and every other label is fixed."""
+    tau = {lab: lab for lab in datum.labels}
+    for i, j in swaps:
+        tau[int(i)] = int(j)
+        tau[int(j)] = int(i)
+    return tau
+
+
 def pair_from_json(datum: CartanDatum, obj) -> AdmissiblePair:
     """JSON schema: {'X': [...], 'tau': [[i, tau(i)], ...]} (fixed points optional)."""
     X = [int(x) for x in obj.get("X", [])]
-    tau = {lab: lab for lab in datum.labels}
-    for i, j in obj.get("tau", []):
-        tau[int(i)] = int(j)
-        tau[int(j)] = int(i)
-    return validate_admissible(datum, X, tau)
+    return validate_admissible(datum, X, tau_from_swaps(datum, obj.get("tau", [])))
 
 
 def pair_to_json(pair: AdmissiblePair):

@@ -35,6 +35,7 @@ from .cartan import (
     enumerate_admissible,
     pair_from_json,
     pair_to_json,
+    tau_from_swaps,
 )
 from .grammar import ScalarParseError, element_to_json, element_to_text, parse_scalar, scalar_to_text
 from .qsp import (
@@ -116,10 +117,7 @@ def _cmd_validate_pair(args):
     datum = _load_datum(args.cartan)
     obj = _load_json_arg(args.pair)
     X = [int(x) for x in obj.get("X", [])]
-    tau = {lab: lab for lab in datum.labels}
-    for i, j in obj.get("tau", []):
-        tau[int(i)] = int(j)
-        tau[int(j)] = int(i)
+    tau = tau_from_swaps(datum, obj.get("tau", []))
     violations = admissible_violations(datum, X, tau)
     report = {
         "command": "validate-pair",

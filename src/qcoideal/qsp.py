@@ -65,12 +65,10 @@ def in_set_C(pair: AdmissiblePair, c: dict):
     for i in pair.free:
         if not c[i]:
             out.append(f"c_{i} must be nonzero")
-    for i in pair.free:
+    for i in pair.theta_orthogonal:
         ti = pair.tau[i]
-        if ti != i:
-            ip = pair.datum.simple_root(i)
-            if pair.datum.bilinear(ip, pair.theta_alpha(i)) == 0 and c[i] != c[ti]:
-                out.append(f"c_{i} must equal c_{ti} (orthogonal split pair)")
+        if c[i] != c[ti]:
+            out.append(f"c_{i} must equal c_{ti} (orthogonal split pair)")
     return out
 
 
@@ -250,12 +248,22 @@ def _qi_minus_inv(datum, i) -> Scalar:
     return Scalar.v_pow(2 * e) - Scalar.v_pow(-2 * e)
 
 
+def scope_violation(pair: AdmissiblePair, i, j):
+    """The proved scope of the presentation for a tau-fixed free node i:
+    a_ij >= -2 towards j in X and a_ij >= -3 otherwise.  Returns the entry
+    that leaves it, as text, or None."""
+    aij = pair.datum.a(i, j)
+    if j in pair.X:
+        return f"a_{i}{j} = {aij} with j in X" if aij < -2 else None
+    return f"a_{i}{j} = {aij}" if aij < -3 else None
+
+
 def c_closed(params: QSPParameters, i, j) -> Element:
     """Closed-form C_ij(c) in the proved cases.
 
-    Split nodes (tau(i) = j != i) are covered for every Cartan entry; for
-    tau-fixed i the Cartan entry must be in {0,-1,-2} towards X and in
-    {0,-1,-2,-3} otherwise.  Raises NoClosedFormulaError outside scope.
+    Split nodes (tau(i) = j != i) are covered for every Cartan entry; a
+    tau-fixed i must keep `scope_violation` silent.  Raises
+    NoClosedFormulaError outside scope.
     """
     datum = params.datum
     pair = params.pair
@@ -285,13 +293,10 @@ def c_closed(params: QSPParameters, i, j) -> Element:
     aij = datum.a(i, j)
     if aij == 0:
         return Element.zero(datum)
-    if j in pair.X and aij < -2:
+    violation = scope_violation(pair, i, j)
+    if violation:
         raise NoClosedFormulaError(
-            f"no closed formula in scope: a_{i}{j} = {aij} with j in X (general case open)"
-        )
-    if j not in pair.X and aij < -3:
-        raise NoClosedFormulaError(
-            f"no closed formula in scope: a_{i}{j} = {aij} (general case open)"
+            f"no closed formula in scope: {violation} (general case open)"
         )
     Bi = b_generator(params, i)
     Bj = b_generator(params, j)

@@ -27,6 +27,7 @@ from .cartan import (
     cartan_datum,
     enumerate_admissible,
     rho_check_pairing,
+    tau_from_swaps,
     validate_admissible,
 )
 from .grammar import element_to_text, parse_element, parse_scalar, scalar_to_text
@@ -126,21 +127,22 @@ def _random_element(rng, datum, max_len=4, n_terms=2):
     return Element(datum, out)
 
 
-def _default_params(pair):
-    """Deterministic admissible parameter family for a pair (c from a fixed
-    pool, s = 0), respecting the orthogonal-split equality constraint."""
-    datum = pair.datum
-    pool = (Q, ONE + Q, Q ** -1, -Q)
+def _param_family(pair, draw):
+    """c on the free nodes in order, c_i = draw(t) at the t-th free node,
+    except that the second node of an orthogonal split pair copies the
+    first (the equality the parameter set demands) and calls no draw."""
     c = {}
     for t, i in enumerate(pair.free):
         ti = pair.tau[i]
-        if ti in c and ti != i and datum.bilinear(
-            datum.simple_root(i), pair.theta_alpha(i)
-        ) == 0:
-            c[i] = c[ti]
-        else:
-            c[i] = pool[t % len(pool)]
-    return QSPParameters(pair, c)
+        c[i] = c[ti] if ti in c and i in pair.theta_orthogonal else draw(t)
+    return c
+
+
+def _default_params(pair):
+    """Deterministic admissible parameter family for a pair (c from a fixed
+    pool, s = 0), respecting the orthogonal-split equality constraint."""
+    pool = (Q, ONE + Q, Q ** -1, -Q)
+    return QSPParameters(pair, _param_family(pair, lambda t: pool[t % len(pool)]))
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +450,7 @@ def _case_datum(kind, rank):
 
 def _build_pair(kind, rank, X, tau_pairs):
     datum = _case_datum(kind, rank)
-    tau = {i: i for i in datum.labels}
-    for a, b in tau_pairs:
-        tau[a] = b
-        tau[b] = a
-    return validate_admissible(datum, set(X), tau)
+    return validate_admissible(datum, set(X), tau_from_swaps(datum, tau_pairs))
 
 
 def suite_sigma_tau(seed=0, max_bucket=10 ** 6):
@@ -831,16 +829,7 @@ def suite_bar_examples(seed=0, max_bucket=10 ** 6):
     for tag, pair in (("caseI", case1), ("caseII", case2)):
         agree = True
         for _ in range(20):
-            c = {}
-            for i in pair.free:
-                ti = pair.tau[i]
-                if ti in c and ti != i and a3.bilinear(
-                    a3.simple_root(i), pair.theta_alpha(i)
-                ) == 0:
-                    c[i] = c[ti]
-                else:
-                    c[i] = rng.choice(pool)
-            params = QSPParameters(pair, c)
+            params = QSPParameters(pair, _param_family(pair, lambda t: rng.choice(pool)))
             agree = agree and (
                 bar_exists(params).exists == corollary_conditions(params).exists
             )

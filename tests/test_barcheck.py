@@ -1,8 +1,10 @@
+import json
 import random
 
 import pytest
 
 from qcoideal.barcheck import (
+    OutOfScopeError,
     ad_x,
     bar_exists,
     canonical_params,
@@ -13,9 +15,25 @@ from qcoideal.barcheck import (
     in_set_D,
     nu_sign,
 )
-from qcoideal.cartan import CartanDatum, cartan_datum, validate_admissible
-from qcoideal.qsp import MembershipError, QSPParameters, b_generator, context_for
+from qcoideal.cartan import (
+    CartanDatum,
+    cartan_datum,
+    enumerate_admissible,
+    pair_to_json,
+    validate_admissible,
+)
+from qcoideal.cli import main
+from qcoideal.grammar import scalar_to_text
+from qcoideal.qsp import (
+    MembershipError,
+    NoClosedFormulaError,
+    QSPParameters,
+    b_generator,
+    c_closed,
+    context_for,
+)
 from qcoideal.scalars import ONE, ZERO, Scalar, qshifted_factorial
+from qcoideal.suites import ATLAS_DATA
 from qcoideal.uqg import Element, bar_element, coproduct, equals, tensor_equals
 
 Q = Scalar.q_pow(1)
@@ -122,6 +140,79 @@ def test_corollary_agrees_with_engine_random():
                     c[i] = rng.choice(pool)
             params = QSPParameters(pair, c)
             assert bar_exists(params).exists == corollary_conditions(params).exists
+
+
+def _agree(params):
+    engine = bar_exists(params)
+    direct = corollary_conditions(params)
+    return (engine.exists, sorted(engine.skipped_nodes)) == (
+        direct.exists, sorted(direct.skipped_nodes)
+    )
+
+
+def test_corollary_agrees_with_engine_on_every_atlas_pair():
+    """The engine and the direct conditions agree on the verdict and on the
+    skipped nodes (the tau-fixed isolated rank-one ones) for every atlas pair
+    with a free node, at canonical parameters and at seeded draws."""
+    rng = random.Random(16)
+    pool = [ONE, Q, -Q, Q ** -1, Q ** 2, ONE + Q ** 2, (ONE + Q ** 2) * Q ** -1,
+            Scalar.i_unit() * Q]
+    for kind, rank in ATLAS_DATA:
+        for pair in enumerate_admissible(cartan_datum(kind, rank)):
+            if not pair.free:
+                continue
+            assert _agree(QSPParameters(pair, canonical_params(pair))), pair
+            datum = pair.datum
+            for _ in range(12):
+                c = {}
+                for i in pair.free:
+                    ti = pair.tau[i]
+                    if ti in c and ti != i and datum.bilinear(
+                        datum.simple_root(i), pair.theta_alpha(i)
+                    ) == 0:
+                        c[i] = c[ti]
+                    else:
+                        c[i] = rng.choice(pool)
+                params = QSPParameters(pair, c)
+                assert _agree(params), (pair, {i: scalar_to_text(x) for i, x in c.items()})
+
+
+def test_corollary_agrees_with_engine_on_a_node_whose_neighbours_lie_in_x():
+    # C3 with X = {1, 3}: node 2 sees only X, so it is not isolated and both
+    # deciders check it
+    pair = validate_admissible(cartan_datum("C", 3), {1, 3}, {1: 1, 2: 2, 3: 3})
+    for c2 in (ONE, Q ** -1, -Q, ONE + Q ** 2):
+        params = QSPParameters(pair, {2: c2})
+        assert _agree(params)
+        assert corollary_conditions(params).skipped_nodes == []
+
+
+# a tau-fixed free node with a Cartan entry of -3 towards X, and one with -4
+# towards a free node: both leave the proved scope of the presentation
+OUT_OF_SCOPE = (
+    ([[2, -3, -1], [-1, 2, 0], [-1, 0, 2]], {2, 3},
+     "a_12 = -3 with j in X"),
+    ([[2, -4], [-1, 2]], set(), "a_12 = -4"),
+)
+
+
+@pytest.mark.parametrize("A, X, entry", OUT_OF_SCOPE)
+def test_out_of_scope_pairs_are_refused(A, X, entry, capsys):
+    datum = CartanDatum(A)
+    pair = validate_admissible(datum, X, {i: i for i in datum.labels})
+    params = QSPParameters(pair, {i: ONE for i in pair.free})
+    for decide in (bar_exists, corollary_conditions):
+        with pytest.raises(OutOfScopeError) as err:
+            decide(params)
+        assert str(err.value) == f"{entry} leaves the proved scope"
+    with pytest.raises(NoClosedFormulaError) as err:
+        c_closed(params, 1, 2)
+    assert str(err.value) == f"no closed formula in scope: {entry} (general case open)"
+    cartan = json.dumps({"A": A})
+    args = ["--cartan", cartan, "--pair", json.dumps(pair_to_json(pair)),
+            "--params", json.dumps({"c": {str(i): "1" for i in pair.free}}), "bar-exists"]
+    assert main(args) == 2
+    assert f"error: {entry} leaves the proved scope" in capsys.readouterr().err
 
 
 def test_canonical_params():

@@ -15,9 +15,11 @@ from qcoideal.cartan import (
     longest_word,
     positive_parabolic_roots,
     rho_check_pairing,
+    tau_from_swaps,
     validate_admissible,
     vec_neg,
 )
+from qcoideal.suites import ATLAS_DATA
 
 
 def test_bilinear_values():
@@ -227,6 +229,66 @@ def test_enumerate_contains_worked_pairs():
     keys = {(tuple(sorted(p.X)), tuple(sorted((a, b) for a, b in p.tau.items() if a < b)))
             for p in enumerate_admissible(b2)}
     assert ((2,), ()) in keys
+
+
+def _rank(rows):
+    """Rank over Q of a list of integer vectors."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in rows[rank:] if r[c]), None)
+        if pivot is None:
+            continue
+        k = rows.index(pivot, rank)
+        rows[rank], rows[k] = rows[k], rows[rank]
+        for r in rows[rank + 1:]:
+            f = r[c] / pivot[c]
+            r[:] = [a - f * b for a, b in zip(r, pivot)]
+        rank += 1
+    return rank
+
+
+def test_theta_fixed_vectors_span_the_fixed_sublattice():
+    for kind, rank in ATLAS_DATA:
+        datum = cartan_datum(kind, rank)
+        n = datum.n
+        for pair in enumerate_admissible(datum):
+            vectors = pair.theta_fixed_vectors()
+            for k, v in enumerate(vectors):
+                assert any(v) and pair.theta(v) == v
+                assert v not in vectors[:k] and vec_neg(v) not in vectors[:k]
+            # the fixed space is the kernel of Theta - id
+            theta_minus_id = [
+                [x - (q == p) for q, x in enumerate(pair.theta(datum.simple_root(lab)))]
+                for p, lab in enumerate(datum.labels)
+            ]
+            assert _rank(list(vectors)) == n - _rank(theta_minus_id), pair
+
+
+def test_node_classes_of_the_parameter_sets():
+    a3 = cartan_datum("A", 3)
+    split = validate_admissible(a3, set(), {1: 3, 2: 2, 3: 1})
+    assert split.theta_orthogonal == (1, 3) and split.isolated == ()
+    aiv = validate_admissible(a3, {2}, {1: 3, 2: 2, 3: 1})
+    assert aiv.theta_orthogonal == () and aiv.isolated == ()
+    a1a1 = CartanDatum([[2, 0], [0, 2]])
+    assert validate_admissible(a1a1, set(), {1: 1, 2: 2}).isolated == (1, 2)
+    assert validate_admissible(a1a1, set(), {1: 2, 2: 1}).isolated == ()
+    # a node whose only neighbours lie in X is not isolated
+    c3 = validate_admissible(cartan_datum("C", 3), {1, 3}, {1: 1, 2: 2, 3: 3})
+    assert c3.isolated == () and c3.I_ns == ()
+    for kind, rank in ATLAS_DATA:
+        for pair in enumerate_admissible(cartan_datum(kind, rank)):
+            d = pair.datum
+            for i in pair.free:
+                orthogonal = d.bilinear(d.simple_root(i), pair.theta(d.simple_root(i))) == 0
+                assert (i in pair.theta_orthogonal) == orthogonal
+
+
+def test_tau_from_swaps():
+    a4 = cartan_datum("A", 4)
+    assert tau_from_swaps(a4, []) == {1: 1, 2: 2, 3: 3, 4: 4}
+    assert tau_from_swaps(a4, [[1, 4], ["2", "3"]]) == {1: 4, 2: 3, 3: 2, 4: 1}
 
 
 def test_word_inverse_and_form_invariance():

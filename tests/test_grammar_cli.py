@@ -317,18 +317,31 @@ def test_run_suite_unknown_name_is_an_input_error():
         run_suite("does-not-exist")
 
 
+def _assert_recorded_digests(tmp_path, script, digests, directory):
+    """Run `script`'s write_reports into tmp_path/directory and compare every
+    file written with the digests recorded in tests/data/`digests`."""
+    here = Path(__file__).parent
+    spec = importlib.util.spec_from_file_location(script, here / f"{script}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    written = module.write_reports(tmp_path / directory)
+    recorded = {}
+    for line in (here / "data" / digests).read_text().splitlines():
+        digest, path = line.split()
+        recorded[path] = digest
+    assert sorted(recorded) == sorted(f"{directory}/{name}" for name in written)
+    for path, digest in recorded.items():
+        assert hashlib.sha256((tmp_path / path).read_bytes()).hexdigest() == digest, path
+
+
 def test_compute_reports_match_the_recorded_digests(tmp_path):
     """Every `compute` report of the closed-formula cases and its stdout
     have the digest recorded in tests/data/compute.sha256."""
-    here = Path(__file__).parent
-    spec = importlib.util.spec_from_file_location("compute_reports", here / "compute_reports.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    written = module.write_reports(tmp_path / "compute-reports")
-    recorded = {}
-    for line in (here / "data" / "compute.sha256").read_text().splitlines():
-        digest, path = line.split()
-        recorded[path] = digest
-    assert sorted(recorded) == sorted(f"compute-reports/{name}" for name in written)
-    for path, digest in recorded.items():
-        assert hashlib.sha256((tmp_path / path).read_bytes()).hexdigest() == digest, path
+    _assert_recorded_digests(tmp_path, "compute_reports", "compute.sha256", "compute-reports")
+
+
+def test_pair_reports_match_the_recorded_digests(tmp_path):
+    """Every `canonical` and `bar-exists` report of the atlas pairs with a
+    free node and its stdout have the digest recorded in
+    tests/data/pairs.sha256."""
+    _assert_recorded_digests(tmp_path, "pair_reports", "pairs.sha256", "pair-reports")

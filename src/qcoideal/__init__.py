@@ -52,6 +52,7 @@ from .uqg import (
     skew_r,
     tensor_equals,
     tensor_is_zero,
+    zero_test_guard,
 )
 from .braid import BraidOperator, apply_braid, apply_word, inverse_word, braid_T
 from .qsp import (

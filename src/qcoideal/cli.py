@@ -49,7 +49,7 @@ from .qsp import (
     w_element,
 )
 from .suites import SUITES, run_suite
-from .uqg import ZeroTestGuardError
+from .uqg import ZeroTestGuardError, zero_test_guard
 
 
 class InputError(ValueError):
@@ -247,11 +247,7 @@ def _cmd_verify(args):
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise InputError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
-    if args.max_bucket < 1:
-        raise InputError(f"--max-bucket must be at least 1, got {args.max_bucket}")
-    ok, checks = run_suite(
-        args.suite, seed=args.seed, max_bucket=args.max_bucket, jobs=args.jobs
-    )
+    ok, checks = run_suite(args.suite, seed=args.seed, jobs=args.jobs)
     lines = []
     for c in checks:
         status = "pass" if c["ok"] else "FAIL"
@@ -284,7 +280,7 @@ def _build_parser():
         "--max-bucket",
         type=int,
         default=10 ** 6,
-        help="dual-word evaluation guard per graded bucket of the zero test",
+        help="dual-word evaluations allowed per graded bucket in every zero test (>= 1)",
     )
     sub = ap.add_subparsers(dest="command", required=True)
     sub.add_parser("validate-pair", help="check admissibility of (X, tau)")
@@ -317,7 +313,10 @@ def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        if args.max_bucket < 1:
+            raise InputError(f"--max-bucket must be at least 1, got {args.max_bucket}")
+        with zero_test_guard(args.max_bucket):
+            return _COMMANDS[args.command](args)
     except EngineInconsistencyError as exc:
         print(f"engine inconsistency: {exc}", file=sys.stderr)
         return 3

@@ -77,6 +77,8 @@ and scalar from "pool".
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from operator import add, lt, mul, sub
 
 from .cartan import FiniteTypeError, positive_parabolic_roots, vec_sub
@@ -84,6 +86,22 @@ from .scalars import ONE, Scalar, scalar_sum
 
 class ZeroTestGuardError(RuntimeError):
     """A graded bucket exceeded the word-evaluation guard of the zero test."""
+
+
+# dual-word evaluations allowed per graded bucket; set by `zero_test_guard`
+zero_test_bound = ContextVar("zero_test_bound", default=10 ** 6)
+
+
+@contextmanager
+def zero_test_guard(limit):
+    """Bound every zero test run in the block by `limit` dual words per
+    graded bucket, and restore the previous bound on exit, as
+    `decimal.localcontext` restores the decimal context."""
+    token = zero_test_bound.set(limit)
+    try:
+        yield
+    finally:
+        zero_test_bound.reset(token)
 
 
 def word_weight(datum, word):
@@ -787,7 +805,7 @@ def _good_prefixes(datum, nu):
     return cache[nu]
 
 
-def _zero_walk(datum, terms, max_bucket) -> bool:
+def _zero_walk(datum, terms) -> bool:
     """The deletion-functional engine behind `is_zero` and `tensor_is_zero`.
 
     `terms` maps (prefix, key) to a coefficient: key is the monomial of the
@@ -797,22 +815,23 @@ def _zero_walk(datum, terms, max_bucket) -> bool:
     its good words (of all its words off finite type); whatever scalar is
     left on a prefix is tested as a tensor of one factor fewer.
     """
+    limit = zero_test_bound.get()
     buckets = {}
     for (prefix, (e, k, f)), c in terms.items():
         bkey = (word_weight(datum, e), k, word_weight(datum, f))
         buckets.setdefault(bkey, {})[(prefix, e, f)] = c
     for (ewt, _k, fwt), bucket in buckets.items():
         count = _word_count(ewt) * _word_count(fwt)
-        if count > max_bucket:
+        if count > limit:
             raise ZeroTestGuardError(
-                f"bucket with {count} dual-word evaluations exceeds guard {max_bucket}"
+                f"bucket with {count} dual-word evaluations exceeds guard {limit}"
             )
-        if not _reduce_bucket(datum, bucket, ewt, fwt, max_bucket):
+        if not _reduce_bucket(datum, bucket, ewt, fwt):
             return False
     return True
 
 
-def _reduce_bucket(datum, terms, ewt, fwt, max_bucket, path=(), good=None) -> bool:
+def _reduce_bucket(datum, terms, ewt, fwt, path=(), good=None) -> bool:
     """Pair a bucket {(prefix, e_word, f_word): c} of E-weight ewt and
     F-weight fwt against the prefix-weighted deletion functionals, deleting
     E-letters first and then F-letters.
@@ -831,9 +850,7 @@ def _reduce_bucket(datum, terms, ewt, fwt, max_bucket, path=(), good=None) -> bo
         if () in rest:
             # an Element whose functional value is a nonzero scalar
             return False
-        return _zero_walk(
-            datum, {(p[:-1], p[-1]): c for p, c in rest.items()}, max_bucket
-        )
+        return _zero_walk(datum, {(p[:-1], p[-1]): c for p, c in rest.items()})
     side = 0 if any(ewt) else 1
     wt = ewt if side == 0 else fwt
     if not path:
@@ -860,14 +877,14 @@ def _reduce_bucket(datum, terms, ewt, fwt, max_bucket, path=(), good=None) -> bo
         nwt = tuple(c - (1 if t == p else 0) for t, c in enumerate(wt))
         if not any(nwt):
             npath = ()
-        ok = (_reduce_bucket(datum, img, nwt, fwt, max_bucket, npath, good)
-              if side == 0 else _reduce_bucket(datum, img, ewt, nwt, max_bucket, npath, good))
+        ok = (_reduce_bucket(datum, img, nwt, fwt, npath, good)
+              if side == 0 else _reduce_bucket(datum, img, ewt, nwt, npath, good))
         if not ok:
             return False
     return True
 
 
-def is_zero(a: Element, max_bucket: int = 10 ** 6) -> bool:
+def is_zero(a: Element) -> bool:
     """Decide whether the element is zero in U_q(g).
 
     The element is tested as a tensor of one factor: its terms are bucketed
@@ -875,31 +892,32 @@ def is_zero(a: Element, max_bucket: int = 10 ** 6) -> bool:
     left-skew-derivation functionals on the E-side and, transported through
     omega, on the F-side.  In finite type only the functionals of good words
     are evaluated, which decide zero on each side; otherwise all of them.
-    `max_bucket` bounds the number of all dual words per bucket (E-words
-    times F-words), whichever are evaluated.
+    The bound of `zero_test_guard` (10^6 outside any guard) caps the number
+    of all dual words per bucket (E-words times F-words), whichever are
+    evaluated.
     """
-    return _zero_walk(a.datum, {((), key): c for key, c in a.terms.items()}, max_bucket)
+    return _zero_walk(a.datum, {((), key): c for key, c in a.terms.items()})
 
 
-def equals(a: Element, b: Element, max_bucket: int = 10 ** 6) -> bool:
+def equals(a: Element, b: Element) -> bool:
     """Semantic equality in U_q(g)."""
-    return is_zero(a - b, max_bucket=max_bucket)
+    return is_zero(a - b)
 
 
-def tensor_is_zero(t: Tensor, max_bucket: int = 10 ** 6) -> bool:
+def tensor_is_zero(t: Tensor) -> bool:
     """Semantic zero test for tensors.
 
     Runs the engine of `is_zero` on the last factor, with the earlier
     factors carried as a prefix of every term; the scalars left on each
     prefix form a tensor of one factor fewer, tested the same way.
-    `max_bucket` guards every bucket of every factor.
+    The bound of `zero_test_guard` caps every bucket of every factor.
     """
     terms = {(keys[:-1], keys[-1]): c for keys, c in t.terms.items()}
-    return _zero_walk(t.datum, terms, max_bucket)
+    return _zero_walk(t.datum, terms)
 
 
-def tensor_equals(s: Tensor, t: Tensor, max_bucket: int = 10 ** 6) -> bool:
-    return tensor_is_zero(s - t, max_bucket=max_bucket)
+def tensor_equals(s: Tensor, t: Tensor) -> bool:
+    return tensor_is_zero(s - t)
 
 
 def serre_polynomial(datum, i, j, x: Element, y: Element) -> Element:

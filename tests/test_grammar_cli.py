@@ -141,12 +141,62 @@ def test_cli_verify_checks_limits_before_work(monkeypatch, capsys):
         raise AssertionError("work started despite an invalid limit")
 
     monkeypatch.setattr(suites, "Pool", never)
-    monkeypatch.setattr(cli, "run_suite", never)
+    work = (
+        "run_suite", "enumerate_admissible", "nu_sign", "bar_exists", "canonical_params",
+        "context_for", "b_generator", "w_element", "c_closed", "c_oracle",
+    )
+    for name in work:
+        monkeypatch.setattr(cli, name, never)
     sweep = ["verify", "--suite", "serre-oracle-sweep"]
     too_many = str((os.cpu_count() or 1) + 1)
     assert main(["--jobs", "0"] + sweep) == 2
     assert main(["--jobs", too_many] + sweep) == 2
-    assert main(["--max-bucket", "0"] + sweep) == 2
+    params = '{"cartan": {"type": "A", "rank": 2}, "pair": {"X": [], "tau": []}}'
+    pair = ["--cartan", "A:2", "--pair", '{"X": [], "tau": []}']
+    for command in (
+        sweep,
+        ["nu-atlas"],
+        ["--params", params, "bar-exists"],
+        pair + ["canonical"],
+        ["--params", params, "compute", "--what", "Bi", "--i", "1"],
+    ):
+        assert main(["--max-bucket", "0"] + command) == 2, command
+        assert "--max-bucket must be at least 1" in capsys.readouterr().err
+
+
+def test_cli_max_bucket_reaches_every_zero_test():
+    """`--max-bucket 1` stops every command whose zero tests meet a bucket
+    of two or more dual words, the nu signs and bar checks included, and
+    exits 2 with one line; commands without such a bucket still pass.
+
+    Each command runs in a fresh process, since a nu sign cached in this
+    one would run no zero test."""
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    stopped = [["verify", "--suite", s] for s in (
+        "nu-atlas", "sigma-tau", "bar-examples", "bar-z", "qsp-structure", "serre-oracle-sweep",
+    )] + [["nu-atlas"]]
+    if (os.cpu_count() or 1) >= 2:
+        stopped.append(["--jobs", "2", "verify", "--suite", "serre-oracle-sweep"])
+    passing = [["verify", "--suite", s] for s in ("scalars", "roundtrip")]
+    procs = [
+        (argv, subprocess.Popen(
+            [sys.executable, "-m", "qcoideal.cli", "--max-bucket", "1"] + argv,
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        ))
+        for argv in stopped + passing
+    ]
+    for argv, proc in procs:
+        _out, err = proc.communicate(timeout=120)
+        if argv in passing:
+            assert proc.returncode == 0, (argv, err)
+        else:
+            assert proc.returncode == 2, (argv, err)
+            assert len(err.splitlines()) == 1 and "exceeds guard 1" in err, (argv, err)
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two CPUs")

@@ -294,7 +294,7 @@ def test_serre_sweep_validates_no_pair(monkeypatch):
 
     for module in (cartan_mod, suites):
         monkeypatch.setattr(module, "validate_admissible", counting_validate)
-    monkeypatch.setattr(suites, "_serre_case", lambda params, i, j, max_bucket: (True, ""))
+    monkeypatch.setattr(suites, "_serre_case", lambda params, i, j: (True, ""))
     ok, checks = suites.run_suite("serre-oracle-sweep")
     assert ok and len(checks) == 268
     assert validations == []
@@ -315,6 +315,16 @@ def test_sweep_failing_case_becomes_a_record(monkeypatch):
     assert failed == [
         {"id": "serre/A3/X=[2]/tau=[(1, 3)]/(2,3)", "ok": False, "detail": "RuntimeError: forced"}
     ]
+
+
+def test_sweep_task_carries_its_zero_test_bound(capsys):
+    """A worker started by spawn or forkserver inherits no bound, so a
+    group enters the one in its task: bound 1 there stops the group outside
+    any guard, with no record and no traceback."""
+    assert uqg.zero_test_bound.get() == 10 ** 6
+    with pytest.raises(uqg.ZeroTestGuardError):
+        suites._serre_group(("A", 3, (2,), ((1, 3),), 1))
+    assert capsys.readouterr().err == ""
 
 
 def test_sweep_pool_matches_serial(monkeypatch):

@@ -32,6 +32,8 @@ from qcoideal.uqg import (
     tensor_equals,
     tensor_is_zero,
     word_weight,
+    zero_test_bound,
+    zero_test_guard,
 )
 
 Q = Scalar.q_pow(1)
@@ -244,8 +246,23 @@ def test_coassociativity_random():
 
 def test_zero_test_guard():
     x = Element.E(A2, *([1] * 6 + [2] * 6))
-    with pytest.raises(ZeroTestGuardError):
-        is_zero(x, max_bucket=10)
+    with pytest.raises(ZeroTestGuardError), zero_test_guard(10):
+        is_zero(x)
+
+
+def test_zero_test_guard_restores_the_previous_bound():
+    default = zero_test_bound.get()
+    with pytest.raises(ZeroTestGuardError), zero_test_guard(10):
+        is_zero(Element.E(A2, *([1] * 6 + [2] * 6)))
+    assert zero_test_bound.get() == default
+    with zero_test_guard(7):
+        with zero_test_guard(3):
+            assert zero_test_bound.get() == 3
+            with zero_test_guard(1):
+                assert zero_test_bound.get() == 1
+            assert zero_test_bound.get() == 3
+        assert zero_test_bound.get() == 7
+    assert zero_test_bound.get() == default
 
 
 def _random_element(rng, datum, terms=3):
@@ -290,8 +307,8 @@ def test_tensor_zero_test_reduces_through_every_factor():
 
 def test_tensor_zero_test_guards_the_last_factor():
     t = _tensor(Element.E(A2, 1), Element.E(A2, *([1] * 6 + [2] * 6)))
-    with pytest.raises(ZeroTestGuardError):
-        tensor_is_zero(t, max_bucket=10)
+    with pytest.raises(ZeroTestGuardError), zero_test_guard(10):
+        tensor_is_zero(t)
 
 
 def test_is_zero_agrees_with_the_tensor_of_one_factor():

@@ -204,24 +204,15 @@ def corollary_conditions(params: QSPParameters) -> BarReport:
 # ---------------------------------------------------------------------------
 
 def canonical_params(pair: AdmissiblePair) -> dict:
-    """The distinguished parameter family in each equivalence class.
+    """The distinguished parameter family in each equivalence class:
+    d_i = v^{(alpha_i, Theta(alpha_i) - 2 rho_X)} on every free node.
 
-    Tau-fixed or theta-orthogonal nodes get the pinned square-root q-power;
-    split pairs break the remaining freedom at the smaller index.
+    Tau-fixed or theta-orthogonal nodes must take this pinned q-power, and
+    on a split pair (i, tau(i)) it meets d_tau(i) = v^{2x} bar(d_i): tau is
+    an isometry that fixes X, commutes with w_X and fixes rho_X, so the
+    exponent x is the same at i and tau(i).
     """
-    d = {}
-    for i in pair.free:
-        if i in d:
-            continue
-        ti = pair.tau[i]
-        exponent = pair.pairing_theta_2rho(i)
-        if ti == i or i in pair.theta_orthogonal:
-            d[i] = Scalar.v_pow(exponent)
-            if ti != i:
-                d[ti] = Scalar.v_pow(pair.pairing_theta_2rho(ti))
-        else:
-            d[i] = Scalar.v_pow(exponent)
-            d[ti] = Scalar.v_pow(2 * exponent) * d[i].bar()
+    d = {i: Scalar.v_pow(pair.pairing_theta_2rho(i)) for i in pair.free}
     violations = in_set_D(pair, d)
     if violations:
         raise EngineInconsistencyError(

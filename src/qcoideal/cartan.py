@@ -102,8 +102,8 @@ class CartanDatum:
         # derived data memoised per datum, one dict per namespace:
         # "parabolic" (Phi_X^+, w_X word and 2 rho_X per sorted X, None for
         # an infinite-type X), "pairs" (the enumerated admissible pairs under
-        # None), "weight" (word weights), "efinv", "push", "commute" and
-        # "good" (uqg; the normal-ordered F_f E_e per (f, e), good-word
+        # None), "weight" (word weights), "efinv", "commute" and "good"
+        # (uqg; the normal-ordered F_f E_e per (f, e), good-word
         # prefixes per weight, the good Lyndon words under None), "braid"
         # (braid images of E- and F-words, per prefix), "pool" (one object
         # per word, vector, monomial and scalar of the commutation table and

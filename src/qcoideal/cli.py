@@ -26,6 +26,7 @@ from .barcheck import (
     nu_sign,
 )
 from .cartan import (
+    _ENUMERATION_RANK_CAP,
     AdmissibleError,
     FiniteTypeError,
     admissible_violations,
@@ -203,30 +204,54 @@ def _cmd_canonical(args):
     return 0
 
 
-def _cmd_nu_atlas(args):
-    rows = []
-    lines = []
-    for fam in (args.families or "A,B,C,D,G").split(","):
+def _atlas_data(families, max_rank):
+    """[(family, rank, datum)] for every family and rank in 1..max_rank that
+    names a datum, skipping the ranks that name none (such as B1 or G3);
+    a family that names none, or a datum past the enumeration cap, is an
+    input error, found before any enumeration."""
+    if not 1 <= max_rank <= _ENUMERATION_RANK_CAP:
+        raise InputError(
+            f"--max-rank must be between 1 and {_ENUMERATION_RANK_CAP}, got {max_rank}"
+        )
+    out = []
+    for fam in families.split(","):
         fam = fam.strip()
         if not fam:
             continue
-        for rank in range(1, args.max_rank + 1):
+        named = []
+        for rank in range(1, max_rank + 1):
             try:
                 datum = cartan_datum(fam, rank)
             except ValueError:
                 continue
-            for pair in enumerate_admissible(datum):
-                ctx = context_for(pair)
-                for i in pair.free:
-                    nu = nu_sign(ctx, i)
-                    rows.append({
-                        "type": fam,
-                        "rank": rank,
-                        "X": sorted(pair.X),
-                        "tau": sorted([a, b] for a, b in pair.tau.items() if a < b),
-                        "node": i,
-                        "nu": nu,
-                    })
+            if datum.n > _ENUMERATION_RANK_CAP:
+                raise InputError(
+                    f"{fam}{rank} has {datum.n} nodes; admissible-pair enumeration "
+                    f"is capped at rank {_ENUMERATION_RANK_CAP}"
+                )
+            named.append((fam, rank, datum))
+        if not named:
+            raise InputError(f"family {fam!r} names no Cartan datum of rank 1 to {max_rank}")
+        out += named
+    return out
+
+
+def _cmd_nu_atlas(args):
+    rows = []
+    lines = []
+    for fam, rank, datum in _atlas_data(args.families or "A,B,C,D,G", args.max_rank):
+        for pair in enumerate_admissible(datum):
+            ctx = context_for(pair)
+            for i in pair.free:
+                nu = nu_sign(ctx, i)
+                rows.append({
+                    "type": fam,
+                    "rank": rank,
+                    "X": sorted(pair.X),
+                    "tau": sorted([a, b] for a, b in pair.tau.items() if a < b),
+                    "node": i,
+                    "nu": nu,
+                })
     rows.sort(key=lambda r: (r["type"], r["rank"], str(r["X"]), str(r["tau"]), r["node"]))
     for r in rows:
         lines.append(
@@ -293,7 +318,8 @@ def _build_parser():
     sub.add_parser("canonical", help="canonical parameter family for a pair")
     pn = sub.add_parser("nu-atlas", help="tabulate nu over enumerated admissible pairs")
     pn.add_argument("--families", help="comma list of type letters (default A,B,C,D,G)")
-    pn.add_argument("--max-rank", type=int, default=4)
+    pn.add_argument("--max-rank", type=int, default=4,
+                    help=f"largest rank tabulated (1..{_ENUMERATION_RANK_CAP})")
     pv = sub.add_parser("verify", help="run a named verification suite")
     pv.add_argument("--suite", required=True)
     return ap

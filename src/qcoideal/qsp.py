@@ -119,18 +119,17 @@ class QSPParameters:
 
 
 class QSPContext:
-    """Cached per-pair data: theta_q(F_i K_i), Z_i, and the nu signs of
-    `barcheck.nu_sign`.
+    """Cached per-pair data: Z_i and the nu signs of `barcheck.nu_sign`.
 
     The pair owns its context (`context_for`), so these caches live exactly
     as long as the pair.  The twists T_{w_X}(E_j) depend on the datum and X
-    alone, so `twisted` memoises them in the datum's `caches["twist"]`.
+    alone, so `twisted` memoises them in the datum's `caches["twist"]`, and
+    theta_q(F_i K_i) is one scale of a twist.
     """
 
     def __init__(self, pair: AdmissiblePair):
         self.pair = pair
         self.datum = pair.datum
-        self._theta_fk = {}
         self._z = {}
         self.nu = {}
 
@@ -147,14 +146,10 @@ class QSPContext:
 
     def theta_fk(self, i) -> Element:
         """Image of F_i K_i under the quantum involution: -s(tau(i)) T_{w_X}(E_{tau(i)})."""
-        v = self._theta_fk.get(i)
-        if v is None:
-            if i in self.pair.X:
-                raise ValueError("theta_fk is defined for nodes outside X")
-            ti = self.pair.tau[i]
-            v = self.twisted(ti).scale(-s_value(self.pair, ti))
-            self._theta_fk[i] = v
-        return v
+        if i in self.pair.X:
+            raise ValueError("theta_fk is defined for nodes outside X")
+        ti = self.pair.tau[i]
+        return self.twisted(ti).scale(-s_value(self.pair, ti))
 
     def z(self, i) -> Element:
         v = self._z.get(i)

@@ -17,12 +17,12 @@ vector {k: m_k}: `den` is a `_Den`, the dict of prod Phi_k^m_k carrying
 the vector, one object per vector.  A numerator is reduced by trial
 division, in integers, by the Phi_k of a vector.  A denominator from
 outside (`Scalar(num, den)`, `inverse`) is factored once, as
-lead * prod Phi_k^m_k * cofactor, cached under a key of Python ints: a
-float test at e^(2 pi i / k) preselects each k and exact division confirms
-it.  Euclid (`_poly_gcd`) runs only on the cofactor, such as the v^2 + 3 of
-a user parameter c_i = 1/(v^2 + 3), and on the halves of Phi_k (4 | k)
-that a Gaussian numerator may share; such a denominator stays a plain
-dict.  The monic gcd is unique, so this is the canonical form of Euclid.
+lead * prod Phi_k^m_k * cofactor, by exact trial division by every Phi_k
+of degree at most its own, and cached under a key of Python ints.  Euclid
+(`_poly_gcd`) runs only on the cofactor, such as the v^2 + 3 of a user
+parameter c_i = 1/(v^2 + 3), and on the halves of Phi_k (4 | k) that a
+Gaussian numerator may share; such a denominator stays a plain dict.
+The monic gcd is unique, so this is the canonical form of Euclid.
 
 Arithmetic.  Coefficient components are ints when integral and Fractions
 only otherwise.  A product of reduced a/b and c/d divides a only by the
@@ -236,7 +236,6 @@ def _poly_exact_div(p, g):
 _CYCLOTOMIC = {}  # k -> dense integer coefficients of Phi_k(v)
 _FACTORS = {}     # denominator key -> (exponent vector, monic cofactor)
 _PRODUCTS = {}    # ((k, n), ...) -> prod Phi_k^n as its interned _Den
-_GQ_INT = {}      # n -> GaussianRational(n), shared by the products
 
 
 class _Den(dict):
@@ -384,28 +383,12 @@ def _orders(d):
         k += 1
 
 
-def _vanishes_at_root(z, k):
-    """Float preselection: is b(e^(2 pi i / k)) small against b's
-    coefficients?  Exact division confirms every factor it passes, and a
-    factor it misses stays in the cofactor, so it affects speed only."""
-    t = 2 * math.pi / k
-    w = complex(math.cos(t), math.sin(t))
-    acc = 0j
-    for c in reversed(z):
-        acc = acc * w + c
-    return abs(acc) <= 1e-9 * sum(abs(c) for c in z)
-
-
 def _factor(b):
     """({k: m_k}, cofactor) with b = lead(b) * prod Phi_k^m_k * cofactor;
     the cofactor is monic, or None when it is 1."""
     _, re, im = _int_poly(b)
-    top = max(max(map(abs, re)), max(map(abs, im)))
-    z = [complex(x / top, y / top) for x, y in zip(re, im)]
     vec = {}
     for k in _orders(len(re) - 1):
-        if not _vanishes_at_root(z, k):
-            continue
         re, im, m = _divide_out(re, im, k, len(re))
         if m:
             vec[k] = m
@@ -426,8 +409,7 @@ def _int_mul(a, b):
 
 def _phi_product(exponents):
     """prod Phi_k^n over a dict {k: n} as its `_Den`, one per exponent
-    vector; integer coefficients are shared objects, so the memo stays
-    small."""
+    vector."""
     key = tuple(sorted((k, n) for k, n in exponents.items() if n))
     p = _PRODUCTS.get(key)
     if p is None:
@@ -439,7 +421,7 @@ def _phi_product(exponents):
         p.phi = dict(key)
         for e, c in enumerate(out):
             if c:
-                p[e] = _GQ_INT.setdefault(c, GaussianRational(c))
+                p[e] = GaussianRational(c)
     return p
 
 

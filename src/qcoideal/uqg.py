@@ -68,11 +68,10 @@ right multiplication by x commute, and by the q-binomial theorem
 prod_{k<m} (L_x - q_i^{m-1-2k} R_x) is the binomial sum (Jantzen,
 *Lectures on Quantum Groups*, 1996, ch. 4), with 2m products instead of
 3m + 2.
-Memo tables (word weights, the E-past-F pushes, the commutation table,
-1/(q_i - q_i^{-1}) and the good words) live in the datum's declared
-`caches` under "weight", "push", "commute", "efinv" and "good"; the
-commutation table and the braid images draw one object per word, vector
-and scalar from "pool".
+Memo tables (word weights, the commutation table, 1/(q_i - q_i^{-1}) and
+the good words) live in the datum's declared `caches` under "weight",
+"commute", "efinv" and "good"; the commutation table and the braid images
+draw one object per word, vector and scalar from "pool".
 """
 
 from __future__ import annotations
@@ -176,42 +175,28 @@ def _ef_inverse(datum, i) -> Scalar:
     return s
 
 
-def _push_e(datum, f_word, i):
-    """The torus pieces of F_{f_word} * E_i = E_i F_{f_word} + ...
-
-    Returns a list of (k_sign, g_word, x), two per letter i of f_word, for
-    the pieces -k_sign v^x / (q_i - q_i^{-1}) * K_{k_sign * alpha_i} F_{g_word},
-    with the K factor already commuted to the left of the F-word.
-    """
-    cache = datum.caches["push"]
-    key = (f_word, i)
-    out = cache.get(key)
-    if out is None:
-        out = []
-        if f_word:
-            f1, j = f_word[:-1], f_word[-1]
-            out = [(ks, g + (j,), x) for ks, g, x in _push_e(datum, f1, i)]
-            if j == i:
-                x = _vexp(datum, datum.simple_root(i), f1)
-                out += [(1, f1, x), (-1, f1, -x)]
-        cache[key] = out
-    return out
-
-
 def _mono_times_E(datum, key, i, c):
     """c * (E_e K_k F_f) * E_i as a list of (monomial, coefficient): E_i
-    moves past K_k with one shift, and the torus pieces of F_f E_i share
-    one product c / (q_i - q_i^{-1})."""
+    moves past K_k with one shift, and each letter f_p = i of F_f gives the
+    torus pieces -+ v^{+-x} c / (q_i - q_i^{-1}) K_{k +- alpha_i} F_{f - p},
+    x = 2 (alpha_i, wt f_{<p}), in letter order, sharing one product
+    c / (q_i - q_i^{-1})."""
     e, k, f = key
     p = datum.pos(i)
-    x = 2 * sum(map(mul, datum.gram[p], k))
-    out = [((e + (i,), k, f), c.shifted(x))]
-    pieces = _push_e(datum, f, i)
-    if pieces:
+    row = datum.gram[p]
+    out = [((e + (i,), k, f), c.shifted(2 * sum(map(mul, row, k))))]
+    if i in f:
         ci = c * _ef_inverse(datum, i)
-        for ks, g, x in pieces:
-            nk = tuple(b + ks if t == p else b for t, b in enumerate(k))
-            out.append(((e, nk, g), (ci if ks < 0 else -ci).shifted(x)))
+        nci = -ci
+        up = tuple(b + 1 if t == p else b for t, b in enumerate(k))
+        down = tuple(b - 1 if t == p else b for t, b in enumerate(k))
+        x = 0
+        for q, j in enumerate(f):
+            if j == i:
+                g = f[:q] + f[q + 1:]
+                out.append(((e, up, g), nci.shifted(x)))
+                out.append(((e, down, g), ci.shifted(-x)))
+            x += 2 * row[datum.pos(j)]
     return out
 
 

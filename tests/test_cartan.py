@@ -285,6 +285,24 @@ def test_node_classes_of_the_parameter_sets():
                 assert (i in pair.theta_orthogonal) == orthogonal
 
 
+def test_theta_2rho_pairing_is_tau_invariant():
+    """(alpha_i, Theta(alpha_i) - 2 rho_X) is the same at i and tau(i): tau
+    is an isometry that fixes X, commutes with w_X and fixes rho_X.  So the
+    canonical parameters are one formula on every free node."""
+    data = (
+        [("A", r) for r in range(1, 6)] + [("B", r) for r in range(2, 6)]
+        + [("C", r) for r in range(2, 6)] + [("D", 4), ("D", 5), ("E", 6), ("F", 4), ("G", 2)]
+        + [("affine:A", r) for r in (1, 2, 3)]
+    )
+    with_free = 0
+    for kind, rank in data:
+        for pair in enumerate_admissible(cartan_datum(kind, rank)):
+            with_free += bool(pair.free)
+            for i in pair.free:
+                assert pair.pairing_theta_2rho(pair.tau[i]) == pair.pairing_theta_2rho(i), (pair, i)
+    assert with_free == 98
+
+
 def test_tau_from_swaps():
     a4 = cartan_datum("A", 4)
     assert tau_from_swaps(a4, []) == {1: 1, 2: 2, 3: 3, 4: 4}

@@ -282,6 +282,31 @@ def test_cli_nu_atlas_affine(tmp_path, capsys):
     assert all(r["nu"] in (1, -1) for r in rows)  # reported, not asserted
 
 
+def test_cli_nu_atlas_checks_its_input_before_work(monkeypatch, capsys):
+    """A rank bound outside 1..cap, a family that names no datum in range
+    and a datum past the enumeration cap are refused with exit 2 before any
+    enumeration; invalid ranks inside the range (B1, G3) are skipped."""
+    import qcoideal.cli as cli
+
+    def never(datum):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(cli, "enumerate_admissible", never)
+    for argv in (
+        ["--families", "b"],
+        ["--max-rank", "-3"],
+        ["--max-rank", "0"],
+        ["--families", "A", "--max-rank", "11"],
+        ["--families", "G", "--max-rank", "1"],
+        ["--families", "affine:A", "--max-rank", "10"],
+    ):
+        assert main(["nu-atlas"] + argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+    for argv in (["--families", "B,G", "--max-rank", "3"], ["--families", "affine:A", "--max-rank", "1"]):
+        assert main(["nu-atlas"] + argv) == 3, argv
+        assert "enumeration started" in capsys.readouterr().err, argv
+
+
 def test_cli_canonical(capsys):
     code = main(["--cartan", "A:3", "--pair", '{"X": [], "tau": [[1,3]]}', "canonical"])
     out = capsys.readouterr().out

@@ -192,9 +192,9 @@ def _exercise():
     return [(s.num, s.den) for s in out]
 
 
-def test_preselection_changes_speed_only(monkeypatch):
-    """With every float candidate rejected, every factor stays in the
-    cofactor and Euclid finds it: the results are identical."""
+def test_trial_division_changes_speed_only(monkeypatch):
+    """With no Phi_k tried, every factor stays in the cofactor and Euclid
+    finds it: the results are identical."""
     _fresh_caches(monkeypatch)
     expected = _exercise()
     gcds = []
@@ -205,10 +205,29 @@ def test_preselection_changes_speed_only(monkeypatch):
         return original(p, q)
 
     _fresh_caches(monkeypatch)
-    monkeypatch.setattr(scalars, "_vanishes_at_root", lambda z, k: False)
+    monkeypatch.setattr(scalars, "_orders", lambda d: [])
     monkeypatch.setattr(scalars, "_poly_gcd", counting)
     assert _exercise() == expected
     assert gcds  # the cofactor path did the work
+
+
+def test_factor_finds_every_cyclotomic_factor(monkeypatch):
+    """Random 2 (v^2 + 3) prod Phi_k^m_k (k <= 30, degree <= 60) factor
+    into exactly their exponent vector and the monic cofactor v^2 + 3."""
+    _fresh_caches(monkeypatch)
+    rng = random.Random(59)
+    for _ in range(25):
+        vec, poly, deg = {}, [6, 0, 2], 0
+        while True:
+            k = rng.randint(1, 30)
+            phi = scalars._cyclotomic(k)
+            if deg + len(phi) - 1 > 60:
+                break
+            vec[k] = vec.get(k, 0) + 1
+            deg += len(phi) - 1
+            poly = scalars._int_mul(poly, phi)
+        b = {e: scalars.GaussianRational(c) for e, c in enumerate(poly) if c}
+        assert scalars._factor(b) == (vec, {0: scalars.GaussianRational(3), 2: scalars.GQ_ONE})
 
 
 def test_braid_images_need_no_euclid(monkeypatch):

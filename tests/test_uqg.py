@@ -1,6 +1,6 @@
 import itertools
 import random
-from operator import add
+from operator import add, mul
 
 import pytest
 
@@ -12,6 +12,7 @@ from qcoideal.uqg import (
     Tensor,
     ZeroTestGuardError,
     _add_term,
+    _ef_inverse,
     _gather,
     _mono_times_E,
     _settle,
@@ -720,6 +721,67 @@ def test_two_data_never_share_a_table():
         products.append((x * y).terms)
     assert products[0] != products[1] and products[0] == products[2]
     assert b2.caches["commute"] is not c2.caches["commute"]
+
+
+# The E-past-F pushes of every prefix of an F-word, which a memo kept
+# before `_mono_times_E` took them in closed form, kept as its reference.
+
+def _ref_push_e(datum, f_word, i):
+    """(k_sign, g_word, x) for the pieces -k_sign v^x / (q_i - q_i^{-1})
+    K_{k_sign alpha_i} F_{g_word} of F_{f_word} E_i, built letter by letter."""
+    if not f_word:
+        return []
+    f1, j = f_word[:-1], f_word[-1]
+    out = [(ks, g + (j,), x) for ks, g, x in _ref_push_e(datum, f1, i)]
+    if j == i:
+        x = 2 * datum.bilinear(datum.simple_root(i), word_weight(datum, f1)) if f1 else 0
+        out += [(1, f1, x), (-1, f1, -x)]
+    return out
+
+
+def _ref_mono_times_E(datum, key, i, c):
+    e, k, f = key
+    p = datum.pos(i)
+    out = [((e + (i,), k, f), c.shifted(2 * sum(map(mul, datum.gram[p], k))))]
+    pieces = _ref_push_e(datum, f, i)
+    if pieces:
+        ci = c * _ef_inverse(datum, i)
+        for ks, g, x in pieces:
+            nk = tuple(b + ks if t == p else b for t, b in enumerate(k))
+            out.append(((e, nk, g), (ci if ks < 0 else -ci).shifted(x)))
+    return out
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "affine:A1"])
+def test_mono_times_E_matches_the_letter_by_letter_pushes(name):
+    """The closed-form torus pieces equal the recursive pushes, key for key
+    and in order, on every F-word of length at most 5, with K parts."""
+    datum = cartan_datum(name[:-1], int(name[-1]))
+    rng = random.Random(47)
+    coeffs = [ONE, Q, qint(2).inverse(), (Q - Q ** -1).inverse()]
+    for n in range(6):
+        for f in itertools.product(datum.labels, repeat=n):
+            e = tuple(rng.choice(datum.labels) for _ in range(rng.randint(0, 2)))
+            key = (e, tuple(rng.randint(-2, 2) for _ in range(datum.n)), f)
+            c = rng.choice(coeffs)
+            for i in datum.labels:
+                assert _mono_times_E(datum, key, i, c) == _ref_mono_times_E(datum, key, i, c)
+
+
+def test_a_repeated_f_letter_keeps_memory_small():
+    """F_1^200 E_1 on a fresh datum builds one table entry of three terms;
+    a memo of the pushes of every prefix held memory cubic in the length."""
+    import tracemalloc
+
+    datum = CartanDatum(A2.A)
+    tracemalloc.start()
+    try:
+        x = Element.F(datum, *[1] * 200) * Element.E(datum, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(x.terms) == 3
+    assert peak < 5 * 2 ** 20, peak
 
 
 def _table_state(datum):

@@ -20,7 +20,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 _ROOT_CLOSURE_CAP = 2500
-_ENUMERATION_RANK_CAP = 10
+ENUMERATION_RANK_CAP = 10
 
 
 class FiniteTypeError(ValueError):
@@ -515,16 +515,22 @@ def _involutions(labels):
     return list(rec(labels))
 
 
+def check_enumerable(datum: CartanDatum):
+    """Raise ValueError if `enumerate_admissible` refuses `datum`: it has
+    more nodes than ENUMERATION_RANK_CAP."""
+    if datum.n > ENUMERATION_RANK_CAP:
+        raise ValueError(
+            f"admissible-pair enumeration is capped at rank {ENUMERATION_RANK_CAP}"
+        )
+
+
 def enumerate_admissible(datum: CartanDatum):
     """All admissible pairs as a tuple, ordered lexicographically in (X, tau).
 
     Enumerated once per datum in `datum.caches["pairs"]`, so every caller
     shares the pairs and the QSP contexts they own.
     """
-    if datum.n > _ENUMERATION_RANK_CAP:
-        raise ValueError(
-            f"admissible-pair enumeration is capped at rank {_ENUMERATION_RANK_CAP}"
-        )
+    check_enumerable(datum)
     cache = datum.caches["pairs"]
     if None not in cache:
         cache[None] = _enumerate(datum)

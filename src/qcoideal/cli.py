@@ -26,11 +26,12 @@ from .barcheck import (
     nu_sign,
 )
 from .cartan import (
-    _ENUMERATION_RANK_CAP,
+    ENUMERATION_RANK_CAP,
     AdmissibleError,
     FiniteTypeError,
     admissible_violations,
     cartan_datum,
+    check_enumerable,
     datum_from_json,
     datum_to_json,
     enumerate_admissible,
@@ -206,15 +207,17 @@ def _cmd_canonical(args):
 
 def _atlas_data(families, max_rank):
     """[(family, rank, datum)] for every family and rank in 1..max_rank that
-    names a datum, skipping the ranks that name none (such as B1 or G3);
-    a family that names none, or a datum past the enumeration cap, is an
-    input error, found before any enumeration."""
-    if not 1 <= max_rank <= _ENUMERATION_RANK_CAP:
+    names a datum, skipping the ranks that name none (such as B1 or G3).
+    `families` is the comma list of --families, or None for the default
+    A,B,C,D,G.  A --max-rank outside 1..cap, a listed family that names no
+    datum in range, and a datum past the enumeration cap are input errors,
+    found before any enumeration."""
+    if not 1 <= max_rank <= ENUMERATION_RANK_CAP:
         raise InputError(
-            f"--max-rank must be between 1 and {_ENUMERATION_RANK_CAP}, got {max_rank}"
+            f"--max-rank must be between 1 and {ENUMERATION_RANK_CAP}, got {max_rank}"
         )
     out = []
-    for fam in families.split(","):
+    for fam in (families or "A,B,C,D,G").split(","):
         fam = fam.strip()
         if not fam:
             continue
@@ -224,13 +227,9 @@ def _atlas_data(families, max_rank):
                 datum = cartan_datum(fam, rank)
             except ValueError:
                 continue
-            if datum.n > _ENUMERATION_RANK_CAP:
-                raise InputError(
-                    f"{fam}{rank} has {datum.n} nodes; admissible-pair enumeration "
-                    f"is capped at rank {_ENUMERATION_RANK_CAP}"
-                )
+            check_enumerable(datum)
             named.append((fam, rank, datum))
-        if not named:
+        if families and not named:
             raise InputError(f"family {fam!r} names no Cartan datum of rank 1 to {max_rank}")
         out += named
     return out
@@ -239,7 +238,7 @@ def _atlas_data(families, max_rank):
 def _cmd_nu_atlas(args):
     rows = []
     lines = []
-    for fam, rank, datum in _atlas_data(args.families or "A,B,C,D,G", args.max_rank):
+    for fam, rank, datum in _atlas_data(args.families, args.max_rank):
         for pair in enumerate_admissible(datum):
             ctx = context_for(pair)
             for i in pair.free:
@@ -319,7 +318,7 @@ def _build_parser():
     pn = sub.add_parser("nu-atlas", help="tabulate nu over enumerated admissible pairs")
     pn.add_argument("--families", help="comma list of type letters (default A,B,C,D,G)")
     pn.add_argument("--max-rank", type=int, default=4,
-                    help=f"largest rank tabulated (1..{_ENUMERATION_RANK_CAP})")
+                    help=f"largest rank tabulated (1..{ENUMERATION_RANK_CAP})")
     pv = sub.add_parser("verify", help="run a named verification suite")
     pv.add_argument("--suite", required=True)
     return ap

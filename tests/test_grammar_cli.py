@@ -283,9 +283,10 @@ def test_cli_nu_atlas_affine(tmp_path, capsys):
 
 
 def test_cli_nu_atlas_checks_its_input_before_work(monkeypatch, capsys):
-    """A rank bound outside 1..cap, a family that names no datum in range
-    and a datum past the enumeration cap are refused with exit 2 before any
-    enumeration; invalid ranks inside the range (B1, G3) are skipped."""
+    """A rank bound outside 1..cap, a listed family that names no datum in
+    range and a datum past the enumeration cap are refused with exit 2
+    before any enumeration; invalid ranks inside the range (B1, G3) are
+    skipped, and so are the ranks the default families lack (D below 4)."""
     import qcoideal.cli as cli
 
     def never(datum):
@@ -296,13 +297,19 @@ def test_cli_nu_atlas_checks_its_input_before_work(monkeypatch, capsys):
         ["--families", "b"],
         ["--max-rank", "-3"],
         ["--max-rank", "0"],
+        ["--max-rank", "11"],
         ["--families", "A", "--max-rank", "11"],
         ["--families", "G", "--max-rank", "1"],
         ["--families", "affine:A", "--max-rank", "10"],
     ):
         assert main(["nu-atlas"] + argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: "), argv
-    for argv in (["--families", "B,G", "--max-rank", "3"], ["--families", "affine:A", "--max-rank", "1"]):
+    for argv in (
+        ["--families", "B,G", "--max-rank", "3"],
+        ["--families", "affine:A", "--max-rank", "1"],
+        ["--max-rank", "1"],
+        ["--max-rank", "3"],
+    ):
         assert main(["nu-atlas"] + argv) == 3, argv
         assert "enumeration started" in capsys.readouterr().err, argv
 

@@ -19,7 +19,6 @@ from functools import cache
 from itertools import combinations
 from math import gcd, lcm
 
-_ROOT_CLOSURE_CAP = 2500
 ENUMERATION_RANK_CAP = 10
 
 
@@ -99,6 +98,10 @@ class CartanDatum:
         self.gram = tuple(
             tuple(eps[i] * A[i][j] for j in range(n)) for i in range(n)
         )
+        # the v-exponents 2 (alpha_i, alpha_j) by label, vgram[i][j]
+        self.vgram = {
+            i: {j: 2 * g for j, g in zip(labels, row)} for i, row in zip(labels, self.gram)
+        }
         # derived data memoised per datum, one dict per namespace:
         # "parabolic" (Phi_X^+, w_X word and 2 rho_X per sorted X, None for
         # an infinite-type X), "pairs" (the enumerated admissible pairs under
@@ -324,12 +327,32 @@ def _parabolic(datum: CartanDatum, X):
     return data
 
 
+def _is_finite_type(datum, X):
+    """Whether X is of finite type: for a symmetrizable Cartan matrix,
+    exactly when the symmetrised block ((alpha_i, alpha_j))_{i, j in X} is
+    positive definite (Kac, *Infinite-dimensional Lie algebras*, ch. 4),
+    decided by exact elimination: every pivot is positive (Sylvester)."""
+    ps = [datum.pos(j) for j in X]
+    m = [[Fraction(datum.gram[p][q]) for q in ps] for p in ps]
+    for t, row in enumerate(m):
+        if row[t] <= 0:
+            return False
+        for below in m[t + 1:]:
+            f = below[t] / row[t]
+            if f:
+                for c in range(t + 1, len(ps)):
+                    below[c] -= f * row[c]
+    return True
+
+
 def _parabolic_data(datum, X):
     """Phi_X^+ by reflection closure of the simple roots of X, or None when
-    the closure exceeds the growth cap, which happens exactly when X is of
-    infinite type.  The word for w_X reflects the strictly X-dominant vector
-    2*rho_X to the antidominant chamber, so its length is |Phi_X^+|.
+    X is of infinite type.  The word for w_X reflects the strictly
+    X-dominant vector 2*rho_X to the antidominant chamber, so its length is
+    |Phi_X^+|.
     """
+    if not _is_finite_type(datum, X):
+        return None
     roots = {datum.simple_root(j) for j in X}
     frontier = list(roots)
     while frontier:
@@ -340,15 +363,13 @@ def _parabolic_data(datum, X):
                 if img not in roots:
                     roots.add(img)
                     new.append(img)
-        if len(roots) > _ROOT_CLOSURE_CAP:
-            return None
         frontier = new
     plus = tuple(b for b in sorted(roots) if _is_positive(b))
     v = two_rho = tuple(map(sum, zip(datum.zero_vector(), *plus)))
     applied = []
     while True:
         for j in X:
-            if datum.bilinear(v, datum.simple_root(j)) > 0:
+            if datum.bilinear(datum.simple_root(j), v) > 0:
                 v = datum.reflect(j, v)
                 applied.append(j)
                 break

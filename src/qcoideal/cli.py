@@ -20,15 +20,12 @@ import sys
 
 from .barcheck import (
     EngineInconsistencyError,
-    OutOfScopeError,
     bar_exists,
     canonical_params,
     nu_sign,
 )
 from .cartan import (
     ENUMERATION_RANK_CAP,
-    AdmissibleError,
-    FiniteTypeError,
     admissible_violations,
     cartan_datum,
     check_enumerable,
@@ -39,10 +36,8 @@ from .cartan import (
     pair_to_json,
     tau_from_swaps,
 )
-from .grammar import ScalarParseError, element_to_json, element_to_text, parse_scalar, scalar_to_text
+from .grammar import element_to_json, element_to_text, parse_scalar, scalar_to_text
 from .qsp import (
-    MembershipError,
-    NoClosedFormulaError,
     QSPParameters,
     b_generator,
     c_closed,
@@ -345,23 +340,13 @@ def main(argv=None) -> int:
     except EngineInconsistencyError as exc:
         print(f"engine inconsistency: {exc}", file=sys.stderr)
         return 3
-    except (
-        InputError,
-        AdmissibleError,
-        MembershipError,
-        NoClosedFormulaError,
-        OutOfScopeError,
-        FiniteTypeError,
-        ScalarParseError,
-        ZeroTestGuardError,
-        json.JSONDecodeError,
-        ValueError,
-    ) as exc:
+    except (ZeroTestGuardError, ValueError) as exc:
+        # the engine's input errors, JSON syntax errors among them, are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (KeyError, AssertionError, RuntimeError, ArithmeticError) as exc:
         # ArithmeticError: a polynomial division the engine takes to be exact
-        # is not; a division by zero in the input is a ScalarParseError above
+        # is not; a division by zero in the input is a ScalarParseError, a ValueError
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

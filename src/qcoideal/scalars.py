@@ -563,9 +563,6 @@ class Scalar:
 
     # -- predicates ----------------------------------------------------------
 
-    def is_zero(self):
-        return not self.num
-
     def __bool__(self):
         return bool(self.num)
 

@@ -44,7 +44,11 @@ Every q-power q^{(beta, gamma)} that straightening, the coproduct, the
 involutions and the zero walk meet is carried as the integer v-exponent
 2 (beta, gamma), read off the datum's integer Gram matrix, and reaches a
 coefficient as one `Scalar.shifted`: v^k is a unit, so the shifted
-coefficient is canonical without normalisation.
+coefficient is canonical without normalisation.  Deleting letter i after
+the letters u costs v^{2 (alpha_i, wt u)}; `_deletions` applies this rule
+for the skew derivations r_i and _ir, the zero walk and the torus pieces
+of [E_i, F_f].  sigma is the one reordering; omega = sigma.rho and S =
+sigma.phi, where rho and phi map monomials to monomials.
 
 A product of monomials is E_{e1} K_{k1} (F_{f1} E_{e2}) K_{k2} F_{f2}.  The
 normal-ordered expansion of F_f E_e is a multiplication table in the sense
@@ -120,6 +124,20 @@ def _vexp(datum, beta, word):
     return 2 * datum.bilinear(beta, word_weight(datum, word)) if word else 0
 
 
+def _deletions(datum, word, i):
+    """Each occurrence of letter i in the word, left to right, as (x, the
+    word without it), x = 2 (alpha_i, wt of the letters before it): the
+    v-exponent that deleting it costs."""
+    row = datum.vgram[i]
+    out = []
+    x = 0
+    for p, j in enumerate(word):
+        if j == i:
+            out.append((x, word[:p] + word[p + 1:]))
+        x += row[j]
+    return out
+
+
 def _add_term(out, key, c):
     """out[key] += c, dropping the key when the sum is zero."""
     prev = out.get(key)
@@ -177,10 +195,10 @@ def _ef_inverse(datum, i) -> Scalar:
 
 def _mono_times_E(datum, key, i, c):
     """c * (E_e K_k F_f) * E_i as a list of (monomial, coefficient): E_i
-    moves past K_k with one shift, and each letter f_p = i of F_f gives the
-    torus pieces -+ v^{+-x} c / (q_i - q_i^{-1}) K_{k +- alpha_i} F_{f - p},
-    x = 2 (alpha_i, wt f_{<p}), in letter order, sharing one product
-    c / (q_i - q_i^{-1})."""
+    moves past K_k with one shift, and each deletion (x, g) of letter i from
+    F_f gives the torus pieces -+ v^{+-x} c / (q_i - q_i^{-1}) K_{k +-
+    alpha_i} F_g, in letter order, sharing one product c / (q_i -
+    q_i^{-1})."""
     e, k, f = key
     p = datum.pos(i)
     row = datum.gram[p]
@@ -190,13 +208,9 @@ def _mono_times_E(datum, key, i, c):
         nci = -ci
         up = tuple(b + 1 if t == p else b for t, b in enumerate(k))
         down = tuple(b - 1 if t == p else b for t, b in enumerate(k))
-        x = 0
-        for q, j in enumerate(f):
-            if j == i:
-                g = f[:q] + f[q + 1:]
-                out.append(((e, up, g), nci.shifted(x)))
-                out.append(((e, down, g), ci.shifted(-x)))
-            x += 2 * row[datum.pos(j)]
+        for x, g in _deletions(datum, f, i):
+            out.append(((e, up, g), nci.shifted(x)))
+            out.append(((e, down, g), ci.shifted(-x)))
     return out
 
 
@@ -334,12 +348,7 @@ class Element(_Linear):
 
     @classmethod
     def K(cls, datum, beta):
-        """K_beta for beta a coordinate tuple or a {label: exponent} map."""
-        if isinstance(beta, dict):
-            vec = [0] * datum.n
-            for lab, exp in beta.items():
-                vec[datum.pos(lab)] += exp
-            beta = tuple(vec)
+        """K_beta for beta a coordinate tuple."""
         return cls(datum, {((), tuple(beta), ()): ONE})
 
     @classmethod
@@ -580,27 +589,28 @@ def counit(a: Element) -> Scalar:
     return scalar_sum([c for (e, _k, f), c in a.terms.items() if not e and not f])
 
 
+def _order_exponent(datum, wt):
+    """P(w) = sum_{s<t} 2 (alpha_{w_s}, alpha_{w_t}) of a word w of weight
+    wt, which is (wt, wt) - sum_s (alpha_{w_s}, alpha_{w_s})."""
+    return datum.root_norm(wt) - 2 * sum(map(mul, datum.eps, wt))
+
+
 def antipode(a: Element) -> Element:
-    """Antihomomorphism with S(E_i) = -K_i^{-1}E_i, S(F_i) = -F_iK_i, S(K) = K^{-1}."""
+    """Antihomomorphism with S(E_i) = -K_i^{-1}E_i, S(F_i) = -F_iK_i, S(K) = K^{-1}.
+
+    S = sigma . phi, where phi = sigma . S is the automorphism with
+    E_i -> -E_i K_i, F_i -> -K_i^{-1} F_i fixing K; moving every K to the
+    middle gives phi(E_e K_k F_f) = (-1)^{|e|+|f|} v^{P(e) - P(f)} E_e
+    K_{k + wt e - wt f} F_f, a bijection on monomials.
+    """
     datum = a.datum
     out = {}
     for (e, k, f), c in a.terms.items():
-        prod = Element.unit(datum, c)
-        for j in reversed(f):
-            p = datum.pos(j)
-            alpha = datum.simple_root(j)
-            coeff = -Scalar.v_pow(4 * datum.eps[p])
-            prod = prod * Element.monomial(datum, (), alpha, (j,), coeff)
-        if any(k):
-            prod = prod * Element.K(datum, tuple(-x for x in k))
-        for i in reversed(e):
-            p = datum.pos(i)
-            alpha = tuple(-x for x in datum.simple_root(i))
-            coeff = -Scalar.v_pow(-4 * datum.eps[p])
-            prod = prod * Element.monomial(datum, (i,), alpha, (), coeff)
-        for key, cc in prod.terms.items():
-            _add_term(out, key, cc)
-    return Element(datum, out)
+        we, wf = word_weight(datum, e), word_weight(datum, f)
+        c = c.shifted(_order_exponent(datum, we) - _order_exponent(datum, wf))
+        k = tuple(b + s - t for b, s, t in zip(k, we, wf))
+        out[(e, k, f)] = -c if (len(e) + len(f)) % 2 else c
+    return sigma(Element(datum, out))
 
 
 # ---------------------------------------------------------------------------
@@ -639,18 +649,15 @@ def sigma(a: Element) -> Element:
 
 
 def omega(a: Element) -> Element:
-    """Algebra automorphism swapping E_i and F_i and inverting K_beta."""
-    datum = a.datum
-    out = {}
-    for (e, k, f), c in a.terms.items():
-        mk = tuple(-x for x in k)
-        coeff = c.shifted(_vexp(datum, mk, e))
-        left = Element.monomial(datum, (), mk, e, coeff)
-        if f:
-            left = left * Element.E(datum, *f)
-        for key, cc in left.terms.items():
-            _add_term(out, key, cc)
-    return Element(datum, out)
+    """Algebra automorphism swapping E_i and F_i and inverting K_beta.
+
+    omega = sigma . rho, where rho = sigma . omega is the antiautomorphism
+    swapping E_i and F_i and fixing K: rho(E_e K_k F_f) = E_{rev f} K_k
+    F_{rev e}, a bijection on monomials.
+    """
+    return sigma(Element(a.datum, {
+        (f[::-1], k, e[::-1]): c for (e, k, f), c in a.terms.items()
+    }))
 
 
 # ---------------------------------------------------------------------------
@@ -673,17 +680,16 @@ def _check_skew_input(a: Element, allow_k: bool):
 
 def skew_r(i, a: Element, allow_k: bool = False) -> Element:
     """Right skew derivation: deletes each letter i with the q-power of the
-    pairing of alpha_i against the letters to its right."""
+    pairing of alpha_i against the letters to its right, whose v-exponent
+    is 2 (alpha_i, wt e) - 2 (alpha_i, alpha_i) - x for a deletion (x, _)."""
     datum = a.datum
     _check_skew_input(a, allow_k)
     alpha = datum.simple_root(i)
     out = {}
     for (e, k, f), c in a.terms.items():
-        for p, letter in enumerate(e):
-            if letter != i:
-                continue
-            coeff = c.shifted(_vexp(datum, alpha, e[p + 1:]))
-            _add_term(out, (e[:p] + e[p + 1:], k, f), coeff)
+        total = _vexp(datum, alpha, e) - datum.vgram[i][i]
+        for x, rest in _deletions(datum, e, i):
+            _add_term(out, (rest, k, f), c.shifted(total - x))
     return Element(datum, out)
 
 
@@ -697,10 +703,9 @@ def skew_ir(i, a: Element, allow_k: bool = False) -> Element:
     alpha = datum.simple_root(i)
     out = {}
     for (e, k, f), c in a.terms.items():
-        x = -2 * datum.bilinear(alpha, k)
-        for p in range(len(e) - 1, -1, -1):
-            if e[p] == i:
-                _add_term(out, (e[:p] + e[p + 1:], k, f), c.shifted(x + _vexp(datum, alpha, e[:p])))
+        shift = -2 * datum.bilinear(alpha, k)
+        for x, rest in reversed(_deletions(datum, e, i)):
+            _add_term(out, (rest, k, f), c.shifted(shift + x))
     return Element(datum, out)
 
 
@@ -847,18 +852,14 @@ def _reduce_bucket(datum, terms, ewt, fwt, path=(), good=None) -> bool:
         npath = path + (i,)
         if good is not None and npath not in good:
             continue
-        # deleting i after the letters u costs v^{2 (alpha_i, wt(u))}
-        step = {lab: 2 * g for lab, g in zip(datum.labels, datum.gram[p])}
         img = {}
         for (prefix, e, f), c in terms.items():
-            word = e if side == 0 else f
-            x = 0
-            for pos, letter in enumerate(word):
-                if letter == i:
-                    nw = word[:pos] + word[pos + 1:]
-                    nkey = (prefix, nw, f) if side == 0 else (prefix, e, nw)
-                    _add_term(img, nkey, c.shifted(x))
-                x += step[letter]
+            if side == 0:
+                for x, nw in _deletions(datum, e, i):
+                    _add_term(img, (prefix, nw, f), c.shifted(x))
+            else:
+                for x, nw in _deletions(datum, f, i):
+                    _add_term(img, (prefix, e, nw), c.shifted(x))
         nwt = tuple(c - (1 if t == p else 0) for t, c in enumerate(wt))
         if not any(nwt):
             npath = ()

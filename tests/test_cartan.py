@@ -76,6 +76,24 @@ def test_longest_word_rejects_infinite_type():
         longest_word(aff, set(aff.labels))
 
 
+def test_finite_type_is_decided_by_the_gram_block():
+    """D36 is of finite type however many roots it has: with X = all nodes
+    and tau = id it is admissible, with 36 * 35 positive roots.  Affine
+    and hyperbolic blocks stay infinite, also inside a larger datum."""
+    d36 = CartanDatum(cartan_datum("D", 36).A)
+    pair = validate_admissible(d36, set(d36.labels), {i: i for i in d36.labels})
+    assert len(pair.wX_word) == len(positive_parabolic_roots(d36, d36.labels)) == 36 * 35
+    hyperbolic = CartanDatum([[2, -3], [-3, 2]])
+    # affine A2 on nodes 1-3, joined to a fourth node
+    block = CartanDatum([[2, -1, -1, 0], [-1, 2, -1, 0], [-1, -1, 2, -1], [0, 0, -1, 2]])
+    for datum, X in ((cartan_datum("affine:A", 1), {0, 1}), (hyperbolic, {1, 2}),
+                     (block, {1, 2, 3}), (block, {1, 2, 3, 4})):
+        with pytest.raises(FiniteTypeError, match="finite type"):
+            positive_parabolic_roots(datum, X)
+    assert len(positive_parabolic_roots(block, {1, 2})) == 3
+    assert len(positive_parabolic_roots(block, {2, 3, 4})) == 6
+
+
 def test_parabolic_rho():
     a3 = cartan_datum("A", 3)
     # empty X: all pairings vanish

@@ -9,12 +9,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# 04_braid_operators is left out to keep the suite fast: it runs for about
-# 15 s (Python 3.11, one core)
 DEMOS = (
     "01_exact_scalars.py",
     "02_root_data_and_admissible_pairs.py",
     "03_quantum_algebra.py",
+    "04_braid_operators.py",
     "05_coideal_serre_relations.py",
     "06_bar_involution_decisions.py",
 )

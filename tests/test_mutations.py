@@ -200,17 +200,14 @@ def key_table_on_e(monkeypatch):
 
 
 def drop_deletion_qpower(monkeypatch):
-    """Delete letters in the zero walk with coefficient 1 instead of their
-    q-power; the seam is the shift by which the walk applies it."""
-    original = Scalar.shifted
-    walk = uqg._reduce_bucket.__code__
+    """Delete letters with coefficient 1 instead of their q-power: the
+    deletion step that the zero walk reads gives every deletion x = 0."""
+    original = uqg._deletions
 
-    def mutant(self, k):
-        if sys._getframe(1).f_code is walk:
-            return self
-        return original(self, k)
+    def mutant(datum, word, i):
+        return [(0, rest) for _x, rest in original(datum, word, i)]
 
-    monkeypatch.setattr(Scalar, "shifted", mutant)
+    monkeypatch.setattr(uqg, "_deletions", mutant)
 
 
 def drop_good_word(monkeypatch):

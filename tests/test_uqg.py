@@ -804,3 +804,94 @@ def test_products_leave_the_table_as_it_was():
     assert second.terms == first.terms
     assert is_zero(first + first - second - second)
     assert _table_state(datum) == state
+
+
+# The skew derivations as slice formulas, and omega and the antipode as
+# straightened products of generator images, kept as references for the
+# maps that read `_deletions` and reorder through sigma.
+
+def _ref_vexp(datum, beta, word):
+    return 2 * datum.bilinear(beta, word_weight(datum, word)) if word else 0
+
+
+def _ref_skew_r(i, a):
+    datum = a.datum
+    alpha = datum.simple_root(i)
+    out = {}
+    for (e, k, f), c in a.terms.items():
+        for p, letter in enumerate(e):
+            if letter == i:
+                _add_term(out, (e[:p] + e[p + 1:], k, f), c.shifted(_ref_vexp(datum, alpha, e[p + 1:])))
+    return Element(datum, out)
+
+
+def _ref_skew_ir(i, a):
+    datum = a.datum
+    alpha = datum.simple_root(i)
+    out = {}
+    for (e, k, f), c in a.terms.items():
+        x = -2 * datum.bilinear(alpha, k)
+        for p in range(len(e) - 1, -1, -1):
+            if e[p] == i:
+                _add_term(out, (e[:p] + e[p + 1:], k, f), c.shifted(x + _ref_vexp(datum, alpha, e[:p])))
+    return Element(datum, out)
+
+
+def _ref_omega(a):
+    """omega(E_e K_k F_f) = F_e K_{-k} E_f as a product."""
+    datum = a.datum
+    out = Element.zero(datum)
+    for (e, k, f), c in a.terms.items():
+        mk = tuple(-x for x in k)
+        prod = Element.F(datum, *e) * Element.K(datum, mk) * Element.E(datum, *f)
+        out = out + prod.scale(c)
+    return out
+
+
+def _ref_antipode(a):
+    """S(E_e K_k F_f) = S(F_f) S(K_k) S(E_e) as a product of the images
+    S(F_j) = -F_j K_j, S(K_k) = K_{-k} and S(E_i) = -K_i^{-1} E_i."""
+    datum = a.datum
+    out = Element.zero(datum)
+    for (e, k, f), c in a.terms.items():
+        prod = Element.unit(datum, c)
+        for j in reversed(f):
+            prod = -(prod * Element.F(datum, j) * Element.K_i(datum, j))
+        prod = prod * Element.K(datum, tuple(-x for x in k))
+        for i in reversed(e):
+            prod = -(prod * Element.K_i(datum, i, -1) * Element.E(datum, i))
+        out = out + prod
+    return out
+
+
+REORDER_DATA = ["A2", "B2", "G2", "A3", "B3", "C3", "affine:A1"]
+
+
+@pytest.mark.parametrize("name", REORDER_DATA)
+def test_skew_derivations_match_the_slice_formulas(name):
+    """r_i and _ir read through `_deletions` give the terms of the slice
+    formulas key for key and in order, with and without K parts."""
+    datum = cartan_datum(name[:-1], int(name[-1]))
+    rng = random.Random(53)
+    for allow_k in (False, True):
+        for _ in range(20):
+            x = _k_word_element(rng, datum, allow_k)
+            for i in datum.labels:
+                for got, want in ((skew_r(i, x, allow_k=allow_k), _ref_skew_r(i, x)),
+                                  (skew_ir(i, x, allow_k=allow_k), _ref_skew_ir(i, x))):
+                    assert list(got.terms.items()) == list(want.terms.items())
+
+
+@pytest.mark.parametrize("name", REORDER_DATA)
+def test_omega_and_antipode_match_the_products(name):
+    """omega = sigma . rho and S = sigma . phi equal the straightened
+    products of the generator images, as dicts, on random elements with K
+    parts and a denominator."""
+    datum = cartan_datum(name[:-1], int(name[-1]))
+    rng = random.Random(59)
+    for _ in range(80):
+        e, f = (tuple(rng.choice(datum.labels) for _ in range(3)) for _ in "ef")
+        k = tuple(rng.randint(-1, 1) for _ in range(datum.n))
+        x = _random_element(rng, datum) + Element.monomial(datum, e, k, f, qint(2).inverse())
+        assert omega(x).terms == _ref_omega(x).terms
+        assert antipode(x).terms == _ref_antipode(x).terms

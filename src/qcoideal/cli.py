@@ -7,8 +7,8 @@ also be given as ``type:rank`` shorthand such as ``A:3`` or
 ``--out``, writes a deterministic ``report.json`` (byte-identical for
 identical inputs and seed).
 
-Exit codes: 0 success / verdict exists, 1 verdict fails, 2 input error,
-3 engine inconsistency.
+Exit codes: 0 success / verdict exists, 1 verdict fails, 2 malformed
+input (JSON of the wrong shape included), 3 any other exception.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from .barcheck import (
     EngineInconsistencyError,
@@ -32,9 +33,9 @@ from .cartan import (
     datum_from_json,
     datum_to_json,
     enumerate_admissible,
-    pair_from_json,
     pair_to_json,
     tau_from_swaps,
+    validate_admissible,
 )
 from .grammar import element_to_json, element_to_text, parse_scalar, scalar_to_text
 from .qsp import (
@@ -62,8 +63,20 @@ def _load_json_arg(text):
         return json.loads(stripped)
     if not os.path.exists(text):
         raise InputError(f"no such file: {text}")
-    with open(text, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(text, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {text}: {exc.strerror}") from None
+
+
+@contextmanager
+def _json_shape(what):
+    """Report JSON of the wrong shape, met while reading `what`, as an input error."""
+    try:
+        yield
+    except (TypeError, AttributeError, KeyError) as exc:
+        raise InputError(f"{what} JSON has the wrong shape ({type(exc).__name__}: {exc})") from None
 
 
 def _load_datum(arg):
@@ -73,28 +86,32 @@ def _load_datum(arg):
     if not stripped.startswith("{") and ":" in stripped and not os.path.exists(arg):
         head, _, rank = stripped.rpartition(":")
         return cartan_datum(head, int(rank))
-    return datum_from_json(_load_json_arg(arg))
+    obj = _load_json_arg(arg)
+    with _json_shape("Cartan datum"):
+        return datum_from_json(obj)
+
+
+def _read_pair(datum, obj):
+    """(X, tau) as given by pair JSON, not yet validated."""
+    with _json_shape("pair"):
+        return [int(x) for x in obj.get("X", [])], tau_from_swaps(datum, obj.get("tau", []))
 
 
 def _load_pair(datum, arg):
     if arg is None:
         raise InputError("an admissible pair is required (--pair)")
-    return pair_from_json(datum, _load_json_arg(arg))
+    return validate_admissible(datum, *_read_pair(datum, _load_json_arg(arg)))
 
 
 def _load_params(args):
     """Build QSPParameters from --params (optionally with embedded cartan/pair)."""
     obj = _load_json_arg(args.params) if args.params else {}
-    if "cartan" in obj:
-        datum = datum_from_json(obj["cartan"])
-    else:
-        datum = _load_datum(args.cartan)
-    if "pair" in obj:
-        pair = pair_from_json(datum, obj["pair"])
-    else:
-        pair = _load_pair(datum, args.pair)
-    c = {int(k): parse_scalar(v) for k, v in obj.get("c", {}).items()}
-    s = {int(k): parse_scalar(v) for k, v in obj.get("s", {}).items()}
+    with _json_shape("parameter"):
+        datum = datum_from_json(obj["cartan"]) if "cartan" in obj else _load_datum(args.cartan)
+        X_tau = _read_pair(datum, obj["pair"]) if "pair" in obj else None
+        c = {int(k): parse_scalar(v) for k, v in obj.get("c", {}).items()}
+        s = {int(k): parse_scalar(v) for k, v in obj.get("s", {}).items()}
+    pair = validate_admissible(datum, *X_tau) if X_tau else _load_pair(datum, args.pair)
     return datum, pair, QSPParameters(pair, c, s)
 
 
@@ -112,9 +129,7 @@ def _emit(args, text_lines, report):
 
 def _cmd_validate_pair(args):
     datum = _load_datum(args.cartan)
-    obj = _load_json_arg(args.pair)
-    X = [int(x) for x in obj.get("X", [])]
-    tau = tau_from_swaps(datum, obj.get("tau", []))
+    X, tau = _read_pair(datum, _load_json_arg(args.pair))
     violations = admissible_violations(datum, X, tau)
     report = {
         "command": "validate-pair",
@@ -344,9 +359,9 @@ def main(argv=None) -> int:
         # the engine's input errors, JSON syntax errors among them, are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (KeyError, AssertionError, RuntimeError, ArithmeticError) as exc:
-        # ArithmeticError: a polynomial division the engine takes to be exact
-        # is not; a division by zero in the input is a ScalarParseError, a ValueError
+    except Exception as exc:
+        # any other exception is the engine's fault, never a verdict: a
+        # division by zero in the input is a ScalarParseError, a ValueError
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

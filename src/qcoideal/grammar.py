@@ -2,13 +2,18 @@
 
 Scalar text is a sum of terms ``coeff * v^k`` where ``coeff`` is ``a``,
 ``a/b`` or a parenthesized Gaussian ``(a+b*i)``; ``q^n`` is shorthand for
-``v^(2n)`` and general fractions are written ``( ... )/( ... )``.  Element
-text is a ``+``-separated list of ``E[..] K{i:n,..} F[..] * (scalar)``
-monomial terms.  Printing is canonical, so parse(print(x)) == x exactly.
+``v^(2n)`` and general fractions are written ``( ... )/( ... )``.  The
+signs in front of a factor apply to its whole power, so ``-v^2``,
+``2*-v^2`` and ``1/-v^2`` all negate v^2; ``^`` takes an integer literal
+with optional signs, such as ``v^-2``.  Element text is a ``+``-separated
+list of ``E[..] K{i:n,..} F[..] * (scalar)`` monomial terms, each part at
+most once and in that order (``1`` for none).  Printing is canonical, so
+parse(print(x)) == x exactly.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .scalars import GQ_ONE, GaussianRational, Scalar, I_UNIT
@@ -23,11 +28,7 @@ def _frac_str(f: Fraction) -> str:
 
 
 def _imag_str(f: Fraction) -> str:
-    if f == 1:
-        return "i"
-    if f == -1:
-        return "-i"
-    return f"{_frac_str(f)}*i"
+    return "i" if f == 1 else f"{_frac_str(f)}*i"
 
 
 def _coeff_atom(c: GaussianRational):
@@ -67,123 +68,91 @@ def scalar_to_text(s: Scalar) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Scalar parsing: tokenizer + recursive descent with the usual precedence.
+# Scalar parsing: one token pattern, then sums and products as loops over
+# signed powers; only parentheses recurse.
 # ---------------------------------------------------------------------------
 
 class ScalarParseError(ValueError):
     pass
 
 
-def _tokenize(text):
-    toks = []
-    k = 0
-    n = len(text)
-    while k < n:
-        ch = text[k]
-        if ch.isspace():
-            k += 1
-        elif ch.isdigit():
-            j = k
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("num", int(text[k:j])))
-            k = j
-        elif ch in "+-*/^()":
-            toks.append((ch, ch))
-            k += 1
-        elif ch in "ivq":
-            toks.append((ch, ch))
-            k += 1
-        else:
-            raise ScalarParseError(f"unexpected character {ch!r} in scalar text")
-    toks.append(("end", None))
-    return toks
-
-
-class _ScalarParser:
-    def __init__(self, text):
-        self.toks = _tokenize(text)
-        self.k = 0
-
-    def peek(self):
-        return self.toks[self.k][0]
-
-    def take(self, kind=None):
-        t = self.toks[self.k]
-        if kind is not None and t[0] != kind:
-            raise ScalarParseError(f"expected {kind}, got {t[0]}")
-        self.k += 1
-        return t
-
-    def parse(self) -> Scalar:
-        s = self.expr()
-        if self.peek() != "end":
-            raise ScalarParseError("trailing input in scalar text")
-        return s
-
-    def expr(self) -> Scalar:
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take()[0] == "-":
-                sign = -sign
-        out = self.term()
-        if sign < 0:
-            out = -out
-        while self.peek() in ("+", "-"):
-            op = self.take()[0]
-            t = self.term()
-            out = out + t if op == "+" else out - t
-        return out
-
-    def term(self) -> Scalar:
-        out = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()[0]
-            f = self.factor()
-            out = out * f if op == "*" else out / f
-        return out
-
-    def factor(self) -> Scalar:
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            sign = 1
-            while self.peek() in ("+", "-"):
-                if self.take()[0] == "-":
-                    sign = -sign
-            e = sign * self.take("num")[1]
-            return base ** e
-        return base
-
-    def atom(self) -> Scalar:
-        kind = self.peek()
-        if kind == "num":
-            return Scalar.from_int(self.take()[1])
-        if kind == "i":
-            self.take()
-            return I_UNIT
-        if kind == "v":
-            self.take()
-            return Scalar.v_pow(1)
-        if kind == "q":
-            self.take()
-            return Scalar.v_pow(2)
-        if kind == "(":
-            self.take()
-            s = self.expr()
-            self.take(")")
-            return s
-        if kind == "-":
-            self.take()
-            return -self.atom()
-        raise ScalarParseError(f"unexpected token {kind}")
+# an integer literal, an operator or atom letter, or any other character
+_TOKEN = re.compile(r"\s*(?:(\d+)|([-+*/^()ivq])|(\S))", re.ASCII)
+_ATOMS = {"i": I_UNIT, "v": Scalar.v_pow(1), "q": Scalar.v_pow(2)}
+_MAX_DEPTH = 100  # nested parentheses; printed text nests two deep
 
 
 def parse_scalar(text: str) -> Scalar:
+    """Read scalar text, with the sign rule of the module docstring."""
+    if not isinstance(text, str):
+        raise ScalarParseError(f"scalar text must be a string, got {type(text).__name__}")
+    toks = []
+    for num, op, bad in _TOKEN.findall(text):
+        if bad:
+            raise ScalarParseError(f"unexpected character {bad!r} in scalar text")
+        toks.append(int(num) if num else op)
+    toks.append(None)
+    pos = 0
+
+    def signs():
+        nonlocal pos
+        negative = False
+        while toks[pos] in ("+", "-"):
+            negative ^= toks[pos] == "-"
+            pos += 1
+        return negative
+
+    def factor(depth):
+        nonlocal pos
+        negative = signs()
+        tok = toks[pos]
+        pos += 1
+        if tok == "(":
+            if depth == _MAX_DEPTH:
+                raise ScalarParseError(f"scalar text nests parentheses over {_MAX_DEPTH} deep")
+            out = expr(depth + 1)
+            if toks[pos] != ")":
+                raise ScalarParseError("missing ')' in scalar text")
+            pos += 1
+        elif tok.__class__ is int:
+            out = Scalar.from_int(tok)
+        elif tok in _ATOMS:
+            out = _ATOMS[tok]
+        else:
+            got = "the end" if tok is None else repr(tok)
+            raise ScalarParseError(f"expected a number, i, v, q or '(' in scalar text, got {got}")
+        if toks[pos] == "^":
+            pos += 1
+            negative_exp = signs()
+            e = toks[pos]
+            if e.__class__ is not int or toks[pos + 1] == "^":
+                raise ScalarParseError("'^' takes an integer literal with optional signs")
+            pos += 1
+            out = out ** (-e if negative_exp else e)
+        return -out if negative else out
+
+    def expr(depth):
+        # each term's leading sign, the binary + or - included, is read by
+        # its first factor
+        nonlocal pos
+        total = None
+        while True:
+            product = factor(depth)
+            while toks[pos] in ("*", "/"):
+                op = toks[pos]
+                pos += 1
+                product = product * factor(depth) if op == "*" else product / factor(depth)
+            total = product if total is None else total + product
+            if toks[pos] not in ("+", "-"):
+                return total
+
     try:
-        return _ScalarParser(text).parse()
+        out = expr(0)
     except ZeroDivisionError:
         raise ScalarParseError(f"division by zero in scalar text {text!r}") from None
+    if toks[pos] is not None:
+        raise ScalarParseError(f"trailing input {toks[pos]!r} in scalar text")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -215,29 +184,37 @@ def element_to_text(a) -> str:
     return " + ".join(chunks)
 
 
-def _split_top_level(text, sep="+"):
-    depth = 0
-    parts = []
-    cur = []
-    for ch in text:
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
+def _split_top_level(text, sep):
+    """Split text at each `sep` outside brackets."""
+    parts, depth, start = [], 0, 0
+    for pos, ch in enumerate(text):
+        depth += (ch in "([{") - (ch in ")]}")
         if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
+            parts.append(text[start:pos])
+            start = pos + 1
+    return parts + [text[start:]]
+
+
+# E[..] K{..} F[..], each part at most once and in this order
+_MONOMIAL = re.compile(r"(?:E\[([^\]]*)\])?\s*(?:K\{([^}]*)\})?\s*(?:F\[([^\]]*)\])?")
 
 
 def _parse_index_list(body: str):
-    body = body.strip()
-    if not body:
-        return ()
-    return tuple(int(x) for x in body.split(","))
+    return tuple(int(x) for x in body.split(",")) if body.strip() else ()
+
+
+def _monomial_key(datum, e, k, f):
+    """The key (e, k, f) of E_e K_k F_f from its E- and F-words and the
+    (label, exponent) pairs of its K-part; every label is checked."""
+    kvec = [0] * datum.n
+    for lab, exp in k:
+        kvec[datum.pos(int(lab))] += int(exp)
+    e, f = tuple(e), tuple(f)
+    for i in e + f:
+        if i.__class__ is not int:  # 1.0 and True would pass pos()
+            raise ValueError(f"node label {i!r} is not an integer")
+        datum.pos(i)
+    return (e, tuple(kvec), f)
 
 
 def parse_element(datum, text: str):
@@ -248,57 +225,24 @@ def parse_element(datum, text: str):
         return Element.zero(datum)
     terms = {}
     for chunk in _split_top_level(text, "+"):
-        chunk = chunk.strip()
-        if not chunk:
-            raise ScalarParseError("empty element term")
-        star = None
-        depth = 0
-        for pos, ch in enumerate(chunk):
-            if ch in "([{":
-                depth += 1
-            elif ch in ")]}":
-                depth -= 1
-            elif ch == "*" and depth == 0:
-                star = pos
-                break
-        if star is None:
-            raise ScalarParseError("element term lacks '* (coeff)' part")
-        mono_text = chunk[:star].strip()
-        coeff = parse_scalar(chunk[star + 1:].strip())
-        _add_term(terms, _parse_monomial(datum, mono_text), coeff)
+        mono, *coeff = _split_top_level(chunk, "*")
+        if not coeff:
+            raise ScalarParseError(f"element term {chunk.strip()!r} lacks a '* (coeff)' part")
+        _add_term(terms, _parse_monomial(datum, mono), parse_scalar("*".join(coeff)))
     return Element(datum, terms)
 
 
 def _parse_monomial(datum, text: str):
-    e = ()
-    f = ()
-    k = [0] * len(datum.labels)
-    rest = text.strip()
-    if rest == "1":
-        rest = ""
-    while rest:
-        head = rest[0]
-        if head == "E" or head == "F":
-            close = rest.index("]")
-            word = _parse_index_list(rest[2:close])
-            for i in word:
-                datum.pos(i)
-            if head == "E":
-                e = word
-            else:
-                f = word
-            rest = rest[close + 1:].strip()
-        elif head == "K":
-            close = rest.index("}")
-            body = rest[2:close].strip()
-            if body:
-                for item in body.split(","):
-                    lab, exp = item.split(":")
-                    k[datum.pos(int(lab))] += int(exp)
-            rest = rest[close + 1:].strip()
-        else:
-            raise ScalarParseError(f"bad monomial text {text!r}")
-    return (e, tuple(k), f)
+    text = text.strip()
+    m = _MONOMIAL.fullmatch("" if text == "1" else text)
+    if m is None:
+        raise ScalarParseError(
+            f"bad monomial text {text!r}: write E[..] K{{..}} F[..], each part"
+            " at most once and in this order"
+        )
+    e, k, f = m.groups("")
+    k = [item.split(":") for item in k.split(",") if item.strip()]
+    return _monomial_key(datum, _parse_index_list(e), k, _parse_index_list(f))
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +267,6 @@ def element_from_json(datum, obj):
 
     terms = {}
     for t in obj["terms"]:
-        k = [0] * len(datum.labels)
-        for lab, exp in t.get("K", {}).items():
-            k[datum.pos(int(lab))] += int(exp)
-        e, f = tuple(t.get("E", [])), tuple(t.get("F", []))
-        for i in e + f:
-            datum.pos(i)
-        _add_term(terms, (e, tuple(k), f), parse_scalar(t["coeff"]))
+        key = _monomial_key(datum, t.get("E", ()), t.get("K", {}).items(), t.get("F", ()))
+        _add_term(terms, key, parse_scalar(t["coeff"]))
     return Element(datum, terms)

@@ -649,13 +649,19 @@ class Scalar:
         return self * other.inverse()
 
     def __pow__(self, n):
+        """self^n by repeated squaring, in O(log |n|) products."""
         if n == 0:
             return ONE
         base = self if n > 0 else self.inverse()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
+        n = abs(n)
+        out = None
+        while True:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if not n:
+                return out
+            base = base * base
 
     # -- bar involution ------------------------------------------------------
 

@@ -85,6 +85,128 @@ def test_element_from_json_rejects_unknown_letters():
             element_from_json(A2, {"terms": [dict(word, coeff="1")]})
     with pytest.raises(ValueError, match="unknown node label 9"):
         parse_element(A2, "E[9] * (1)")
+    for word in ({"E": [1.0]}, {"F": [True]}, {"E": ["1"]}):
+        with pytest.raises(ValueError, match="is not an integer"):
+            element_from_json(A2, {"terms": [dict(word, coeff="1")]})
+
+
+
+def test_signs_in_front_of_a_factor_apply_to_its_whole_power():
+    V = Scalar.v_pow(1)
+    two = Scalar.from_int(2)
+    assert parse_scalar("2*-v^2") == -two * V ** 2 == parse_scalar("-2*v^2")
+    assert parse_scalar("2*-q^2") == -two * Q ** 2
+    assert parse_scalar("1+-v^2") == ONE - V ** 2
+    assert parse_scalar("1 - -v^2") == ONE + V ** 2
+    assert parse_scalar("1/-v^2") == -(V ** -2)
+    # unchanged from before the sign rule
+    assert parse_scalar("-v^2") == -(V ** 2)
+    assert parse_scalar("(-v)^2") == V ** 2
+    assert parse_scalar("--v") == V
+    assert parse_scalar("v^+-2") == V ** -2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("v + x", "unexpected character 'x'"),
+    ("v²", "unexpected character"),
+    ("1)", "trailing input"),
+    ("2 v", "trailing input"),
+    ("(1 + v", r"missing '\)'"),
+    ("v^v", "integer literal"),
+    ("v^2^3", "integer literal"),
+    ("v^(2)", "integer literal"),
+    ("", "got the end"),
+    ("  -  ", "got the end"),
+    ("1 + * v", "got '\\*'"),
+])
+def test_scalar_parse_errors(text, message):
+    with pytest.raises(ScalarParseError, match=message):
+        parse_scalar(text)
+
+
+@pytest.mark.parametrize("value", [1, 1.5, None, ["q"], {"q": 1}])
+def test_scalar_text_must_be_a_string(value):
+    with pytest.raises(ScalarParseError, match="must be a string"):
+        parse_scalar(value)
+
+
+def test_long_sums_and_sign_chains_parse_and_deep_nesting_is_refused():
+    assert parse_scalar("+".join(["1"] * 100001)) == Scalar.from_int(100001)
+    assert parse_scalar("-" * 100000 + "v") == Scalar.v_pow(1)
+    assert parse_scalar("-" * 99999 + "v") == -Scalar.v_pow(1)
+    assert parse_scalar("(" * 100 + "q" + ")" * 100) == Q
+    with pytest.raises(ScalarParseError, match="nests parentheses over 100 deep"):
+        parse_scalar("(" * 101 + "q" + ")" * 101)
+
+
+def test_element_parts_are_read_once_and_in_order():
+    x = Element.monomial(A2, (1,), (1, 0), (2,), ONE)
+    assert parse_element(A2, "E[1] K{1:1} F[2] * (1)") == x
+    assert parse_element(A2, "E[1]K{1:1}F[2] * 1") == x
+    assert parse_element(A2, "K{1:1,1:1} * (1)") == Element.monomial(A2, (), (2, 0), (), ONE)
+    assert parse_element(A2, "1 * (2*v)") == parse_element(A2, "1 * 2*v")
+    for mono in ("E[1] E[2]", "F[1] E[1]", "K{1:1} E[1]", "K{1:1} K{1:1}",
+                 "F[1] K{1:1}", "E[1] F[1] F[2]", "E 1", "X[1]"):
+        with pytest.raises(ScalarParseError, match="at most once and in this order"):
+            parse_element(A2, mono + " * (1)")
+    for text in ("E[1]", "E[1] * (1) + ", "E[1] * (1) + + F[1] * (1)"):
+        with pytest.raises(ScalarParseError, match="lacks a"):
+            parse_element(A2, text)
+
+
+def _one_error_line(capsys, start):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(start), err
+    return err
+
+
+def test_cli_json_of_the_wrong_shape_is_an_input_error(tmp_path, capsys):
+    params = '{"cartan": {"type": "A", "rank": 2}, "pair": %s, "c": %s}'
+    cases = [
+        (["--cartan", '{"nodes": 2}', "--pair", '{"X": []}', "canonical"], "KeyError"),
+        (["--cartan", '{"A": 5}', "--pair", '{"X": []}', "canonical"], "TypeError"),
+        (["--cartan", '[2]', "--pair", '{"X": []}', "canonical"], "TypeError"),
+        (["--cartan", "A:2", "--pair", '{"X": 5}', "canonical"], "TypeError"),
+        (["--cartan", "A:2", "--pair", '[1, 2]', "canonical"], "AttributeError"),
+        (["--cartan", "A:2", "--pair", '{"tau": [1]}', "validate-pair"], "TypeError"),
+        (["--params", params % ('{"X": []}', '{"1": 1, "2": "q"}'), "bar-exists"],
+         "must be a string, got int"),
+        (["--params", params % ('{"X": []}', '{"1": ["q"], "2": "q"}'), "bar-exists"],
+         "must be a string, got list"),
+        (["--params", params % ('{"X": []}', '["q", "q"]'), "bar-exists"], "AttributeError"),
+        (["--params", params % ('{"tau": 3}', '{"1": "q", "2": "q"}'), "bar-exists"],
+         "pair JSON has the wrong shape"),
+        (["--params", '[1]', "--cartan", "A:2", "bar-exists"], "parameter JSON"),
+        (["--cartan", str(tmp_path), "--pair", '{"X": []}', "canonical"], "cannot read"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        assert message in _one_error_line(capsys, "error: "), argv
+
+
+def test_cli_deep_nesting_is_an_input_error(capsys):
+    deep = "(" * 1000 + "q" + ")" * 1000
+    argv = ["--params", '{"cartan": {"type": "A", "rank": 2}, "pair": {"X": [], "tau": []}, '
+            '"c": {"1": "%s", "2": "q"}}' % deep, "bar-exists"]
+    assert main(argv) == 2
+    assert "nests parentheses" in _one_error_line(capsys, "error: ")
+
+
+def test_cli_crash_is_never_a_verdict(monkeypatch, capsys):
+    """Any exception that is not an input error exits 3 with one line."""
+    import qcoideal.cli as cli
+
+    argv = ["--params", '{"cartan": {"type": "A", "rank": 2}, "pair": {"X": [], "tau": []}, '
+            '"c": {"1": "1", "2": "q"}}', "bar-exists"]
+    for exc in (TypeError("bad operand"), AttributeError("lost"), IndexError("gone"),
+                RecursionError("deep")):
+        def raising(*args, _exc=exc, **kwargs):
+            raise _exc
+
+        monkeypatch.setattr(cli, "bar_exists", raising)
+        assert main(argv) == 3, exc
+        err = _one_error_line(capsys, "internal error: ")
+        assert f"{type(exc).__name__}: {exc}" in err
 
 
 def test_cli_validate_pair_exit_codes(capsys):

@@ -723,3 +723,23 @@ def test_polynomial_sums_never_normalise(monkeypatch):
     assert calls == []
     assert sums == expected
     assert all(s.den is scalars._DEN_ONE for s in sums)
+
+
+def test_power_by_repeated_squaring(monkeypatch):
+    """`Scalar.__pow__` gives the repeated product in O(log |n|) products,
+    so a huge exponent of a monomial is instant."""
+    calls = []
+    mul = Scalar.__mul__
+    monkeypatch.setattr(Scalar, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    assert V ** 1000 == Scalar.v_pow(1000)
+    assert len(calls) <= 2 * (1000).bit_length()
+    monkeypatch.undo()
+    assert V ** 10 ** 9 == Scalar.v_pow(10 ** 9)
+    assert V ** -(10 ** 9) == Scalar.v_pow(-(10 ** 9))
+    x = (ONE + Q + I_UNIT) / (ONE - Q ** 3)
+    product = ONE
+    for n in range(1, 12):
+        product = product * x
+        assert x ** n == product and x ** -n == product.inverse(), n
+        assert scalar_to_text(x ** n) == scalar_to_text(product), n
+    assert x ** 0 == ONE and x ** 1 is x

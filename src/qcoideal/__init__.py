@@ -30,7 +30,6 @@ from .cartan import (
     rho_check_pairing,
     validate_admissible,
     admissible_violations,
-    pair_from_json,
     pair_to_json,
 )
 from .uqg import (

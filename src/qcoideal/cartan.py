@@ -588,12 +588,6 @@ def tau_from_swaps(datum: CartanDatum, swaps):
     return tau
 
 
-def pair_from_json(datum: CartanDatum, obj) -> AdmissiblePair:
-    """JSON schema: {'X': [...], 'tau': [[i, tau(i)], ...]} (fixed points optional)."""
-    X = [int(x) for x in obj.get("X", [])]
-    return validate_admissible(datum, X, tau_from_swaps(datum, obj.get("tau", [])))
-
-
 def pair_to_json(pair: AdmissiblePair):
     return {
         "X": sorted(pair.X),

@@ -350,6 +350,10 @@ def main(argv=None) -> int:
     try:
         if args.max_bucket < 1:
             raise InputError(f"--max-bucket must be at least 1, got {args.max_bucket}")
+        if args.out and not os.path.isdir(args.out):
+            parent = os.path.dirname(args.out) or "."
+            if not os.path.isdir(parent):
+                raise InputError(f"--out: no such directory: {parent}")
         with zero_test_guard(args.max_bucket):
             return _COMMANDS[args.command](args)
     except EngineInconsistencyError as exc:

@@ -723,7 +723,8 @@ def adjoint_E(i, x: Element) -> Element:
 # ---------------------------------------------------------------------------
 
 def _word_count(wt) -> int:
-    total = sum(wt)
+    """The number of words of weight wt: the multinomial coefficient
+    (sum wt)! / prod c!, built as a product of binomials."""
     out = 1
     acc = 0
     for c in wt:
@@ -886,8 +887,15 @@ def is_zero(a: Element) -> bool:
 
 
 def equals(a: Element, b: Element) -> bool:
-    """Semantic equality in U_q(g)."""
-    return is_zero(a - b)
+    """Semantic equality in U_q(g).
+
+    Operands with equal term dicts over one datum are the same linear
+    combination, so `a == b` proves equality without building a - b or
+    walking it; that needs no canonical form of the scalars, which only
+    make it hold more often.  Any other pair is decided by `is_zero(a - b)`,
+    which raises ValueError for elements of two data.
+    """
+    return a == b or is_zero(a - b)
 
 
 def tensor_is_zero(t: Tensor) -> bool:
@@ -903,7 +911,11 @@ def tensor_is_zero(t: Tensor) -> bool:
 
 
 def tensor_equals(s: Tensor, t: Tensor) -> bool:
-    return tensor_is_zero(s - t)
+    """Semantic equality of tensors: `s == t` (one datum, one arity, equal
+    term dicts) proves it, as in `equals`; any other pair is decided by
+    `tensor_is_zero(s - t)`, which raises ValueError for tensors of two
+    data or arities."""
+    return s == t or tensor_is_zero(s - t)
 
 
 def serre_polynomial(datum, i, j, x: Element, y: Element) -> Element:

@@ -321,6 +321,25 @@ def test_cli_max_bucket_reaches_every_zero_test():
             assert len(err.splitlines()) == 1 and "exceeds guard 1" in err, (argv, err)
 
 
+def test_cli_guard_names_the_exact_dual_word_count():
+    """The guard message carries the multinomial count of the first bucket
+    that exceeds it, so a miscounted bucket shows in the number."""
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    for suite, count in (("bar-z", 2), ("qsp-structure", 3), ("sigma-tau", 6)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcoideal.cli", "--max-bucket", "1", "verify", "--suite", suite],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, (suite, proc.stderr)
+        want = f"error: bucket with {count} dual-word evaluations exceeds guard 1\n"
+        assert proc.stderr == want, (suite, proc.stderr)
+
+
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two CPUs")
 def test_cli_sweep_report_is_independent_of_jobs(tmp_path, capsys):
     sweep = ["verify", "--suite", "serre-oracle-sweep"]
@@ -355,6 +374,24 @@ def test_cli_report_determinism(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
     payload = json.loads(out1.read_text())
     assert payload["passed"] is True and payload["seed"] == 5
+
+
+def test_cli_out_in_a_missing_directory_is_refused_before_work(tmp_path, monkeypatch, capsys):
+    canonical = ["--cartan", "A:3", "--pair", '{"X": [], "tau": [[1,3]]}', "canonical"]
+    verify = ["verify", "--suite", "roundtrip"]
+    for out in ("/missing/dir/x.json", str(tmp_path / "missing" / "x.json")):
+        for command in (canonical, verify):
+            assert main(["--out", out] + command) == 2, (out, command)
+            captured = capsys.readouterr()
+            assert captured.out == "", (out, command)
+            assert captured.err.startswith("error: --out: no such directory"), (out, command)
+    # an existing directory, a file in one, and a bare file name still work
+    monkeypatch.chdir(tmp_path)
+    for out, written in ((".", "report.json"), ("sub/x.json", "sub/x.json"), ("y.json", "y.json")):
+        (tmp_path / "sub").mkdir(exist_ok=True)
+        assert main(["--out", out] + canonical) == 0, out
+        assert "c_2 = v^-2" in capsys.readouterr().out
+        assert json.loads((tmp_path / written).read_text())["command"] == "canonical"
 
 
 def test_recorded_digests_cover_every_suite():

@@ -17,6 +17,7 @@ from qcoideal.uqg import (
     _mono_times_E,
     _settle,
     _tensor_of_elements,
+    _word_count,
     adjoint_E,
     antipode,
     bar_element,
@@ -219,6 +220,49 @@ def test_equals_commutator_form():
     assert equals(x, x)
 
 
+def test_equal_operands_make_no_subtraction_and_no_walk(monkeypatch):
+    import qcoideal.uqg as uqg
+
+    calls = []
+    sub, walk = uqg._Linear.__sub__, uqg._zero_walk
+    monkeypatch.setattr(uqg._Linear, "__sub__", lambda s, t: calls.append("sub") or sub(s, t))
+    monkeypatch.setattr(uqg, "_zero_walk", lambda d, t: calls.append("walk") or walk(d, t))
+    x = Element.E(A2, 1, 2) * Element.F(A2, 1) + Element.K_i(A2, 2)
+    y = Element.E(A2, 1, 2) * Element.F(A2, 1) + Element.K_i(A2, 2)
+    assert x is not y and equals(x, y)
+    assert tensor_equals(coproduct(x), coproduct(y))
+    assert calls == []
+    # operands with other terms are still subtracted and walked
+    assert not equals(x, Element.E(A2, 1))
+    assert calls.count("sub") == 1 and "walk" in calls
+
+
+def test_equals_decides_other_terms_by_the_walk():
+    E1, E2, F1 = Element.E(A2, 1), Element.E(A2, 2), Element.F(A2, 1)
+    serre = serre_polynomial(A2, 1, 2, E1, E2)
+    # the commutator form, plus a Serre relation times F_1 on the left
+    x = E1 * E2 * E1
+    lhs = x * F1 - F1 * x + serre * F1
+    rhs = (skew_r(1, x) * Element.K_i(A2, 1) - Element.K_i(A2, 1, -1) * skew_ir(1, x)).scale(
+        _qdiff(A2, 1).inverse()
+    )
+    assert lhs != rhs and equals(lhs, rhs)
+    assert serre != Element.zero(A2) and equals(serre, Element.zero(A2))
+    zero2 = _tensor(Element.zero(A2), F1)
+    assert _tensor(serre, F1) != zero2 and tensor_equals(_tensor(serre, F1), zero2)
+    # operands that differ in U_q
+    assert not equals(E1 * E2, E2 * E1)
+    assert not equals(serre.scale(Q) + F1, serre)
+    assert not tensor_equals(_tensor(E1, F1), _tensor(F1, E1))
+    assert not tensor_equals(_tensor(serre + E2, F1), _tensor(serre, F1))
+
+
+def test_word_count_is_the_multinomial_coefficient():
+    counts = {(0, 0): 1, (1,): 1, (2, 1): 3, (1, 1, 1): 6, (2, 2): 6, (3, 2, 1): 60}
+    for wt, count in counts.items():
+        assert _word_count(wt) == count, wt
+
+
 def test_skew_r_matches_coproduct_extraction():
     rng = random.Random(12)
     for datum in (A2, cartan_datum("B", 2)):
@@ -332,6 +376,12 @@ def test_elements_of_two_data_do_not_mix():
         x * y
     with pytest.raises(ValueError):
         x - y
+    # equal term dicts over two data are not equal elements
+    assert x.terms == y.terms
+    with pytest.raises(ValueError):
+        equals(x, y)
+    with pytest.raises(ValueError):
+        tensor_equals(coproduct(x), coproduct(y))
     with pytest.raises(ValueError):
         coproduct(x) + coproduct(y)
     with pytest.raises(ValueError):
@@ -339,11 +389,13 @@ def test_elements_of_two_data_do_not_mix():
     # tensors of one datum but different arities
     t2 = coproduct(x)
     t3 = t2.coproduct_slot(0)
-    for op in (lambda s, t: s + t, lambda s, t: s - t, lambda s, t: s * t):
+    for op in (lambda s, t: s + t, lambda s, t: s - t, lambda s, t: s * t, tensor_equals):
         with pytest.raises(ValueError):
             op(t2, t3)
         with pytest.raises(ValueError):
             op(t3, t2)
+    with pytest.raises(ValueError):
+        tensor_equals(Tensor(a, 2, {}), Tensor(a, 3, {}))
     # an element is not a tensor of one factor for the linear operations
     with pytest.raises(ValueError):
         x + _tensor(x)

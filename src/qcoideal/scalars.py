@@ -683,15 +683,38 @@ class Scalar:
         return f"Scalar({scalar_to_text(self)!r})"
 
 
+def _over_lcm(dens):
+    """(top, plain, [D / b for b in dens]) for canonical denominators b, where
+    D = prod Phi_k^top_k * prod plain is a common multiple of them all: top
+    is the maximum of the `_Den` exponent vectors, plain the other dicts."""
+    top, plain = {}, []
+    for b in dens:
+        if b.__class__ is _Den:
+            for k, m in b.phi.items():
+                if m > top.get(k, 0):
+                    top[k] = m
+        elif b not in plain:
+            plain.append(b)
+    cofactors = []
+    for b in dens:
+        phi = b.phi if b.__class__ is _Den else {}
+        m = _phi_product({k: t - phi.get(k, 0) for k, t in top.items()})
+        for h in plain:
+            if h != b:
+                m = _pmul(m, h)
+        cofactors.append(m)
+    return top, plain, cofactors
+
+
 def scalar_sum(addends) -> Scalar:
     """The canonical sum of an iterable of Scalars, normalised once.
 
     Addends over one denominator are summed as polynomials, and the groups
-    brought over the lcm of their exponent vectors.  The sum is divided only
-    by the Phi_k whose top exponent two or more addends reach: where one
-    reduced addend alone reaches it, every other term carries Phi_k and that
-    addend does not.  A plain-dict denominator sends the sum over the
-    product of the denominators to `Scalar.__init__`.
+    brought over the lcm of their exponent vectors (`_over_lcm`).  The sum
+    is divided only by the Phi_k whose top exponent two or more addends
+    reach: where one reduced addend alone reaches it, every other term
+    carries Phi_k and that addend does not.  A plain-dict denominator sends
+    the sum over a common multiple of the denominators to `Scalar.__init__`.
     """
     groups = []  # [denominator, numerator sum, addends, first addend]
     for a in addends:
@@ -709,33 +732,23 @@ def scalar_sum(addends) -> Scalar:
         return ZERO
     if len(groups) == 1 and groups[0][2] == 1:
         return groups[0][3]
-    if any(g[0].__class__ is not _Den for g in groups):
+    if len(groups) == 1:
+        den, num = groups[0][:2]
+        top, plain = (dict(den.phi), []) if den.__class__ is _Den else ({}, [den])
+    else:
+        top, plain, cofactors = _over_lcm([g[0] for g in groups])
         num = {}
-        for g in groups:
-            m = g[1]
-            for h in groups:
-                if h is not g:
-                    m = _pmul(m, h[0])
-            _padd_into(num, m)
-        return _normalised(num, [g[0] for g in groups])
-    top = {}
+        for g, m in zip(groups, cofactors):
+            _padd_into(num, _pmul(g[1], m))
+        if not num:
+            return ZERO
+    if plain:
+        return _normalised(num, [_phi_product(top), *plain])
     reach = {}  # k -> addends whose denominator has Phi_k^top[k]
     for den, _, n, _ in groups:
         for k, m in den.phi.items():
-            t = top.get(k, 0)
-            if m > t:
-                top[k] = m
-                reach[k] = n
-            elif m == t:
-                reach[k] += n
-    if len(groups) == 1:
-        num = groups[0][1]
-    else:
-        num = {}
-        for den, p, _, _ in groups:
-            _padd_into(num, _pmul(p, _phi_product({k: t - den.phi.get(k, 0) for k, t in top.items()})))
-        if not num:
-            return ZERO
+            if m == top[k]:
+                reach[k] = reach.get(k, 0) + n
     shared = {k: top[k] for k, n in reach.items() if n > 1}
     reduced, left, split = _strip(num, shared)
     if split:
@@ -746,6 +759,18 @@ def scalar_sum(addends) -> Scalar:
         top.update(left)
         den = _phi_product(top)
     return _make(reduced, den)
+
+
+def integer_numerators(coeffs):
+    """{key: D L c} for {key: Scalar c}: D is the common denominator of
+    `_over_lcm`, L the lcm of the rational denominators of every D c, and
+    D L c an integer polynomial {2e: re, 2e + 1: im} of v, so v^x adds 2x."""
+    dens = {id(c.den): c.den for c in coeffs.values()}
+    cofactor = dict(zip(dens, _over_lcm(list(dens.values()))[2])) if len(dens) > 1 else None
+    polys = {key: _pmul(c.num, cofactor[id(c.den)]) if cofactor else c.num for key, c in coeffs.items()}
+    L = math.lcm(*{x.denominator for p in polys.values() for c in p.values() for x in (c.re, c.im)})
+    return {key: {2 * e + j: x.numerator * (L // x.denominator)
+                  for e, c in p.items() for j, x in ((0, c.re), (1, c.im)) if x} for key, p in polys.items()}
 
 
 ZERO = Scalar({})

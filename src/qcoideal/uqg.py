@@ -42,13 +42,17 @@ Sums are built in place by `_add_term`, which drops a key that cancels, and
 the maps of one tensor factor are one splice.
 Every q-power q^{(beta, gamma)} that straightening, the coproduct, the
 involutions and the zero walk meet is carried as the integer v-exponent
-2 (beta, gamma), read off the datum's integer Gram matrix, and reaches a
-coefficient as one `Scalar.shifted`: v^k is a unit, so the shifted
-coefficient is canonical without normalisation.  Deleting letter i after
-the letters u costs v^{2 (alpha_i, wt u)}; `_deletions` applies this rule
-for the skew derivations r_i and _ir, the zero walk and the torus pieces
-of [E_i, F_f].  sigma is the one reordering; omega = sigma.rho and S =
-sigma.phi, where rho and phi map monomials to monomials.
+2 (beta, gamma), read off the datum's integer Gram matrix.  Outside the
+zero walk it reaches a coefficient as one `Scalar.shifted`: v^k is a unit,
+so the shifted coefficient is canonical without normalisation.  The walk
+runs on integer Laurent polynomials under one nonzero scale, where v^k
+moves keys; its functionals are linear, so each value is the scale times
+the exact one, zero exactly when it is.
+Deleting letter i after the letters u costs v^{2 (alpha_i, wt u)};
+`_deletions` applies this rule for the skew derivations r_i and _ir, the
+zero walk and the torus pieces of [E_i, F_f].  sigma is the one
+reordering; omega = sigma.rho and S = sigma.phi, where rho and phi map
+monomials to monomials.
 
 A product of monomials is E_{e1} K_{k1} (F_{f1} E_{e2}) K_{k2} F_{f2}.  The
 normal-ordered expansion of F_f E_e is a multiplication table in the sense
@@ -85,7 +89,7 @@ from contextvars import ContextVar
 from operator import add, lt, mul, sub
 
 from .cartan import FiniteTypeError, positive_parabolic_roots, vec_sub
-from .scalars import ONE, Scalar, scalar_sum
+from .scalars import ONE, Scalar, integer_numerators, scalar_sum
 
 class ZeroTestGuardError(RuntimeError):
     """A graded bucket exceeded the word-evaluation guard of the zero test."""
@@ -799,13 +803,33 @@ def _good_prefixes(datum, nu):
 def _zero_walk(datum, terms) -> bool:
     """The deletion-functional engine behind `is_zero` and `tensor_is_zero`.
 
-    `terms` maps (prefix, key) to a coefficient: key is the monomial of the
-    last tensor factor and prefix the tuple of monomials before it, empty
-    for an Element.  Terms are bucketed by the tri-degree of the last factor
-    and every bucket is paired against the iterated deletion functionals of
-    its good words (of all its words off finite type); whatever scalar is
-    left on a prefix is tested as a tensor of one factor fewer.
+    `terms` maps (prefix, key) to a Scalar: key is the monomial of the last
+    tensor factor and prefix the tuple of monomials before it, empty for an
+    Element.  The Scalars are brought once over one nonzero scale, as
+    integer polynomials (`integer_numerators`).  Terms are bucketed by the
+    tri-degree of the last factor and every bucket is paired against the
+    iterated deletion functionals of its good words (of all its words off
+    finite type); whatever is left on a prefix is tested as a tensor of one
+    factor fewer.
     """
+    return _walk(datum, integer_numerators(terms))
+
+
+def _add_shifted(out, key, p, x):
+    """out[key] += v^x p for integer polynomials of `integer_numerators`, in
+    place, dropping the key when the sum is zero."""
+    acc = out.setdefault(key, {})
+    for e, c in p.items():
+        e += 2 * x
+        c += acc.pop(e, 0)
+        if c:
+            acc[e] = c
+    if not acc:
+        del out[key]
+
+
+def _walk(datum, terms) -> bool:
+    """The walk of `_zero_walk` on {(prefix, key): integer polynomial}."""
     limit = zero_test_bound.get()
     buckets = {}
     for (prefix, (e, k, f)), c in terms.items():
@@ -823,9 +847,9 @@ def _zero_walk(datum, terms) -> bool:
 
 
 def _reduce_bucket(datum, terms, ewt, fwt, path=(), good=None) -> bool:
-    """Pair a bucket {(prefix, e_word, f_word): c} of E-weight ewt and
-    F-weight fwt against the prefix-weighted deletion functionals, deleting
-    E-letters first and then F-letters.
+    """Pair a bucket {(prefix, e_word, f_word): integer polynomial} of
+    E-weight ewt and F-weight fwt against the prefix-weighted deletion
+    functionals, deleting E-letters first and then F-letters.
 
     `path` is the word of letters deleted so far on the current side and
     `good` the prefixes of the good words of that side's full weight, or
@@ -835,13 +859,9 @@ def _reduce_bucket(datum, terms, ewt, fwt, path=(), good=None) -> bool:
     if not terms:
         return True
     if not any(ewt) and not any(fwt):
-        rest = {}
-        for (prefix, _e, _f), c in terms.items():
-            _add_term(rest, prefix, c)
-        if () in rest:
-            # an Element whose functional value is a nonzero scalar
-            return False
-        return _zero_walk(datum, {(p[:-1], p[-1]): c for p, c in rest.items()})
+        if ((), (), ()) in terms:  # one term per prefix is left, its value
+            return False  # an Element with a nonzero functional value
+        return _walk(datum, {(p[:-1], p[-1]): c for (p, _e, _f), c in terms.items()})
     side = 0 if any(ewt) else 1
     wt = ewt if side == 0 else fwt
     if not path:
@@ -857,10 +877,10 @@ def _reduce_bucket(datum, terms, ewt, fwt, path=(), good=None) -> bool:
         for (prefix, e, f), c in terms.items():
             if side == 0:
                 for x, nw in _deletions(datum, e, i):
-                    _add_term(img, (prefix, nw, f), c.shifted(x))
+                    _add_shifted(img, (prefix, nw, f), c, x)
             else:
                 for x, nw in _deletions(datum, f, i):
-                    _add_term(img, (prefix, e, nw), c.shifted(x))
+                    _add_shifted(img, (prefix, e, nw), c, x)
         nwt = tuple(c - (1 if t == p else 0) for t, c in enumerate(wt))
         if not any(nwt):
             npath = ()
@@ -881,7 +901,10 @@ def is_zero(a: Element) -> bool:
     are evaluated, which decide zero on each side; otherwise all of them.
     The bound of `zero_test_guard` (10^6 outside any guard) caps the number
     of all dual words per bucket (E-words times F-words), whichever are
-    evaluated.
+    evaluated.  The walk runs on integer polynomials, every coefficient
+    times one nonzero scale (their common denominator times the lcm of the
+    rational denominators); each functional is linear with coefficients v^x,
+    so its value is that scale times the exact one, zero exactly when it is.
     """
     return _zero_walk(a.datum, {((), key): c for key, c in a.terms.items()})
 
@@ -905,6 +928,8 @@ def tensor_is_zero(t: Tensor) -> bool:
     factors carried as a prefix of every term; the scalars left on each
     prefix form a tensor of one factor fewer, tested the same way.
     The bound of `zero_test_guard` caps every bucket of every factor.
+    As in `is_zero`, one nonzero scale multiplies every value the walk
+    meets, so each is zero exactly when the exact one is.
     """
     terms = {(keys[:-1], keys[-1]): c for keys, c in t.terms.items()}
     return _zero_walk(t.datum, terms)

@@ -9,8 +9,10 @@ zero walk, the table of good words along which the walk deletes letters,
 the key of the memo of braid images of words, the
 cross-cancellation of scalar products, the reduction of a sum whose
 addends share a denominator, the sign of the q-power that each side
-of a coproduct split carries, and the q-power that the torus part gives a
-left skew derivation.  The unpatched engine passes every check, and
+of a coproduct split carries, the q-power that the torus part gives a
+left skew derivation, and the integer polynomials that the zero walk
+reads its coefficients as: their imaginary parts, and the one scale that
+clears every denominator.  The unpatched engine passes every check, and
 each mutant fails the check named for it.  Each check builds a fresh datum
 and fresh scalars, so no cache filled by the unpatched engine hides a
 mutant.
@@ -23,7 +25,7 @@ import pytest
 from qcoideal import scalars, uqg
 from qcoideal.braid import BraidOperator, apply_braid
 from qcoideal.cartan import CartanDatum
-from qcoideal.scalars import ONE, Scalar, qfact, qint
+from qcoideal.scalars import I_UNIT, ONE, Scalar, qfact, qint
 from qcoideal.uqg import (
     Element,
     coproduct,
@@ -142,6 +144,24 @@ def check_skew_ir_torus():
     return list(skew_ir(1, x, allow_k=True).terms.items()) == list(want.terms.items())
 
 
+def check_gaussian_coefficient():
+    """E_1 i is not zero: its coefficient is imaginary."""
+    d = _a2()
+    return not is_zero(Element.E(d, 1).scale(I_UNIT))
+
+
+def check_common_scale():
+    """S_1 / (v^2 + 3) + S_2 is not zero, for S_1 = E_1^2 E_2 and S_1 + S_2
+    the quantum Serre relation: over one scale it is S_1 + (v^2 + 3) S_2 =
+    -(v^2 + 2) S_2, while clearing each coefficient by its own denominator
+    gives S_1 + S_2 = 0."""
+    d = _a2()
+    serre = serre_polynomial(d, 1, 2, Element.E(d, 1), Element.E(d, 2))
+    s1 = Element.E(d, 1, 1, 2)
+    assert serre.terms[((1, 1, 2), (0, 0), ())] == ONE
+    return not is_zero(s1.scale((Scalar.v_pow(2) + Scalar.from_int(3)).inverse()) + serre - s1)
+
+
 CHECKS = {
     "ef-commutator": check_ef_commutator,
     "k-past-f": check_k_past_f,
@@ -154,6 +174,8 @@ CHECKS = {
     "coproduct-e-side": check_coproduct_e_side,
     "coproduct-f-side": check_coproduct_f_side,
     "skew-ir-torus": check_skew_ir_torus,
+    "gaussian-coefficient": check_gaussian_coefficient,
+    "common-scale": check_common_scale,
 }
 
 
@@ -305,6 +327,28 @@ def drop_skew_torus_shift(monkeypatch):
     monkeypatch.setattr(CartanDatum, "bilinear", mutant)
 
 
+def drop_imaginary_parts(monkeypatch):
+    """Read the zero walk's coefficients without their imaginary parts, the
+    odd keys of `integer_numerators`."""
+    original = uqg.integer_numerators
+
+    def mutant(coeffs):
+        return {key: {k: n for k, n in p.items() if k % 2 == 0} for key, p in original(coeffs).items()}
+
+    monkeypatch.setattr(uqg, "integer_numerators", mutant)
+
+
+def clear_each_by_its_own(monkeypatch):
+    """Bring each coefficient of the zero walk over its own denominator
+    instead of the one common to them all."""
+    original = uqg.integer_numerators
+
+    def mutant(coeffs):
+        return {key: original({key: c})[key] for key, c in coeffs.items()}
+
+    monkeypatch.setattr(uqg, "integer_numerators", mutant)
+
+
 MUTANTS = [
     ("ef-commutator", negate_ef_inverse),
     ("k-past-f", shift_k_past_f),
@@ -317,6 +361,8 @@ MUTANTS = [
     ("coproduct-e-side", flip_e_split_sign),
     ("coproduct-f-side", flip_f_split_sign),
     ("skew-ir-torus", drop_skew_torus_shift),
+    ("gaussian-coefficient", drop_imaginary_parts),
+    ("common-scale", clear_each_by_its_own),
 ]
 
 

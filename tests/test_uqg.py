@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from operator import add, mul
 
 import pytest
@@ -12,8 +13,10 @@ from qcoideal.uqg import (
     Tensor,
     ZeroTestGuardError,
     _add_term,
+    _deletions,
     _ef_inverse,
     _gather,
+    _good_prefixes,
     _mono_times_E,
     _settle,
     _tensor_of_elements,
@@ -310,6 +313,25 @@ def test_zero_test_guard_restores_the_previous_bound():
     assert zero_test_bound.get() == default
 
 
+def test_zero_test_guard_checks_each_bucket_in_turn():
+    """Buckets are walked in the order of their first terms, and each one
+    meets the guard just before it is walked: a small nonzero bucket
+    first decides False, a bucket over the guard first raises."""
+    import inspect
+
+    import qcoideal.uqg as uqg
+
+    big = Element.E(A2, *([1] * 6 + [2] * 6))
+    for coeff in (ONE, Scalar.gaussian(2, -3)):
+        small = Element.E(A2, 1).scale(coeff)
+        assert list((small + big).terms)[0] == ((1,), (0, 0), ())
+        with zero_test_guard(10):
+            assert not is_zero(small + big)
+            with pytest.raises(ZeroTestGuardError):
+                is_zero(big + small)
+    assert inspect.getsource(uqg).count("zero_test_bound.get()") == 1
+
+
 def _random_element(rng, datum, terms=3):
     out = Element.zero(datum)
     for _ in range(terms):
@@ -365,6 +387,107 @@ def test_is_zero_agrees_with_the_tensor_of_one_factor():
     for x in samples:
         assert is_zero(x) == tensor_is_zero(_tensor(x))
     assert is_zero(serre) and not is_zero(samples[1])
+
+
+def _ref_zero_walk(datum, terms):
+    """The zero walk on Scalar coefficients: each deletion shifts a Scalar
+    and each sum is normalised.  `terms` maps (prefix, key) to a Scalar, as
+    for `uqg._zero_walk`."""
+    limit = zero_test_bound.get()
+    buckets = {}
+    for (prefix, (e, k, f)), c in terms.items():
+        bkey = (word_weight(datum, e), k, word_weight(datum, f))
+        buckets.setdefault(bkey, {})[(prefix, e, f)] = c
+    for (ewt, _k, fwt), bucket in buckets.items():
+        count = _word_count(ewt) * _word_count(fwt)
+        if count > limit:
+            raise ZeroTestGuardError(f"bucket with {count} dual-word evaluations exceeds guard {limit}")
+        if not _ref_reduce_bucket(datum, bucket, ewt, fwt):
+            return False
+    return True
+
+
+def _ref_reduce_bucket(datum, terms, ewt, fwt, path=(), good=None):
+    if not terms:
+        return True
+    if not any(ewt) and not any(fwt):
+        rest = {}
+        for (prefix, _e, _f), c in terms.items():
+            _add_term(rest, prefix, c)
+        if () in rest:
+            return False
+        return _ref_zero_walk(datum, {(p[:-1], p[-1]): c for p, c in rest.items()})
+    side = 0 if any(ewt) else 1
+    wt = ewt if side == 0 else fwt
+    if not path:
+        good = _good_prefixes(datum, wt)
+    for p, cnt in enumerate(wt):
+        if not cnt:
+            continue
+        i = datum.labels[p]
+        npath = path + (i,)
+        if good is not None and npath not in good:
+            continue
+        img = {}
+        for (prefix, e, f), c in terms.items():
+            for x, nw in _deletions(datum, (e, f)[side], i):
+                _add_term(img, (prefix, nw, f) if side == 0 else (prefix, e, nw), c.shifted(x))
+        nwt = tuple(c - (1 if t == p else 0) for t, c in enumerate(wt))
+        if not any(nwt):
+            npath = ()
+        ok = (_ref_reduce_bucket(datum, img, nwt, fwt, npath, good)
+              if side == 0 else _ref_reduce_bucket(datum, img, ewt, nwt, npath, good))
+        if not ok:
+            return False
+    return True
+
+
+def _ref_is_zero(x):
+    if isinstance(x, Tensor):
+        return _ref_zero_walk(x.datum, {(keys[:-1], keys[-1]): c for keys, c in x.terms.items()})
+    return _ref_zero_walk(x.datum, {((), key): c for key, c in x.terms.items()})
+
+
+def test_integer_walk_matches_the_scalar_walk():
+    """The walk on integer polynomials under one common scale gives the
+    verdicts of the walk on Scalars, on Elements and on Tensors of arity 2
+    and 3 whose coefficients are Gaussian, Fractions, over Phi_k and over
+    the cofactor v^2 + 3, mixed in one sum."""
+    V = Scalar.v_pow(1)
+    coeffs = [
+        Scalar.gaussian(2, -3), I_UNIT * V - ONE,
+        Scalar.from_fraction(Fraction(3, 7)), Scalar.gaussian(Fraction(1, 2), Fraction(-5, 3)),
+        qint(3).inverse() * Q, (Q - Q ** -1).inverse(), qint(2).inverse() * I_UNIT,
+        (V ** 2 + Scalar.from_int(3)).inverse(), (V ** 2 + Scalar.from_int(3)).inverse() * qint(2).inverse(),
+    ]
+    rng = random.Random(23)
+    for datum in (A2, cartan_datum("B", 2)):
+        E1, E2, F1, F2 = (g(datum, i) for g in (Element.E, Element.F) for i in (1, 2))
+        K1 = Element.K_i(datum, 1)
+        x, serre = E1 * E2 * E1, serre_polynomial(datum, 1, 2, E1, E2)
+        # the commutator form straightens to no terms; a Serre relation
+        # times F_1 gives the walk something to decide
+        commutator = x * F1 - F1 * x + serre * F1 - (
+            skew_r(1, x) * K1 - Element.K_i(datum, 1, -1) * skew_ir(1, x)
+        ).scale(_qdiff(datum, 1).inverse())
+        relations = [serre, serre_polynomial(datum, 2, 1, F2, F1), commutator]
+        assert all(r.terms and is_zero(r) for r in relations)
+        zeros, nonzeros = [], []
+        for _ in range(6):
+            a, b, c = (rng.choice(coeffs) for _ in range(3))
+            r, s = rng.sample(relations, 2)
+            zero = r.scale(a) + (s * F2).scale(b) + (E2 * r).scale(c)
+            key = rng.choice(list(zero.terms))
+            bump = Element.monomial(datum, *key, coeff=rng.choice(coeffs))
+            tensors = [_tensor(zero, F1 + K1), _tensor(E1, r).scale(a) + _tensor(s, K1).scale(b),
+                       _tensor(E2, zero, F1.scale(c)), _tensor(r, E1, K1).scale(a) + _tensor(F2, F1, s).scale(b)]
+            zeros += [zero] + tensors
+            nonzeros += [zero + bump, _tensor(zero + bump, F1), _tensor(E1, E2, zero + bump),
+                         tensors[1] + _tensor(E1, bump).scale(c), tensors[3] + _tensor(F2, F1, bump)]
+        for y in zeros:
+            assert y.terms and _ref_is_zero(y) and (tensor_is_zero if isinstance(y, Tensor) else is_zero)(y)
+        for y in nonzeros:
+            assert not _ref_is_zero(y) and not (tensor_is_zero if isinstance(y, Tensor) else is_zero)(y)
 
 
 def test_elements_of_two_data_do_not_mix():

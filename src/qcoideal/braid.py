@@ -75,9 +75,9 @@ def _word_image(datum, op, kind, word) -> Element:
             elif kind == "E":
                 nxt = _image_E(datum, op.i, op.e, op.double_prime, word[0])
             else:
-                # the mirror of T_{i,-e}(E_j)
+                # the mirror of T_{i,-e}(E_j), whose F-word has at most one letter
                 mirror = _image_E(datum, op.i, -op.e, op.double_prime, word[0]).terms
-                nxt = Element(datum, {(f[::-1], k, w[::-1]): c for (w, k, f), c in mirror.items()})
+                nxt = Element(datum, {(f, k, w[::-1]): c for (w, k, f), c in mirror.items()})
             # the images repeat most monomials and coefficients: hold one of each
             nxt.terms = {pool.setdefault(m, m): pool.setdefault(c, c) for m, c in nxt.terms.items()}
             cache[key] = nxt

@@ -109,10 +109,11 @@ class CartanDatum:
         # (uqg; the normal-ordered F_f E_e per (f, e), good-word
         # prefixes per weight, the good Lyndon words under None), "braid"
         # (braid images of E- and F-words, per prefix), "pool" (one object
-        # per word, vector, monomial and scalar of the commutation table and
-        # the braid images), "twist" (qsp).  A named datum is built once per
-        # process (`cartan_datum`), so its caches, and with them its
-        # enumerated pairs and their QSP contexts, live for the whole process.
+        # per word, vector and coefficient base of the commutation table and
+        # per monomial and scalar of the braid images), "twist" (qsp).  A
+        # named datum is built once per process (`cartan_datum`), so its
+        # caches, and with them its enumerated pairs and their QSP contexts,
+        # live for the whole process.
         self.caches = defaultdict(dict)
 
     @property

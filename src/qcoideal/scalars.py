@@ -33,9 +33,10 @@ denominator are summed as polynomials, the groups are brought over the
 lcm, the componentwise maximum of the vectors, and the sum is divided only
 by the Phi_k whose top exponent two or more addends reach.  A cofactor, or
 a Gaussian numerator against a Phi_k with 4 | k, sends a product or sum to
-the full normaliser.  Sums over 1, products with a unit monomial c * v^k
-and the bar involution (each Phi_k is self-reciprocal up to a unit) keep
-the denominator and never normalise.
+the full normaliser.  A product with ONE is the other operand itself.
+Sums over 1, products with a unit monomial c * v^k and the bar involution
+(each Phi_k is self-reciprocal up to a unit) keep the denominator and
+never normalise.
 """
 
 from __future__ import annotations
@@ -613,6 +614,10 @@ class Scalar:
     def __mul__(self, other):
         if other.__class__ is not Scalar:
             return NotImplemented  # Element.__rmul__ scales an Element
+        if self is ONE:
+            return other
+        if other is ONE:
+            return self
         if not self.num or not other.num:
             return ZERO
         unit_self = _unit_den(self.den)

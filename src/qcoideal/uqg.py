@@ -62,10 +62,15 @@ passes from F_f in which each E-letter passes K with one shift and the
 F-word through the E-F commutator, and kept in the "commute" table.  A
 product reads each table term E_e K_k F_f as E_{e1 e} K_{k1 + k + k2}
 F_{f f2} times v^{2 (k1, wt e) + 2 (k2, wt f)}; when f1 or e2 is empty it
-needs no table.  In a letter pass and in a product's collection,
-coefficients over 1 are summed as they meet, and the addends of a key that
-meet a denominator other than 1 are summed once, by `scalar_sum`, at the
-end.
+needs no table.  The rows of an entry share few coefficients up to sign
+and a power of v, so a row stores its coefficient as (-1)^n v^s times one
+of the entry's distinct bases; a pair of terms with coefficient product c
+forms c times each base once, so that Henrici's cross-cancellation runs
+once per base and not once per row, negates each such product at most
+once, and reaches each row by one shift.  In a letter pass and in a
+product's collection, coefficients over 1 are summed as they meet, and
+the addends of a key that meet a denominator other than 1 are summed
+once, by `scalar_sum`, at the end.
 
 Normal-ordered monomials are a basis of the algebra without Serre
 relations that straightening works in, so two expressions of one element
@@ -78,8 +83,9 @@ prod_{k<m} (L_x - q_i^{m-1-2k} R_x) is the binomial sum (Jantzen,
 3m + 2.
 Memo tables (word weights, the commutation table, 1/(q_i - q_i^{-1}) and
 the good words) live in the datum's declared `caches` under "weight",
-"commute", "efinv" and "good"; the commutation table and the braid images
-draw one object per word, vector and scalar from "pool".
+"commute", "efinv" and "good"; the commutation table draws one object per
+word, vector and base, and the braid images one per monomial and scalar,
+from "pool".
 """
 
 from __future__ import annotations
@@ -238,10 +244,14 @@ def _pass_shift(datum, r1, e, r2, f):
 
 
 def _commute(datum, f, e):
-    """F_f E_e in normal order, as a tuple of terms (E-word, K-vector,
-    F-word, coefficient).  Built once per (f, e) by the letter pass from
-    F_f and memoised in `datum.caches["commute"]`; words, vectors and
-    scalars are drawn from the datum's "pool"."""
+    """F_f E_e in normal order, as (bases, negs, rows).  Built once per
+    (f, e) by the letter pass from F_f and memoised in
+    `datum.caches["commute"]`.  A row (E-word, K-vector, F-word, j, s) has
+    the coefficient v^s times the j-th signed base: bases[j] for j <
+    len(bases), else -bases[negs[j - len(bases)]].  The bases are distinct,
+    have lowest exponent 0 and a positive lowest coefficient, and are
+    drawn, like the words and vectors, from the datum's "pool"; rows keep
+    the order of the letter pass."""
     cache = datum.caches["commute"]
     key = (f, e)
     out = cache.get(key)
@@ -254,10 +264,18 @@ def _commute(datum, f, e):
                     _gather(nxt, nkey, pc)
             cur = _settle(nxt)
         intern = datum.caches["pool"].setdefault
-        out = cache[key] = tuple(
-            (intern(e1, e1), intern(k, k), intern(f1, f1), intern(c, c))
-            for (e1, k, f1), c in cur.items()
-        )
+        bases, rows = {}, []  # base -> its index
+        for (e1, k, f1), c in cur.items():
+            s = min(c.num)
+            neg = c.num[s].re < 0  # table coefficients are real
+            base = (-c if neg else c).shifted(-s)
+            base = ONE if base == ONE else intern(base, base)  # products pass ONE through
+            b = bases.setdefault(base, len(bases))  # interned: equal bases are one object
+            rows.append((intern(e1, e1), intern(k, k), intern(f1, f1), b, neg, s))
+        negs = tuple(dict.fromkeys(b for *_, b, neg, _s in rows if neg))
+        n = len(bases)
+        out = cache[key] = (tuple(bases), negs, tuple(
+            (e1, k, f1, n + negs.index(b) if neg else b, s) for e1, k, f1, b, neg, s in rows))
     return out
 
 
@@ -397,9 +415,12 @@ class Element(_Linear):
                     x = _pass_shift(datum, r1, e2, r2, f1)
                     _gather(out, (e1 + e2, k12, f1 + f2), c.shifted(x))
                     continue
-                for e, k, f, cc in _commute(datum, f1, e2):
+                bases, negs, rows = _commute(datum, f1, e2)
+                prods = [c * b for b in bases]
+                prods += [-prods[b] for b in negs]
+                for e, k, f, j, s in rows:
                     x = _pass_shift(datum, r1, e, r2, f)
-                    _gather(out, (e1 + e, tuple(map(add, k12, k)), f + f2), (c * cc).shifted(x))
+                    _gather(out, (e1 + e, tuple(map(add, k12, k)), f + f2), prods[j].shifted(x + s))
         return Element(datum, _settle(out))
 
     def __pow__(self, n):

@@ -4,18 +4,18 @@ Every "zero" or "equal" verdict trusts straightening, the zero walk and
 the canonical form of scalars, so a bug in any one must fail loudly.  Each
 mutant patches one point with monkeypatch: the sign of the E-F commutator,
 the q-power that K picks up moving past an F-word, the key of the table of
-normal-ordered products F_f E_e, the q-power of a letter deletion in the
-zero walk, the table of good words along which the walk deletes letters,
-the key of the memo of braid images of words, the
-cross-cancellation of scalar products, the reduction of a sum whose
-addends share a denominator, the sign of the q-power that each side
-of a coproduct split carries, the q-power that the torus part gives a
-left skew derivation, and the integer polynomials that the zero walk
-reads its coefficients as: their imaginary parts, and the one scale that
-clears every denominator.  The unpatched engine passes every check, and
-each mutant fails the check named for it.  Each check builds a fresh datum
-and fresh scalars, so no cache filled by the unpatched engine hides a
-mutant.
+normal-ordered products F_f E_e, the sign that a row of that table gives
+its base, the q-power of a letter deletion in the zero walk, the table of
+good words along which the walk deletes letters, the key of the memo of
+braid images of words, the cross-cancellation of scalar products, the
+reduction of a sum whose addends share a denominator, the sign of the
+q-power that each side of a coproduct split carries, the q-power that the
+torus part gives a left skew derivation, and the integer polynomials that
+the zero walk reads its coefficients as: their imaginary parts, and the
+one scale that clears every denominator.  The unpatched engine passes
+every check, and each mutant fails the check named for it.  Each check
+builds a fresh datum and fresh scalars, so no cache filled by the
+unpatched engine hides a mutant.
 """
 
 import sys
@@ -221,6 +221,19 @@ def key_table_on_e(monkeypatch):
     _install_cache(monkeypatch, "commute", FBlind)
 
 
+def drop_base_sign(monkeypatch):
+    """Reach every row of the commutation table through its unsigned base,
+    so a row whose coefficient is -v^s base reads +v^s base."""
+    original = uqg._commute
+
+    def mutant(datum, f, e):
+        bases, negs, rows = original(datum, f, e)
+        n = len(bases)
+        return bases, negs, tuple((e1, k, f1, j if j < n else negs[j - n], s) for e1, k, f1, j, s in rows)
+
+    monkeypatch.setattr(uqg, "_commute", mutant)
+
+
 def drop_deletion_qpower(monkeypatch):
     """Delete letters with coefficient 1 instead of their q-power: the
     deletion step that the zero walk reads gives every deletion x = 0."""
@@ -353,6 +366,7 @@ MUTANTS = [
     ("ef-commutator", negate_ef_inverse),
     ("k-past-f", shift_k_past_f),
     ("commute-warm", key_table_on_e),
+    ("ef-commutator", drop_base_sign),
     ("quantum-serre", drop_deletion_qpower),
     ("q-commutator", drop_good_word),
     ("braid-inverse-warm", drop_braid_sign),

@@ -13,6 +13,7 @@ from qcoideal.uqg import (
     Tensor,
     ZeroTestGuardError,
     _add_term,
+    _commute,
     _deletions,
     _ef_inverse,
     _gather,
@@ -960,9 +961,9 @@ def test_a_repeated_f_letter_keeps_memory_small():
 
 
 def _table_state(datum):
-    """A deep copy of the commutation table, its scalars as dicts."""
-    return {key: [(e, k, f, dict(c.num), dict(c.den)) for e, k, f, c in entry]
-            for key, entry in datum.caches["commute"].items()}
+    """A deep copy of the commutation table, its bases as dicts."""
+    return {key: ([(dict(b.num), dict(b.den)) for b in bases], negs, rows)
+            for key, (bases, negs, rows) in datum.caches["commute"].items()}
 
 
 def test_products_leave_the_table_as_it_was():
@@ -979,6 +980,123 @@ def test_products_leave_the_table_as_it_was():
     assert second.terms == first.terms
     assert is_zero(first + first - second - second)
     assert _table_state(datum) == state
+
+
+# Each table row as its full coefficient (-1)^neg v^s base, and the product
+# that multiplies every row's coefficient, as it did before the rows were
+# factored over their distinct bases, kept as the reference for the table.
+
+def _row_coefficients(entry):
+    """[(E-word, K-vector, F-word, coefficient)] of a table entry, in order."""
+    bases, negs, rows = entry
+    signed = list(bases) + [-bases[b] for b in negs]
+    return [(e, k, f, signed[j].shifted(s)) for e, k, f, j, s in rows]
+
+
+def _per_row_mul(self, other):
+    """Element.__mul__ with one product c1 c2 (-1)^neg v^s base per row."""
+    if other.__class__ is not Element:
+        return self.__rmul__(other)
+    if self.datum is not other.datum:
+        raise ValueError("elements of different Cartan data do not combine")
+    datum = self.datum
+    out = {}
+    for (e2, k2, f2), c2 in other.terms.items():
+        for (e1, k1, f1), c1 in self.terms.items():
+            c = c1 * c2
+            k12 = tuple(map(add, k1, k2))
+            if not f1 or not e2:
+                x = _ref_vexp(datum, k1, e2) + _ref_vexp(datum, k2, f1)
+                _gather(out, (e1 + e2, k12, f1 + f2), c.shifted(x))
+                continue
+            for e, k, f, cc in _row_coefficients(_commute(datum, f1, e2)):
+                x = _ref_vexp(datum, k1, e) + _ref_vexp(datum, k2, f)
+                _gather(out, (e1 + e, tuple(map(add, k12, k)), f + f2), (c * cc).shifted(x))
+    return Element(datum, _settle(out))
+
+
+def _ref_letter_pass(datum, f, e):
+    """{monomial: coefficient} of F_f E_e by letter passes with the
+    recursive pushes of `_ref_mono_times_E`."""
+    cur = {((), datum.zero_vector(), f): ONE}
+    for i in e:
+        nxt = {}
+        for key, c in cur.items():
+            for nkey, pc in _ref_mono_times_E(datum, key, i, c):
+                _gather(nxt, nkey, pc)
+        cur = _settle(nxt)
+    return cur
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "affine:A1"])
+def test_table_rows_factor_the_letter_pass(name):
+    """Every row's (-1)^neg v^s base is the letter-pass coefficient, key for
+    key and in order, for every F-word of length at most 4 against every
+    E-word of length at most 2; the bases of an entry are distinct pool
+    objects with lowest exponent 0 and a positive lowest coefficient."""
+    datum = CartanDatum(cartan_datum(name[:-1], int(name[-1])).A)
+    pool = datum.caches["pool"]
+    es = [e for n in (1, 2) for e in itertools.product(datum.labels, repeat=n)]
+    for n in range(1, 5):
+        for f in itertools.product(datum.labels, repeat=n):
+            for e in es:
+                entry = _commute(datum, f, e)
+                want = _ref_letter_pass(datum, f, e)
+                assert _row_coefficients(entry) == [(*key, c) for key, c in want.items()]
+                bases, negs, rows = entry
+                assert len({id(b) for b in bases}) == len(set(bases)) == len(bases)
+                used, nb = {j for *_, j, _s in rows}, len(bases)
+                assert {j if j < nb else negs[j - nb] for j in used} == set(range(nb))
+                assert used >= set(range(nb, nb + len(negs))) and len(set(negs)) == len(negs)
+                for b in bases:
+                    low = b.num[min(b.num)]
+                    assert min(b.num) == 0 and low.re > 0 and not low.im
+                    assert b is ONE or pool[b] is b
+
+
+@pytest.mark.parametrize("name", ["G2", "B2", "A3"])
+def test_products_match_per_row_products(name):
+    """Products that multiply once per distinct base equal the products
+    that multiply every row's coefficient, term for term and in order, with
+    Gaussian, rational, cyclotomic and 1/(v^2 + 3) coefficients; the last
+    sends a product to the normaliser of plain-dict denominators."""
+    datum = CartanDatum(cartan_datum(name[:-1], int(name[-1])).A)
+    rng = random.Random(53)
+    coeffs = [Scalar.gaussian(2, -1), I_UNIT, Scalar.from_fraction(Fraction(-3, 4)),
+              qint(3).inverse(), (Q - Q ** -1).inverse(),
+              (Scalar.v_pow(2) + Scalar.from_int(3)).inverse()]
+    for t in range(12):
+        x, y = _word_element(rng, datum), _word_element(rng, datum)
+        x, y = x.scale(coeffs[t % len(coeffs)]), y.scale(rng.choice(coeffs))
+        assert list((x * y).terms.items()) == list(_per_row_mul(x, y).terms.items())
+
+
+def test_one_product_per_distinct_base(monkeypatch):
+    """(q - q^-1) F_1 times E_1 makes one Scalar product without ONE per
+    distinct base of the F_1 E_1 entry other than ONE, also when the pool
+    holds another Scalar equal to ONE, and a product with ONE returns the
+    other operand itself."""
+    datum = CartanDatum(((2,),))
+    one = Scalar.from_int(1)  # the pool may hold a copy of ONE, as braid images leave it
+    datum.caches["pool"][one] = one
+    x, y = Element.F(datum, 1).scale(Q - Q ** -1), Element.E(datum, 1)
+    products = []
+    original = Scalar.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    x * y
+    monkeypatch.undo()
+    bases, negs, rows = datum.caches["commute"][((1,), (1,))]
+    assert len(rows) == 3 and len(bases) == 2 and any(b is ONE for b in bases)
+    assert sum(1 for a, b in products if a is not ONE and b is not ONE) == len(bases) - 1
+    z = qint(2).inverse()
+    assert ONE * z is z and z * ONE is z
+    with pytest.raises(TypeError):
+        ONE * 3
 
 
 # The skew derivations as slice formulas, and omega and the antipode as

@@ -16,10 +16,10 @@ image of the word without its last letter times the image of that letter.
 These images carry no coefficient and are memoised per prefix in the
 datum's declared `caches` under "braid", keyed by (i, e, family, E or F,
 word), with one object per distinct monomial and coefficient drawn from
-"pool".  A monomial's image is its E-word's image times K_{s_i beta}
-times its F-word's image, scaled once by its coefficient.  The twists
-T_{w_X}(E_j) of symmetric pairs are memoised under "twist"
-(`qsp.QSPContext.twisted`).
+"pool", where a coefficient equal to 1 is ONE itself.  A monomial's image
+is its E-word's image times K_{s_i beta} times its F-word's image, scaled
+once by its coefficient.  The twists T_{w_X}(E_j) of symmetric pairs are
+memoised under "twist" (`qsp.QSPContext.twisted`).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from functools import reduce
 from operator import mul
 
 from .scalars import ONE, Scalar, qfact
-from .uqg import Element, _add_term, _gather, _settle
+from .uqg import Element, _gather, _interner, _settle
 
 
 def _image_E(datum, i, e, double_prime, j) -> Element:
@@ -54,8 +54,8 @@ def _image_E(datum, i, e, double_prime, j) -> Element:
             word = (i,) * r + (j,) + (i,) * s
         if r % 2:
             coeff = -coeff
-        _add_term(out, (word, zero, ()), coeff)
-    return Element(datum, out)
+        _gather(out, (word, zero, ()), coeff)
+    return Element(datum, _settle(out))
 
 
 def _word_image(datum, op, kind, word) -> Element:
@@ -65,7 +65,7 @@ def _word_image(datum, op, kind, word) -> Element:
     img = cache.get((op.i, op.e, op.double_prime, kind, word))
     if img is not None:
         return img
-    pool = datum.caches["pool"]
+    intern = _interner(datum)
     for n in range(1, len(word) + 1):
         key = (op.i, op.e, op.double_prime, kind, word[:n])
         nxt = cache.get(key)
@@ -79,7 +79,7 @@ def _word_image(datum, op, kind, word) -> Element:
                 mirror = _image_E(datum, op.i, -op.e, op.double_prime, word[0]).terms
                 nxt = Element(datum, {(f, k, w[::-1]): c for (w, k, f), c in mirror.items()})
             # the images repeat most monomials and coefficients: hold one of each
-            nxt.terms = {pool.setdefault(m, m): pool.setdefault(c, c) for m, c in nxt.terms.items()}
+            nxt.terms = {intern(m, m): intern(c, c) for m, c in nxt.terms.items()}
             cache[key] = nxt
         img = nxt
     return img

@@ -110,10 +110,10 @@ class CartanDatum:
         # prefixes per weight, the good Lyndon words under None), "braid"
         # (braid images of E- and F-words, per prefix), "pool" (one object
         # per word, vector and coefficient base of the commutation table and
-        # per monomial and scalar of the braid images), "twist" (qsp).  A
-        # named datum is built once per process (`cartan_datum`), so its
-        # caches, and with them its enumerated pairs and their QSP contexts,
-        # live for the whole process.
+        # per monomial and scalar of the braid images, ONE as itself),
+        # "twist" (qsp).  A named datum is built once per process
+        # (`cartan_datum`), so its caches, and with them its enumerated
+        # pairs and their QSP contexts, live for the whole process.
         self.caches = defaultdict(dict)
 
     @property
@@ -589,9 +589,12 @@ def tau_from_swaps(datum: CartanDatum, swaps):
     return tau
 
 
+def tau_swaps(tau):
+    """The swaps (i, j), i < j, of a diagram map, sorted: the inverse of
+    `tau_from_swaps`."""
+    return sorted((i, j) for i, j in tau.items() if i < j)
+
+
 def pair_to_json(pair: AdmissiblePair):
-    return {
-        "X": sorted(pair.X),
-        "tau": sorted([i, j] for i, j in pair.tau.items() if i < j),
-    }
+    return {"X": sorted(pair.X), "tau": [list(s) for s in tau_swaps(pair.tau)]}
 

@@ -35,6 +35,7 @@ from .cartan import (
     enumerate_admissible,
     pair_to_json,
     tau_from_swaps,
+    tau_swaps,
     validate_admissible,
 )
 from .grammar import element_to_json, element_to_text, parse_scalar, scalar_to_text
@@ -134,7 +135,7 @@ def _cmd_validate_pair(args):
     report = {
         "command": "validate-pair",
         "cartan": datum_to_json(datum),
-        "pair": {"X": sorted(X), "tau": sorted([i, j] for i, j in tau.items() if i < j)},
+        "pair": {"X": sorted(X), "tau": [list(s) for s in tau_swaps(tau)]},
         "valid": not violations,
         "violations": violations,
     }
@@ -257,7 +258,7 @@ def _cmd_nu_atlas(args):
                     "type": fam,
                     "rank": rank,
                     "X": sorted(pair.X),
-                    "tau": sorted([a, b] for a, b in pair.tau.items() if a < b),
+                    "tau": [list(s) for s in tau_swaps(pair.tau)],
                     "node": i,
                     "nu": nu,
                 })

@@ -218,7 +218,7 @@ def _monomial_key(datum, e, k, f):
 
 
 def parse_element(datum, text: str):
-    from .uqg import Element, _add_term
+    from .uqg import Element, _gather, _settle
 
     text = text.strip()
     if text == "0":
@@ -228,8 +228,8 @@ def parse_element(datum, text: str):
         mono, *coeff = _split_top_level(chunk, "*")
         if not coeff:
             raise ScalarParseError(f"element term {chunk.strip()!r} lacks a '* (coeff)' part")
-        _add_term(terms, _parse_monomial(datum, mono), parse_scalar("*".join(coeff)))
-    return Element(datum, terms)
+        _gather(terms, _parse_monomial(datum, mono), parse_scalar("*".join(coeff)))
+    return Element(datum, _settle(terms))
 
 
 def _parse_monomial(datum, text: str):
@@ -263,10 +263,10 @@ def element_to_json(a):
 
 
 def element_from_json(datum, obj):
-    from .uqg import Element, _add_term
+    from .uqg import Element, _gather, _settle
 
     terms = {}
     for t in obj["terms"]:
         key = _monomial_key(datum, t.get("E", ()), t.get("K", {}).items(), t.get("F", ()))
-        _add_term(terms, key, parse_scalar(t["coeff"]))
-    return Element(datum, terms)
+        _gather(terms, key, parse_scalar(t["coeff"]))
+    return Element(datum, _settle(terms))

@@ -407,19 +407,7 @@ def c_oracle(params: QSPParameters, i, j) -> Element:
     return Y - cell
 
 
-def serre_defect(params: QSPParameters, i, j, source: str = "oracle") -> Element:
-    """F_ij(B_i, B_j) - C_ij(c); the engine must certify this is zero.
-
-    For the oracle this is the projection cell itself.
-    """
-    if source == "oracle":
-        return serre_projection(params, i, j)[1]
-    if source == "closed":
-        C = c_closed(params, i, j)
-    elif source == "closed-torus":
-        C = c_closed_torus(params, i, j)
-    else:
-        raise ValueError(f"unknown C source {source!r}")
-    Bi = b_generator(params, i)
-    Bj = b_generator(params, j)
-    return serre_polynomial(params.datum, i, j, Bi, Bj) - C
+def serre_defect(params: QSPParameters, i, j) -> Element:
+    """F_ij(B_i, B_j) - C_ij(c) for the projection oracle, which is the
+    projection cell itself; the engine must certify this is zero."""
+    return serre_projection(params, i, j)[1]

@@ -28,6 +28,7 @@ from .cartan import (
     enumerate_admissible,
     rho_check_pairing,
     tau_from_swaps,
+    tau_swaps,
     validate_admissible,
 )
 from .grammar import element_to_text, parse_element, parse_scalar, scalar_to_text
@@ -68,8 +69,9 @@ from .uqg import (
     word_weight,
     zero_test_bound,
     zero_test_guard,
-    _add_term,
     _ef_inverse,
+    _gather,
+    _settle,
     _tensor_of_elements,
 )
 
@@ -126,8 +128,8 @@ def _random_element(rng, datum, max_len=4, n_terms=2):
         cut = rng.randint(0, len(letters))
         kvec = tuple(rng.randint(-1, 1) for _ in datum.labels)
         coeff = rng.choice(_SCALAR_POOL)
-        _add_term(out, (letters[:cut], kvec, letters[cut:]), coeff)
-    return Element(datum, out)
+        _gather(out, (letters[:cut], kvec, letters[cut:]), coeff)
+    return Element(datum, _settle(out))
 
 
 def _param_family(pair, draw):
@@ -486,7 +488,7 @@ def suite_nu_atlas(seed=0):
             ok = all(nu_sign(ctx, i) == 1 for i in pair.free)
             checks.append(
                 _check(
-                    f"nu-atlas/{kind}{rank}/X={sorted(pair.X)}/tau={sorted((a, b) for a, b in pair.tau.items() if a < b)}",
+                    f"nu-atlas/{kind}{rank}/X={sorted(pair.X)}/tau={tau_swaps(pair.tau)}",
                     ok,
                 )
             )
@@ -537,7 +539,7 @@ def suite_bar_z(seed=0):
                 if int(par) % 2:
                     rhs = -rhs
                 okcor = okcor and equals(bar_element(P_i), rhs)
-            tag = f"{kind}{rank}/X={sorted(pair.X)}/tau={sorted((a, b) for a, b in pair.tau.items() if a < b)}"
+            tag = f"{kind}{rank}/X={sorted(pair.X)}/tau={tau_swaps(pair.tau)}"
             checks.append(_check(f"bar-z/{tag}/bar-of-Z", ok))
             checks.append(_check(f"bar-z/{tag}/tau-symmetry", oksym))
             checks.append(_check(f"bar-z/{tag}/bar-of-component", okcor))
@@ -587,8 +589,7 @@ def suite_cij(seed=0):
 
 def _pair_tag(pair):
     """(X, tau_pairs) of a pair as sorted tuples."""
-    X = tuple(sorted(pair.X))
-    return X, tuple(sorted((a, b) for a, b in pair.tau.items() if a < b))
+    return tuple(sorted(pair.X)), tuple(tau_swaps(pair.tau))
 
 
 def _serre_tasks():

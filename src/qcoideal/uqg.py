@@ -38,8 +38,12 @@ nonzero Scalars over one CartanDatum, in insertion order, with ==, +, -,
 negation and `scale`.  An Element's keys are monomials, plain tuples
 (e_word, k_part, f_word); a Tensor's are tuples of them, one per factor.
 Combinations of two classes, data or arities do not combine (ValueError).
-Sums are built in place by `_add_term`, which drops a key that cancels, and
-the maps of one tensor factor are one splice.
+Every linear combination is summed by one rule: each term goes to its key
+through `_gather`, and `_settle` finishes the dict.  Coefficients over 1
+are added as they meet; a key that meets another denominator keeps its
+addends and sums them once, by `scalar_sum`.  A key whose sum vanishes is
+dropped, and a zero addend never opens a key.  The maps of one tensor
+factor are one splice.
 Every q-power q^{(beta, gamma)} that straightening, the coproduct, the
 involutions and the zero walk meet is carried as the integer v-exponent
 2 (beta, gamma), read off the datum's integer Gram matrix.  Outside the
@@ -67,10 +71,7 @@ and a power of v, so a row stores its coefficient as (-1)^n v^s times one
 of the entry's distinct bases; a pair of terms with coefficient product c
 forms c times each base once, so that Henrici's cross-cancellation runs
 once per base and not once per row, negates each such product at most
-once, and reaches each row by one shift.  In a letter pass and in a
-product's collection, coefficients over 1 are summed as they meet, and
-the addends of a key that meet a denominator other than 1 are summed
-once, by `scalar_sum`, at the end.
+once, and reaches each row by one shift.
 
 Normal-ordered monomials are a basis of the algebra without Serre
 relations that straightening works in, so two expressions of one element
@@ -148,22 +149,15 @@ def _deletions(datum, word, i):
     return out
 
 
-def _add_term(out, key, c):
-    """out[key] += c, dropping the key when the sum is zero."""
-    prev = out.get(key)
-    s = c if prev is None else prev + c
-    if s:
-        out[key] = s
-    elif prev is not None:
-        del out[key]
-
-
 def _gather(out, key, c):
-    """out[key] += c, except that a sum meeting a denominator other than 1
-    is deferred: the key holds the list of its addends until `_settle`."""
-    prev = out.get(key)
-    if prev is None:
-        out[key] = c
+    """out[key] += c, dropping a zero addend or sum; a sum meeting a
+    denominator other than 1 is deferred: the key holds the list of its
+    addends until `_settle`."""
+    n = len(out)
+    prev = out.setdefault(key, c)  # one hash of a new key, as most are
+    if len(out) > n:
+        if not c.num:
+            del out[key]
     elif prev.__class__ is list:
         prev.append(c)
     elif len(prev.den) == 1 and len(c.den) == 1:
@@ -179,17 +173,28 @@ def _gather(out, key, c):
 def _settle(out):
     """Sum every deferred key of `_gather` with one normalisation, dropping
     the sums that vanish; returns out."""
+    for c in out.values():
+        if c.__class__ is list:
+            break
+    else:
+        return out  # nothing deferred, as in most sums
     zero = []
     for key, c in out.items():
         if c.__class__ is list:
-            s = scalar_sum(c)
-            if s:
-                out[key] = s
-            else:
+            c = out[key] = scalar_sum(c)
+            if not c:
                 zero.append(key)
     for key in zero:
         del out[key]
     return out
+
+
+def _interner(datum):
+    """The `setdefault` of the datum's "pool", which holds ONE as itself, so
+    that a coefficient equal to 1 interns as ONE, which products pass."""
+    pool = datum.caches["pool"]
+    pool[ONE] = ONE
+    return pool.setdefault
 
 
 def _ef_inverse(datum, i) -> Scalar:
@@ -263,13 +268,13 @@ def _commute(datum, f, e):
                 for nkey, pc in _mono_times_E(datum, mono, i, c):
                     _gather(nxt, nkey, pc)
             cur = _settle(nxt)
-        intern = datum.caches["pool"].setdefault
+        intern = _interner(datum)
         bases, rows = {}, []  # base -> its index
         for (e1, k, f1), c in cur.items():
             s = min(c.num)
             neg = c.num[s].re < 0  # table coefficients are real
             base = (-c if neg else c).shifted(-s)
-            base = ONE if base == ONE else intern(base, base)  # products pass ONE through
+            base = intern(base, base)
             b = bases.setdefault(base, len(bases))  # interned: equal bases are one object
             rows.append((intern(e1, e1), intern(k, k), intern(f1, f1), b, neg, s))
         negs = tuple(dict.fromkeys(b for *_, b, neg, _s in rows if neg))
@@ -310,15 +315,15 @@ class _Linear:
         self._check(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            _add_term(out, key, c)
-        return self._like(out)
+            _gather(out, key, c)
+        return self._like(_settle(out))
 
     def __sub__(self, other):
         self._check(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            _add_term(out, key, -c)
-        return self._like(out)
+            _gather(out, key, -c)
+        return self._like(_settle(out))
 
     def __neg__(self):
         return self._like({k: -c for k, c in self.terms.items()})
@@ -473,8 +478,8 @@ class Tensor(_Linear):
                     for m1, m2 in zip(keys1, keys2)
                 ], c1 * c2)
                 for keys, c in prod.terms.items():
-                    _add_term(out, keys, c)
-        return Tensor(datum, self.arity, out)
+                    _gather(out, keys, c)
+        return Tensor(datum, self.arity, _settle(out))
 
     def _splice(self, slot, arity, image):
         """Replace the factor at `slot` of every term by image(monomial), an
@@ -483,8 +488,8 @@ class Tensor(_Linear):
         out = {}
         for keys, c in self.terms.items():
             for sub, cc in image(keys[slot]):
-                _add_term(out, keys[:slot] + sub + keys[slot + 1:], c * cc)
-        return Tensor(self.datum, arity, out)
+                _gather(out, keys[:slot] + sub + keys[slot + 1:], c * cc)
+        return Tensor(self.datum, arity, _settle(out))
 
     def map_slot(self, slot, fn):
         """Apply an Element -> Element linear map to one tensor factor."""
@@ -514,8 +519,8 @@ class Tensor(_Linear):
             for t in range(1, self.arity):
                 prod = prod * Element(datum, {keys[t]: ONE})
             for key, cc in prod.terms.items():
-                _add_term(out, key, cc)
-        return Element(datum, out)
+                _gather(out, key, cc)
+        return Element(datum, _settle(out))
 
     def as_element(self):
         if self.arity != 1:
@@ -558,10 +563,10 @@ def _splits(datum, word, sign, lo, hi):
         for (stay, moved, wt), s in states.items():
             if lo is None or wt[p] + left[p] >= lo[p]:
                 x = sign * 2 * sum(map(mul, row, wt))
-                _add_term(nxt, (stay + (u,), moved, wt), s.shifted(x))
+                _gather(nxt, (stay + (u,), moved, wt), s.shifted(x))
             if lo is None or wt[p] < hi[p]:
-                _add_term(nxt, (stay, moved + (u,), wt[:p] + (wt[p] + 1,) + wt[p + 1:]), s)
-        states = nxt
+                _gather(nxt, (stay, moved + (u,), wt[:p] + (wt[p] + 1,) + wt[p + 1:]), s)
+        states = _settle(nxt)
     return states
 
 
@@ -606,8 +611,8 @@ def coproduct_graded(a: Element, target=None) -> Tensor:
             k1 = tuple(map(add, k, wt))
             degree = None if target is None else tuple(map(sub, wt, target))
             for stay, k2t, fmoved, pf in by_degree.get(degree, ()):
-                _add_term(out, ((rest, k1, stay), (moved, k2t, fmoved)), c * pe * pf)
-    return Tensor(datum, 2, out)
+                _gather(out, ((rest, k1, stay), (moved, k2t, fmoved)), c * pe * pf)
+    return Tensor(datum, 2, _settle(out))
 
 
 def counit(a: Element) -> Scalar:
@@ -662,15 +667,15 @@ def sigma(a: Element) -> Element:
     for (e, k, f), c in a.terms.items():
         mk = tuple(-x for x in k)
         if not f:
-            _add_term(out, (e[::-1], mk, ()), c.shifted(_vexp(datum, mk, e)))
+            _gather(out, (e[::-1], mk, ()), c.shifted(_vexp(datum, mk, e)))
             continue
         coeff = c.shifted(_vexp(datum, mk, f))
         left = Element.monomial(datum, (), mk, f[::-1], coeff)
         if e:
             left = left * Element.E(datum, *reversed(e))
         for key, cc in left.terms.items():
-            _add_term(out, key, cc)
-    return Element(datum, out)
+            _gather(out, key, cc)
+    return Element(datum, _settle(out))
 
 
 def omega(a: Element) -> Element:
@@ -714,8 +719,8 @@ def skew_r(i, a: Element, allow_k: bool = False) -> Element:
     for (e, k, f), c in a.terms.items():
         total = _vexp(datum, alpha, e) - datum.vgram[i][i]
         for x, rest in _deletions(datum, e, i):
-            _add_term(out, (rest, k, f), c.shifted(total - x))
-    return Element(datum, out)
+            _gather(out, (rest, k, f), c.shifted(total - x))
+    return Element(datum, _settle(out))
 
 
 def skew_ir(i, a: Element, allow_k: bool = False) -> Element:
@@ -730,8 +735,8 @@ def skew_ir(i, a: Element, allow_k: bool = False) -> Element:
     for (e, k, f), c in a.terms.items():
         shift = -2 * datum.bilinear(alpha, k)
         for x, rest in reversed(_deletions(datum, e, i)):
-            _add_term(out, (rest, k, f), c.shifted(shift + x))
-    return Element(datum, out)
+            _gather(out, (rest, k, f), c.shifted(shift + x))
+    return Element(datum, _settle(out))
 
 
 def adjoint_E(i, x: Element) -> Element:

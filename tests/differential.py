@@ -1,0 +1,70 @@
+"""Every suite at seed 0 in one mode of the engine, its checks written as JSON.
+
+    PYTHONPATH=src python tests/differential.py MODE OUT [SHIPPED]
+
+Mode "shipped" runs the engine as it is.  Every other mode first rebinds
+one piece of it to a simpler equivalent, and each suite must give the
+same checks either way:
+
+- walk: `equals` and `tensor_equals`, as suites and barcheck import them,
+  decide every pair by the zero walk, never by comparing term dicts
+- scalar: the zero walk runs on Scalar coefficients (`_ref_zero_walk` of
+  test_uqg.py), not on integer polynomials under one common scale
+- per-row: products multiply the full coefficient of every row of the
+  commutation table (`_per_row_mul` of test_uqg.py), not one product per
+  distinct base
+- pairwise: every linear combination is summed pairwise by `_ref_add` of
+  test_uqg.py, with `_settle` the identity, in every module that imports
+  them
+
+Given SHIPPED, the OUT of a shipped run, the script exits with an error
+naming the mode and the first suite whose checks differ from it.  Run each
+mode in a fresh process, so that no cache or memoised verdict carries over
+from another.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+
+def _rebind(mode):
+    from qcoideal import barcheck, braid, suites, uqg
+
+    if mode == "walk":
+        suites.equals = barcheck.equals = lambda a, b: uqg.is_zero(a - b)
+        suites.tensor_equals = lambda s, t: uqg.tensor_is_zero(s - t)
+    elif mode == "scalar":
+        from test_uqg import _ref_zero_walk
+        uqg._zero_walk = _ref_zero_walk
+    elif mode == "per-row":
+        from test_uqg import _per_row_mul
+        uqg.Element.__mul__ = _per_row_mul
+    elif mode == "pairwise":
+        from test_uqg import _ref_add
+        for module in (uqg, braid, suites):
+            module._gather, module._settle = _ref_add, lambda out: out
+    elif mode != "shipped":
+        sys.exit(f"unknown mode {mode!r}")
+
+
+def main(argv):
+    if len(argv) not in (2, 3):
+        sys.exit(__doc__)
+    mode, out = argv[:2]
+    _rebind(mode)
+    from qcoideal.suites import SUITES, run_suite
+
+    Path(out).write_text(json.dumps({name: run_suite(name, seed=0)[1] for name in SUITES}))
+    if len(argv) == 3:
+        checks = json.loads(Path(out).read_text())
+        for name, want in json.loads(Path(argv[2]).read_text()).items():
+            if checks.get(name) != want:
+                sys.exit(f"{mode}: {name}: the checks differ from the shipped run")
+            print(f"{mode}: {name}: {len(want)} checks, identical to the shipped run")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

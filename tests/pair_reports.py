@@ -23,7 +23,7 @@ import json
 import sys
 from pathlib import Path
 
-from qcoideal.cartan import cartan_datum, enumerate_admissible, pair_to_json
+from qcoideal.cartan import cartan_datum, enumerate_admissible, pair_to_json, tau_swaps
 from qcoideal.cli import main
 from qcoideal.suites import ATLAS_DATA, _dname
 
@@ -48,7 +48,7 @@ def write_reports(directory):
         for pair in enumerate_admissible(cartan_datum(kind, rank)):
             if not pair.free:
                 continue
-            moved = "".join(f"{a}{b}" for a, b in sorted(pair.tau.items()) if a < b)
+            moved = "".join(f"{a}{b}" for a, b in tau_swaps(pair.tau))
             stem = f"{_dname(kind, rank)}-X{''.join(map(str, sorted(pair.X)))}-tau{moved}"
             base = ["--cartan", f"{kind}:{rank}", "--pair", json.dumps(pair_to_json(pair))]
             written += _run(directory, f"{stem}-canonical", base + ["canonical"])

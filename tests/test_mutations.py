@@ -10,9 +10,10 @@ good words along which the walk deletes letters, the key of the memo of
 braid images of words, the cross-cancellation of scalar products, the
 reduction of a sum whose addends share a denominator, the sign of the
 q-power that each side of a coproduct split carries, the q-power that the
-torus part gives a left skew derivation, and the integer polynomials that
-the zero walk reads its coefficients as: their imaginary parts, and the
-one scale that clears every denominator.  The unpatched engine passes
+torus part gives a left skew derivation, the integer polynomials that
+the zero walk reads its coefficients as (their imaginary parts, and the
+one scale that clears every denominator), and the dropping of a key whose
+deferred sum vanishes.  The unpatched engine passes
 every check, and each mutant fails the check named for it.  Each check
 builds a fresh datum and fresh scalars, so no cache filled by the
 unpatched engine hides a mutant.
@@ -162,6 +163,14 @@ def check_common_scale():
     return not is_zero(s1.scale((Scalar.v_pow(2) + Scalar.from_int(3)).inverse()) + serre - s1)
 
 
+def check_x_minus_x():
+    """x - x has no terms for x = F_1 E_1, whose normal form E_1 F_1 - (K_1 -
+    K_1^{-1}) / (q - q^{-1}) has torus terms over q - q^{-1}."""
+    d = _a2()
+    x = Element.F(d, 1) * Element.E(d, 1)
+    return not (x - x).terms
+
+
 CHECKS = {
     "ef-commutator": check_ef_commutator,
     "k-past-f": check_k_past_f,
@@ -176,6 +185,7 @@ CHECKS = {
     "skew-ir-torus": check_skew_ir_torus,
     "gaussian-coefficient": check_gaussian_coefficient,
     "common-scale": check_common_scale,
+    "x-minus-x": check_x_minus_x,
 }
 
 
@@ -362,6 +372,19 @@ def clear_each_by_its_own(monkeypatch):
     monkeypatch.setattr(uqg, "integer_numerators", mutant)
 
 
+def keep_vanishing_sums(monkeypatch):
+    """Settle a deferred key whose addends cancel to a zero coefficient
+    instead of dropping it."""
+
+    def mutant(out):
+        for key, c in out.items():
+            if c.__class__ is list:
+                out[key] = uqg.scalar_sum(c)
+        return out
+
+    monkeypatch.setattr(uqg, "_settle", mutant)
+
+
 MUTANTS = [
     ("ef-commutator", negate_ef_inverse),
     ("k-past-f", shift_k_past_f),
@@ -377,6 +400,7 @@ MUTANTS = [
     ("skew-ir-torus", drop_skew_torus_shift),
     ("gaussian-coefficient", drop_imaginary_parts),
     ("common-scale", clear_each_by_its_own),
+    ("x-minus-x", keep_vanishing_sums),
 ]
 
 

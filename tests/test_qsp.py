@@ -185,8 +185,9 @@ def test_serre_defect_aiii_middle_node():
     # neighbours are split, single-bond case
     pair = validate_admissible(A3, set(), {1: 3, 2: 2, 3: 1})
     params = QSPParameters(pair, {1: ONE, 2: Q, 3: ONE})
-    assert is_zero(serre_defect(params, 2, 1, source="closed"))
-    assert is_zero(serre_defect(params, 2, 1, source="oracle"))
+    B2, B1 = b_generator(params, 2), b_generator(params, 1)
+    assert is_zero(serre_polynomial(A3, 2, 1, B2, B1) - c_closed(params, 2, 1))
+    assert is_zero(serre_defect(params, 2, 1))
 
 
 def test_serre_defect_oracle_everywhere_on_aiv():

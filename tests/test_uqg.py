@@ -1,18 +1,19 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import reduce
 from operator import add, mul
 
 import pytest
 
 from qcoideal.braid import apply_braid, braid_T
 from qcoideal.cartan import CartanDatum, cartan_datum
-from qcoideal.scalars import I_UNIT, ONE, Scalar, qbinom_eps, qint
+from qcoideal.grammar import element_from_json, parse_element
+from qcoideal.scalars import I_UNIT, ONE, Scalar, qbinom_eps, qfact, qint
 from qcoideal.uqg import (
     Element,
     Tensor,
     ZeroTestGuardError,
-    _add_term,
     _commute,
     _deletions,
     _ef_inverse,
@@ -44,6 +45,18 @@ from qcoideal.uqg import (
 
 Q = Scalar.q_pow(1)
 A2 = cartan_datum("A", 2)
+
+
+def _ref_add(out, key, c):
+    """out[key] += c by one Scalar addition, dropping the key when the sum
+    is zero: the references' own adder, which shares no summation code with
+    the engine."""
+    prev = out.get(key)
+    s = c if prev is None else prev + c
+    if s:
+        out[key] = s
+    elif prev is not None:
+        del out[key]
 
 
 def _qdiff(datum, i):
@@ -414,7 +427,7 @@ def _ref_reduce_bucket(datum, terms, ewt, fwt, path=(), good=None):
     if not any(ewt) and not any(fwt):
         rest = {}
         for (prefix, _e, _f), c in terms.items():
-            _add_term(rest, prefix, c)
+            _ref_add(rest, prefix, c)
         if () in rest:
             return False
         return _ref_zero_walk(datum, {(p[:-1], p[-1]): c for p, c in rest.items()})
@@ -432,7 +445,7 @@ def _ref_reduce_bucket(datum, terms, ewt, fwt, path=(), good=None):
         img = {}
         for (prefix, e, f), c in terms.items():
             for x, nw in _deletions(datum, (e, f)[side], i):
-                _add_term(img, (prefix, nw, f) if side == 0 else (prefix, e, nw), c.shifted(x))
+                _ref_add(img, (prefix, nw, f) if side == 0 else (prefix, e, nw), c.shifted(x))
         nwt = tuple(c - (1 if t == p else 0) for t, c in enumerate(wt))
         if not any(nwt):
             npath = ()
@@ -748,7 +761,7 @@ def _ref_tensor_of_elements(elems, coeff):
 
     def rec(t, keys, c):
         if t == len(elems):
-            _add_term(out, keys, c)
+            _ref_add(out, keys, c)
             return
         for key, cc in elems[t].terms.items():
             rec(t + 1, keys + (key,), c * cc)
@@ -786,7 +799,7 @@ def _ref_coproduct_slot(t, slot):
     for keys, c in t.terms.items():
         inner = coproduct(Element(datum, {keys[slot]: c}))
         for (k1, k2), cc in inner.terms.items():
-            _add_term(out, keys[:slot] + (k1, k2) + keys[slot + 1:], cc)
+            _ref_add(out, keys[:slot] + (k1, k2) + keys[slot + 1:], cc)
     return Tensor(datum, t.arity + 1, out)
 
 
@@ -795,7 +808,7 @@ def _ref_counit_slot(t, slot):
     for keys, c in t.terms.items():
         e, _k, f = keys[slot]
         if not e and not f:
-            _add_term(out, keys[:slot] + keys[slot + 1:], c)
+            _ref_add(out, keys[:slot] + keys[slot + 1:], c)
     return Tensor(t.datum, t.arity - 1, out)
 
 
@@ -842,6 +855,64 @@ def test_scalar_times_element_scales_it():
     assert q * Element.E(A2, 1) == Element.E(A2, 1).scale(q)
 
 
+# The one accumulator of linear combinations, `_gather` and `_settle`.
+
+def _accumulate(addends, key="x"):
+    out = {}
+    for c in addends:
+        _gather(out, key, c)
+    return _settle(out)
+
+
+def test_a_zero_addend_opens_no_key():
+    """A zero coefficient, parsed or read from JSON, gives no term."""
+    assert not parse_element(A2, "E[1] * (0)").terms
+    assert not element_from_json(A2, {"terms": [{"E": [1], "coeff": "0"}]}).terms
+    assert parse_element(A2, "E[1] * (0) + E[2] * (q)").terms == {((2,), (0, 0), ()): Q}
+
+
+def test_a_difference_with_itself_has_no_terms():
+    """x - x is empty for x = F_1 E_1, whose normal form E_1 F_1 - (K_1 -
+    K_1^{-1}) / (q - q^{-1}) has torus terms over q - q^{-1}: their sums
+    are deferred and vanish when settled."""
+    x = Element.F(A2, 1) * Element.E(A2, 1)
+    assert any(len(c.den) > 1 for c in x.terms.values())
+    assert not (x - x).terms
+    assert not (x + (-x)).terms
+
+
+def test_a_key_met_again_after_it_cancels_keeps_the_later_addend():
+    """A key that cancels over 1 is dropped, and the addend that meets it
+    next opens it again, after the keys met in between."""
+    out = {}
+    for key, c in [("a", ONE), ("b", Q), ("a", -ONE), ("a", Q ** 2)]:
+        _gather(out, key, c)
+    assert list(_settle(out).items()) == [("b", Q), ("a", Q ** 2)]
+    x = parse_element(A2, "E[1] * (1) + E[2] * (1) + E[1] * (-1) + E[1] * (q^2)")
+    assert list(x.terms.items()) == [(((2,), (0, 0), ()), ONE), (((1,), (0, 0), ()), Q ** 2)]
+
+
+def test_sums_of_several_addends_are_the_left_fold():
+    """Three or four addends over products of Phi_k, over 1 and over the
+    cofactor v^2 + 3 sum, in every order, to the left fold of +, and a key
+    whose addends cancel is dropped."""
+    e = (Q - Q ** -1).inverse()
+    r = (Scalar.v_pow(2) + Scalar.from_int(3)).inverse()
+    groups = [
+        [Q * e, -(Q ** -1 * e), qint(3).inverse()],
+        [qint(2).inverse(), qfact(3).inverse(), -qint(2).inverse(), qint(3).inverse()],
+        [e, ONE, Q ** 2, qfact(4).inverse()],
+        [r, qint(2).inverse(), -r, Q],
+        [r, e, -r, -e],
+        [ONE, r.shifted(2), -ONE, qint(2).inverse()],
+    ]
+    for addends in groups:
+        for order in itertools.permutations(addends):
+            total = reduce(add, order)
+            assert _accumulate(order) == ({"x": total} if total else {})
+    assert _accumulate(groups[4]) == {}
+
+
 # The product by letter passes, which the commutation table replaced, kept
 # as the reference for the table product.
 
@@ -857,12 +928,12 @@ def _letter_pass_mul(a, b):
             nxt = {}
             for key, c in cur.items():
                 for nkey, pc in _mono_times_E(datum, key, i, c):
-                    _gather(nxt, nkey, pc)
-            cur = _settle(nxt)
+                    _ref_add(nxt, nkey, pc)
+            cur = nxt
         for (e, k, f), c in cur.items():
             x = 2 * datum.bilinear(k2, word_weight(datum, f))
-            _gather(out, (e, tuple(map(add, k, k2)), f + f2), c.shifted(x))
-    return _settle(out)
+            _ref_add(out, (e, tuple(map(add, k, k2)), f + f2), c.shifted(x))
+    return out
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "affine:A1"])
@@ -1007,12 +1078,12 @@ def _per_row_mul(self, other):
             k12 = tuple(map(add, k1, k2))
             if not f1 or not e2:
                 x = _ref_vexp(datum, k1, e2) + _ref_vexp(datum, k2, f1)
-                _gather(out, (e1 + e2, k12, f1 + f2), c.shifted(x))
+                _ref_add(out, (e1 + e2, k12, f1 + f2), c.shifted(x))
                 continue
             for e, k, f, cc in _row_coefficients(_commute(datum, f1, e2)):
                 x = _ref_vexp(datum, k1, e) + _ref_vexp(datum, k2, f)
-                _gather(out, (e1 + e, tuple(map(add, k12, k)), f + f2), (c * cc).shifted(x))
-    return Element(datum, _settle(out))
+                _ref_add(out, (e1 + e, tuple(map(add, k12, k)), f + f2), (c * cc).shifted(x))
+    return Element(datum, out)
 
 
 def _ref_letter_pass(datum, f, e):
@@ -1023,8 +1094,8 @@ def _ref_letter_pass(datum, f, e):
         nxt = {}
         for key, c in cur.items():
             for nkey, pc in _ref_mono_times_E(datum, key, i, c):
-                _gather(nxt, nkey, pc)
-        cur = _settle(nxt)
+                _ref_add(nxt, nkey, pc)
+        cur = nxt
     return cur
 
 
@@ -1077,7 +1148,7 @@ def test_one_product_per_distinct_base(monkeypatch):
     holds another Scalar equal to ONE, and a product with ONE returns the
     other operand itself."""
     datum = CartanDatum(((2,),))
-    one = Scalar.from_int(1)  # the pool may hold a copy of ONE, as braid images leave it
+    one = Scalar.from_int(1)  # a copy of ONE planted in the pool must not replace ONE
     datum.caches["pool"][one] = one
     x, y = Element.F(datum, 1).scale(Q - Q ** -1), Element.E(datum, 1)
     products = []
@@ -1114,7 +1185,7 @@ def _ref_skew_r(i, a):
     for (e, k, f), c in a.terms.items():
         for p, letter in enumerate(e):
             if letter == i:
-                _add_term(out, (e[:p] + e[p + 1:], k, f), c.shifted(_ref_vexp(datum, alpha, e[p + 1:])))
+                _ref_add(out, (e[:p] + e[p + 1:], k, f), c.shifted(_ref_vexp(datum, alpha, e[p + 1:])))
     return Element(datum, out)
 
 
@@ -1126,7 +1197,7 @@ def _ref_skew_ir(i, a):
         x = -2 * datum.bilinear(alpha, k)
         for p in range(len(e) - 1, -1, -1):
             if e[p] == i:
-                _add_term(out, (e[:p] + e[p + 1:], k, f), c.shifted(x + _ref_vexp(datum, alpha, e[:p])))
+                _ref_add(out, (e[:p] + e[p + 1:], k, f), c.shifted(x + _ref_vexp(datum, alpha, e[:p])))
     return Element(datum, out)
 
 

@@ -15,7 +15,12 @@ Normalisation.  The denominators the engine meets, from 1/[n]_{q_i}!,
 polynomials Phi_k(v), and such a denominator is kept with its exponent
 vector {k: m_k}: `den` is a `_Den`, the dict of prod Phi_k^m_k carrying
 the vector, one object per vector.  A numerator is reduced by trial
-division, in integers, by the Phi_k of a vector.  A denominator from
+division, in integers, by the Phi_k of a vector (`_strip`).  Where every
+Phi_k of the vector is Phi_1, Phi_2 or Phi_4, the numerator's dict is
+first evaluated at the roots 1, -1 and i, as sums of its coefficients by
+exponent mod 2 or 4, and most such numerators are ruled out there.  What
+remains is divided once per process: `_STRIPS` keeps the outcome of each
+(vector, numerator) pair under a flat key of ints.  A denominator from
 outside (`Scalar(num, den)`, `inverse`) is factored once, as
 lead * prod Phi_k^m_k * cofactor, by exact trial division by every Phi_k
 of degree at most its own, and cached under a key of Python ints.  Euclid
@@ -42,6 +47,7 @@ never normalise.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -237,6 +243,7 @@ def _poly_exact_div(p, g):
 _CYCLOTOMIC = {}  # k -> dense integer coefficients of Phi_k(v)
 _FACTORS = {}     # denominator key -> (exponent vector, monic cofactor)
 _PRODUCTS = {}    # ((k, n), ...) -> prod Phi_k^n as its interned _Den
+_STRIPS = {}      # (vector, numerator) key -> `_trial_division` of the pair
 
 
 class _Den(dict):
@@ -320,14 +327,44 @@ def _divide_out(re, im, k, limit):
     return re, im, j
 
 
-def _strip(p, vec):
-    """(q, left, split): q = p / prod Phi_k^(vec[k] - left[k]), dividing p
-    by each Phi_k of the exponent vector `vec` as often as it divides, at
-    most vec[k] times; q is p and left is vec when nothing divides.  split
-    says that q is Gaussian and left keeps a Phi_k with 4 | k: over Q(i)
-    such a Phi_k is the product of two halves, and q may share one."""
-    if len(p) == 1 or not vec:
-        return p, vec, False  # a monomial shares no factor with Phi_k
+def _int_key(p, key=()):
+    """The ints `key` followed by five per term of the polynomial p, in
+    exponent order: (exponent, re numerator, re denominator, im numerator,
+    im denominator).  A flat tuple of ints builds, hashes and compares
+    faster, and holds less, than a frozenset of the items."""
+    key = list(key)
+    for e in sorted(p):
+        c = p[e]
+        key += (e, c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator)
+    return tuple(key)
+
+
+def _vanishes(s, k):
+    """For k = 1, 2 or 4: does a real polynomial whose coefficients sum to
+    s[r] over the exponents r mod 4 vanish at 1, -1 or i?"""
+    s0, s1, s2, s3 = s
+    if k == 1:
+        return s0 + s1 + s2 + s3 == 0
+    if k == 2:
+        return s0 + s2 == s1 + s3
+    return s0 == s2 and s1 == s3
+
+
+def _root_misses(p, ks):
+    """For ks among 1, 2 and 4: does no Phi_k of ks divide the polynomial
+    dict p?  Each is ruled out, as by `_misses`, when the real or the
+    imaginary parts of p's coefficients do not vanish at its root; v^e is
+    read at the root by e mod 4, negative e included."""
+    re, im = [0] * 4, [0] * 4
+    for e, c in p.items():
+        re[e & 3] += c.re
+        im[e & 3] += c.im
+    return not any(_vanishes(re, k) and _vanishes(im, k) for k in ks)
+
+
+def _trial_division(p, vec):
+    """(q, left, split) of `_strip` by trial division in integers, or
+    (None, None, split) when nothing divides."""
     s = min(p)
     L, re, im = _int_poly(p, s)
     left = {}
@@ -336,8 +373,30 @@ def _strip(p, vec):
         left[k] = m - j
     split = any(re) and any(im) and any(n for k, n in left.items() if k % 4 == 0)
     if left == vec:
-        return p, vec, split
+        return None, None, split
     return _from_ints(re, im, s, L), left, split
+
+
+def _strip(p, vec):
+    """(q, left, split): q = p / prod Phi_k^(vec[k] - left[k]), dividing p
+    by each Phi_k of the exponent vector `vec` as often as it divides, at
+    most vec[k] times; q is p and left is vec when nothing divides.  split
+    says that q is Gaussian and left keeps a Phi_k with 4 | k: over Q(i)
+    such a Phi_k is the product of two halves, and q may share one.
+
+    A vector of Phi_1, Phi_2 and Phi_4 alone is first tested at their roots
+    on p's dict (`_root_misses`).  Any other pair is divided once per
+    process and kept in `_STRIPS`; its q and left are shared by every
+    caller, and none mutates them."""
+    if len(p) == 1 or not vec:
+        return p, vec, False  # a monomial shares no factor with Phi_k
+    if vec.keys() <= {1, 2, 4} and _root_misses(p, vec):
+        return p, vec, bool(vec.get(4)) and any(c.re for c in p.values()) and any(c.im for c in p.values())
+    key = _int_key(p, [*itertools.chain.from_iterable(vec.items()), 0])  # k >= 1: 0 ends the vector
+    entry = _STRIPS.get(key)
+    if entry is None:
+        entry = _STRIPS[key] = _trial_division(p, vec)
+    return entry if entry[0] is not None else (p, vec, entry[2])
 
 
 def _cyclotomic(k):
@@ -427,15 +486,10 @@ def _phi_product(exponents):
 
 
 def _factored(b):
-    """b's factorisation by `_factor`, cached in `_FACTORS` under a flat
-    tuple of ints, five per term: (exponent, re numerator, re denominator,
-    im numerator, im denominator).  Products and sums never call it: only
-    `Scalar(num, den)`, `inverse` and the Euclid fallback factor."""
-    key = []
-    for e in sorted(b):
-        c = b[e]
-        key += (e, c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator)
-    key = tuple(key)
+    """b's factorisation by `_factor`, cached in `_FACTORS` under b's
+    `_int_key`.  Products and sums never call it: only `Scalar(num, den)`,
+    `inverse` and the Euclid fallback factor."""
+    key = _int_key(b)
     entry = _FACTORS.get(key)
     if entry is None:
         entry = _FACTORS[key] = _factor(b)

@@ -547,6 +547,8 @@ def _splits(datum, word, sign, lo, hi):
     P the sum of v^x over the splits onto that pair, where each staying
     letter u adds sign * 2 (alpha_u, wt of the letters moved before it) to
     x.  A letter branches only where the bounds let it both stay and move.
+    Every P is a sum of powers of v over 1, which `_gather` adds as they
+    meet and never defers, so the states need no `_settle`.
     """
     left = list(word_weight(datum, word))
     if lo is not None and (min(hi) < 0 or any(map(lt, left, lo))):
@@ -566,7 +568,7 @@ def _splits(datum, word, sign, lo, hi):
                 _gather(nxt, (stay + (u,), moved, wt), s.shifted(x))
             if lo is None or wt[p] < hi[p]:
                 _gather(nxt, (stay, moved + (u,), wt[:p] + (wt[p] + 1,) + wt[p + 1:]), s)
-        states = _settle(nxt)
+        states = nxt
     return states
 
 

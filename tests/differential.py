@@ -16,6 +16,9 @@ same checks either way:
 - pairwise: every linear combination is summed pairwise by `_ref_add` of
   test_uqg.py, with `_settle` the identity, in every module that imports
   them
+- strip: numerators are cancelled against exponent vectors by plain trial
+  division over Q(i) (`_ref_strip` of test_scalars.py), with no root test
+  on the coefficient dict and no memo
 
 Given SHIPPED, the OUT of a shipped run, the script exits with an error
 naming the mode and the first suite whose checks differ from it.  Run each
@@ -31,7 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 
 def _rebind(mode):
-    from qcoideal import barcheck, braid, suites, uqg
+    from qcoideal import barcheck, braid, scalars, suites, uqg
 
     if mode == "walk":
         suites.equals = barcheck.equals = lambda a, b: uqg.is_zero(a - b)
@@ -46,6 +49,9 @@ def _rebind(mode):
         from test_uqg import _ref_add
         for module in (uqg, braid, suites):
             module._gather, module._settle = _ref_add, lambda out: out
+    elif mode == "strip":
+        from test_scalars import _ref_strip
+        scalars._strip = _ref_strip
     elif mode != "shipped":
         sys.exit(f"unknown mode {mode!r}")
 

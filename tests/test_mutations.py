@@ -12,8 +12,9 @@ reduction of a sum whose addends share a denominator, the sign of the
 q-power that each side of a coproduct split carries, the q-power that the
 torus part gives a left skew derivation, the integer polynomials that
 the zero walk reads its coefficients as (their imaginary parts, and the
-one scale that clears every denominator), and the dropping of a key whose
-deferred sum vanishes.  The unpatched engine passes
+one scale that clears every denominator), the dropping of a key whose
+deferred sum vanishes, and the key of the memo of trial divisions.  The
+unpatched engine passes
 every check, and each mutant fails the check named for it.  Each check
 builds a fresh datum and fresh scalars, so no cache filled by the
 unpatched engine hides a mutant.
@@ -171,6 +172,17 @@ def check_x_minus_x():
     return not (x - x).terms
 
 
+def check_strip_memo():
+    """(v^4 - 1) / (v^4 - 1) = 1, and then (v^4 - 1) / (v^4 + 1) keeps its
+    numerator: v^4 + 1 = Phi_8 shares no factor with v^4 - 1 = Phi_1 Phi_2
+    Phi_4, though the same numerator was divided before."""
+    v4 = Scalar.v_pow(4)
+    if (v4 - ONE) * (v4 - ONE).inverse() != ONE:
+        return False
+    s = (v4 - ONE) * (v4 + ONE).inverse()
+    return s.num == (v4 - ONE).num and s.den == (v4 + ONE).num
+
+
 CHECKS = {
     "ef-commutator": check_ef_commutator,
     "k-past-f": check_k_past_f,
@@ -186,6 +198,7 @@ CHECKS = {
     "gaussian-coefficient": check_gaussian_coefficient,
     "common-scale": check_common_scale,
     "x-minus-x": check_x_minus_x,
+    "strip-memo": check_strip_memo,
 }
 
 
@@ -385,6 +398,14 @@ def keep_vanishing_sums(monkeypatch):
     monkeypatch.setattr(uqg, "_settle", mutant)
 
 
+def strip_memo_without_vector(monkeypatch):
+    """Key the memo of trial divisions on the numerator alone, so the
+    division of a numerator by one exponent vector answers for another."""
+    original = scalars._int_key
+    monkeypatch.setattr(scalars, "_STRIPS", {})
+    monkeypatch.setattr(scalars, "_int_key", lambda p, key=(): original(p))
+
+
 MUTANTS = [
     ("ef-commutator", negate_ef_inverse),
     ("k-past-f", shift_k_past_f),
@@ -401,6 +422,7 @@ MUTANTS = [
     ("gaussian-coefficient", drop_imaginary_parts),
     ("common-scale", clear_each_by_its_own),
     ("x-minus-x", keep_vanishing_sums),
+    ("strip-memo", strip_memo_without_vector),
 ]
 
 

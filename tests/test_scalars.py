@@ -173,11 +173,11 @@ def test_normaliser_pinned_cases(build, text):
 
 
 def _fresh_caches(monkeypatch):
-    """Empty the factorisations of outside denominators and the table of
-    denominators by exponent vector, so nothing found before hides a
-    factor; denominators built afterwards are new objects, equal to the
-    old ones but not identical."""
-    for name in ("_FACTORS", "_PRODUCTS"):
+    """Empty the factorisations of outside denominators, the table of
+    denominators by exponent vector and the memo of trial divisions, so
+    nothing found or divided before hides a factor; denominators built
+    afterwards are new objects, equal to the old ones but not identical."""
+    for name in ("_FACTORS", "_PRODUCTS", "_STRIPS"):
         monkeypatch.setattr(scalars, name, {})
 
 
@@ -439,6 +439,162 @@ def test_root_tests_agree_with_trial_division():
 
 def _phi(k):
     return Scalar({e: scalars.GaussianRational(c) for e, c in enumerate(scalars._cyclotomic(k)) if c})
+
+
+def _ref_strip(p, vec):
+    """`scalars._strip` by plain trial division over Q(i), with no root
+    test, no integer form and no memo: q is p and left is vec when nothing
+    divides."""
+    if len(p) == 1 or not vec:
+        return p, vec, False
+    s = min(p)
+    q = scalars._to_dense({e - s: c for e, c in p.items()})
+    left = {}
+    for k, m in vec.items():
+        phi = [scalars.GaussianRational(c) for c in scalars._cyclotomic(k)]
+        j = 0
+        while j < m:
+            quotient, remainder = scalars._dense_divmod(q, phi)
+            if remainder:
+                break
+            q, j = quotient, j + 1
+        left[k] = m - j
+    split = any(c.re for c in q) and any(c.im for c in q) and any(n for k, n in left.items() if k % 4 == 0)
+    if left == vec:
+        return p, vec, split
+    return {e + s: c for e, c in enumerate(q) if c}, left, split
+
+
+def _random_laurent(rng):
+    """A random Laurent polynomial of 1-4 terms with exponents down to -5
+    and int, Fraction or Gaussian coefficients."""
+    G = scalars.GaussianRational
+    kinds = (
+        lambda: G(rng.choice((-3, -2, -1, 1, 2, 5))),
+        lambda: G(Fraction(rng.choice((-3, -1, 1, 5)), rng.choice((2, 3, 4)))),
+        lambda: G(rng.randint(-2, 2), rng.choice((-2, -1, 1, 3))),
+        lambda: G(Fraction(rng.randint(-2, 2), 3), Fraction(rng.choice((-1, 1)), 2)),
+    )
+    return {e: rng.choice(kinds)() for e in rng.sample(range(-5, 6), rng.randint(1, 4))}
+
+
+def _strip_case(rng):
+    """(p, vec): p a random Laurent polynomial times a random product of
+    Phi_k, vec a random exponent vector over the same orders, each
+    multiplicity at most 3; one vector in three has Phi_1, Phi_2 and
+    Phi_4 alone."""
+    orders = (1, 2, 4) if rng.random() < 1 / 3 else (1, 2, 3, 4, 6, 8, 12)
+    p = _random_laurent(rng)
+    for k in rng.sample(orders, rng.randint(0, 3)):
+        for _ in range(rng.randint(1, 3)):
+            p = scalars._pmul(p, _phi(k).num)
+    vec = {k: rng.randint(1, 3) for k in rng.sample(orders, rng.randint(1, 3))}
+    return p, vec
+
+
+def test_memoised_strip_is_the_reference_trial_division(monkeypatch):
+    """`_strip` gives what plain trial division over Q(i) gives, called
+    cold and again warm on equal but distinct arguments, and returns the
+    caller's own p and vec when nothing divides."""
+    _fresh_caches(monkeypatch)
+    rng = random.Random(25)
+    divided = kept = kept_at_roots = 0
+    for _ in range(400):
+        p, vec = _strip_case(rng)
+        want = _ref_strip(p, vec)
+        for q, v in ((p, vec), (dict(p), dict(vec))):
+            got = scalars._strip(q, v)
+            assert got == want, (p, vec)
+            if want[0] is p:
+                assert got[0] is q and got[1] is v
+        divided += want[0] is not p
+        kept += want[0] is p and len(p) > 1
+        kept_at_roots += want[0] is p and len(p) > 1 and vec.keys() <= {1, 2, 4}
+    assert divided > 100 and kept > 100 and kept_at_roots > 50
+    assert scalars._STRIPS
+
+
+def test_dict_root_tests_agree_with_misses():
+    """The root tests on a polynomial dict rule out Phi_1, Phi_2 or Phi_4
+    exactly when `_misses` does on its dense integer form, negative
+    exponents and Gaussian and Fraction coefficients included."""
+    rng = random.Random(41)
+    for _ in range(400):
+        p = _random_laurent(rng)
+        for k in rng.sample((1, 2, 4), rng.randint(0, 3)):
+            p = scalars._pmul(p, _phi(k).num)
+        _, re, im = scalars._int_poly(p, min(p))
+        for k in (1, 2, 4):
+            assert scalars._root_misses(p, (k,)) == (scalars._misses(re, k) or scalars._misses(im, k)), (p, k)
+
+
+def test_repeated_strip_runs_no_division(monkeypatch):
+    """A (numerator, vector) pair is divided once: the second call, on
+    equal but distinct arguments, runs no `_divide_out`."""
+    _fresh_caches(monkeypatch)
+    calls = []
+    original = scalars._divide_out
+
+    def counting(re, im, k, limit):
+        calls.append(k)
+        return original(re, im, k, limit)
+
+    monkeypatch.setattr(scalars, "_divide_out", counting)
+    p3, p8 = _phi(3).num, _phi(8).num
+    cases = [
+        (scalars._pmul(p3, {-2: scalars.GQ_ONE, 1: scalars.GQ_I}), {3: 2, 8: 1}),  # Phi_3 divides
+        (scalars._pmul(p8, p8), {1: 1, 8: 3}),  # Phi_8^2 divides
+        (p3, {8: 1}),  # nothing divides
+        (_phi(1).num, {1: 1, 2: 1}),  # past the root tests
+    ]
+    for p, vec in cases:
+        first = scalars._strip(p, vec)
+        assert calls
+        calls.clear()
+        assert scalars._strip(dict(p), dict(vec)) == first
+        assert calls == []
+
+
+def test_orders_is_the_brute_force_totient_search():
+    """`_orders(d)` lists every k with phi(k) <= d.  phi(k) >= sqrt(k / 2),
+    so k <= 2 d^2 bounds the search; phi comes from a sieve."""
+    n = 2 * 40 ** 2
+    phi = list(range(n + 1))
+    for p in range(2, n + 1):
+        if phi[p] == p:
+            for m in range(p, n + 1, p):
+                phi[m] -= phi[m] // p
+    for d in range(1, 41):
+        assert scalars._orders(d) == [k for k in range(1, n + 1) if phi[k] <= d], d
+
+
+def test_dense_divmod_quotient_length():
+    """Exact quotients have deg a - deg b + 1 entries, for deg a = deg b and
+    deg a = deg b + 3, and Euclid finds a cofactor v^2 + 3."""
+    G = scalars.GaussianRational
+
+    def dense(*cs):
+        return [G(c) for c in cs]
+
+    def times(x, y):
+        out = [G(0)] * (len(x) + len(y) - 1)
+        for i, c in enumerate(x):
+            for j, d in enumerate(y):
+                out[i + j] = out[i + j] + c * d
+        return out
+
+    b = dense(3, 0, 1)  # v^2 + 3
+    for q in (dense(2), dense(-1, Fraction(1, 2), 0, 4), [G(1, 1), G(0), G(0), G(0, -1)]):
+        a = times(q, b)
+        quotient, remainder = scalars._dense_divmod(a, b)
+        assert quotient == q and remainder == []
+        assert len(quotient) == len(a) - len(b) + 1
+    quotient, remainder = scalars._dense_divmod(dense(1, 0, 0, 0, 1), b)
+    assert len(quotient) == 3 and remainder == dense(10)
+    assert scalars._dense_divmod(dense(1, 1), b) == ([], dense(1, 1))
+    x = scalars._pmul({0: G(3), 2: G(1)}, {0: G(-1), 1: G(1)})
+    y = scalars._pmul({0: G(3), 2: G(1)}, {0: G(2), 3: G(1)})
+    assert scalars._poly_gcd(x, y) == {0: G(3), 2: G(1)}
 
 
 def _differential_cases():

@@ -22,6 +22,7 @@ from .uqg import (
     _ef_inverse,
     coproduct_graded,
     is_zero,
+    q_commutator,
     serre_polynomial,
     skew_ir,
     skew_r,
@@ -301,7 +302,7 @@ def c_closed(params: QSPParameters, i, j) -> Element:
             return (zi * Bj).scale(_qi(datum, i))
         if aij == -2:
             two = qint(2, eps)
-            return (zi * (Bi * Bj - Bj * Bi)).scale(two * two * _qi(datum, i))
+            return (zi * q_commutator(Bi, Bj, 0)).scale(two * two * _qi(datum, i))
         # aij == -3; the signs of the two Z-linear coefficients are pinned by
         # the projection oracle (see tests), not taken on trust
         three = qint(3, eps)
@@ -326,7 +327,7 @@ def c_closed(params: QSPParameters, i, j) -> Element:
         return out
     if aij == -2:
         two = qint(2, eps)
-        out = ((Bi * Bj - Bj * Bi) * zi).scale(_qi(datum, i) * two * two)
+        out = (q_commutator(Bi, Bj, 0) * zi).scale(_qi(datum, i) * two * two)
         jinv = _ef_inverse(datum, j)
         out = out + (Bi * rz).scale(-(_qi(datum, i) ** 4) * two * jinv).scale(params.c[i])
         out = out + (Bi * irz).scale(Scalar.v_pow(4 * epj) * (_qi(datum, i, -1) ** 6) * two * jinv).scale(params.c[i])
@@ -353,7 +354,7 @@ def c_closed_torus(params: QSPParameters, i, j) -> Element:
     if aij == 0:
         return Element.zero(datum)
     if aij == -1:
-        out = ((Bj * zi).scale(qi ** 2) - zi * Bj).scale(_ef_inverse(datum, i))
+        out = q_commutator(zi, Bj, 4 * eps).scale(-_ef_inverse(datum, i))
         out = out + wij.scale((qi + _qi(datum, i, -1)) * _ef_inverse(datum, j))
         return out
     if aij == -2:

@@ -71,8 +71,14 @@ and a power of v, so a row stores its coefficient as (-1)^n v^s times one
 of the entry's distinct bases; a pair of terms with coefficient product c
 forms c times each base once, so that Henrici's cross-cancellation runs
 once per base and not once per row, negates each such product at most
-once, and reaches each row by one shift.
+once, and reaches each row by one shift.  `_straighten` is this step for
+one pair of terms; products and q-commutators share it.
 
+A q-commutator x y - v^s y x is one pass over the pairs of terms: each
+pair forms its coefficient product c once and straightens both orders
+into one sum, x y with c and y x with -c and v^s added to every row's
+shift, where two products would form c twice and then scale and negate
+every term of y x.
 Normal-ordered monomials are a basis of the algebra without Serre
 relations that straightening works in, so two expressions of one element
 of that algebra straighten to the same terms.  The Serre polynomial
@@ -80,8 +86,8 @@ F_ij(x, y) = sum_n (-1)^n [m choose n]_{q_i} x^{m-n} y x^n, m = 1 - a_ij,
 is therefore built as the iterated q-commutator (ad_q x)^m (y): left and
 right multiplication by x commute, and by the q-binomial theorem
 prod_{k<m} (L_x - q_i^{m-1-2k} R_x) is the binomial sum (Jantzen,
-*Lectures on Quantum Groups*, 1996, ch. 4), with 2m products instead of
-3m + 2.
+*Lectures on Quantum Groups*, 1996, ch. 4), with m one-pass
+q-commutators.
 Memo tables (word weights, the commutation table, 1/(q_i - q_i^{-1}) and
 the good words) live in the datum's declared `caches` under "weight",
 "commute", "efinv" and "good"; the commutation table draws one object per
@@ -284,6 +290,32 @@ def _commute(datum, f, e):
     return out
 
 
+def _operands(datum, x):
+    """[((e, k, f, shift row of k), coefficient)] of an element's terms, the
+    monomials as `_straighten` reads them."""
+    return [((e, k, f, _shift_row(datum, k)), c) for (e, k, f), c in x.terms.items()]
+
+
+def _straighten(datum, out, a, b, c, s=0):
+    """Gather v^s c times the product of the monomials a = (e1, k1, f1, r1)
+    and b = (e2, k2, f2, r2) of `_operands` into out.  Each term E_e K_k
+    F_f of the table expansion of F_{f1} E_{e2} gives E_{e1 e} K_{k1 + k +
+    k2} F_{f f2} with the extra shift 2 (k1, wt e) + 2 (k2, wt f); when f1
+    or e2 is empty, F_{f1} E_{e2} = E_{e2} F_{f1} needs no table."""
+    e1, k1, f1, r1 = a
+    e2, k2, f2, r2 = b
+    k12 = tuple(map(add, k1, k2))
+    if not f1 or not e2:
+        _gather(out, (e1 + e2, k12, f1 + f2), c.shifted(_pass_shift(datum, r1, e2, r2, f1) + s))
+        return
+    bases, negs, rows = _commute(datum, f1, e2)
+    prods = [c * base for base in bases]
+    prods += [-prods[n] for n in negs]
+    for e, k, f, j, t in rows:
+        x = _pass_shift(datum, r1, e, r2, f)
+        _gather(out, (e1 + e, tuple(map(add, k12, k)), f + f2), prods[j].shifted(x + s + t))
+
+
 class _Linear:
     """The linear structure of Element and Tensor: a Scalar-linear
     combination {key: coefficient} over one CartanDatum.  `_args` are the
@@ -401,31 +433,18 @@ class Element(_Linear):
 
     def __mul__(self, other):
         """(E_{e1} K_{k1} F_{f1})(E_{e2} K_{k2} F_{f2}) = E_{e1} K_{k1}
-        (F_{f1} E_{e2}) K_{k2} F_{f2}: each term E_e K_k F_f of the table
-        expansion of F_{f1} E_{e2} gives E_{e1 e} K_{k1 + k + k2} F_{f f2},
-        v^{2 (k1, wt e) + 2 (k2, wt f)} times the coefficients' product."""
+        (F_{f1} E_{e2}) K_{k2} F_{f2}, straightened by `_straighten` for
+        each pair of terms with the product of their coefficients."""
         if other.__class__ is not Element:
             return self.__rmul__(other)  # a Scalar or an int
         if self.datum is not other.datum:
             raise ValueError("elements of different Cartan data do not combine")
         datum = self.datum
         out = {}
-        left = [(e1, k1, f1, c1, _shift_row(datum, k1)) for (e1, k1, f1), c1 in self.terms.items()]
-        for (e2, k2, f2), c2 in other.terms.items():
-            r2 = _shift_row(datum, k2)
-            for e1, k1, f1, c1, r1 in left:
-                c = c1 * c2
-                k12 = tuple(map(add, k1, k2))
-                if not f1 or not e2:  # F_{f1} E_{e2} = E_{e2} F_{f1}
-                    x = _pass_shift(datum, r1, e2, r2, f1)
-                    _gather(out, (e1 + e2, k12, f1 + f2), c.shifted(x))
-                    continue
-                bases, negs, rows = _commute(datum, f1, e2)
-                prods = [c * b for b in bases]
-                prods += [-prods[b] for b in negs]
-                for e, k, f, j, s in rows:
-                    x = _pass_shift(datum, r1, e, r2, f)
-                    _gather(out, (e1 + e, tuple(map(add, k12, k)), f + f2), prods[j].shifted(x + s))
+        left = _operands(datum, self)
+        for b, c2 in _operands(datum, other):
+            for a, c1 in left:
+                _straighten(datum, out, a, b, c1 * c2)
         return Element(datum, _settle(out))
 
     def __pow__(self, n):
@@ -447,6 +466,23 @@ class Element(_Linear):
     def __repr__(self):
         from .grammar import element_to_text
         return f"Element({element_to_text(self)!r})"
+
+
+def q_commutator(x: Element, y: Element, s) -> Element:
+    """x y - v^s y x for an integer v-exponent s, in one pass: each pair of
+    terms forms its coefficient product c once, straightens x y with c and
+    y x with -c and v^s added to every row's shift, into one sum."""
+    if x.datum is not y.datum:
+        raise ValueError("elements of different Cartan data do not combine")
+    datum = x.datum
+    out = {}
+    left = _operands(datum, x)
+    for b, c2 in _operands(datum, y):
+        for a, c1 in left:
+            c = c1 * c2
+            _straighten(datum, out, a, b, c)
+            _straighten(datum, out, b, a, -c, s)
+    return Element(datum, _settle(out))
 
 
 # ---------------------------------------------------------------------------
@@ -974,7 +1010,8 @@ def tensor_equals(s: Tensor, t: Tensor) -> bool:
 def serre_polynomial(datum, i, j, x: Element, y: Element) -> Element:
     """F_ij(x, y) = sum_n (-1)^n [m choose n]_{q_i} x^{m-n} y x^n, m = 1 - a_ij,
     built as the iterated q-commutator z <- x z - q_i^{m-1-2k} z x for
-    k = 0..m-1, starting from z = y.
+    k = 0..m-1, starting from z = y, each step one `q_commutator` with
+    the v-exponent 2 eps_i (m - 1 - 2k).
 
     Left and right multiplication by x commute, so by the q-binomial theorem
     prod_k (L_x - q_i^{m-1-2k} R_x) = sum_n (-1)^n [m choose n]_{q_i}
@@ -986,5 +1023,5 @@ def serre_polynomial(datum, i, j, x: Element, y: Element) -> Element:
     eps = datum.epsilon(i)
     z = y
     for k in range(m):
-        z = x * z - (z * x).scale(Scalar.v_pow(2 * eps * (m - 1 - 2 * k)))
+        z = q_commutator(x, z, 2 * eps * (m - 1 - 2 * k))
     return z

@@ -12,7 +12,11 @@ same checks either way:
   test_uqg.py), not on integer polynomials under one common scale
 - per-row: products multiply the full coefficient of every row of the
   commutation table (`_per_row_mul` of test_uqg.py), not one product per
-  distinct base
+  distinct base; q-commutators are rebound as in "commutator", so that
+  every Serre polynomial is built from these products
+- commutator: `q_commutator`, as uqg and qsp import it, is two products, a
+  scaling and a difference (`_ref_q_commutator` of test_uqg.py), not one
+  pass over the pairs of terms
 - pairwise: every linear combination is summed pairwise by `_ref_add` of
   test_uqg.py, with `_settle` the identity, in every module that imports
   them
@@ -34,8 +38,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 
 def _rebind(mode):
-    from qcoideal import barcheck, braid, scalars, suites, uqg
+    from qcoideal import barcheck, braid, qsp, scalars, suites, uqg
 
+    if mode in ("per-row", "commutator"):
+        from test_uqg import _ref_q_commutator
+        uqg.q_commutator = qsp.q_commutator = _ref_q_commutator
     if mode == "walk":
         suites.equals = barcheck.equals = lambda a, b: uqg.is_zero(a - b)
         suites.tensor_equals = lambda s, t: uqg.tensor_is_zero(s - t)
@@ -52,7 +59,7 @@ def _rebind(mode):
     elif mode == "strip":
         from test_scalars import _ref_strip
         scalars._strip = _ref_strip
-    elif mode != "shipped":
+    elif mode not in ("shipped", "commutator"):
         sys.exit(f"unknown mode {mode!r}")
 
 

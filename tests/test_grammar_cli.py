@@ -322,15 +322,18 @@ def test_cli_max_bucket_reaches_every_zero_test():
 
 
 def test_cli_guard_names_the_exact_dual_word_count():
-    """The guard message carries the multinomial count of the first bucket
-    that exceeds it, so a miscounted bucket shows in the number."""
+    """The guard message carries the multinomial count of the first bucket,
+    in term order, that exceeds it, so a miscounted bucket or a reordered
+    element shows in the number."""
     import subprocess
     import sys
 
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    for suite, count in (("bar-z", 2), ("qsp-structure", 3), ("sigma-tau", 6)):
+    cases = (("bar-z", 2), ("qsp-structure", 3), ("sigma-tau", 6),
+             ("serre-oracle-sweep", 3), ("cij-closed-vs-oracle", 2))
+    for suite, count in cases:
         proc = subprocess.run(
             [sys.executable, "-m", "qcoideal.cli", "--max-bucket", "1", "verify", "--suite", suite],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=120,

@@ -13,10 +13,14 @@ q-power that each side of a coproduct split carries, the q-power that the
 torus part gives a left skew derivation, the integer polynomials that
 the zero walk reads its coefficients as (their imaginary parts, and the
 one scale that clears every denominator), the dropping of a key whose
-deferred sum vanishes, and the key of the memo of trial divisions.  The
-unpatched engine passes
-every check, and each mutant fails the check named for it.  Each check
-builds a fresh datum and fresh scalars, so no cache filled by the
+deferred sum vanishes, the key of the memo of trial divisions, and the
+value of i^2 among the fourth roots of unity (check `fourth-root`).  Two
+mutants sit in the straightening kernel that one-pass q-commutators x y -
+v^s y x share with products: one drops v^s from the y x side and one
+adds that side instead of subtracting it; both fail `serre-g2`, whose
+q-commutators have the shifts v^{+-6} and v^{+-2}.  The unpatched engine
+passes every check, and each mutant fails the check named for it.  Each
+check builds a fresh datum and fresh scalars, so no cache filled by the
 unpatched engine hides a mutant.
 """
 
@@ -24,9 +28,9 @@ import sys
 
 import pytest
 
-from qcoideal import scalars, uqg
+from qcoideal import qsp, scalars, uqg
 from qcoideal.braid import BraidOperator, apply_braid
-from qcoideal.cartan import CartanDatum
+from qcoideal.cartan import CartanDatum, cartan_datum, validate_admissible
 from qcoideal.scalars import I_UNIT, ONE, Scalar, qfact, qint
 from qcoideal.uqg import (
     Element,
@@ -81,6 +85,14 @@ def check_quantum_serre():
     """E_1^2 E_2 - [2] E_1 E_2 E_1 + E_2 E_1^2 = 0."""
     d = _a2()
     return is_zero(serre_polynomial(d, 1, 2, Element.E(d, 1), Element.E(d, 2)))
+
+
+def check_serre_g2():
+    """The quantum Serre relations of G2 on E_1 and E_2, both ways round:
+    a_12 = -1 (q-commutators with v^{+-6}) and a_21 = -3 (v^{+-6}, v^{+-2})."""
+    d = CartanDatum(cartan_datum("G", 2).A)
+    E1, E2 = Element.E(d, 1), Element.E(d, 2)
+    return is_zero(serre_polynomial(d, 1, 2, E1, E2)) and is_zero(serre_polynomial(d, 2, 1, E2, E1))
 
 
 def check_q_commutator():
@@ -183,6 +195,15 @@ def check_strip_memo():
     return s.num == (v4 - ONE).num and s.den == (v4 + ONE).num
 
 
+def check_fourth_root():
+    """i^n = fourth_root_power(n) for n = -8..8, and s_1 = s_4 = -1 for A4,
+    X = {2, 3}, tau the flip, where alpha_j(2 rho_X^vee) = -2."""
+    if any(scalars.fourth_root_power(n) != I_UNIT ** n for n in range(-8, 9)):
+        return False
+    pair = validate_admissible(CartanDatum(cartan_datum("A", 4).A), {2, 3}, {1: 4, 2: 3, 3: 2, 4: 1})
+    return qsp.s_value(pair, 1) == qsp.s_value(pair, 4) == Scalar.from_int(-1)
+
+
 CHECKS = {
     "ef-commutator": check_ef_commutator,
     "k-past-f": check_k_past_f,
@@ -199,6 +220,8 @@ CHECKS = {
     "common-scale": check_common_scale,
     "x-minus-x": check_x_minus_x,
     "strip-memo": check_strip_memo,
+    "serre-g2": check_serre_g2,
+    "fourth-root": check_fourth_root,
 }
 
 
@@ -406,6 +429,39 @@ def strip_memo_without_vector(monkeypatch):
     monkeypatch.setattr(scalars, "_int_key", lambda p, key=(): original(p))
 
 
+def drop_commutator_shift(monkeypatch):
+    """Straighten every pair of terms without the extra shift, so the y x
+    side of x y - v^s y x loses v^s (products pass no shift)."""
+    original = uqg._straighten
+    monkeypatch.setattr(uqg, "_straighten", lambda datum, out, a, b, c, s=0: original(datum, out, a, b, c))
+
+
+def add_commutator_swap(monkeypatch):
+    """Straighten the y x side of x y - v^s y x with the coefficient
+    product c instead of -c: the pair (b, a) that `q_commutator`
+    straightens after (a, b)."""
+    original = uqg._straighten
+    code = uqg.q_commutator.__code__
+
+    def mutant(datum, out, a, b, c, s=0):
+        caller = sys._getframe(1)
+        if caller.f_code is code and a is caller.f_locals["b"]:
+            c = -c
+        return original(datum, out, a, b, c, s)
+
+    monkeypatch.setattr(uqg, "_straighten", mutant)
+
+
+def square_i_to_one(monkeypatch):
+    """Give the fourth roots of unity i^2 = +1: i^n reads (i, 1, -i, 1)."""
+
+    def mutant(n):
+        return (I_UNIT, ONE, -I_UNIT, ONE)[(n - 1) % 4]
+
+    monkeypatch.setattr(scalars, "fourth_root_power", mutant)
+    monkeypatch.setattr(qsp, "fourth_root_power", mutant)
+
+
 MUTANTS = [
     ("ef-commutator", negate_ef_inverse),
     ("k-past-f", shift_k_past_f),
@@ -423,6 +479,9 @@ MUTANTS = [
     ("common-scale", clear_each_by_its_own),
     ("x-minus-x", keep_vanishing_sums),
     ("strip-memo", strip_memo_without_vector),
+    ("serre-g2", drop_commutator_shift),
+    ("serre-g2", add_commutator_swap),
+    ("fourth-root", square_i_to_one),
 ]
 
 

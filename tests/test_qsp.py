@@ -9,7 +9,7 @@ import qcoideal.suites as suites
 import qcoideal.uqg as uqg
 
 from qcoideal.braid import apply_word, braid_T, apply_braid
-from qcoideal.cartan import CartanDatum, cartan_datum, validate_admissible
+from qcoideal.cartan import CartanDatum, cartan_datum, enumerate_admissible, validate_admissible
 from qcoideal.qsp import (
     MembershipError,
     NoClosedFormulaError,
@@ -47,6 +47,14 @@ def test_s_value_cases():
     # AIV n=3, node 1: tau(1)=3 > 1 and alpha_1(2 rho_X^vee) = -1
     assert s_value(AIV, 1) == -I_UNIT
     assert s_value(AIV, 3) == I_UNIT
+
+
+def test_s_value_at_even_pairings():
+    """A4, X = {2, 3}, tau the flip: alpha_j(2 rho_X^vee) = -2 at j = 1 and
+    j = 4, so s_1 = i^-2 and s_4 = i^2, both -1 whichever node takes the
+    sign."""
+    pair = validate_admissible(cartan_datum("A", 4), {2, 3}, {1: 4, 2: 3, 3: 2, 4: 1})
+    assert s_value(pair, 1) == s_value(pair, 4) == Scalar.from_int(-1)
 
 
 def test_theta_twist_values():
@@ -257,6 +265,35 @@ def test_oracle_defect_is_the_projection_cell():
             defect = serre_defect(params, i, j)
             assert defect == Y - c_oracle(params, i, j)
             assert serre_projection(params, i, j) == (Y, defect)
+
+
+def _two_product_serre(datum, i, j, x, y):
+    """The iterated q-commutator z <- x z - q_i^{m-1-2k} z x, each step as
+    two products, a scaling and a difference."""
+    m = 1 - datum.a(i, j)
+    eps = datum.epsilon(i)
+    z = y
+    for k in range(m):
+        z = x * z - (z * x).scale(Scalar.v_pow(2 * eps * (m - 1 - 2 * k)))
+    return z
+
+
+def test_serre_polynomial_matches_the_two_product_steps():
+    """F_ij(B_i, B_j) from one-pass q-commutators equals the two-product
+    steps as a dict, for the closed-formula cases and every ordered (i, j)
+    of the atlas pairs of A3, B3, C3 and G2 with their sweep parameters."""
+    pairs = [(suites._build_pair(*case[:4]), case[4:6]) for case in suites.CLOSED_CASES]
+    assert len(pairs) == 13
+    for kind, rank in (("A", 3), ("B", 3), ("C", 3), ("G", 2)):
+        for pair in enumerate_admissible(cartan_datum(kind, rank)):
+            labels = pair.datum.labels
+            pairs += [(pair, (i, j)) for i in labels for j in labels if i != j]
+    assert len(pairs) == 13 + 30 + 24 + 18 + 4
+    for pair, (i, j) in pairs:
+        params = suites._default_params(pair)
+        x, y = b_generator(params, i), b_generator(params, j)
+        got = serre_polynomial(pair.datum, i, j, x, y)
+        assert got.terms == _two_product_serre(pair.datum, i, j, x, y).terms
 
 
 def test_sweep_task_builds_the_serre_polynomial_once(monkeypatch):

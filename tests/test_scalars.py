@@ -12,6 +12,7 @@ from qcoideal.scalars import (
     ONE,
     ZERO,
     Scalar,
+    fourth_root_power,
     is_bar_fixed,
     qbinom,
     qbinom_eps,
@@ -130,6 +131,14 @@ def test_equality_matches_cross_multiplication():
         structural = (a / b) == (c / d)
         cross = (a * d) == (c * b)
         assert structural == cross
+
+
+def test_fourth_root_power_is_the_power_of_i():
+    """i^n for n = -8..8, against repeated products of i and its inverse;
+    the even n give i^2 = -1."""
+    for n in range(-8, 9):
+        assert fourth_root_power(n) == I_UNIT ** n
+    assert fourth_root_power(2) == Scalar.from_int(-1)
 
 
 def test_bar_fixes_gaussian_unit():

@@ -32,6 +32,7 @@ from qcoideal.uqg import (
     equals,
     is_zero,
     omega,
+    q_commutator,
     serre_polynomial,
     sigma,
     skew_ir,
@@ -636,10 +637,12 @@ def _letter_by_letter_coproduct(a):
     return terms
 
 
-def _word_element(rng, datum):
+def _word_element(rng, datum, coeffs=None):
     """Two to four monomials whose E- and F-words repeat letters, with K
-    parts and Scalar coefficients, some with a denominator."""
-    coeffs = [ONE, Q, Scalar.from_int(3), qint(2).inverse(), (Q - Q ** -1).inverse()]
+    parts and Scalar coefficients drawn from coeffs, by default some with a
+    denominator."""
+    if coeffs is None:
+        coeffs = [ONE, Q, Scalar.from_int(3), qint(2).inverse(), (Q - Q ** -1).inverse()]
     out = Element.zero(datum)
     for _ in range(rng.randint(2, 4)):
         labels = datum.labels[:2] if rng.random() < 0.5 else datum.labels
@@ -1086,6 +1089,12 @@ def _per_row_mul(self, other):
     return Element(datum, out)
 
 
+def _ref_q_commutator(x, y, s):
+    """x y - v^s y x as two products, a scaling and a difference, as it was
+    built before one pass straightened both orders of every pair of terms."""
+    return x * y - (y * x).scale(Scalar.v_pow(s))
+
+
 def _ref_letter_pass(datum, f, e):
     """{monomial: coefficient} of F_f E_e by letter passes with the
     recursive pushes of `_ref_mono_times_E`."""
@@ -1140,6 +1149,48 @@ def test_products_match_per_row_products(name):
         x, y = _word_element(rng, datum), _word_element(rng, datum)
         x, y = x.scale(coeffs[t % len(coeffs)]), y.scale(rng.choice(coeffs))
         assert list((x * y).terms.items()) == list(_per_row_mul(x, y).terms.items())
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "affine:A1"])
+def test_q_commutator_matches_two_products(name):
+    """x y - v^s y x in one pass equals the two products' difference as a
+    dict, for multi-term x and y with K parts, coefficients 1/(q_i -
+    q_i^-1), 1/[n]! and Gaussian ones, and s = -4, -2, 0, 2, 6."""
+    datum = CartanDatum(cartan_datum(name[:-1], int(name[-1])).A)
+    rng = random.Random(61)
+    coeffs = [ONE, Q, Scalar.gaussian(2, -1), I_UNIT * Q - ONE, qfact(2).inverse(), qfact(3).inverse()]
+    coeffs += [_ef_inverse(datum, i) for i in datum.labels]
+    for s in (-4, -2, 0, 2, 6):
+        for _ in range(4):
+            x, y = _word_element(rng, datum, coeffs), _word_element(rng, datum, coeffs)
+            got = q_commutator(x, y, s)
+            assert got.terms and got.terms == _ref_q_commutator(x, y, s).terms
+    E1 = Element.E(datum, datum.labels[0])
+    assert not q_commutator(E1, E1, 0).terms
+
+
+def test_q_commutator_makes_one_product_per_pair_of_terms(monkeypatch):
+    """(2 E_1 + 3 E_2) times 5 E_1 K_1 in both orders needs no table, so
+    x y - q y x makes one Scalar product per pair of terms, where the two
+    products and the scaling made six."""
+    datum = CartanDatum(cartan_datum("A", 2).A)
+    two, three, five = (Scalar.from_int(n) for n in (2, 3, 5))
+    x = Element.E(datum, 1).scale(two) + Element.E(datum, 2).scale(three)
+    y = Element.monomial(datum, (1,), (1, 0), (), five)
+    products = []
+    original = Scalar.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    got = q_commutator(x, y, 2)
+    one_pass = len(products)
+    want = _ref_q_commutator(x, y, 2)
+    monkeypatch.undo()
+    assert got == want
+    assert one_pass == 2 and len(products) - one_pass == 6
 
 
 def test_one_product_per_distinct_base(monkeypatch):

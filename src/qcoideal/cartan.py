@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 from math import gcd, lcm
+
+from .memos import MEMOS
 
 ENUMERATION_RANK_CAP = 10
 
@@ -111,7 +112,7 @@ class CartanDatum:
         # (braid images of E- and F-words, per prefix), "pool" (one object
         # per word, vector and coefficient base of the commutation table and
         # per monomial and scalar of the braid images, ONE as itself),
-        # "twist" (qsp).  A named datum is built once per process
+        # "twist" (qsp).  A named datum is kept in `MEMOS["datum"]`
         # (`cartan_datum`), so its caches, and with them its enumerated
         # pairs and their QSP contexts, live for the whole process.
         self.caches = defaultdict(dict)
@@ -216,18 +217,21 @@ def _chain(n, arrows=()):
 def cartan_datum(kind: str, rank: int = 0) -> CartanDatum:
     """The named datum: finite types A-G or untwisted affine 'affine:A'.
 
-    Each named datum is built once per process, keyed by the stripped kind
-    and the rank ('affine:A1' reads as ('affine:A', 1)), so every caller
-    shares it and its `caches`.  `CartanDatum(...)` builds a fresh one.
+    Each named datum is built once and kept in `MEMOS["datum"]` under the
+    stripped kind and the rank ('affine:A1' reads as ('affine:A', 1)), so
+    every caller shares it and its `caches`.  `CartanDatum(...)` builds a
+    fresh one.
     """
     kind = kind.strip()
     if kind == "affine:A1":
         kind, rank = "affine:A", 1
-    return _named_datum(kind, rank)
+    named = MEMOS["datum"]
+    if (kind, rank) not in named:
+        named[kind, rank] = _build_named(kind, rank)
+    return named[kind, rank]
 
 
-@cache
-def _named_datum(kind, rank):
+def _build_named(kind, rank):
     if kind.startswith("affine:"):
         fam = kind.split(":", 1)[1]
         if fam != "A":

@@ -279,9 +279,6 @@ def _cmd_verify(args):
         raise InputError(
             f"unknown suite {args.suite!r}; available: {', '.join(sorted(SUITES))}"
         )
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.jobs <= cpus:
-        raise InputError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
     ok, checks = run_suite(args.suite, seed=args.seed, jobs=args.jobs)
     lines = []
     for c in checks:
@@ -351,6 +348,9 @@ def main(argv=None) -> int:
     try:
         if args.max_bucket < 1:
             raise InputError(f"--max-bucket must be at least 1, got {args.max_bucket}")
+        cpus = os.cpu_count() or 1
+        if not 1 <= args.jobs <= cpus:
+            raise InputError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
         if args.out and not os.path.isdir(args.out):
             parent = os.path.dirname(args.out) or "."
             if not os.path.isdir(parent):

@@ -23,7 +23,8 @@ remains is divided once per process: `_STRIPS` keeps the outcome of each
 (vector, numerator) pair under a flat key of ints.  A denominator from
 outside (`Scalar(num, den)`, `inverse`) is factored once, as
 lead * prod Phi_k^m_k * cofactor, by exact trial division by every Phi_k
-of degree at most its own, and cached under a key of Python ints.  Euclid
+of degree at most its own, and cached under a key of Python ints.  These
+memos are namespaces of the process-wide `memos.MEMOS`.  Euclid
 (`_poly_gcd`) runs only on the cofactor, such as the v^2 + 3 of a user
 parameter c_i = 1/(v^2 + 3), and on the halves of Phi_k (4 | k) that a
 Gaussian numerator may share; such a denominator stays a plain dict.
@@ -50,6 +51,8 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+
+from .memos import MEMOS
 
 
 def _rational(x):
@@ -95,7 +98,7 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
@@ -240,10 +243,10 @@ def _poly_exact_div(p, g):
 # Denominators as exponent vectors over the cyclotomic polynomials Phi_k.
 # ---------------------------------------------------------------------------
 
-_CYCLOTOMIC = {}  # k -> dense integer coefficients of Phi_k(v)
-_FACTORS = {}     # denominator key -> (exponent vector, monic cofactor)
-_PRODUCTS = {}    # ((k, n), ...) -> prod Phi_k^n as its interned _Den
-_STRIPS = {}      # (vector, numerator) key -> `_trial_division` of the pair
+_CYCLOTOMIC = MEMOS["cyclotomic"]  # k -> dense integer coefficients of Phi_k(v)
+_FACTORS = MEMOS["factors"]        # denominator key -> (exponent vector, monic cofactor)
+_PRODUCTS = MEMOS["products"]      # ((k, n), ...) -> prod Phi_k^n as its interned _Den
+_STRIPS = MEMOS["strips"]          # (vector, numerator) key -> `_trial_division` of the pair
 
 
 class _Den(dict):
@@ -293,22 +296,9 @@ def _int_div(a, m):
     return q
 
 
-def _misses(a, k):
-    """For k = 1, 2 or 4: is a(1), a(-1) or a(i) not 0, so that Phi_k does
-    not divide the dense integer list a?  Each is a sum of slices."""
-    if k == 1:
-        return sum(a) != 0
-    if k == 2:
-        return sum(a[::2]) != sum(a[1::2])
-    return sum(a[::4]) != sum(a[2::4]) or sum(a[1::4]) != sum(a[3::4])
-
-
 def _divide_out(re, im, k, limit):
     """Divide re + i*im by Phi_k as often as it divides, at most `limit`
-    times; returns (re, im, times).  Phi_1, Phi_2 and Phi_4, the factors of
-    q_i - q_i^-1, are first tested by their roots (`_misses`)."""
-    if k in (1, 2, 4) and (_misses(re, k) or _misses(im, k)):
-        return re, im, 0
+    times; returns (re, im, times)."""
     phi = _cyclotomic(k)
     real = not any(im)
     j = 0
@@ -352,9 +342,9 @@ def _vanishes(s, k):
 
 def _root_misses(p, ks):
     """For ks among 1, 2 and 4: does no Phi_k of ks divide the polynomial
-    dict p?  Each is ruled out, as by `_misses`, when the real or the
-    imaginary parts of p's coefficients do not vanish at its root; v^e is
-    read at the root by e mod 4, negative e included."""
+    dict p?  Each is ruled out when the real or the imaginary parts of p's
+    coefficients do not vanish at its root, 1, -1 or i; v^e is read at the
+    root by e mod 4, negative e included."""
     re, im = [0] * 4, [0] * 4
     for e, c in p.items():
         re[e & 3] += c.re
@@ -624,8 +614,6 @@ class Scalar:
     def __eq__(self, other):
         if isinstance(other, Scalar):
             return self.num == other.num and self.den == other.den
-        if isinstance(other, int):
-            return self == Scalar.from_int(other)
         return NotImplemented
 
     def __hash__(self):

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from qcoideal import cartan
 from qcoideal.braid import (
     BraidOperator,
     _image_E,
@@ -13,6 +12,7 @@ from qcoideal.braid import (
 )
 from qcoideal.cartan import CartanDatum, cartan_datum, validate_admissible
 from qcoideal.grammar import parse_element
+from qcoideal.memos import MEMOS
 from qcoideal.scalars import ONE, Scalar, qfact
 from qcoideal.suites import run_suite
 from qcoideal.uqg import Element, bar_element, equals, sigma
@@ -238,20 +238,13 @@ def test_memoised_images_match_per_monomial_products(kind, rank):
                     assert apply_braid(op, x) == _reference_braid(op, x)
 
 
-def test_pooled_coefficients_equal_to_one_are_one(monkeypatch):
+def test_pooled_coefficients_equal_to_one_are_one(fresh_memos):
     """After the braid and hopf suites on fresh named data, every pooled
     Scalar and every braid-image coefficient that equals 1 is ONE itself,
     which products pass through."""
-    made, build = {}, cartan._named_datum.__wrapped__
-
-    def fresh(kind, rank):
-        if (kind, rank) not in made:
-            made[kind, rank] = build(kind, rank)
-        return made[kind, rank]
-
-    monkeypatch.setattr(cartan, "_named_datum", fresh)
     run_suite("braid", seed=0)
     run_suite("hopf", seed=0)
+    made = MEMOS["datum"]
     ones = [c for d in made.values() for c in d.caches["pool"].values() if c == ONE]
     images = [c for d in made.values() for img in d.caches["braid"].values()
               for c in img.terms.values() if c == ONE]

@@ -386,14 +386,11 @@ def test_named_data_are_built_once_per_process():
         cartan_datum("affine:B", 2)
 
 
-def test_atlas_builds_each_parabolic_and_enumeration_once(monkeypatch):
-    import functools
-
+def test_atlas_builds_each_parabolic_and_enumeration_once(monkeypatch, fresh_memos):
+    # named data of their own, so no cache warmed by another test hides a rebuild
     import qcoideal.cartan as cartan
     from qcoideal.suites import run_suite
 
-    # named data of their own, so no cache warmed by another test hides a rebuild
-    monkeypatch.setattr(cartan, "_named_datum", functools.cache(cartan._named_datum.__wrapped__))
     closures, enumerations = [], []
     build, enumerate_ = cartan._parabolic_data, cartan._enumerate
 

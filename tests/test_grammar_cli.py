@@ -271,8 +271,6 @@ def test_cli_verify_checks_limits_before_work(monkeypatch, capsys):
         monkeypatch.setattr(cli, name, never)
     sweep = ["verify", "--suite", "serre-oracle-sweep"]
     too_many = str((os.cpu_count() or 1) + 1)
-    assert main(["--jobs", "0"] + sweep) == 2
-    assert main(["--jobs", too_many] + sweep) == 2
     params = '{"cartan": {"type": "A", "rank": 2}, "pair": {"X": [], "tau": []}}'
     pair = ["--cartan", "A:2", "--pair", '{"X": [], "tau": []}']
     for command in (
@@ -284,6 +282,9 @@ def test_cli_verify_checks_limits_before_work(monkeypatch, capsys):
     ):
         assert main(["--max-bucket", "0"] + command) == 2, command
         assert "--max-bucket must be at least 1" in capsys.readouterr().err
+        for jobs in ("0", too_many):
+            assert main(["--jobs", jobs] + command) == 2, command
+            assert "--jobs must be between 1 and" in capsys.readouterr().err
 
 
 def test_cli_max_bucket_reaches_every_zero_test():

@@ -1,0 +1,52 @@
+"""One memo mechanism: every process-wide memo of the engine is a namespace
+of `qcoideal.memos.MEMOS`, which the fixture `fresh_memos` empties, and
+what is memoised per datum lives in `CartanDatum.caches`."""
+
+import ast
+from pathlib import Path
+
+from qcoideal import scalars
+from qcoideal.cartan import cartan_datum
+from qcoideal.memos import MEMOS
+from qcoideal.scalars import qfact
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qcoideal"
+
+
+def _memos_outside(path):
+    """(line, what) for each module-level name of the module bound to an
+    empty dict literal, and for each `cache` or `lru_cache` decorator in it."""
+    tree = ast.parse(path.read_text(), str(path))
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict) and not node.value.keys:
+            out.append((node.lineno, "empty dict"))
+    for node in ast.walk(tree):
+        for dec in getattr(node, "decorator_list", ()):
+            dec = dec.func if isinstance(dec, ast.Call) else dec
+            name = dec.id if isinstance(dec, ast.Name) else getattr(dec, "attr", None)
+            if name in ("cache", "lru_cache"):
+                out.append((node.lineno, name))
+    return out
+
+
+def test_every_process_wide_memo_is_a_namespace_of_memos():
+    """A module-level dict or a cached function would be a memo that
+    `fresh_memos` does not empty, so a test could pass on what another
+    filled."""
+    hits = [f"{p.name}:{line}: {what}" for p in sorted(SRC.glob("*.py")) for line, what in _memos_outside(p)]
+    assert hits == []
+
+
+def test_scalar_memos_and_named_data_live_in_memos(fresh_memos):
+    for ns, name in (("cyclotomic", "_CYCLOTOMIC"), ("factors", "_FACTORS"),
+                     ("products", "_PRODUCTS"), ("strips", "_STRIPS")):
+        assert getattr(scalars, name) is MEMOS[ns]
+    assert not any(MEMOS.values())
+    a3 = cartan_datum("A", 3)
+    assert MEMOS["datum"] == {("A", 3): a3}
+    assert qfact(3).inverse() + qfact(4).inverse()
+    assert MEMOS["cyclotomic"] and MEMOS["products"] and MEMOS["strips"]
+    fresh_memos()
+    assert not any(MEMOS.values())
+    assert cartan_datum("A", 3) is not a3

@@ -20,8 +20,10 @@ v^s y x share with products: one drops v^s from the y x side and one
 adds that side instead of subtracting it; both fail `serre-g2`, whose
 q-commutators have the shifts v^{+-6} and v^{+-2}.  The unpatched engine
 passes every check, and each mutant fails the check named for it.  Each
-check builds a fresh datum and fresh scalars, so no cache filled by the
-unpatched engine hides a mutant.
+check builds a fresh datum and runs with every namespace of the
+process-wide `MEMOS` emptied (the fixture `fresh_memos`), the scalar memos
+and the named data among them, so no memo filled by the unpatched engine
+or by another test hides a mutant.
 """
 
 import sys
@@ -425,7 +427,6 @@ def strip_memo_without_vector(monkeypatch):
     """Key the memo of trial divisions on the numerator alone, so the
     division of a numerator by one exponent vector answers for another."""
     original = scalars._int_key
-    monkeypatch.setattr(scalars, "_STRIPS", {})
     monkeypatch.setattr(scalars, "_int_key", lambda p, key=(): original(p))
 
 
@@ -486,12 +487,12 @@ MUTANTS = [
 
 
 @pytest.mark.parametrize("name", sorted(CHECKS))
-def test_engine_passes_check(name):
+def test_engine_passes_check(name, fresh_memos):
     assert CHECKS[name]()
 
 
 @pytest.mark.parametrize("name, mutate", MUTANTS, ids=[m.__name__ for _, m in MUTANTS])
-def test_mutant_fails_its_check(monkeypatch, name, mutate):
+def test_mutant_fails_its_check(monkeypatch, fresh_memos, name, mutate):
     mutate(monkeypatch)
     assert not CHECKS[name]()
 

@@ -181,15 +181,6 @@ def test_normaliser_pinned_cases(build, text):
     assert min(s.den) == 0 and s.den[max(s.den)] == scalars.GQ_ONE
 
 
-def _fresh_caches(monkeypatch):
-    """Empty the factorisations of outside denominators, the table of
-    denominators by exponent vector and the memo of trial divisions, so
-    nothing found or divided before hides a factor; denominators built
-    afterwards are new objects, equal to the old ones but not identical."""
-    for name in ("_FACTORS", "_PRODUCTS", "_STRIPS"):
-        monkeypatch.setattr(scalars, name, {})
-
-
 def _exercise():
     out = [build() for build, _ in PINNED]
     for n in range(1, 6):
@@ -201,10 +192,10 @@ def _exercise():
     return [(s.num, s.den) for s in out]
 
 
-def test_trial_division_changes_speed_only(monkeypatch):
+def test_trial_division_changes_speed_only(monkeypatch, fresh_memos):
     """With no Phi_k tried, every factor stays in the cofactor and Euclid
-    finds it: the results are identical."""
-    _fresh_caches(monkeypatch)
+    finds it: the results are identical.  Both runs start from empty memos,
+    so nothing found or divided before hides a factor."""
     expected = _exercise()
     gcds = []
     original = scalars._poly_gcd
@@ -213,17 +204,16 @@ def test_trial_division_changes_speed_only(monkeypatch):
         gcds.append(len(q))
         return original(p, q)
 
-    _fresh_caches(monkeypatch)
+    fresh_memos()
     monkeypatch.setattr(scalars, "_orders", lambda d: [])
     monkeypatch.setattr(scalars, "_poly_gcd", counting)
     assert _exercise() == expected
     assert gcds  # the cofactor path did the work
 
 
-def test_factor_finds_every_cyclotomic_factor(monkeypatch):
+def test_factor_finds_every_cyclotomic_factor(fresh_memos):
     """Random 2 (v^2 + 3) prod Phi_k^m_k (k <= 30, degree <= 60) factor
     into exactly their exponent vector and the monic cofactor v^2 + 3."""
-    _fresh_caches(monkeypatch)
     rng = random.Random(59)
     for _ in range(25):
         vec, poly, deg = {}, [6, 0, 2], 0
@@ -239,7 +229,7 @@ def test_factor_finds_every_cyclotomic_factor(monkeypatch):
         assert scalars._factor(b) == (vec, {0: scalars.GaussianRational(3), 2: scalars.GQ_ONE})
 
 
-def test_braid_images_need_no_euclid(monkeypatch):
+def test_braid_images_need_no_euclid(monkeypatch, fresh_memos):
     calls = []
     original = scalars._poly_gcd
 
@@ -247,7 +237,6 @@ def test_braid_images_need_no_euclid(monkeypatch):
         calls.append((p, q))
         return original(p, q)
 
-    _fresh_caches(monkeypatch)
     monkeypatch.setattr(scalars, "_poly_gcd", counting)
     b2 = cartan_datum("B", 2)
     for j in (1, 2):
@@ -432,20 +421,6 @@ def test_sum_is_formed_over_the_lcm(monkeypatch):
     assert s * qfact(4) == qint(4) + ONE
 
 
-def test_root_tests_agree_with_trial_division():
-    """`_misses` proves that Phi_1, Phi_2 or Phi_4 does not divide an
-    integer polynomial exactly when trial division finds a remainder."""
-    rng = random.Random(33)
-    phis = {k: scalars._cyclotomic(k) for k in (1, 2, 4)}
-    for _ in range(300):
-        a = [rng.randint(-2, 2) for _ in range(rng.randint(1, 9))]
-        for k, phi in phis.items():
-            if rng.random() < 0.5:
-                a = scalars._int_mul(a, phi)
-            if any(a):
-                assert scalars._misses(a, k) == (scalars._int_div(a, phi) is None), (a, k)
-
-
 def _phi(k):
     return Scalar({e: scalars.GaussianRational(c) for e, c in enumerate(scalars._cyclotomic(k)) if c})
 
@@ -501,11 +476,10 @@ def _strip_case(rng):
     return p, vec
 
 
-def test_memoised_strip_is_the_reference_trial_division(monkeypatch):
+def test_memoised_strip_is_the_reference_trial_division(fresh_memos):
     """`_strip` gives what plain trial division over Q(i) gives, called
     cold and again warm on equal but distinct arguments, and returns the
     caller's own p and vec when nothing divides."""
-    _fresh_caches(monkeypatch)
     rng = random.Random(25)
     divided = kept = kept_at_roots = 0
     for _ in range(400):
@@ -523,24 +497,39 @@ def test_memoised_strip_is_the_reference_trial_division(monkeypatch):
     assert scalars._STRIPS
 
 
-def test_dict_root_tests_agree_with_misses():
+def test_root_tests_agree_with_trial_division():
     """The root tests on a polynomial dict rule out Phi_1, Phi_2 or Phi_4
-    exactly when `_misses` does on its dense integer form, negative
-    exponents and Gaussian and Fraction coefficients included."""
+    exactly when trial division in integers leaves a remainder in the real
+    or the imaginary part, a zero part counting as divisible: on integer
+    polynomials, and on Laurent polynomials with negative exponents and
+    Gaussian and Fraction coefficients."""
+    phis = {k: scalars._cyclotomic(k) for k in (1, 2, 4)}
+
+    def agree(p, k):
+        _, re, im = scalars._int_poly(p, min(p))
+        divides = all(not any(a) or scalars._int_div(a, phis[k]) is not None for a in (re, im))
+        assert scalars._root_misses(p, (k,)) != divides, (p, k)
+
+    rng = random.Random(33)
+    for _ in range(300):
+        a = [rng.randint(-2, 2) for _ in range(rng.randint(1, 9))]
+        for k, phi in phis.items():
+            if rng.random() < 0.5:
+                a = scalars._int_mul(a, phi)
+            if any(a):
+                agree({e: scalars.GaussianRational(c) for e, c in enumerate(a) if c}, k)
     rng = random.Random(41)
     for _ in range(400):
         p = _random_laurent(rng)
         for k in rng.sample((1, 2, 4), rng.randint(0, 3)):
             p = scalars._pmul(p, _phi(k).num)
-        _, re, im = scalars._int_poly(p, min(p))
         for k in (1, 2, 4):
-            assert scalars._root_misses(p, (k,)) == (scalars._misses(re, k) or scalars._misses(im, k)), (p, k)
+            agree(p, k)
 
 
-def test_repeated_strip_runs_no_division(monkeypatch):
+def test_repeated_strip_runs_no_division(monkeypatch, fresh_memos):
     """A (numerator, vector) pair is divided once: the second call, on
     equal but distinct arguments, runs no `_divide_out`."""
-    _fresh_caches(monkeypatch)
     calls = []
     original = scalars._divide_out
 
@@ -794,12 +783,15 @@ def test_int_and_fraction_built_values_agree():
         assert a == b and hash(a) == hash(b)
         c = G(Fraction(2 * re + 1, 2)) - G(Fraction(1, 2)) + G(0, im)
         assert a == c and hash(a) == hash(c)
-        assert a == re if not im else a != re
+        assert (a == re and hash(a) == hash(re)) if not im else a != re
+    half = G(Fraction(1, 2))
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
     s = Scalar({0: G(2), 3: G(Fraction(1, 3))})
     t = Scalar({0: G(Fraction(4, 2)), 3: G(Fraction(2, 6))})
     assert s == t and hash(s) == hash(t)
     assert Scalar.from_fraction(Fraction(8, 4)) == Scalar.from_int(2)
     assert hash(Scalar.from_fraction(Fraction(8, 4))) == hash(Scalar.from_int(2))
+    assert ONE != 1
 
 
 def test_gaussian_rational_repr():

@@ -497,19 +497,20 @@ def test_memoised_strip_is_the_reference_trial_division(fresh_memos):
     assert scalars._STRIPS
 
 
+def _root_tests_agree(p, k):
+    """`_root_misses` rules out Phi_k (k in 1, 2, 4) exactly when trial
+    division in integers leaves a remainder in the real or the imaginary
+    part of p, a zero part counting as divisible."""
+    phi = scalars._cyclotomic(k)
+    _, re, im = scalars._int_poly(p, min(p))
+    divides = all(not any(a) or scalars._int_div(a, phi) is not None for a in (re, im))
+    assert scalars._root_misses(p, (k,)) != divides, (p, k)
+
+
 def test_root_tests_agree_with_trial_division():
     """The root tests on a polynomial dict rule out Phi_1, Phi_2 or Phi_4
-    exactly when trial division in integers leaves a remainder in the real
-    or the imaginary part, a zero part counting as divisible: on integer
-    polynomials, and on Laurent polynomials with negative exponents and
-    Gaussian and Fraction coefficients."""
+    exactly when trial division finds a remainder, on integer polynomials."""
     phis = {k: scalars._cyclotomic(k) for k in (1, 2, 4)}
-
-    def agree(p, k):
-        _, re, im = scalars._int_poly(p, min(p))
-        divides = all(not any(a) or scalars._int_div(a, phis[k]) is not None for a in (re, im))
-        assert scalars._root_misses(p, (k,)) != divides, (p, k)
-
     rng = random.Random(33)
     for _ in range(300):
         a = [rng.randint(-2, 2) for _ in range(rng.randint(1, 9))]
@@ -517,14 +518,20 @@ def test_root_tests_agree_with_trial_division():
             if rng.random() < 0.5:
                 a = scalars._int_mul(a, phi)
             if any(a):
-                agree({e: scalars.GaussianRational(c) for e, c in enumerate(a) if c}, k)
+                _root_tests_agree({e: scalars.GaussianRational(c) for e, c in enumerate(a) if c}, k)
+
+
+def test_dict_root_tests_agree_with_misses():
+    """The root tests on a polynomial dict agree with trial division on
+    its dense integer parts, negative exponents and Gaussian and Fraction
+    coefficients included."""
     rng = random.Random(41)
     for _ in range(400):
         p = _random_laurent(rng)
         for k in rng.sample((1, 2, 4), rng.randint(0, 3)):
             p = scalars._pmul(p, _phi(k).num)
         for k in (1, 2, 4):
-            agree(p, k)
+            _root_tests_agree(p, k)
 
 
 def test_repeated_strip_runs_no_division(monkeypatch, fresh_memos):

@@ -15,12 +15,15 @@ print("== fractions reduce to canonical form ==")
 s = (ONE - q ** 2) / (ONE - q ** 4)
 print("(1 - q^2)/(1 - q^4)      =", scalar_to_text(s))
 print("bar of it                =", scalar_to_text(s.bar()))
-print("equals q^2/(1 + q^2)?    ", s.bar() == q ** 2 / (ONE + q ** 2))
+ok = s.bar() == q ** 2 / (ONE + q ** 2)
+print("equals q^2/(1 + q^2)?    ", ok)
+assert ok
 
 print()
 print("== bar-fixed elements ==")
-for t in (q + q ** -1, q, q ** -1 * (q + q ** -1)):
+for t, fixed in ((q + q ** -1, True), (q, False), (q ** -1 * (q + q ** -1), False)):
     print(f"is_bar_fixed({scalar_to_text(t)}) = {is_bar_fixed(t)}")
+    assert is_bar_fixed(t) == fixed
 
 print()
 print("== balanced Gaussian binomials ==")
@@ -42,3 +45,4 @@ for m in range(1, 7):
         f"m={m}: weighted sum vanishes: {vanish == ZERO}; "
         f"shifted-factorial sum matches: {phi == qshifted_factorial(q ** 2, m)}"
     )
+    assert vanish == ZERO and phi == qshifted_factorial(q ** 2, m)

@@ -41,6 +41,7 @@ serre = serre_polynomial(a2, 1, 2, E1, E2)
 print("the Serre combination has", len(serre.terms), "stored words")
 print("is_zero:", is_zero(serre))
 print("but a single generator is not zero:", is_zero(E1))
+assert is_zero(serre) and not is_zero(E1)
 
 print()
 print("== skew derivations by letter deletion ==")
@@ -52,7 +53,8 @@ lhs = x * F1 - F1 * x
 rhs = (
     skew_r(1, x) * Element.K_i(a2, 1) - Element.K_i(a2, 1, -1) * skew_ir(1, x)
 ).scale((q - q ** -1).inverse())
-print("commutator of x with F_1 matches the two-sided derivation form:",
-      equals(lhs, rhs))
-print("sigma intertwines the two derivations:",
-      sigma(skew_r(1, x)) == skew_ir(1, sigma(x)))
+matches = equals(lhs, rhs)
+print("commutator of x with F_1 matches the two-sided derivation form:", matches)
+intertwines = sigma(skew_r(1, x)) == skew_ir(1, sigma(x))
+print("sigma intertwines the two derivations:", intertwines)
+assert matches and intertwines

@@ -37,16 +37,22 @@ for kind, rank in (("A", 2), ("B", 2), ("G", 2)):
         for g in (Element.E(datum, i), Element.F(datum, i))
     )
     print(f"{kind}_{rank} (m = {m}): alternating products agree on generators: {ok}")
+    assert ok
 
 print()
 print("== the conformance identities ==")
 x = Element.E(a2, 1) * Element.E(a2, 2)
 op = BraidOperator(1)
-print("inverse pairing:",
-      equals(apply_braid(op.inverse(), apply_braid(op, x)), x))
-print("sigma conjugates to the inverse:",
-      equals(apply_braid(op, sigma(x)),
-             sigma(apply_braid(BraidOperator(1, False, -1), x))))
-print("bar flips the sign family:",
-      equals(bar_element(apply_braid(BraidOperator(1, True, 1), x)),
-             apply_braid(BraidOperator(1, True, -1), bar_element(x))))
+identities = (
+    ("inverse pairing:",
+     equals(apply_braid(op.inverse(), apply_braid(op, x)), x)),
+    ("sigma conjugates to the inverse:",
+     equals(apply_braid(op, sigma(x)),
+            sigma(apply_braid(BraidOperator(1, False, -1), x)))),
+    ("bar flips the sign family:",
+     equals(bar_element(apply_braid(BraidOperator(1, True, 1), x)),
+            apply_braid(BraidOperator(1, True, -1), bar_element(x)))),
+)
+for text, ok in identities:
+    print(text, ok)
+    assert ok

@@ -36,8 +36,10 @@ print("Z_1 =", element_to_text(ctx.z(1)))
 closed = c_closed(params, 1, 2)
 oracle = c_oracle(params, 1, 2)
 print("closed right-hand side   =", element_to_text(closed))
-print("projection oracle agrees =", equals(closed, oracle))
-print("deformed Serre relation holds =", is_zero(serre_defect(params, 1, 2)))
+agrees, holds = equals(closed, oracle), is_zero(serre_defect(params, 1, 2))
+print("projection oracle agrees =", agrees)
+print("deformed Serre relation holds =", holds)
+assert agrees and holds
 
 print()
 print("== B_2 with X = {2}: the W element enters ==")
@@ -48,10 +50,13 @@ ctx = context_for(pair)
 print("Z_1 =", element_to_text(ctx.z(1)))
 print("W_12 =", element_to_text(w_element(ctx, 1, 2)))
 oracle = c_oracle(params, 1, 2)
-print("unified closed form agrees:", equals(c_closed(params, 1, 2), oracle))
-print("commutator-style closed form agrees:",
-      equals(c_closed_torus(params, 1, 2), oracle))
-print("relation holds:", is_zero(serre_defect(params, 1, 2)))
+unified = equals(c_closed(params, 1, 2), oracle)
+torus = equals(c_closed_torus(params, 1, 2), oracle)
+holds = is_zero(serre_defect(params, 1, 2))
+print("unified closed form agrees:", unified)
+print("commutator-style closed form agrees:", torus)
+print("relation holds:", holds)
+assert unified and torus and holds
 
 print()
 print("== the triple-bond case ==")
@@ -59,5 +64,7 @@ g2 = cartan_datum("G", 2)
 pair = validate_admissible(g2, set(), {1: 1, 2: 2})
 params = QSPParameters(pair, {1: ONE - q, 2: q})
 oracle = c_oracle(params, 2, 1)
-print("closed form agrees with the oracle:", equals(c_closed(params, 2, 1), oracle))
-print("relation holds:", is_zero(serre_defect(params, 2, 1)))
+agrees, holds = equals(c_closed(params, 2, 1), oracle), is_zero(serre_defect(params, 2, 1))
+print("closed form agrees with the oracle:", agrees)
+print("relation holds:", holds)
+assert agrees and holds

@@ -5,10 +5,15 @@ braid-twisted generator component), the q-power ell_i, verifies how the
 bar involution of the ambient algebra acts on the Z elements, decides for
 concrete parameter families whether the intrinsic bar involution of the
 coideal subalgebra exists, and provides the canonical parameter choice and
-the equivalence relations on parameter families.  Both deciders refuse a
-pair outside the proved scope of the presentation, the one rule of
-`qsp.scope_violation`, and read the case split of the parameter sets off
-the pair (`theta_orthogonal`, `isolated`).
+the equivalence relations on parameter families.  The two deciders,
+`bar_exists` (the Z_i identity) and `corollary_conditions` (scalar
+conditions on c), build their `BarReport` through one path, `_decide`: it
+refuses a pair outside the proved scope of the presentation, the one rule
+of `qsp.scope_violation`, reads nu and ell on every free node, skips the
+`isolated` nodes and collects the failing ones, so each decider supplies
+only its per-node test.  The pinned-node test (`_pinned`, tau-fixed or
+`theta_orthogonal`) and the split-node rule (`_split_rule`) are written
+once, for `corollary_conditions` and `in_set_D` alike.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .qsp import (
     in_set_S,
     scope_violation,
 )
-from .scalars import ONE, Scalar, is_bar_fixed
+from .scalars import ONE, ZERO, Scalar, is_bar_fixed
 from .uqg import Element, bar_element, equals, is_zero, sigma, skew_r
 
 
@@ -122,42 +127,48 @@ def check_presentation_scope(pair: AdmissiblePair):
                 raise OutOfScopeError(f"{violation} leaves the proved scope")
 
 
-def bar_exists(params: QSPParameters) -> BarReport:
-    """Decide existence of the intrinsic bar involution for these parameters.
-
-    A node is checked when it is split under tau or sees any other node of
-    the Cartan matrix; tau-fixed isolated rank-one components
-    (`pair.isolated`) are skipped (their parameter never matters).
-    """
+def _decide(params: QSPParameters, node_test) -> BarReport:
+    """The report path of both deciders: the scope check, nu and ell on every
+    free node in node order (`nu_sign` leaves each sign in `ctx.nu`), then
+    `node_test(ctx, i)` on every free node in node order, skipping the
+    tau-fixed isolated rank-one components (`pair.isolated`), whose
+    parameter never matters."""
     pair = params.pair
-    datum = params.datum
     check_presentation_scope(pair)
     ctx = context_for(pair)
-    nu = {}
-    ellv = {}
-    ocz = {}
-    failing = []
-    skipped = []
-    for i in pair.free:
-        nu[i] = nu_sign(ctx, i)
-        ellv[i] = ctx.ell(i)
-    for i in pair.free:
-        if i in pair.isolated:
-            skipped.append(i)
-            continue
-        ti = pair.tau[i]
-        alpha_i = datum.simple_root(i)
-        alpha_ti = datum.simple_root(ti)
+    nu = {i: nu_sign(ctx, i) for i in pair.free}
+    ellv = {i: ctx.ell(i) for i in pair.free}
+    skipped = [i for i in pair.free if i in pair.isolated]
+    ok = {i: node_test(ctx, i) for i in pair.free if i not in pair.isolated}
+    failing = [i for i, holds in ok.items() if not holds]
+    return BarReport(nu, ellv, ok, "fails" if failing else "exists", failing, skipped)
+
+
+def _pinned(pair: AdmissiblePair, i) -> bool:
+    """A pinned node: tau(i) = i, or i is theta-orthogonal."""
+    return pair.tau[i] == i or i in pair.theta_orthogonal
+
+
+def _split_rule(pair: AdmissiblePair, i, ci: Scalar, cti: Scalar) -> bool:
+    """The split-node rule c_tau(i) = v^{2x} bar(c_i), for
+    x = (alpha_i, Theta(alpha_i) - 2 rho_X)."""
+    return cti == Scalar.v_pow(2 * pair.pairing_theta_2rho(i)) * ci.bar()
+
+
+def bar_exists(params: QSPParameters) -> BarReport:
+    """Decide existence of the intrinsic bar involution for these parameters:
+    bar(Z_i) bar(c_i) = v^{2 (alpha_i, alpha_tau(i))} c_tau(i) Z_tau(i) on
+    every checked node."""
+    datum = params.datum
+    tau = params.pair.tau
+
+    def node_test(ctx, i):
+        ti = tau[i]
         lhs = bar_element(ctx.z(i)).scale(params.c[i].bar())
-        rhs = ctx.z(ti).scale(
-            params.c[ti] * Scalar.v_pow(2 * datum.bilinear(alpha_i, alpha_ti))
-        )
-        ok = equals(lhs, rhs)
-        ocz[i] = ok
-        if not ok:
-            failing.append(i)
-    verdict = "exists" if not failing else "fails"
-    return BarReport(nu, ellv, ocz, verdict, failing, skipped)
+        shift = Scalar.v_pow(2 * datum.bilinear(datum.simple_root(i), datum.simple_root(ti)))
+        return equals(lhs, ctx.z(ti).scale(params.c[ti] * shift))
+
+    return _decide(params, node_test)
 
 
 def corollary_conditions(params: QSPParameters) -> BarReport:
@@ -165,38 +176,21 @@ def corollary_conditions(params: QSPParameters) -> BarReport:
     bar involution existing (with the sign-rescaling convention applied on
     nodes where nu = -1).  Mirrors `bar_exists` but touches only scalars."""
     pair = params.pair
-    check_presentation_scope(pair)
-    ctx = context_for(pair)
-    nu = {i: nu_sign(ctx, i) for i in pair.free}
-    ellv = {i: ctx.ell(i) for i in pair.free}
     qdiff = Scalar.v_pow(2) - Scalar.v_pow(-2)
-    c = {}
-    rescaled = []
-    for i in pair.free:
-        if nu[i] < 0:
-            c[i] = params.c[i] / qdiff
-            rescaled.append(i)
-        else:
-            c[i] = params.c[i]
-    results = {}
-    failing = []
-    skipped = []
-    for i in pair.free:
-        if i in pair.isolated:
-            skipped.append(i)
-            continue
-        ti = pair.tau[i]
-        exponent = pair.pairing_theta_2rho(i)
-        if ti == i or i in pair.theta_orthogonal:
-            lam = c[i] * Scalar.v_pow(-exponent)
-            ok = (c[i] == c[ti]) and bool(lam) and is_bar_fixed(lam)
-        else:
-            ok = c[ti] == Scalar.v_pow(2 * exponent) * c[i].bar()
-        results[i] = ok
-        if not ok:
-            failing.append(i)
-    verdict = "exists" if not failing else "fails"
-    return BarReport(nu, ellv, results, verdict, failing, skipped, rescaled)
+
+    def rescaled(ctx, j):
+        return params.c[j] / qdiff if ctx.nu[j] < 0 else params.c[j]
+
+    def node_test(ctx, i):
+        ci, cti = rescaled(ctx, i), rescaled(ctx, pair.tau[i])
+        if not _pinned(pair, i):
+            return _split_rule(pair, i, ci, cti)
+        lam = ci * Scalar.v_pow(-pair.pairing_theta_2rho(i))
+        return ci == cti and bool(lam) and is_bar_fixed(lam)
+
+    report = _decide(params, node_test)
+    report.rescaled_nodes = [i for i in pair.free if report.nu[i] < 0]
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +225,11 @@ def in_set_D(pair: AdmissiblePair, d: dict):
         return out
     for i in pair.free:
         ti = pair.tau[i]
-        exponent = pair.pairing_theta_2rho(i)
-        if ti == i or i in pair.theta_orthogonal:
-            if d[i] != Scalar.v_pow(exponent):
+        if _pinned(pair, i):
+            if d[i] != Scalar.v_pow(pair.pairing_theta_2rho(i)):
                 out.append(f"d_{i} must be the pinned q-power")
-        else:
-            if d[ti] != Scalar.v_pow(2 * exponent) * d[i].bar():
-                out.append(f"d_{ti} must be q-power times bar(d_{i})")
+        elif not _split_rule(pair, i, d[i], d[ti]):
+            out.append(f"d_{ti} must be q-power times bar(d_{i})")
     return out
 
 
@@ -260,10 +252,7 @@ def equiv_S(pair: AdmissiblePair, s: dict, s2: dict) -> bool:
         if violations:
             raise MembershipError(violations)
     for i in pair.I_ns:
-        a = s.get(i, None)
-        b = s2.get(i, None)
-        a = a if a is not None else Scalar.from_int(0)
-        b = b if b is not None else Scalar.from_int(0)
+        a, b = s.get(i, ZERO), s2.get(i, ZERO)
         if a != b and a != -b:
             return False
     return True

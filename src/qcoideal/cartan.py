@@ -35,6 +35,14 @@ class AdmissibleError(ValueError):
         self.violations = list(violations)
 
 
+def exact_int(x, what: str) -> int:
+    """x itself if it is an int: 1.5, 1.0, True and "1" are refused, not
+    truncated, since JSON input reaches the engine as Python values."""
+    if x.__class__ is not int:
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return x
+
+
 def _symmetrizer(A):
     """Minimal positive symmetrizer eps with eps_i a_ij = eps_j a_ji."""
     n = len(A)
@@ -64,11 +72,11 @@ class CartanDatum:
     """A generalized Cartan matrix with symmetrizers and ordered node labels."""
 
     def __init__(self, A, eps=None, labels=None):
-        A = tuple(tuple(int(x) for x in row) for row in A)
+        A = tuple(tuple(exact_int(x, "Cartan entry") for x in row) for row in A)
         n = len(A)
         if labels is None:
             labels = tuple(range(1, n + 1))
-        labels = tuple(int(x) for x in labels)
+        labels = tuple(exact_int(x, "node label") for x in labels)
         if len(set(labels)) != n:
             raise ValueError("node labels must be distinct")
         for i in range(n):
@@ -82,7 +90,7 @@ class CartanDatum:
         if eps is None:
             eps = _symmetrizer(A)
         else:
-            eps = tuple(int(x) for x in eps)
+            eps = tuple(exact_int(x, "symmetrizer") for x in eps)
             if len(eps) != n or any(e <= 0 for e in eps):
                 raise ValueError("symmetrizers must be positive")
             if gcd(*eps) != 1:
@@ -292,9 +300,9 @@ def _build_named(kind, rank):
 def datum_from_json(obj) -> CartanDatum:
     """JSON schema: {'nodes': n, 'A': [[..]], 'eps': [..]} or {'type':, 'rank':}."""
     if "type" in obj:
-        return cartan_datum(obj["type"], int(obj.get("rank", 0)))
+        return cartan_datum(obj["type"], exact_int(obj.get("rank", 0), "rank"))
     A = obj["A"]
-    n = int(obj.get("nodes", len(A)))
+    n = exact_int(obj.get("nodes", len(A)), "'nodes'")
     if len(A) != n:
         raise ValueError("'nodes' disagrees with matrix size")
     eps = obj.get("eps")
@@ -587,9 +595,12 @@ def tau_from_swaps(datum: CartanDatum, swaps):
     """The diagram map as a dict on every label: each swap (i, j) exchanges
     i and j, and every other label is fixed."""
     tau = {lab: lab for lab in datum.labels}
-    for i, j in swaps:
-        tau[int(i)] = int(j)
-        tau[int(j)] = int(i)
+    for swap in swaps:
+        # a string label is text, read as the keys of c and s are; any
+        # other label must be an int
+        i, j = (int(x) if x.__class__ is str else exact_int(x, "node label") for x in swap)
+        tau[i] = j
+        tau[j] = i
     return tau
 
 

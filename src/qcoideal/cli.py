@@ -33,6 +33,7 @@ from .cartan import (
     datum_from_json,
     datum_to_json,
     enumerate_admissible,
+    exact_int,
     pair_to_json,
     tau_from_swaps,
     tau_swaps,
@@ -95,7 +96,8 @@ def _load_datum(arg):
 def _read_pair(datum, obj):
     """(X, tau) as given by pair JSON, not yet validated."""
     with _json_shape("pair"):
-        return [int(x) for x in obj.get("X", [])], tau_from_swaps(datum, obj.get("tau", []))
+        X = [exact_int(x, "node label") for x in obj.get("X", [])]
+        return X, tau_from_swaps(datum, obj.get("tau", []))
 
 
 def _load_pair(datum, arg):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .cartan import exact_int
 from .scalars import GQ_ONE, GaussianRational, Scalar, I_UNIT
 
 
@@ -205,15 +206,14 @@ def _parse_index_list(body: str):
 
 def _monomial_key(datum, e, k, f):
     """The key (e, k, f) of E_e K_k F_f from its E- and F-words and the
-    (label, exponent) pairs of its K-part; every label is checked."""
+    (label, exponent) pairs of its K-part; every label and exponent is
+    checked."""
     kvec = [0] * datum.n
     for lab, exp in k:
-        kvec[datum.pos(int(lab))] += int(exp)
+        kvec[datum.pos(int(lab))] += exact_int(exp, "K exponent")
     e, f = tuple(e), tuple(f)
     for i in e + f:
-        if i.__class__ is not int:  # 1.0 and True would pass pos()
-            raise ValueError(f"node label {i!r} is not an integer")
-        datum.pos(i)
+        datum.pos(exact_int(i, "node label"))  # 1.0 and True would pass pos()
     return (e, tuple(kvec), f)
 
 
@@ -242,6 +242,7 @@ def _parse_monomial(datum, text: str):
         )
     e, k, f = m.groups("")
     k = [item.split(":") for item in k.split(",") if item.strip()]
+    k = [(lab, int(exp)) for lab, exp in k]
     return _monomial_key(datum, _parse_index_list(e), k, _parse_index_list(f))
 
 

@@ -318,8 +318,8 @@ def c_closed(params: QSPParameters, i, j) -> Element:
         return t1 + t2 + t3
     # j in X: unified formulas with skew derivatives of Z_i
     epj = datum.epsilon(j)
-    rz = skew_r(j, ctx.z(i), allow_k=True) * Element.K_i(datum, j)
-    irz = skew_ir(j, ctx.z(i), allow_k=True) * Element.K_i(datum, j, -1)
+    rz = skew_r(j, ctx.z(i)) * Element.K_i(datum, j)
+    irz = skew_ir(j, ctx.z(i)) * Element.K_i(datum, j, -1)
     denom = _ef_inverse(datum, i) * _ef_inverse(datum, j)
     if aij == -1:
         out = (Bj * zi).scale(_qi(datum, i))

@@ -776,7 +776,7 @@ def suite_qsp_structure(seed=0):
                 pairing = datum.bilinear(datum.simple_root(i), datum.simple_root(j))
                 if pairing == 0:
                     continue
-                lhs = skew_r(j, ctx.z(i), allow_k=True)
+                lhs = skew_r(j, ctx.z(i))
                 rhs = w_element(ctx, i, j).scale(ONE - Scalar.v_pow(4 * pairing))
                 checks.append(
                     _check(

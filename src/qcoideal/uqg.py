@@ -732,26 +732,18 @@ def omega(a: Element) -> Element:
 # Skew derivations and the adjoint action.
 # ---------------------------------------------------------------------------
 
-def _check_skew_input(a: Element, allow_k: bool):
-    wt = None
-    for (e, k, f) in a.terms:
-        if f:
-            raise ValueError("skew derivations act on E-only elements")
-        if not allow_k and any(k):
-            raise ValueError("skew derivations act on torus-free elements")
-        w = word_weight(a.datum, e)
-        if wt is None:
-            wt = w
-        elif w != wt:
-            raise ValueError("skew derivations require homogeneous input")
+def _check_skew_input(a: Element):
+    if any(f for _, _, f in a.terms):
+        raise ValueError("skew derivations act on E-only elements")
 
 
-def skew_r(i, a: Element, allow_k: bool = False) -> Element:
+def skew_r(i, a: Element) -> Element:
     """Right skew derivation: deletes each letter i with the q-power of the
     pairing of alpha_i against the letters to its right, whose v-exponent
-    is 2 (alpha_i, wt e) - 2 (alpha_i, alpha_i) - x for a deletion (x, _)."""
+    is 2 (alpha_i, wt e) - 2 (alpha_i, alpha_i) - x for a deletion (x, _).
+    It acts term by term on every E-only element, torus parts included."""
     datum = a.datum
-    _check_skew_input(a, allow_k)
+    _check_skew_input(a)
     alpha = datum.simple_root(i)
     out = {}
     for (e, k, f), c in a.terms.items():
@@ -761,13 +753,14 @@ def skew_r(i, a: Element, allow_k: bool = False) -> Element:
     return Element(datum, _settle(out))
 
 
-def skew_ir(i, a: Element, allow_k: bool = False) -> Element:
+def skew_ir(i, a: Element) -> Element:
     """Left skew derivation sigma . r_i . sigma: deletes each letter i of
     E_e K_k with the q-power of the pairing of alpha_i against the letters
-    to its left, times q^{-(alpha_i, k)}.  Positions are visited from right
-    to left, the order in which r_i meets them in sigma(a)."""
+    to its left, times q^{-(alpha_i, k)}; it acts on every E-only element,
+    torus parts included.  Positions are visited from right to left, the
+    order in which r_i meets them in sigma(a)."""
     datum = a.datum
-    _check_skew_input(a, allow_k)
+    _check_skew_input(a)
     alpha = datum.simple_root(i)
     out = {}
     for (e, k, f), c in a.terms.items():

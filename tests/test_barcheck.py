@@ -145,15 +145,16 @@ def test_corollary_agrees_with_engine_random():
 def _agree(params):
     engine = bar_exists(params)
     direct = corollary_conditions(params)
-    return (engine.exists, sorted(engine.skipped_nodes)) == (
-        direct.exists, sorted(direct.skipped_nodes)
+    return (engine.exists, engine.failing_nodes, engine.skipped_nodes) == (
+        direct.exists, direct.failing_nodes, direct.skipped_nodes
     )
 
 
 def test_corollary_agrees_with_engine_on_every_atlas_pair():
-    """The engine and the direct conditions agree on the verdict and on the
-    skipped nodes (the tau-fixed isolated rank-one ones) for every atlas pair
-    with a free node, at canonical parameters and at seeded draws."""
+    """The engine and the direct conditions agree on the verdict, on the
+    failing nodes node by node, and on the skipped nodes (the tau-fixed
+    isolated rank-one ones) for every atlas pair with a free node, at
+    canonical parameters and at seeded draws."""
     rng = random.Random(16)
     pool = [ONE, Q, -Q, Q ** -1, Q ** 2, ONE + Q ** 2, (ONE + Q ** 2) * Q ** -1,
             Scalar.i_unit() * Q]

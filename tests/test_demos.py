@@ -1,4 +1,6 @@
-"""Smoke test: the demo scripts run to completion against the package."""
+"""The demo scripts run to completion against the package.  Each demo
+asserts every identity verdict it prints at the value its text claims, so
+a false identity exits non-zero here."""
 
 import os
 import subprocess

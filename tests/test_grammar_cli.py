@@ -85,7 +85,7 @@ def test_element_from_json_rejects_unknown_letters():
             element_from_json(A2, {"terms": [dict(word, coeff="1")]})
     with pytest.raises(ValueError, match="unknown node label 9"):
         parse_element(A2, "E[9] * (1)")
-    for word in ({"E": [1.0]}, {"F": [True]}, {"E": ["1"]}):
+    for word in ({"E": [1.0]}, {"F": [True]}, {"E": ["1"]}, {"K": {"1": 1.5}}, {"K": {"1": True}}):
         with pytest.raises(ValueError, match="is not an integer"):
             element_from_json(A2, {"terms": [dict(word, coeff="1")]})
 
@@ -179,6 +179,21 @@ def test_cli_json_of_the_wrong_shape_is_an_input_error(tmp_path, capsys):
         (["--params", '[1]', "--cartan", "A:2", "bar-exists"], "parameter JSON"),
         (["--cartan", str(tmp_path), "--pair", '{"X": []}', "canonical"], "cannot read"),
     ]
+    # a number that must be an int is refused, not truncated or cast
+    a2 = '"A": [[2, -1], [-1, 2]]'
+    for cartan, pair in [
+        ('{"A": [[2, -1.5], [-1, 2]]}', '{"X": [], "tau": []}'),
+        ('{%s, "eps": [1.5, 1]}' % a2, '{"X": [], "tau": []}'),
+        ('{%s, "labels": [1.9, 2]}' % a2, '{"X": [], "tau": []}'),
+        ('{%s, "labels": [true, 2]}' % a2, '{"X": [], "tau": []}'),
+        ('{%s, "nodes": 2.0}' % a2, '{"X": [], "tau": []}'),
+        ('{"type": "A", "rank": 2.9}', '{"X": [], "tau": []}'),
+        ('{"type": "A", "rank": "3"}', '{"X": [], "tau": []}'),
+        ("A:3", '{"X": [1.7], "tau": [[1,3]]}'),
+        ("A:3", '{"X": [true], "tau": [[1,3]]}'),
+        ("A:3", '{"X": [2], "tau": [[1.2, 3]]}'),
+    ]:
+        cases.append((["--cartan", cartan, "--pair", pair, "validate-pair"], "is not an integer"))
     for argv, message in cases:
         assert main(argv) == 2, argv
         assert message in _one_error_line(capsys, "error: "), argv

@@ -14,7 +14,9 @@ torus part gives a left skew derivation, the integer polynomials that
 the zero walk reads its coefficients as (their imaginary parts, and the
 one scale that clears every denominator), the dropping of a key whose
 deferred sum vanishes, the key of the memo of trial divisions, and the
-value of i^2 among the fourth roots of unity (check `fourth-root`).  Two
+value of i^2 among the fourth roots of unity (check `fourth-root`), and
+the bar of the split-node rule that `corollary_conditions` shares with
+`in_set_D` (check `split-rule`, the two bar deciders node by node).  Two
 mutants sit in the straightening kernel that one-pass q-commutators x y -
 v^s y x share with products: one drops v^s from the y x side and one
 adds that side instead of subtracting it; both fail `serre-g2`, whose
@@ -30,7 +32,7 @@ import sys
 
 import pytest
 
-from qcoideal import qsp, scalars, uqg
+from qcoideal import barcheck, qsp, scalars, uqg
 from qcoideal.braid import BraidOperator, apply_braid
 from qcoideal.cartan import CartanDatum, cartan_datum, validate_admissible
 from qcoideal.scalars import I_UNIT, ONE, Scalar, qfact, qint
@@ -156,8 +158,8 @@ def check_skew_ir_torus():
     q^{-(alpha_1, alpha_1)}."""
     d = _a2()
     x = Element.monomial(d, (1, 2, 1), (1, 0), ())
-    want = sigma(skew_r(1, sigma(x), allow_k=True))
-    return list(skew_ir(1, x, allow_k=True).terms.items()) == list(want.terms.items())
+    want = sigma(skew_r(1, sigma(x)))
+    return list(skew_ir(1, x).terms.items()) == list(want.terms.items())
 
 
 def check_gaussian_coefficient():
@@ -206,6 +208,20 @@ def check_fourth_root():
     return qsp.s_value(pair, 1) == qsp.s_value(pair, 4) == Scalar.from_int(-1)
 
 
+def check_split_rule():
+    """The Z_i identity and the scalar conditions fail on the same nodes of
+    A3, X = {2}, tau = (1 3), at c = (q, q) and at c = (q, q^-1).  There
+    (alpha_i, Theta(alpha_i) - 2 rho_X) = 2, so the split rule reads
+    c_tau(i) = q^2 bar(c_i), and without the bar it fails on node 1 at
+    (q, q) and holds on node 3 at (q, q^-1)."""
+    pair = validate_admissible(CartanDatum(cartan_datum("A", 3).A), {2}, {1: 3, 2: 2, 3: 1})
+    for c3 in (Q, Q ** -1):
+        params = qsp.QSPParameters(pair, {1: Q, 3: c3})
+        if barcheck.bar_exists(params).failing_nodes != barcheck.corollary_conditions(params).failing_nodes:
+            return False
+    return True
+
+
 CHECKS = {
     "ef-commutator": check_ef_commutator,
     "k-past-f": check_k_past_f,
@@ -224,6 +240,7 @@ CHECKS = {
     "strip-memo": check_strip_memo,
     "serre-g2": check_serre_g2,
     "fourth-root": check_fourth_root,
+    "split-rule": check_split_rule,
 }
 
 
@@ -463,6 +480,15 @@ def square_i_to_one(monkeypatch):
     monkeypatch.setattr(qsp, "fourth_root_power", mutant)
 
 
+def drop_split_bar(monkeypatch):
+    """Read the split-node rule without the bar: c_tau(i) = v^{2x} c_i."""
+
+    def mutant(pair, i, ci, cti):
+        return cti == Scalar.v_pow(2 * pair.pairing_theta_2rho(i)) * ci
+
+    monkeypatch.setattr(barcheck, "_split_rule", mutant)
+
+
 MUTANTS = [
     ("ef-commutator", negate_ef_inverse),
     ("k-past-f", shift_k_past_f),
@@ -483,6 +509,7 @@ MUTANTS = [
     ("serre-g2", drop_commutator_shift),
     ("serre-g2", add_commutator_swap),
     ("fourth-root", square_i_to_one),
+    ("split-rule", drop_split_bar),
 ]
 
 

@@ -99,7 +99,7 @@ def test_w_element():
     # consistency with the double-derivation route
     pairing = B2.bilinear(B2.simple_root(1), B2.simple_root(2))
     assert pairing == -2
-    lhs = skew_r(2, ctx.z(1), allow_k=True)
+    lhs = skew_r(2, ctx.z(1))
     rhs = w_element(ctx, 1, 2).scale(ONE - Scalar.q_pow(2 * pairing))
     assert equals(lhs, rhs)
     # no X nodes in the quasi-split case: domain is empty

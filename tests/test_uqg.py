@@ -181,12 +181,30 @@ def test_skew_derivation_examples():
 
 
 def test_skew_derivation_input_checks():
-    with pytest.raises(ValueError):
-        skew_r(1, Element.F(A2, 1))
-    with pytest.raises(ValueError):
-        skew_r(1, Element.E(A2, 1) * Element.K_i(A2, 1))
-    with pytest.raises(ValueError):
-        skew_r(1, Element.E(A2, 1) + Element.E(A2, 2))  # nonhomogeneous
+    for skew in (skew_r, skew_ir):
+        with pytest.raises(ValueError):
+            skew(1, Element.F(A2, 1))
+        with pytest.raises(ValueError):
+            skew(1, Element.E(A2, 1) + Element.E(A2, 1) * Element.F(A2, 2))
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "affine:A1"])
+def test_skew_derivations_are_linear_on_mixed_weights(name):
+    """r_i and _ir are linear maps on all of U^+: on E-only elements x and y
+    of different weights, both with torus parts, the image of x + y is the
+    sum of the images."""
+    datum = cartan_datum(name[:-1], int(name[-1]))
+    rng = random.Random(71)
+    checked = 0
+    for _ in range(12):
+        x, y = (_k_word_element(rng, datum, True) for _ in "xy")
+        if word_weight(datum, next(iter(x.terms))[0]) == word_weight(datum, next(iter(y.terms))[0]):
+            continue
+        checked += 1
+        for i in datum.labels:
+            for skew in (skew_r, skew_ir):
+                assert equals(skew(i, x + y), skew(i, x) + skew(i, y))
+    assert checked >= 6
 
 
 def test_adjoint_action():
@@ -723,15 +741,15 @@ def test_serre_projection_cell_is_the_terms_of_y_over_k_minus_lambda():
         assert list(cell.terms.items()) == list(want.items())
 
 
-def _k_word_element(rng, datum, allow_k):
+def _k_word_element(rng, datum, with_k):
     """One to three monomials E_e K_k of one weight, with K parts when
-    allow_k."""
+    with_k."""
     w = tuple(rng.choice(datum.labels) for _ in range(rng.randint(1, 4)))
     out = Element.zero(datum)
     for _ in range(rng.randint(1, 3)):
         e = list(w)
         rng.shuffle(e)
-        k = tuple(rng.randint(-2, 2) for _ in range(datum.n)) if allow_k else datum.zero_vector()
+        k = tuple(rng.randint(-2, 2) for _ in range(datum.n)) if with_k else datum.zero_vector()
         out = out + Element.monomial(datum, e, k, (), Scalar.q_pow(rng.randint(-2, 2)) + ONE)
     return out
 
@@ -743,12 +761,12 @@ def test_skew_ir_is_the_conjugated_right_derivation(name):
     datum = cartan_datum(name[:-1], int(name[-1]))
     rng = random.Random(31)
     shifted = 0
-    for allow_k in (False, True):
+    for with_k in (False, True):
         for _ in range(25):
-            x = _k_word_element(rng, datum, allow_k)
+            x = _k_word_element(rng, datum, with_k)
             for i in datum.labels:
-                want = sigma(skew_r(i, sigma(x), allow_k=allow_k))
-                assert list(skew_ir(i, x, allow_k=allow_k).terms.items()) == list(want.terms.items())
+                want = sigma(skew_r(i, sigma(x)))
+                assert list(skew_ir(i, x).terms.items()) == list(want.terms.items())
                 alpha = datum.simple_root(i)
                 if want.terms and any(datum.bilinear(alpha, k) for _e, k, _f in x.terms):
                     shifted += 1
@@ -1288,12 +1306,12 @@ def test_skew_derivations_match_the_slice_formulas(name):
     formulas key for key and in order, with and without K parts."""
     datum = cartan_datum(name[:-1], int(name[-1]))
     rng = random.Random(53)
-    for allow_k in (False, True):
+    for with_k in (False, True):
         for _ in range(20):
-            x = _k_word_element(rng, datum, allow_k)
+            x = _k_word_element(rng, datum, with_k)
             for i in datum.labels:
-                for got, want in ((skew_r(i, x, allow_k=allow_k), _ref_skew_r(i, x)),
-                                  (skew_ir(i, x, allow_k=allow_k), _ref_skew_ir(i, x))):
+                for got, want in ((skew_r(i, x), _ref_skew_r(i, x)),
+                                  (skew_ir(i, x), _ref_skew_ir(i, x))):
                     assert list(got.terms.items()) == list(want.terms.items())
 
 

@@ -592,13 +592,11 @@ def _enumerate(datum):
 
 
 def tau_from_swaps(datum: CartanDatum, swaps):
-    """The diagram map as a dict on every label: each swap (i, j) exchanges
-    i and j, and every other label is fixed."""
+    """The diagram map as a dict on every label: each swap (i, j) of int
+    labels exchanges i and j, and every other label is fixed."""
     tau = {lab: lab for lab in datum.labels}
     for swap in swaps:
-        # a string label is text, read as the keys of c and s are; any
-        # other label must be an int
-        i, j = (int(x) if x.__class__ is str else exact_int(x, "node label") for x in swap)
+        i, j = (exact_int(x, "node label") for x in swap)
         tau[i] = j
         tau[j] = i
     return tau

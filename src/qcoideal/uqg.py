@@ -43,7 +43,8 @@ through `_gather`, and `_settle` finishes the dict.  Coefficients over 1
 are added as they meet; a key that meets another denominator keeps its
 addends and sums them once, by `scalar_sum`.  A key whose sum vanishes is
 dropped, and a zero addend never opens a key.  The maps of one tensor
-factor are one splice.
+factor are one splice.  Tensor products, contractions and coproduct slots
+work on monomials through `_straighten` and `_monomial_coproduct`.
 Every q-power q^{(beta, gamma)} that straightening, the coproduct, the
 involutions and the zero walk meet is carried as the integer v-exponent
 2 (beta, gamma), read off the datum's integer Gram matrix.  Outside the
@@ -290,10 +291,14 @@ def _commute(datum, f, e):
     return out
 
 
+def _operand(datum, m):
+    """The monomial m = (e, k, f) as `_straighten` reads it, (e, k, f, row)."""
+    return m + (_shift_row(datum, m[1]),)
+
+
 def _operands(datum, x):
-    """[((e, k, f, shift row of k), coefficient)] of an element's terms, the
-    monomials as `_straighten` reads them."""
-    return [((e, k, f, _shift_row(datum, k)), c) for (e, k, f), c in x.terms.items()]
+    """[(operand, coefficient)] of an element's terms."""
+    return [(_operand(datum, m), c) for m, c in x.terms.items()]
 
 
 def _straighten(datum, out, a, b, c, s=0):
@@ -505,15 +510,17 @@ class Tensor(_Linear):
     def __mul__(self, other):
         """Factorwise product of tensors of equal arity."""
         self._check(other)
-        datum = self.datum
-        out = {}
+        datum, out = self.datum, {}
+        right = [([_operand(datum, m) for m in keys], c) for keys, c in other.terms.items()]
         for keys1, c1 in self.terms.items():
-            for keys2, c2 in other.terms.items():
-                prod = _tensor_of_elements([
-                    Element(datum, {m1: ONE}) * Element(datum, {m2: ONE})
-                    for m1, m2 in zip(keys1, keys2)
-                ], c1 * c2)
-                for keys, c in prod.terms.items():
+            left = [_operand(datum, m) for m in keys1]
+            for ops2, c2 in right:
+                facs = []
+                for a, b in zip(left, ops2):
+                    fac = {}
+                    _straighten(datum, fac, a, b, ONE)
+                    facs.append(_settle(fac))
+                for keys, c in _product_terms(facs, c1 * c2):
                     _gather(out, keys, c)
         return Tensor(datum, self.arity, _settle(out))
 
@@ -536,9 +543,7 @@ class Tensor(_Linear):
 
     def coproduct_slot(self, slot):
         """Apply the coproduct to one factor, raising the arity by one."""
-        datum = self.datum
-        return self._splice(
-            slot, self.arity + 1, lambda m: coproduct(Element(datum, {m: ONE})).terms.items())
+        return self._splice(slot, self.arity + 1, lambda m: _monomial_coproduct(self.datum, m, None))
 
     def counit_slot(self, slot):
         """Apply the counit to one factor, lowering the arity by one."""
@@ -548,14 +553,16 @@ class Tensor(_Linear):
 
     def contract(self):
         """Multiply all tensor factors together, left to right."""
-        datum = self.datum
-        out = {}
+        datum, out = self.datum, {}
         for keys, c in self.terms.items():
-            prod = Element(datum, {keys[0]: c})
-            for t in range(1, self.arity):
-                prod = prod * Element(datum, {keys[t]: ONE})
-            for key, cc in prod.terms.items():
-                _gather(out, key, cc)
+            part = {keys[0]: c}
+            for m2 in keys[1:]:
+                b, acc = _operand(datum, m2), {}
+                for m, cc in part.items():
+                    _straighten(datum, acc, _operand(datum, m), b, cc)
+                part = _settle(acc)
+            for m, cc in part.items():
+                _gather(out, m, cc)
         return Element(datum, _settle(out))
 
     def as_element(self):
@@ -567,13 +574,18 @@ class Tensor(_Linear):
         return f"Tensor(arity={self.arity}, terms={len(self.terms)})"
 
 
-def _tensor_of_elements(elems, coeff):
-    """coeff times the tensor product of the elements, the last factor
-    varying fastest; its keys are distinct, so no term needs collecting."""
+def _product_terms(factors, coeff):
+    """[(keys, c)] of coeff times the tensor product of the term dicts, the
+    last factor varying fastest; the keys are distinct."""
     parts = [((), coeff)]
-    for x in elems:
-        parts = [(keys + (m,), c * cc) for keys, c in parts for m, cc in x.terms.items()]
-    return Tensor(elems[0].datum, len(elems), dict(parts))
+    for terms in factors:
+        parts = [(keys + (m,), c * cc) for keys, c in parts for m, cc in terms.items()]
+    return parts
+
+
+def _tensor_of_elements(elems, coeff):
+    """coeff times the tensor product of the elements, keys distinct."""
+    return Tensor(elems[0].datum, len(elems), dict(_product_terms([x.terms for x in elems], coeff)))
 
 
 def _splits(datum, word, sign, lo, hi):
@@ -614,8 +626,18 @@ def coproduct(a: Element) -> Tensor:
 
 
 def coproduct_graded(a: Element, target=None) -> Tensor:
-    """Terms of the coproduct whose second factor has Q-degree `target`,
-    all of them when `target` is None.
+    """Terms of the coproduct whose second factor has Q-degree `target`, all
+    when None: c times `_monomial_coproduct` of each term c m, in order."""
+    out = {}
+    for m, c in a.terms.items():
+        for keys, p in _monomial_coproduct(a.datum, m, target):
+            _gather(out, keys, c * p)
+    return Tensor(a.datum, 2, _settle(out))
+
+
+def _monomial_coproduct(datum, m, target):
+    """[((m1, m2), P)] of the terms of Delta(m) whose m2 has Q-degree
+    `target` (all when None), with distinct keys.
 
     A monomial expands over the subsets S of its E-letters and T of its
     F-letters that move to the second factor, in word order:
@@ -623,34 +645,32 @@ def coproduct_graded(a: Element, target=None) -> Tensor:
     E_S K_{k-wt(f-T)} F_T with x = sum_{s in S, u > s, u not in S}
     2 (alpha_{e_s}, alpha_{e_u}) - sum_{t not in T, u < t, u in T}
     2 (alpha_{f_t}, alpha_{f_u}), every term in normal order and of
-    degree wt S - wt T.  Only splits of the target degree are built:
-    target <= wt S <= target + wt f bounds the E-side, its splits bound
-    the F-side, and the two are joined on the degree.  Terms come in the
-    order of the letter-by-letter product.
-    """
-    datum = a.datum
-    out = {}
-    for (e, k, f), c in a.terms.items():
-        wf = word_weight(datum, f)
-        if target is None:
-            es, fs = _splits(datum, e, 1, None, None), _splits(datum, f, -1, None, None)
-        else:
-            es = _splits(datum, e, 1, target, tuple(map(add, target, wf)))
-            if not es:
-                continue
-            need = [tuple(map(sub, wt, target)) for _, _, wt in es]  # the values of wt T
-            fs = _splits(datum, f, -1, tuple(map(min, zip(*need))), tuple(map(max, zip(*need))))
-        k2 = tuple(map(sub, k, wf))
-        by_degree = {}  # the F-splits in order, under wt T (under None for all)
-        for (stay, moved, wt), pf in fs.items():
-            part = (stay, tuple(map(add, k2, wt)), moved, pf)
-            by_degree.setdefault(None if target is None else wt, []).append(part)
-        for (rest, moved, wt), pe in es.items():
-            k1 = tuple(map(add, k, wt))
-            degree = None if target is None else tuple(map(sub, wt, target))
-            for stay, k2t, fmoved, pf in by_degree.get(degree, ()):
-                _gather(out, ((rest, k1, stay), (moved, k2t, fmoved)), c * pe * pf)
-    return Tensor(datum, 2, _settle(out))
+    degree wt S - wt T; P = P_E P_F sums the splits onto one key.  Only
+    splits of the target degree are built: target <= wt S <= target + wt f
+    bounds the E-side, its splits bound the F-side, and the two are joined
+    on the degree.  Terms come in the order of the letter-by-letter product."""
+    e, k, f = m
+    wf = word_weight(datum, f)
+    if target is None:
+        es, fs = _splits(datum, e, 1, None, None), _splits(datum, f, -1, None, None)
+    else:
+        es = _splits(datum, e, 1, target, tuple(map(add, target, wf)))
+        if not es:
+            return []
+        need = [tuple(map(sub, wt, target)) for _, _, wt in es]  # the values of wt T
+        fs = _splits(datum, f, -1, tuple(map(min, zip(*need))), tuple(map(max, zip(*need))))
+    k2 = tuple(map(sub, k, wf))
+    by_degree = {}  # the F-splits in order, under wt T (under None for all)
+    for (stay, moved, wt), pf in fs.items():
+        part = (stay, tuple(map(add, k2, wt)), moved, pf)
+        by_degree.setdefault(None if target is None else wt, []).append(part)
+    out = []
+    for (rest, moved, wt), pe in es.items():
+        k1 = tuple(map(add, k, wt))
+        degree = None if target is None else tuple(map(sub, wt, target))
+        for stay, k2t, fmoved, pf in by_degree.get(degree, ()):
+            out.append((((rest, k1, stay), (moved, k2t, fmoved)), pe * pf))
+    return out
 
 
 def counit(a: Element) -> Scalar:
@@ -744,10 +764,10 @@ def skew_r(i, a: Element) -> Element:
     It acts term by term on every E-only element, torus parts included."""
     datum = a.datum
     _check_skew_input(a)
-    alpha = datum.simple_root(i)
+    row = datum.vgram[i]
     out = {}
     for (e, k, f), c in a.terms.items():
-        total = _vexp(datum, alpha, e) - datum.vgram[i][i]
+        total = sum(map(row.__getitem__, e)) - row[i]
         for x, rest in _deletions(datum, e, i):
             _gather(out, (rest, k, f), c.shifted(total - x))
     return Element(datum, _settle(out))

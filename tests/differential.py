@@ -10,10 +10,11 @@ same checks either way:
   decide every pair by the zero walk, never by comparing term dicts
 - scalar: the zero walk runs on Scalar coefficients (`_ref_zero_walk` of
   test_uqg.py), not on integer polynomials under one common scale
-- per-row: products multiply the full coefficient of every row of the
-  commutation table (`_per_row_mul` of test_uqg.py), not one product per
-  distinct base; q-commutators are rebound as in "commutator", so that
-  every Serre polynomial is built from these products
+- per-row: the kernel `_straighten`, which every product, q-commutator,
+  tensor product and contraction calls, multiplies the full coefficient
+  of every row of the commutation table and reads every shift off the
+  K-vectors (`_per_row_straighten` of test_uqg.py), not one product per
+  distinct base with shifts read off the shift rows
 - commutator: `q_commutator`, as uqg and qsp import it, is two products, a
   scaling and a difference (`_ref_q_commutator` of test_uqg.py), not one
   pass over the pairs of terms
@@ -23,6 +24,10 @@ same checks either way:
 - strip: numerators are cancelled against exponent vectors by plain trial
   division over Q(i) (`_ref_strip` of test_scalars.py), with no root test
   on the coefficient dict and no memo
+- tensor: `Tensor.__mul__`, `Tensor.contract` and `Tensor.coproduct_slot`
+  are the per-term loops that build an Element around every monomial
+  (`_ref_mul`, `_ref_contract` and `_ref_coproduct_slot` of test_uqg.py),
+  not the kernels called on monomials
 
 Given SHIPPED, the OUT of a shipped run, the script exits with an error
 naming the mode and the first suite whose checks differ from it.  Run each
@@ -40,18 +45,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 def _rebind(mode):
     from qcoideal import barcheck, braid, qsp, scalars, suites, uqg
 
-    if mode in ("per-row", "commutator"):
+    if mode == "commutator":
         from test_uqg import _ref_q_commutator
         uqg.q_commutator = qsp.q_commutator = _ref_q_commutator
-    if mode == "walk":
+    elif mode == "walk":
         suites.equals = barcheck.equals = lambda a, b: uqg.is_zero(a - b)
         suites.tensor_equals = lambda s, t: uqg.tensor_is_zero(s - t)
     elif mode == "scalar":
         from test_uqg import _ref_zero_walk
         uqg._zero_walk = _ref_zero_walk
     elif mode == "per-row":
-        from test_uqg import _per_row_mul
-        uqg.Element.__mul__ = _per_row_mul
+        from test_uqg import _per_row_straighten
+        uqg._straighten = _per_row_straighten
     elif mode == "pairwise":
         from test_uqg import _ref_add
         for module in (uqg, braid, suites):
@@ -59,7 +64,12 @@ def _rebind(mode):
     elif mode == "strip":
         from test_scalars import _ref_strip
         scalars._strip = _ref_strip
-    elif mode not in ("shipped", "commutator"):
+    elif mode == "tensor":
+        from test_uqg import _ref_contract, _ref_coproduct_slot, _ref_mul
+        uqg.Tensor.__mul__ = _ref_mul
+        uqg.Tensor.contract = _ref_contract
+        uqg.Tensor.coproduct_slot = _ref_coproduct_slot
+    elif mode != "shipped":
         sys.exit(f"unknown mode {mode!r}")
 
 

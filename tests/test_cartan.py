@@ -324,7 +324,10 @@ def test_theta_2rho_pairing_is_tau_invariant():
 def test_tau_from_swaps():
     a4 = cartan_datum("A", 4)
     assert tau_from_swaps(a4, []) == {1: 1, 2: 2, 3: 3, 4: 4}
-    assert tau_from_swaps(a4, [[1, 4], ["2", "3"]]) == {1: 4, 2: 3, 3: 2, 4: 1}
+    assert tau_from_swaps(a4, [[1, 4], [2, 3]]) == {1: 4, 2: 3, 3: 2, 4: 1}
+    # a label must be an int, as in X: a string is refused, not parsed
+    with pytest.raises(ValueError, match="is not an integer"):
+        tau_from_swaps(a4, [[1, 4], ["2", "3"]])
 
 
 def test_word_inverse_and_form_invariance():

@@ -192,6 +192,8 @@ def test_cli_json_of_the_wrong_shape_is_an_input_error(tmp_path, capsys):
         ("A:3", '{"X": [1.7], "tau": [[1,3]]}'),
         ("A:3", '{"X": [true], "tau": [[1,3]]}'),
         ("A:3", '{"X": [2], "tau": [[1.2, 3]]}'),
+        ("A:3", '{"X": [2], "tau": [["1", "3"]]}'),
+        ("A:3", '{"X": [2], "tau": [["01", "3"]]}'),
     ]:
         cases.append((["--cartan", cartan, "--pair", pair, "validate-pair"], "is not an integer"))
     for argv, message in cases:

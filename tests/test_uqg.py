@@ -9,7 +9,7 @@ import pytest
 from qcoideal.braid import apply_braid, braid_T
 from qcoideal.cartan import CartanDatum, cartan_datum
 from qcoideal.grammar import element_from_json, parse_element
-from qcoideal.scalars import I_UNIT, ONE, Scalar, qbinom_eps, qfact, qint
+from qcoideal.scalars import I_UNIT, ONE, Scalar, qbinom_eps, qfact, qint, scalar_sum
 from qcoideal.uqg import (
     Element,
     Tensor,
@@ -20,7 +20,9 @@ from qcoideal.uqg import (
     _gather,
     _good_prefixes,
     _mono_times_E,
+    _monomial_coproduct,
     _settle,
+    _shift_row,
     _tensor_of_elements,
     _word_count,
     adjoint_E,
@@ -848,27 +850,71 @@ def _items(x):
     return list(x.terms.items())
 
 
-@pytest.mark.parametrize("name", ["A2", "B2"])
-def test_tensor_maps_keep_the_order_of_the_per_term_loops(name):
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "affine:A1"])
+def test_tensor_maps_keep_the_order_of_the_per_term_loops(name, monkeypatch):
     """Tensor products, the slot maps and contraction give the terms of
     the per-term loops, key for key and in order, on tensors of arity 2
-    and 3 whose slots repeat monomials."""
+    and 3 whose slots repeat monomials.  The coefficients have the
+    denominators q_i - q_i^{-1} and [3]!, so that products and contractions
+    of arity 2 and 3 defer some of their sums."""
+    import qcoideal.uqg as uqg
+
     datum = cartan_datum(name[:-1], int(name[-1]))
     rng = random.Random(32)
     E1 = Element.E(datum, datum.labels[0])
+    coeffs = [ONE, qfact(3).inverse()] + [_ef_inverse(datum, i) for i in datum.labels]
+    deferred = []
+    monkeypatch.setattr(uqg, "scalar_sum", lambda cs: deferred.append(cs) or scalar_sum(cs))
+    engine = 0  # the sums the engine's tensor products and contractions defer
     for _ in range(3):
-        x, y = _random_element(rng, datum, terms=2), _random_element(rng, datum, terms=2)
-        t2 = coproduct(x)
-        t3 = coproduct(y).coproduct_slot(1)
-        assert _items(t2 * coproduct(y)) == _items(_ref_mul(t2, coproduct(y)))
-        assert _items(t3 * t3) == _items(_ref_mul(t3, t3))
+        x, y = (Element(datum, {m: c * rng.choice(coeffs) for m, c in
+                                _random_element(rng, datum, terms=2).terms.items()}) for _ in "xy")
+        t2, dy = coproduct(x), coproduct(y)
+        t3 = dy.coproduct_slot(1)
+        n = len(deferred)
+        got = [t2 * dy, t3 * t3, t2.contract(), t3.contract(), (t3 * t3).contract()]
+        engine += len(deferred) - n
+        want = [_ref_mul(t2, dy), _ref_mul(t3, t3), _ref_contract(t2), _ref_contract(t3),
+                _ref_contract(_ref_mul(t3, t3))]
+        assert [_items(g) for g in got] == [_items(w) for w in want]
         for t in (t2, t3):
             for slot in range(t.arity):
                 for fn in (antipode, omega, lambda a: a * E1 - E1 * a):
                     assert _items(t.map_slot(slot, fn)) == _items(_ref_map_slot(t, slot, fn))
                 assert _items(t.coproduct_slot(slot)) == _items(_ref_coproduct_slot(t, slot))
                 assert _items(t.counit_slot(slot)) == _items(_ref_counit_slot(t, slot))
-            assert _items(t.contract()) == _items(_ref_contract(t))
+    assert engine > 0
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "affine:A1"])
+def test_monomial_coproduct_is_the_coproduct_of_one_monomial(name):
+    """For random monomials, with target None and with every degree that a
+    split can reach, the keys of `_monomial_coproduct` are distinct and it
+    is `coproduct_graded` of the monomial, item for item and in order;
+    every such degree has terms, and a degree past the E-word has none."""
+    datum = cartan_datum(name[:-1], int(name[-1]))
+    rng = random.Random(71)
+    for _ in range(15):
+        e, f = (tuple(rng.choice(datum.labels) for _ in range(rng.randint(0, 3))) for _ in "ef")
+        m = (e, tuple(rng.randint(-1, 1) for _ in range(datum.n)), f)
+        we, wf = word_weight(datum, e), word_weight(datum, f)
+        degrees = list(itertools.product(*(range(-b, a + 1) for a, b in zip(we, wf))))
+        for target in [None] + degrees:
+            got = _monomial_coproduct(datum, m, target)
+            keys = [key for key, _p in got]
+            assert got and len(set(keys)) == len(keys)
+            assert got == _items(coproduct_graded(Element(datum, {m: ONE}), target))
+        past = (we[0] + 1,) + datum.zero_vector()[1:]
+        assert _monomial_coproduct(datum, m, past) == []
+
+
+@pytest.mark.parametrize("name", ["A2", "G2", "affine:A1"])
+def test_shift_rows_pair_k_with_the_simple_roots(name):
+    """The shift row of k is (2 (k, alpha_p))_p, and None for k = 0."""
+    datum = cartan_datum(name[:-1], int(name[-1]))
+    for k in itertools.product(range(-2, 3), repeat=datum.n):
+        want = tuple(2 * datum.bilinear(k, datum.simple_root(i)) for i in datum.labels)
+        assert _shift_row(datum, k) == (want if any(k) else None)
 
 
 def test_scalar_times_element_scales_it():
@@ -1085,26 +1131,30 @@ def _row_coefficients(entry):
     return [(e, k, f, signed[j].shifted(s)) for e, k, f, j, s in rows]
 
 
-def _per_row_mul(self, other):
-    """Element.__mul__ with one product c1 c2 (-1)^neg v^s base per row."""
-    if other.__class__ is not Element:
-        return self.__rmul__(other)
-    if self.datum is not other.datum:
-        raise ValueError("elements of different Cartan data do not combine")
-    datum = self.datum
+def _per_row_straighten(datum, out, a, b, c, s=0):
+    """`_straighten` with one product c (-1)^neg v^t base per table row,
+    every shift read off the K-vectors, not off the shift rows, and summed
+    into out by `_ref_add`."""
+    e1, k1, f1, _r1 = a
+    e2, k2, f2, _r2 = b
+    k12 = tuple(map(add, k1, k2))
+    if not f1 or not e2:
+        x = _ref_vexp(datum, k1, e2) + _ref_vexp(datum, k2, f1)
+        _ref_add(out, (e1 + e2, k12, f1 + f2), c.shifted(x + s))
+        return
+    for e, k, f, cc in _row_coefficients(_commute(datum, f1, e2)):
+        x = _ref_vexp(datum, k1, e) + _ref_vexp(datum, k2, f)
+        _ref_add(out, (e1 + e, tuple(map(add, k12, k)), f + f2), (c * cc).shifted(x + s))
+
+
+def _per_row_mul(x, y):
+    """x y by its own loop over the pairs of terms, y's outer and x's inner,
+    each pair straightened by `_per_row_straighten`."""
     out = {}
-    for (e2, k2, f2), c2 in other.terms.items():
-        for (e1, k1, f1), c1 in self.terms.items():
-            c = c1 * c2
-            k12 = tuple(map(add, k1, k2))
-            if not f1 or not e2:
-                x = _ref_vexp(datum, k1, e2) + _ref_vexp(datum, k2, f1)
-                _ref_add(out, (e1 + e2, k12, f1 + f2), c.shifted(x))
-                continue
-            for e, k, f, cc in _row_coefficients(_commute(datum, f1, e2)):
-                x = _ref_vexp(datum, k1, e) + _ref_vexp(datum, k2, f)
-                _ref_add(out, (e1 + e, tuple(map(add, k12, k)), f + f2), (c * cc).shifted(x))
-    return Element(datum, out)
+    for m2, c2 in y.terms.items():
+        for m1, c1 in x.terms.items():
+            _per_row_straighten(x.datum, out, m1 + (None,), m2 + (None,), c1 * c2)
+    return Element(x.datum, out)
 
 
 def _ref_q_commutator(x, y, s):
@@ -1153,11 +1203,14 @@ def test_table_rows_factor_the_letter_pass(name):
 
 
 @pytest.mark.parametrize("name", ["G2", "B2", "A3"])
-def test_products_match_per_row_products(name):
+def test_products_match_per_row_products(name, monkeypatch):
     """Products that multiply once per distinct base equal the products
-    that multiply every row's coefficient, term for term and in order, with
+    that multiply every row's coefficient, term for term and in order, and
+    so do q-commutators with a shift against those whose kernel does, with
     Gaussian, rational, cyclotomic and 1/(v^2 + 3) coefficients; the last
     sends a product to the normaliser of plain-dict denominators."""
+    import qcoideal.uqg as uqg
+
     datum = CartanDatum(cartan_datum(name[:-1], int(name[-1])).A)
     rng = random.Random(53)
     coeffs = [Scalar.gaussian(2, -1), I_UNIT, Scalar.from_fraction(Fraction(-3, 4)),
@@ -1166,7 +1219,12 @@ def test_products_match_per_row_products(name):
     for t in range(12):
         x, y = _word_element(rng, datum), _word_element(rng, datum)
         x, y = x.scale(coeffs[t % len(coeffs)]), y.scale(rng.choice(coeffs))
-        assert list((x * y).terms.items()) == list(_per_row_mul(x, y).terms.items())
+        assert _items(x * y) == _items(_per_row_mul(x, y))
+        got = q_commutator(x, y, 2 * t - 6)
+        monkeypatch.setattr(uqg, "_straighten", _per_row_straighten)
+        want = q_commutator(x, y, 2 * t - 6)
+        monkeypatch.undo()
+        assert _items(got) == _items(want)
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "affine:A1"])

@@ -5,7 +5,7 @@ with Gaussian-rational coefficients, so equality is decidable and the bar
 involution v -> v^(-1) is a plain substitution.
 """
 
-from qcoideal import Scalar, is_bar_fixed, qbinom, qshifted_factorial
+from qcoideal import Scalar, is_bar_fixed, qshifted_factorial
 from qcoideal.grammar import scalar_to_text
 from qcoideal.scalars import ONE, ZERO, qbinom_eps
 
@@ -27,8 +27,8 @@ for t, fixed in ((q + q ** -1, True), (q, False), (q ** -1 * (q + q ** -1), Fals
 
 print()
 print("== balanced Gaussian binomials ==")
-print("[2 choose 1]_q =", scalar_to_text(qbinom(2, 1, q)))
-print("[4 choose 2]_{q^2} =", scalar_to_text(qbinom(4, 2, q ** 2)))
+print("[2 choose 1]_q =", scalar_to_text(qbinom_eps(2, 1)))
+print("[4 choose 2]_{q^2} =", scalar_to_text(qbinom_eps(4, 2, 2)))
 
 print()
 print("== the two alternating binomial sums ==")

@@ -17,7 +17,7 @@ from qcoideal import (
     context_for,
     equals,
     is_zero,
-    serre_defect,
+    serre_projection,
     validate_admissible,
     w_element,
 )
@@ -36,7 +36,7 @@ print("Z_1 =", element_to_text(ctx.z(1)))
 closed = c_closed(params, 1, 2)
 oracle = c_oracle(params, 1, 2)
 print("closed right-hand side   =", element_to_text(closed))
-agrees, holds = equals(closed, oracle), is_zero(serre_defect(params, 1, 2))
+agrees, holds = equals(closed, oracle), is_zero(serre_projection(params, 1, 2)[1])
 print("projection oracle agrees =", agrees)
 print("deformed Serre relation holds =", holds)
 assert agrees and holds
@@ -52,7 +52,7 @@ print("W_12 =", element_to_text(w_element(ctx, 1, 2)))
 oracle = c_oracle(params, 1, 2)
 unified = equals(c_closed(params, 1, 2), oracle)
 torus = equals(c_closed_torus(params, 1, 2), oracle)
-holds = is_zero(serre_defect(params, 1, 2))
+holds = is_zero(serre_projection(params, 1, 2)[1])
 print("unified closed form agrees:", unified)
 print("commutator-style closed form agrees:", torus)
 print("relation holds:", holds)
@@ -64,7 +64,7 @@ g2 = cartan_datum("G", 2)
 pair = validate_admissible(g2, set(), {1: 1, 2: 2})
 params = QSPParameters(pair, {1: ONE - q, 2: q})
 oracle = c_oracle(params, 2, 1)
-agrees, holds = equals(c_closed(params, 2, 1), oracle), is_zero(serre_defect(params, 2, 1))
+agrees, holds = equals(c_closed(params, 2, 1), oracle), is_zero(serre_projection(params, 2, 1)[1])
 print("closed form agrees with the oracle:", agrees)
 print("relation holds:", holds)
 assert agrees and holds

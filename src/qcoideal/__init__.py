@@ -11,7 +11,6 @@ from .scalars import (
     Scalar,
     GaussianRational,
     is_bar_fixed,
-    qbinom,
     qbinom_eps,
     qint,
     qfact,
@@ -67,7 +66,7 @@ from .qsp import (
     in_set_C,
     in_set_S,
     s_value,
-    serre_defect,
+    serre_projection,
     w_element,
 )
 from .barcheck import (

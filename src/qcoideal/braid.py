@@ -18,8 +18,9 @@ datum's declared `caches` under "braid", keyed by (i, e, family, E or F,
 word), with one object per distinct monomial and coefficient drawn from
 "pool", where a coefficient equal to 1 is ONE itself.  A monomial's image
 is its E-word's image times K_{s_i beta} times its F-word's image, scaled
-once by its coefficient.  The twists T_{w_X}(E_j) of symmetric pairs are
-memoised under "twist" (`qsp.QSPContext.twisted`).
+once by its coefficient.  `apply_word` and `inverse_word` always check
+that their word is reduced.  The twists T_{w_X}(E_j) of symmetric pairs
+are memoised under "twist" (`qsp.QSPContext.twisted`).
 """
 
 from __future__ import annotations
@@ -119,10 +120,10 @@ def apply_braid(op: BraidOperator, a: Element) -> Element:
     return Element(datum, _settle(out))
 
 
-def _along(word, a, check_reduced, inverse):
+def _along(word, a, inverse):
     """T_w along a reduced word (the last letter acts first), or T_w^{-1}."""
     word = tuple(word)
-    if check_reduced and not a.datum.is_reduced(word):
+    if not a.datum.is_reduced(word):
         raise ValueError(f"word {word} is not reduced")
     for i in (word if inverse else reversed(word)):
         op = BraidOperator(i)
@@ -130,11 +131,11 @@ def _along(word, a, check_reduced, inverse):
     return a
 
 
-def apply_word(word, a: Element, check_reduced: bool = True) -> Element:
+def apply_word(word, a: Element) -> Element:
     """T_w for w given by a reduced word (left-to-right product of T_i)."""
-    return _along(word, a, check_reduced, inverse=False)
+    return _along(word, a, inverse=False)
 
 
-def inverse_word(word, a: Element, check_reduced: bool = True) -> Element:
+def inverse_word(word, a: Element) -> Element:
     """T_w^{-1} along the same reduced word."""
-    return _along(word, a, check_reduced, inverse=True)
+    return _along(word, a, inverse=True)

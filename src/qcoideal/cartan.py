@@ -159,9 +159,6 @@ class CartanDatum:
                 total += b * sum(c * row[q] for q, c in enumerate(gamma) if c)
         return total
 
-    def root_norm(self, beta):
-        return self.bilinear(beta, beta)
-
     def reflect(self, i, beta):
         """Simple reflection s_i(beta) = beta - beta(h_i) alpha_i."""
         p = self.pos(i)
@@ -407,7 +404,7 @@ def rho_check_pairing(datum: CartanDatum, X, gamma):
     """gamma(rho_X^vee) = (1/2) sum over Phi_X^+ of gamma(beta^vee), exact."""
     total = Fraction(0)
     for beta in positive_parabolic_roots(datum, X):
-        total += Fraction(2 * datum.bilinear(gamma, beta), datum.root_norm(beta))
+        total += Fraction(2 * datum.bilinear(gamma, beta), datum.bilinear(beta, beta))
     total = total / 2
     return int(total) if total.denominator == 1 else total
 

@@ -106,14 +106,22 @@ def _load_pair(datum, arg):
     return validate_admissible(datum, *_read_pair(datum, _load_json_arg(arg)))
 
 
+def _node_key(k):
+    """The node that a `c` or `s` key names: only the decimal text of a
+    label, such as "1" or "-1", names one, so no two keys name one node."""
+    if k.removeprefix("-").isdecimal() and str(int(k)) == k:
+        return int(k)
+    raise InputError(f"parameter key {k!r} is not a node label")
+
+
 def _load_params(args):
     """Build QSPParameters from --params (optionally with embedded cartan/pair)."""
     obj = _load_json_arg(args.params) if args.params else {}
     with _json_shape("parameter"):
         datum = datum_from_json(obj["cartan"]) if "cartan" in obj else _load_datum(args.cartan)
         X_tau = _read_pair(datum, obj["pair"]) if "pair" in obj else None
-        c = {int(k): parse_scalar(v) for k, v in obj.get("c", {}).items()}
-        s = {int(k): parse_scalar(v) for k, v in obj.get("s", {}).items()}
+        c = {_node_key(k): parse_scalar(v) for k, v in obj.get("c", {}).items()}
+        s = {_node_key(k): parse_scalar(v) for k, v in obj.get("s", {}).items()}
     pair = validate_admissible(datum, *X_tau) if X_tau else _load_pair(datum, args.pair)
     return datum, pair, QSPParameters(pair, c, s)
 
@@ -148,9 +156,18 @@ def _cmd_validate_pair(args):
     return 0 if not violations else 1
 
 
+# each `compute` target, in --help order: (needs --j, builder of (params, i, j))
+_TARGETS = {
+    "Zi": (False, lambda params, i, j: context_for(params.pair).z(i)),
+    "Wij": (True, lambda params, i, j: w_element(context_for(params.pair), i, j)),
+    "Bi": (False, lambda params, i, j: b_generator(params, i)),
+    "Cij-closed": (True, c_closed),
+    "Cij-oracle": (True, c_oracle),
+}
+
+
 def _cmd_compute(args):
     datum, pair, params = _load_params(args)
-    ctx = context_for(pair)
     what = args.what
     i = args.i
     j = args.j
@@ -159,24 +176,10 @@ def _cmd_compute(args):
     for node in (i, j):
         if node is not None:
             datum.pos(node)  # an unknown label is an input error
-    if what == "Zi":
-        elem = ctx.z(i)
-    elif what == "Bi":
-        elem = b_generator(params, i)
-    elif what == "Wij":
-        if j is None:
-            raise InputError("--j is required for Wij")
-        elem = w_element(ctx, i, j)
-    elif what == "Cij-closed":
-        if j is None:
-            raise InputError("--j is required for Cij-closed")
-        elem = c_closed(params, i, j)
-    elif what == "Cij-oracle":
-        if j is None:
-            raise InputError("--j is required for Cij-oracle")
-        elem = c_oracle(params, i, j)
-    else:
-        raise InputError(f"unknown compute target {what!r}")
+    needs_j, build = _TARGETS[what]
+    if needs_j and j is None:
+        raise InputError(f"--j is required for {what}")
+    elem = build(params, i, j)
     text = element_to_text(elem)
     report = {
         "command": "compute",
@@ -319,8 +322,7 @@ def _build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
     sub.add_parser("validate-pair", help="check admissibility of (X, tau)")
     pc = sub.add_parser("compute", help="compute a coideal element")
-    pc.add_argument("--what", required=True,
-                    choices=["Zi", "Wij", "Bi", "Cij-closed", "Cij-oracle"])
+    pc.add_argument("--what", required=True, choices=list(_TARGETS))
     pc.add_argument("--i", type=int)
     pc.add_argument("--j", type=int)
     sub.add_parser("bar-exists", help="decide existence of the intrinsic bar involution")

@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 
 from .cartan import exact_int
-from .scalars import GQ_ONE, GaussianRational, Scalar, I_UNIT
+from .scalars import GaussianRational, Scalar, I_UNIT
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +63,7 @@ def _poly_to_text(p) -> str:
 
 
 def scalar_to_text(s: Scalar) -> str:
-    if s.den == {0: GQ_ONE}:
+    if len(s.den) == 1:  # a canonical denominator is 1 exactly when it has one term
         return _poly_to_text(s.num)
     return f"( {_poly_to_text(s.num)} )/( {_poly_to_text(s.den)} )"
 

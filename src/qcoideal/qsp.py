@@ -8,8 +8,7 @@ C_ij(c) in the proved cases, and a projection-based oracle for C_ij(c)
 that works for arbitrary Cartan entries.  `serre_projection` builds
 Y = F_ij(B_i, B_j) once together with its projection cell; the oracle is
 Y minus the cell, so the oracle's defect F_ij(B_i, B_j) - C_ij(c) is the
-cell itself.  The headline check is `serre_defect`, which the engine must
-certify to be zero.
+cell itself, which the engine must certify to be zero.
 """
 
 from __future__ import annotations
@@ -141,7 +140,7 @@ class QSPContext:
         key = (self.pair.wX_word, j)
         v = cache.get(key)
         if v is None:
-            v = apply_word(self.pair.wX_word, Element.E(self.datum, j), check_reduced=False)
+            v = apply_word(self.pair.wX_word, Element.E(self.datum, j))
             cache[key] = v
         return v
 
@@ -237,11 +236,6 @@ def context_for(pair: AdmissiblePair) -> QSPContext:
 
 def _qi(datum, i, n=1) -> Scalar:
     return Scalar.v_pow(2 * n * datum.epsilon(i))
-
-
-def _qi_minus_inv(datum, i) -> Scalar:
-    e = datum.epsilon(i)
-    return Scalar.v_pow(2 * e) - Scalar.v_pow(-2 * e)
 
 
 def scope_violation(pair: AdmissiblePair, i, j):
@@ -366,7 +360,7 @@ def c_closed_torus(params: QSPParameters, i, j) -> Element:
         out = out - zi * inner2
         out = out.scale(_ef_inverse(datum, i))
         coeff = (
-            _qi_minus_inv(datum, i)
+            (qi - _qi(datum, i, -1))
             * _ef_inverse(datum, j)
             * (qi + _qi(datum, i, -1)) ** 2
             * three
@@ -406,9 +400,3 @@ def c_oracle(params: QSPParameters, i, j) -> Element:
     Y = F_ij(B_i, B_j) minus its projection cell (see `serre_projection`)."""
     Y, cell = serre_projection(params, i, j)
     return Y - cell
-
-
-def serre_defect(params: QSPParameters, i, j) -> Element:
-    """F_ij(B_i, B_j) - C_ij(c) for the projection oracle, which is the
-    projection cell itself; the engine must certify this is zero."""
-    return serre_projection(params, i, j)[1]

@@ -577,20 +577,9 @@ class Scalar:
         return Scalar({0: GaussianRational(n)})
 
     @staticmethod
-    def from_fraction(f):
-        f = Fraction(f)
-        if f == 0:
-            return ZERO
-        return Scalar({0: GaussianRational(f)})
-
-    @staticmethod
     def gaussian(re, im=0):
         c = GaussianRational(re, im)
         return Scalar({0: c}) if c else ZERO
-
-    @staticmethod
-    def i_unit():
-        return I_UNIT
 
     @staticmethod
     def v_pow(k):
@@ -865,20 +854,6 @@ def qbinom_eps(m: int, k: int, eps: int = 1) -> Scalar:
     for t in range(1, k + 1):
         out = out * qint(m - k + t, eps) / qint(t, eps)
     return out
-
-
-def _extract_q_base(base: Scalar) -> int:
-    if not _unit_den(base.den) or len(base.num) != 1:
-        raise ValueError("base must be a positive power of q")
-    (e, c), = base.num.items()
-    if c != GQ_ONE or e <= 0 or e % 2:
-        raise ValueError("base must be a positive power of q")
-    return e // 2
-
-
-def qbinom(m: int, k: int, base: Scalar) -> Scalar:
-    """Gaussian binomial [m choose k] for base = q^eps given as a Scalar."""
-    return qbinom_eps(m, k, _extract_q_base(base))
 
 
 def qshifted_factorial(x: Scalar, n: int) -> Scalar:

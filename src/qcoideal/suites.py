@@ -43,6 +43,7 @@ from .qsp import (
     w_element,
 )
 from .scalars import (
+    I_UNIT,
     ONE,
     ZERO,
     Scalar,
@@ -708,13 +709,10 @@ def suite_qsp_structure(seed=0):
             alpha_ti = datum.simple_root(ti)
             base = ctx.theta_fk(i) * Element.K_i(datum, i, -1)
             cell = coproduct_graded(base, alpha_ti)
-            want = _tensor_of_elements(
-                [
-                    ctx.z(i),
-                    Element.E(datum, ti) * Element.K_i(datum, i, -1),
-                ],
-                ONE,
-            )
+            want = _tensor_of_elements([
+                ctx.z(i),
+                Element.E(datum, ti) * Element.K_i(datum, i, -1),
+            ])
             checks.append(
                 _check(
                     f"{name}/first-order-cell/node-{i}",
@@ -724,13 +722,10 @@ def suite_qsp_structure(seed=0):
             for j in sorted(pair.X):
                 target = tuple(a + b for a, b in zip(alpha_ti, datum.simple_root(j)))
                 cell2 = coproduct_graded(base, target)
-                want2 = _tensor_of_elements(
-                    [
-                        w_element(ctx, i, j) * Element.K_i(datum, j),
-                        adjoint_E(j, Element.E(datum, ti)) * Element.K_i(datum, i, -1),
-                    ],
-                    ONE,
-                )
+                want2 = _tensor_of_elements([
+                    w_element(ctx, i, j) * Element.K_i(datum, j),
+                    adjoint_E(j, Element.E(datum, ti)) * Element.K_i(datum, i, -1),
+                ])
                 checks.append(
                     _check(
                         f"{name}/second-order-cell/node-{i}-{j}",
@@ -820,7 +815,7 @@ def suite_bar_examples(seed=0):
         )
     )
     rng = random.Random(seed)
-    pool = list(_SCALAR_POOL) + [Scalar.i_unit() * Q, (ONE + Q ** 2) * Q ** -1]
+    pool = list(_SCALAR_POOL) + [I_UNIT * Q, (ONE + Q ** 2) * Q ** -1]
     for tag, pair in (("caseI", case1), ("caseII", case2)):
         agree = True
         for _ in range(20):
@@ -863,7 +858,7 @@ def suite_roundtrip(seed=0):
     checks.append(_check("roundtrip/elements", ok, bad))
     ok = True
     for t in range(200):
-        a = rng.choice(_SCALAR_POOL) + rng.choice(_SCALAR_POOL) * Scalar.i_unit()
+        a = rng.choice(_SCALAR_POOL) + rng.choice(_SCALAR_POOL) * I_UNIT
         b = rng.choice((ONE, ONE + Q ** 2, Q ** 2 - Q ** -2))
         s = a / b if b else a
         if parse_scalar(scalar_to_text(s)) != s:

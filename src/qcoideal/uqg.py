@@ -583,9 +583,9 @@ def _product_terms(factors, coeff):
     return parts
 
 
-def _tensor_of_elements(elems, coeff):
-    """coeff times the tensor product of the elements, keys distinct."""
-    return Tensor(elems[0].datum, len(elems), dict(_product_terms([x.terms for x in elems], coeff)))
+def _tensor_of_elements(elems):
+    """The tensor product of the elements, keys distinct."""
+    return Tensor(elems[0].datum, len(elems), dict(_product_terms([x.terms for x in elems], ONE)))
 
 
 def _splits(datum, word, sign, lo, hi):
@@ -680,7 +680,7 @@ def counit(a: Element) -> Scalar:
 def _order_exponent(datum, wt):
     """P(w) = sum_{s<t} 2 (alpha_{w_s}, alpha_{w_t}) of a word w of weight
     wt, which is (wt, wt) - sum_s (alpha_{w_s}, alpha_{w_s})."""
-    return datum.root_norm(wt) - 2 * sum(map(mul, datum.eps, wt))
+    return datum.bilinear(wt, wt) - 2 * sum(map(mul, datum.eps, wt))
 
 
 def antipode(a: Element) -> Element:

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+import qcoideal.barcheck as barcheck
 from qcoideal.barcheck import (
+    EngineInconsistencyError,
     OutOfScopeError,
     ad_x,
     bar_exists,
@@ -32,7 +34,7 @@ from qcoideal.qsp import (
     c_closed,
     context_for,
 )
-from qcoideal.scalars import ONE, ZERO, Scalar, qshifted_factorial
+from qcoideal.scalars import I_UNIT, ONE, ZERO, Scalar, qshifted_factorial
 from qcoideal.suites import ATLAS_DATA
 from qcoideal.uqg import Element, bar_element, coproduct, equals, tensor_equals
 
@@ -125,7 +127,7 @@ def test_corollary_direct_cases():
 def test_corollary_agrees_with_engine_random():
     rng = random.Random(21)
     pool = [ONE, Q, -Q, Q ** -1, Q ** 2, ONE + Q ** 2, (ONE + Q ** 2) * Q ** -1,
-            Scalar.i_unit() * Q]
+            I_UNIT * Q]
     for pair in (AIV, CASE2, BII, A2_QS):
         free = sorted(set(pair.datum.labels) - pair.X)
         for _ in range(20):
@@ -157,7 +159,7 @@ def test_corollary_agrees_with_engine_on_every_atlas_pair():
     canonical parameters and at seeded draws."""
     rng = random.Random(16)
     pool = [ONE, Q, -Q, Q ** -1, Q ** 2, ONE + Q ** 2, (ONE + Q ** 2) * Q ** -1,
-            Scalar.i_unit() * Q]
+            I_UNIT * Q]
     for kind, rank in ATLAS_DATA:
         for pair in enumerate_admissible(cartan_datum(kind, rank)):
             if not pair.free:
@@ -251,6 +253,51 @@ def test_equivalence_relations():
     s3 = {1: Q ** 2, 2: ZERO}
     assert equiv_S(pair, s1, s2)
     assert not equiv_S(pair, s1, s3)
+
+
+def _fresh_aiv():
+    """AIV as a new pair, so its context holds no nu read before."""
+    return validate_admissible(A3, {2}, {1: 3, 2: 2, 3: 1})
+
+
+def test_nu_minus_one_negates_ocz_and_rescales_c(monkeypatch):
+    """With sigma negated both free nodes of AIV read nu = -1, so bar(Z_i)
+    no longer meets +ell_i Z_tau(i), and `corollary_conditions` at c
+    decides as the unpatched decider does at c_i / (q - q^{-1})."""
+    unpatched = barcheck.sigma
+    qdiff = Q - Q ** -1
+    split = Scalar.v_pow(2 * AIV.pairing_theta_2rho(1))
+    families = ((Q, Q), (Q, Q ** -1), (ONE, ONE), (ONE, -split))
+    monkeypatch.setattr(barcheck, "sigma", lambda a: -unpatched(a))
+    ctx = context_for(_fresh_aiv())
+    assert [nu_sign(ctx, i) for i in (1, 3)] == [-1, -1]
+    assert not check_ocZ(ctx, 1) and not check_ocZ(ctx, 3)
+    reps = [corollary_conditions(QSPParameters(_fresh_aiv(), {1: c1, 3: c3})) for c1, c3 in families]
+    monkeypatch.undo()
+    for (c1, c3), rep in zip(families, reps):
+        want = corollary_conditions(QSPParameters(_fresh_aiv(), {1: c1 / qdiff, 3: c3 / qdiff}))
+        assert rep.rescaled_nodes == [1, 3] and want.rescaled_nodes == []
+        assert (rep.verdict, rep.failing_nodes) == (want.verdict, want.failing_nodes)
+    assert {rep.verdict for rep in reps} == {"exists", "fails"}
+
+
+def test_nu_sign_refuses_a_node_in_x_and_a_sign_other_than_one(monkeypatch):
+    with pytest.raises(ValueError, match="outside X"):
+        nu_sign(context_for(_fresh_aiv()), 2)
+    unpatched = barcheck.sigma
+    monkeypatch.setattr(barcheck, "sigma", lambda a: unpatched(a).scale(Scalar.from_int(2)))
+    with pytest.raises(EngineInconsistencyError, match="node 1"):
+        nu_sign(context_for(_fresh_aiv()), 1)
+
+
+def test_canonical_set_and_s_equivalence_refusals():
+    pair = validate_admissible(cartan_datum("B", 3), {3}, {1: 1, 2: 2, 3: 3})
+    assert in_set_D(pair, {}) == ["missing or zero d_1", "missing or zero d_2"]
+    d = canonical_params(pair)
+    d[1] = d[1] * Q
+    assert in_set_D(pair, d) == ["d_1 must be the pinned q-power"]
+    with pytest.raises(MembershipError):
+        equiv_S(pair, {2: ONE}, {})
 
 
 def test_ad_x_is_hopf_automorphism():

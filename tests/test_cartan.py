@@ -194,7 +194,7 @@ def _naive_violations(datum, X, tau):
             for beta in plus:
                 total += Fraction(
                     2 * datum.bilinear(datum.simple_root(j), beta),
-                    datum.root_norm(beta),
+                    datum.bilinear(beta, beta),
                 )
             if (total / 2).denominator != 1:
                 out.append(f"condition-3 at {j}")

@@ -239,19 +239,19 @@ def _near_zero(rng, datum):
 
 def _samples(rng, datum):
     elements = _near_zero(rng, datum) + [_random_element(rng, datum) for _ in range(6)]
-    tensors = [_tensor_of_elements([x], ONE) for x in elements]
+    tensors = [_tensor_of_elements([x]) for x in elements]
     tensors += [
-        _tensor_of_elements([_random_element(rng, datum, 2), x], ONE) for x in elements[:4]
+        _tensor_of_elements([_random_element(rng, datum, 2), x]) for x in elements[:4]
     ]
     tensors += [
-        _tensor_of_elements([x, _random_element(rng, datum, 2)], ONE) for x in elements[:4]
+        _tensor_of_elements([x, _random_element(rng, datum, 2)]) for x in elements[:4]
     ]
     i, j = rng.sample(datum.labels, 2)
     serre = serre_polynomial(datum, i, j, Element.E(datum, i), Element.E(datum, j))
     delta = coproduct(serre)
     (m1, m2), _c = next(iter(delta.terms.items()))
     tensors += [delta, delta + _tensor_of_elements(
-        [Element(datum, {m1: ONE}), Element(datum, {m2: Q})], ONE)]
+        [Element(datum, {m1: ONE}), Element(datum, {m2: Q})])]
     return elements, tensors
 
 

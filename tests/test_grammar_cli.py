@@ -29,7 +29,7 @@ def test_scalar_text_forms():
     assert scalar_to_text(Scalar.from_int(0)) == "0"
     assert scalar_to_text(Q + Q ** -1) == "v^2 + v^-2"
     assert parse_scalar("q + q^-1") == Q + Q ** -1
-    assert parse_scalar("3/2 * v^4") == Scalar.from_fraction("3/2") * Scalar.v_pow(4)
+    assert parse_scalar("3/2 * v^4") == Scalar.gaussian("3/2") * Scalar.v_pow(4)
     assert parse_scalar("(1+2*i) * v") == (ONE + I_UNIT + I_UNIT) * Scalar.v_pow(1)
     assert parse_scalar("( 1 - q^2 )/( 1 - q^4 )") == (ONE - Q ** 2) / (ONE - Q ** 4)
     assert parse_scalar("-i") == -I_UNIT
@@ -38,7 +38,7 @@ def test_scalar_text_forms():
 def test_scalar_roundtrip_random():
     rng = random.Random(17)
     pool = [ONE, Q, -Q, Q ** -1, Q ** 2, ONE + Q ** 2, qint(2, 1), I_UNIT,
-            I_UNIT * Q ** -3, Scalar.from_fraction("2/3")]
+            I_UNIT * Q ** -3, Scalar.gaussian("2/3")]
     for _ in range(200):
         s = rng.choice(pool) + rng.choice(pool) * rng.choice(pool)
         den = rng.choice([ONE, ONE + Q ** 2, Q - Q ** -1])
@@ -160,6 +160,14 @@ def _one_error_line(capsys, start):
     return err
 
 
+def test_cli_parameter_keys_name_negative_labels(capsys):
+    cartan = '{"A": [[2, -1], [-1, 2]], "labels": [-1, 2]}'
+    argv = ["--cartan", cartan, "--pair", '{"X": [], "tau": []}',
+            "--params", '{"c": {"-1": "q", "2": "q"}}', "compute", "--what", "Bi", "--i=-1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("F[-1] * (1) + E[-1]")
+
+
 def test_cli_json_of_the_wrong_shape_is_an_input_error(tmp_path, capsys):
     params = '{"cartan": {"type": "A", "rank": 2}, "pair": %s, "c": %s}'
     cases = [
@@ -179,6 +187,11 @@ def test_cli_json_of_the_wrong_shape_is_an_input_error(tmp_path, capsys):
         (["--params", '[1]', "--cartan", "A:2", "bar-exists"], "parameter JSON"),
         (["--cartan", str(tmp_path), "--pair", '{"X": []}', "canonical"], "cannot read"),
     ]
+    # a parameter key names a node only as the decimal text of its label
+    for key in ("01", " 1", "+1"):
+        c = '{"1": "q", "%s": "q^-1", "2": "q"}' % key
+        cases.append((["--params", params % ('{"X": [], "tau": [[1, 2]]}', c),
+                       "compute", "--what", "Bi", "--i", "1"], "is not a node label"))
     # a number that must be an int is refused, not truncated or cast
     a2 = '"A": [[2, -1], [-1, 2]]'
     for cartan, pair in [

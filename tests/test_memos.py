@@ -1,6 +1,7 @@
 """One memo mechanism: every process-wide memo of the engine is a namespace
 of `qcoideal.memos.MEMOS`, which the fixture `fresh_memos` empties, and
-what is memoised per datum lives in `CartanDatum.caches`."""
+what is memoised per datum lives in `CartanDatum.caches`.  The source scans
+here also find every import that its module never reads."""
 
 import ast
 from pathlib import Path
@@ -35,6 +36,27 @@ def test_every_process_wide_memo_is_a_namespace_of_memos():
     `fresh_memos` does not empty, so a test could pass on what another
     filled."""
     hits = [f"{p.name}:{line}: {what}" for p in sorted(SRC.glob("*.py")) for line, what in _memos_outside(p)]
+    assert hits == []
+
+
+def _unread_imports(path):
+    """(line, name) for each name the module imports and never reads;
+    `from __future__` imports are exempt."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, a.asname or a.name) for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in imported if name not in read]
+
+
+def test_no_module_imports_a_name_it_does_not_read():
+    """The package's re-exports in `__init__.py` are exempt."""
+    hits = [f"{p.name}:{line}: {name}" for p in sorted(SRC.glob("*.py"))
+            if p.name != "__init__.py" for line, name in _unread_imports(p)]
     assert hits == []
 
 

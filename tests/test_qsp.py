@@ -22,7 +22,6 @@ from qcoideal.qsp import (
     in_set_C,
     in_set_S,
     s_value,
-    serre_defect,
     serre_projection,
     w_element,
 )
@@ -171,13 +170,28 @@ def test_c_closed_out_of_scope():
         c_closed(params, 1, 2)
 
 
+def test_closed_forms_refuse_what_they_do_not_cover():
+    b3 = cartan_datum("B", 3)
+    params = QSPParameters(validate_admissible(b3, {3}, {1: 1, 2: 2, 3: 3}), {1: Q, 2: Q})
+    for build in (c_closed, serre_projection):
+        with pytest.raises(ValueError, match="i != j"):
+            build(params, 1, 1)
+    # the torus form needs i outside X and j in X, and is zero at a_ij = 0
+    assert b3.a(1, 3) == 0 and is_zero(c_closed_torus(params, 1, 3))
+    for i, j in ((3, 1), (1, 2)):
+        with pytest.raises(NoClosedFormulaError, match="torus-commutator"):
+            c_closed_torus(params, i, j)
+    with pytest.raises(ValueError, match="outside X"):
+        context_for(params.pair).theta_fk(3)
+
+
 def test_g2_case4_closed_vs_oracle():
     g2 = cartan_datum("G", 2)
     pair = validate_admissible(g2, set(), {1: 1, 2: 2})
     params = QSPParameters(pair, {1: ONE - Q, 2: Q})
     oracle = c_oracle(params, 2, 1)
     assert equals(c_closed(params, 2, 1), oracle)
-    assert is_zero(serre_defect(params, 2, 1))
+    assert is_zero(serre_projection(params, 2, 1)[1])
 
 
 def test_torus_closed_form_bii():
@@ -185,7 +199,7 @@ def test_torus_closed_form_bii():
     oracle = c_oracle(params, 1, 2)
     assert equals(c_closed_torus(params, 1, 2), oracle)
     assert equals(c_closed(params, 1, 2), oracle)
-    assert is_zero(serre_defect(params, 1, 2))
+    assert is_zero(serre_projection(params, 1, 2)[1])
 
 
 def test_serre_defect_aiii_middle_node():
@@ -195,13 +209,13 @@ def test_serre_defect_aiii_middle_node():
     params = QSPParameters(pair, {1: ONE, 2: Q, 3: ONE})
     B2, B1 = b_generator(params, 2), b_generator(params, 1)
     assert is_zero(serre_polynomial(A3, 2, 1, B2, B1) - c_closed(params, 2, 1))
-    assert is_zero(serre_defect(params, 2, 1))
+    assert is_zero(serre_projection(params, 2, 1)[1])
 
 
 def test_serre_defect_oracle_everywhere_on_aiv():
     params = QSPParameters(AIV, {1: Q, 3: ONE + Q})
     for i, j in [(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]:
-        assert is_zero(serre_defect(params, i, j))
+        assert is_zero(serre_projection(params, i, j)[1])
 
 
 def test_parameter_set_membership():
@@ -248,7 +262,7 @@ def test_serre_defect_with_s_parameters():
     params = QSPParameters(pair, {1: Q, 2: ONE + Q}, {1: Q ** 2})
     for i, j in [(1, 2), (2, 1)]:
         assert equals(c_closed(params, i, j), c_oracle(params, i, j))
-        assert is_zero(serre_defect(params, i, j))
+        assert is_zero(serre_projection(params, i, j)[1])
 
 
 def test_oracle_defect_is_the_projection_cell():
@@ -262,9 +276,9 @@ def test_oracle_defect_is_the_projection_cell():
             Y = serre_polynomial(
                 params.datum, i, j, b_generator(params, i), b_generator(params, j)
             )
-            defect = serre_defect(params, i, j)
+            got_y, defect = serre_projection(params, i, j)
             assert defect == Y - c_oracle(params, i, j)
-            assert serre_projection(params, i, j) == (Y, defect)
+            assert got_y == Y
 
 
 def _two_product_serre(datum, i, j, x, y):

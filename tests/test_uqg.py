@@ -378,7 +378,7 @@ def _random_element(rng, datum, terms=3):
 
 
 def _tensor(*elems):
-    return _tensor_of_elements(list(elems), ONE)
+    return _tensor_of_elements(list(elems))
 
 
 def test_graded_cells_partition_the_coproduct():
@@ -491,7 +491,7 @@ def test_integer_walk_matches_the_scalar_walk():
     V = Scalar.v_pow(1)
     coeffs = [
         Scalar.gaussian(2, -3), I_UNIT * V - ONE,
-        Scalar.from_fraction(Fraction(3, 7)), Scalar.gaussian(Fraction(1, 2), Fraction(-5, 3)),
+        Scalar.gaussian(Fraction(3, 7)), Scalar.gaussian(Fraction(1, 2), Fraction(-5, 3)),
         qint(3).inverse() * Q, (Q - Q ** -1).inverse(), qint(2).inverse() * I_UNIT,
         (V ** 2 + Scalar.from_int(3)).inverse(), (V ** 2 + Scalar.from_int(3)).inverse() * qint(2).inverse(),
     ]
@@ -1213,7 +1213,7 @@ def test_products_match_per_row_products(name, monkeypatch):
 
     datum = CartanDatum(cartan_datum(name[:-1], int(name[-1])).A)
     rng = random.Random(53)
-    coeffs = [Scalar.gaussian(2, -1), I_UNIT, Scalar.from_fraction(Fraction(-3, 4)),
+    coeffs = [Scalar.gaussian(2, -1), I_UNIT, Scalar.gaussian(Fraction(-3, 4)),
               qint(3).inverse(), (Q - Q ** -1).inverse(),
               (Scalar.v_pow(2) + Scalar.from_int(3)).inverse()]
     for t in range(12):

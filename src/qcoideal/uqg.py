@@ -50,9 +50,16 @@ involutions and the zero walk meet is carried as the integer v-exponent
 2 (beta, gamma), read off the datum's integer Gram matrix.  Outside the
 zero walk it reaches a coefficient as one `Scalar.shifted`: v^k is a unit,
 so the shifted coefficient is canonical without normalisation.  The walk
-runs on integer Laurent polynomials under one nonzero scale, where v^k
-moves keys; its functionals are linear, so each value is the scale times
-the exact one, zero exactly when it is.
+runs on integer Laurent polynomials under one nonzero scale; its
+functionals are linear, so each value is the scale times the exact one,
+zero exactly when it is.  Each polynomial p = sum_k c_k v^k is packed
+into one int N = sum_k c_k 2^(b (k - lo)) beside its least exponent lo
+(Kronecker substitution), so v^x moves lo and a sum is one shift and one
+add.  Every coefficient the walk meets is a sum of input coefficients,
+one per (term, deletion path), so |c| <= L1 P: L1 sums the absolute
+values of the input coefficients and P bounds the deletion paths of one
+term.  With b = bit_length(L1 P) + 2, every |c| < 2^(b - 2), and balanced
+base-2^b digits are unique, so N = 0 exactly when p = 0.
 Deleting letter i after the letters u costs v^{2 (alpha_i, wt u)};
 `_deletions` applies this rule for the skew derivations r_i and _ir, the
 zero walk and the torus pieces of [E_i, F_f].  sigma is the one
@@ -100,6 +107,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
+from math import factorial, prod
 from operator import add, lt, mul, sub
 
 from .cartan import FiniteTypeError, positive_parabolic_roots, vec_sub
@@ -883,30 +891,73 @@ def _zero_walk(datum, terms) -> bool:
     `terms` maps (prefix, key) to a Scalar: key is the monomial of the last
     tensor factor and prefix the tuple of monomials before it, empty for an
     Element.  The Scalars are brought once over one nonzero scale, as
-    integer polynomials (`integer_numerators`).  Terms are bucketed by the
-    tri-degree of the last factor and every bucket is paired against the
-    iterated deletion functionals of its good words (of all its words off
-    finite type); whatever is left on a prefix is tested as a tensor of one
-    factor fewer.
+    integer polynomials (`integer_numerators`), and each polynomial is
+    packed into one int (`_pack`).  Terms are bucketed by the tri-degree of
+    the last factor and every bucket is paired against the iterated
+    deletion functionals of its good words (of all its words off finite
+    type); whatever is left on a prefix is tested as a tensor of one factor
+    fewer.
+
+    Packing is exact.  Each value the walk meets is a sum of input
+    coefficients times powers of v, one per (term, deletion path), and a
+    term has at most P deletion paths, the product of len(e)! len(f)! over
+    its tensor factors.  So every coefficient it meets has |c| <= L1 P, L1
+    the sum of the absolute values of the input coefficients, and `_pack`
+    takes digits of b = bit_length(L1 P) + 2 bits, so |c| < 2^(b - 2).
+    Balanced base-2^b digits are unique, so a packed value is 0 exactly
+    when its polynomial is.
     """
-    return _walk(datum, integer_numerators(terms))
+    return _walk(datum, _pack(integer_numerators(terms)))
+
+
+def _pack(polys, b=None):
+    """{key: (N, lo, b)} for {key: integer polynomial} of
+    `integer_numerators`: p = sum_k c_k v^k packs to N = sum_k c_k
+    2^(b (k - lo)), lo the least exponent of p, in digits of b bits, by
+    default the width that `_zero_walk` proves exact for the walk over
+    polys.  Empty polynomials and values that pack to 0 are left out."""
+    if b is None:
+        l1 = sum(abs(c) for p in polys.values() for c in p.values())
+        paths = max((prod(factorial(len(e)) * factorial(len(f)) for e, _k, f in prefix + (key,))
+                     for prefix, key in polys), default=1)
+        b = (l1 * paths).bit_length() + 2
+    out = {}
+    for key, p in polys.items():
+        if not p:
+            continue
+        lo = min(p)
+        n = 0
+        for k, c in p.items():
+            n += c << b * (k - lo)
+        if n:
+            out[key] = (n, lo, b)
+    return out
 
 
 def _add_shifted(out, key, p, x):
-    """out[key] += v^x p for integer polynomials of `integer_numerators`, in
-    place, dropping the key when the sum is zero."""
-    acc = out.setdefault(key, {})
-    for e, c in p.items():
-        e += 2 * x
-        c += acc.pop(e, 0)
-        if c:
-            acc[e] = c
-    if not acc:
+    """out[key] += v^x p for values (N, lo, b) of `_pack`, in place,
+    dropping the key when the sum is zero: v^x moves lo by 2x, and the
+    sum aligns the two values at the lower lo with one shift."""
+    n, lo, b = p
+    lo += 2 * x
+    prev = out.get(key)
+    if prev is None:
+        out[key] = (n, lo, b)
+        return
+    m, mlo, _ = prev
+    if lo > mlo:
+        n = (n << b * (lo - mlo)) + m
+        lo = mlo
+    else:
+        n += m << b * (mlo - lo)
+    if n:
+        out[key] = (n, lo, b)
+    else:
         del out[key]
 
 
 def _walk(datum, terms) -> bool:
-    """The walk of `_zero_walk` on {(prefix, key): integer polynomial}."""
+    """The walk of `_zero_walk` on {(prefix, key): packed polynomial}."""
     limit = zero_test_bound.get()
     buckets = {}
     for (prefix, (e, k, f)), c in terms.items():
@@ -924,7 +975,7 @@ def _walk(datum, terms) -> bool:
 
 
 def _reduce_bucket(datum, terms, ewt, fwt, path=(), good=None) -> bool:
-    """Pair a bucket {(prefix, e_word, f_word): integer polynomial} of
+    """Pair a bucket {(prefix, e_word, f_word): packed polynomial} of
     E-weight ewt and F-weight fwt against the prefix-weighted deletion
     functionals, deleting E-letters first and then F-letters.
 
@@ -982,6 +1033,10 @@ def is_zero(a: Element) -> bool:
     times one nonzero scale (their common denominator times the lcm of the
     rational denominators); each functional is linear with coefficients v^x,
     so its value is that scale times the exact one, zero exactly when it is.
+    Each polynomial is packed into one int in digits of b bits, with b
+    chosen so that every coefficient the walk can meet is below 2^(b - 2)
+    in absolute value (see `_zero_walk`); balanced digits are unique, so a
+    packed value is 0 exactly when its polynomial is.
     """
     return _zero_walk(a.datum, {((), key): c for key, c in a.terms.items()})
 

@@ -10,6 +10,9 @@ same checks either way:
   decide every pair by the zero walk, never by comparing term dicts
 - scalar: the zero walk runs on Scalar coefficients (`_ref_zero_walk` of
   test_uqg.py), not on integer polynomials under one common scale
+- dict-walk: the zero walk runs on the integer polynomials of
+  `integer_numerators` as dicts, added one exponent at a time
+  (`_ref_add_shifted` of test_uqg.py), not packed into one int each
 - per-row: the kernel `_straighten`, which every product, q-commutator,
   tensor product and contraction calls, multiplies the full coefficient
   of every row of the commutation table and reads every shift off the
@@ -54,6 +57,9 @@ def _rebind(mode):
     elif mode == "scalar":
         from test_uqg import _ref_zero_walk
         uqg._zero_walk = _ref_zero_walk
+    elif mode == "dict-walk":
+        from test_uqg import _use_dict_walk
+        _use_dict_walk(setattr)
     elif mode == "per-row":
         from test_uqg import _per_row_straighten
         uqg._straighten = _per_row_straighten

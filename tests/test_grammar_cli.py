@@ -248,6 +248,29 @@ def test_cli_validate_pair_exit_codes(capsys):
                  "validate-pair"]) == 2
 
 
+def test_cli_refuses_a_tau_that_is_no_diagram_automorphism(capsys):
+    for tau, message in [("[[1,2]]", "tau does not preserve the Cartan matrix"),
+                         ("[[1,2],[2,3]]", "tau is not a permutation of the node labels")]:
+        argv = ["--cartan", "A:3", "--pair", '{"X": [], "tau": %s}' % tau, "validate-pair"]
+        assert main(argv) == 1, tau
+        assert capsys.readouterr().out == f"invalid:\n  - {message}\n", tau
+
+
+def test_cli_refuses_a_matrix_that_is_no_cartan_matrix(capsys):
+    for cartan, message in [('{"A": [[2,-1],[-1,3]]}', "must be square with 2 on the diagonal"),
+                            ('{"A": [[2,-1,-1],[-1,2,-1],[-2,-1,2]]}', "not symmetrizable")]:
+        argv = ["--cartan", cartan, "--pair", '{"X": [], "tau": []}', "validate-pair"]
+        assert main(argv) == 2, cartan
+        assert message in _one_error_line(capsys, "error: "), cartan
+
+
+def test_cli_reads_a_pair_from_a_json_file(tmp_path, capsys):
+    path = tmp_path / "pair.json"
+    path.write_text('{"X": [2], "tau": [[1,3]]}')
+    assert main(["--cartan", "A:3", "--pair", str(path), "validate-pair"]) == 0
+    assert capsys.readouterr().out == "valid\n"
+
+
 def test_cli_compute_quasi_split_z(capsys):
     code = main([
         "--cartan", "A:2",

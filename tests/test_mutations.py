@@ -12,7 +12,9 @@ reduction of a sum whose addends share a denominator, the sign of the
 q-power that each side of a coproduct split carries, the q-power that the
 torus part gives a left skew derivation, the integer polynomials that
 the zero walk reads its coefficients as (their imaginary parts, and the
-one scale that clears every denominator), the dropping of a key whose
+one scale that clears every denominator), the digit width of the ints
+the walk packs those polynomials into (check `mixed-sign-coefficient`,
+a nonzero verdict that a false "zero" fails), the dropping of a key whose
 deferred sum vanishes, the key of the memo of trial divisions, and the
 value of i^2 among the fourth roots of unity (check `fourth-root`), and
 the bar of the split-node rule that `corollary_conditions` shares with
@@ -168,6 +170,14 @@ def check_gaussian_coefficient():
     return not is_zero(Element.E(d, 1).scale(I_UNIT))
 
 
+def check_mixed_sign_coefficient():
+    """(2 - i) E_1 is not zero: its integer polynomial {0: 2, 1: -1} has
+    coefficients of both signs, which digits of one bit add up to
+    2 - 2 = 0."""
+    d = _a2()
+    return not is_zero(Element.E(d, 1).scale(Scalar.gaussian(2, -1)))
+
+
 def check_common_scale():
     """S_1 / (v^2 + 3) + S_2 is not zero, for S_1 = E_1^2 E_2 and S_1 + S_2
     the quantum Serre relation: over one scale it is S_1 + (v^2 + 3) S_2 =
@@ -235,6 +245,7 @@ CHECKS = {
     "coproduct-f-side": check_coproduct_f_side,
     "skew-ir-torus": check_skew_ir_torus,
     "gaussian-coefficient": check_gaussian_coefficient,
+    "mixed-sign-coefficient": check_mixed_sign_coefficient,
     "common-scale": check_common_scale,
     "x-minus-x": check_x_minus_x,
     "strip-memo": check_strip_memo,
@@ -427,6 +438,13 @@ def clear_each_by_its_own(monkeypatch):
     monkeypatch.setattr(uqg, "integer_numerators", mutant)
 
 
+def narrow_pack_width(monkeypatch):
+    """Pack the zero walk's integer polynomials in digits of one bit, too
+    narrow to hold their coefficients apart."""
+    original = uqg._pack
+    monkeypatch.setattr(uqg, "_pack", lambda polys: original(polys, 1))
+
+
 def keep_vanishing_sums(monkeypatch):
     """Settle a deferred key whose addends cancel to a zero coefficient
     instead of dropping it."""
@@ -504,6 +522,7 @@ MUTANTS = [
     ("skew-ir-torus", drop_skew_torus_shift),
     ("gaussian-coefficient", drop_imaginary_parts),
     ("common-scale", clear_each_by_its_own),
+    ("mixed-sign-coefficient", narrow_pack_width),
     ("x-minus-x", keep_vanishing_sums),
     ("strip-memo", strip_memo_without_vector),
     ("serre-g2", drop_commutator_shift),

@@ -525,6 +525,125 @@ def test_integer_walk_matches_the_scalar_walk():
             assert not _ref_is_zero(y) and not (tensor_is_zero if isinstance(y, Tensor) else is_zero)(y)
 
 
+def _ref_add_shifted(out, key, p, x):
+    """out[key] += v^x p for integer polynomials {exponent: int} of
+    `integer_numerators`, one exponent at a time, in place, dropping the key
+    when the sum is zero: the dict walk's adder, the reference for the
+    packed `uqg._add_shifted`."""
+    acc = out.setdefault(key, {})
+    for e, c in p.items():
+        e += 2 * x
+        c += acc.pop(e, 0)
+        if c:
+            acc[e] = c
+    if not acc:
+        del out[key]
+
+
+def _use_dict_walk(setattr):
+    """Run the zero walk on the dicts of `integer_numerators`, unpacked,
+    adding them with `_ref_add_shifted`; `setattr` is the builtin or a
+    monkeypatch's."""
+    import qcoideal.uqg as uqg
+
+    setattr(uqg, "_pack", lambda polys: polys)
+    setattr(uqg, "_add_shifted", _ref_add_shifted)
+
+
+def _unpack(n, lo, b):
+    """The integer polynomial of a packed value (N, lo, b), read off in
+    balanced digits of b bits."""
+    out, k, mask, half = {}, lo, (1 << b) - 1, 1 << (b - 1)
+    while n:
+        c = n & mask
+        if c >= half:
+            c -= 1 << b
+        if c:
+            out[k] = c
+        n = (n - c) >> b
+        k += 1
+    return out
+
+
+def test_pack_is_exact_at_its_digit_bound():
+    """At the width chosen for a Serre relation of B2 with Gaussian
+    coefficients, every coefficient the walk can meet is below 2^(b - 2),
+    and a polynomial whose coefficients reach +-(2^(b - 1) - 1), at negative
+    and odd (imaginary) exponents, packs to a nonzero value that unpacks to
+    itself and cancels exactly against its negative."""
+    from math import factorial
+
+    from qcoideal.scalars import integer_numerators
+    from qcoideal.uqg import _add_shifted, _pack
+
+    B2 = cartan_datum("B", 2)
+    E1, E2 = Element.E(B2, 1), Element.E(B2, 2)
+    x = serre_polynomial(B2, 1, 2, E1, E2).scale(Scalar.gaussian(3, -2)) + (E2 * E1).scale(I_UNIT)
+    polys = integer_numerators({((), key): c for key, c in x.terms.items()})
+    packed = _pack(polys)
+    assert packed.keys() == polys.keys()
+    (b,) = {w for _n, _lo, w in packed.values()}
+    l1 = sum(abs(c) for p in polys.values() for c in p.values())
+    paths = max(factorial(len(e)) * factorial(len(f)) for _prefix, (e, _k, f) in polys)
+    assert l1 * paths < 2 ** (b - 2) <= 2 * l1 * paths
+    for key, (n, lo, _b) in packed.items():
+        assert _unpack(n, lo, b) == polys[key]
+    top = 2 ** (b - 1) - 1
+    p = {-5: top, -2: -top, -1: 1, 0: -1, 3: top, 6: -top}
+    ((n, lo, _b),) = _pack({"p": p}, b).values()
+    assert n and _unpack(n, lo, b) == p
+    out = {}
+    _add_shifted(out, "p", (n, lo, b), 3)
+    assert _unpack(*out["p"]) == {k + 6: c for k, c in p.items()}
+    ((m, mlo, _b),) = _pack({"p": {k + 6: -c for k, c in p.items()}}, b).values()
+    _add_shifted(out, "p", (m, mlo - 4, b), 2)
+    assert not out
+
+
+def test_pack_skips_empty_polynomials():
+    from qcoideal.uqg import _pack
+
+    key = ((), ((1,), (0, 0), ()))
+    assert _pack({key: {}}) == {}
+    assert _pack({key: {}, ((), ((), (0, 0), ())): {1: -1}}).keys() == {((), ((), (0, 0), ()))}
+    assert _pack({}) == {}
+
+
+def test_packed_walk_matches_the_dict_walk():
+    """The packed walk and the dict walk give one verdict on random
+    Elements of A2 and on Tensors of two factors, with Gaussian
+    coefficients times powers of v, a Serre relation in each so that zero
+    verdicts occur."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    serre = serre_polynomial(A2, 1, 2, Element.E(A2, 1), Element.E(A2, 2))
+    gauss = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(any)
+    coeff = st.tuples(gauss, st.integers(-3, 3)).map(lambda t: Scalar.gaussian(*t[0]) * Scalar.v_pow(t[1]))
+    word = st.lists(st.sampled_from(A2.labels), max_size=2).map(tuple)
+    torus = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
+    monomial = st.builds(lambda e, k, f, c: Element.monomial(A2, e, k, f, c), word, torus, word, coeff)
+    element = st.builds(lambda ms, c: reduce(add, ms, serre.scale(c)), st.lists(monomial, max_size=2), coeff)
+    tensor = st.builds(lambda a, b, c, m: _tensor(a, serre.scale(c)) + _tensor(m, b), element, element, coeff,
+                       st.one_of(st.just(Element.zero(A2)), monomial))
+
+    def verdicts(xs):
+        return [tensor_is_zero(x) if isinstance(x, Tensor) else is_zero(x) for x in xs]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.one_of(element, tensor), min_size=1, max_size=4))
+    def check(xs):
+        packed = verdicts(xs)
+        with pytest.MonkeyPatch.context() as mp:
+            _use_dict_walk(mp.setattr)
+            assert verdicts(xs) == packed
+
+    check()
+    seen = verdicts([serre, serre + Element.E(A2, 1).scale(I_UNIT), _tensor(Element.F(A2, 1), serre)])
+    assert seen == [True, False, True]
+
+
 def test_elements_of_two_data_do_not_mix():
     a, b = cartan_datum("A", 2), CartanDatum(cartan_datum("A", 2).A)
     x, y = Element.E(a, 1), Element.E(b, 1)

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import reduce
+from math import factorial
 from operator import add, mul
 
 import pytest
@@ -9,11 +10,12 @@ import pytest
 from qcoideal.braid import apply_braid, braid_T
 from qcoideal.cartan import CartanDatum, cartan_datum
 from qcoideal.grammar import element_from_json, parse_element
-from qcoideal.scalars import I_UNIT, ONE, Scalar, qbinom_eps, qfact, qint, scalar_sum
+from qcoideal.scalars import I_UNIT, ONE, Scalar, integer_numerators, qbinom_eps, qfact, qint, scalar_sum
 from qcoideal.uqg import (
     Element,
     Tensor,
     ZeroTestGuardError,
+    _add_shifted,
     _commute,
     _deletions,
     _ef_inverse,
@@ -21,6 +23,7 @@ from qcoideal.uqg import (
     _good_prefixes,
     _mono_times_E,
     _monomial_coproduct,
+    _pack,
     _settle,
     _shift_row,
     _tensor_of_elements,
@@ -571,11 +574,6 @@ def test_pack_is_exact_at_its_digit_bound():
     and a polynomial whose coefficients reach +-(2^(b - 1) - 1), at negative
     and odd (imaginary) exponents, packs to a nonzero value that unpacks to
     itself and cancels exactly against its negative."""
-    from math import factorial
-
-    from qcoideal.scalars import integer_numerators
-    from qcoideal.uqg import _add_shifted, _pack
-
     B2 = cartan_datum("B", 2)
     E1, E2 = Element.E(B2, 1), Element.E(B2, 2)
     x = serre_polynomial(B2, 1, 2, E1, E2).scale(Scalar.gaussian(3, -2)) + (E2 * E1).scale(I_UNIT)
@@ -601,8 +599,6 @@ def test_pack_is_exact_at_its_digit_bound():
 
 
 def test_pack_skips_empty_polynomials():
-    from qcoideal.uqg import _pack
-
     key = ((), ((1,), (0, 0), ()))
     assert _pack({key: {}}) == {}
     assert _pack({key: {}, ((), ((), (0, 0), ())): {1: -1}}).keys() == {((), ((), (0, 0), ()))}

@@ -225,18 +225,19 @@ def _atlas_data(families, max_rank):
     """[(family, rank, datum)] for every family and rank in 1..max_rank that
     names a datum, skipping the ranks that name none (such as B1 or G3).
     `families` is the comma list of --families, or None for the default
-    A,B,C,D,G.  A --max-rank outside 1..cap, a listed family that names no
-    datum in range, and a datum past the enumeration cap are input errors,
-    found before any enumeration."""
+    A,B,C,D,G.  A --max-rank outside 1..cap, an empty entry, a listed
+    family that names no datum in range, and a datum past the enumeration
+    cap are input errors, found before any enumeration; so every datum left
+    gives rows, at least those of (X = {}, tau = id)."""
     if not 1 <= max_rank <= ENUMERATION_RANK_CAP:
         raise InputError(
             f"--max-rank must be between 1 and {ENUMERATION_RANK_CAP}, got {max_rank}"
         )
     out = []
-    for fam in (families or "A,B,C,D,G").split(","):
+    for fam in ("A,B,C,D,G" if families is None else families).split(","):
         fam = fam.strip()
         if not fam:
-            continue
+            raise InputError(f"--families {families!r} has an empty entry")
         named = []
         for rank in range(1, max_rank + 1):
             try:
@@ -245,7 +246,7 @@ def _atlas_data(families, max_rank):
                 continue
             check_enumerable(datum)
             named.append((fam, rank, datum))
-        if families and not named:
+        if families is not None and not named:
             raise InputError(f"family {fam!r} names no Cartan datum of rank 1 to {max_rank}")
         out += named
     return out
@@ -272,8 +273,6 @@ def _cmd_nu_atlas(args):
         lines.append(
             f"{r['type']}{r['rank']}  X={r['X']}  tau={r['tau']}  node {r['node']}: nu = {r['nu']:+d}"
         )
-    if not rows:
-        lines.append("no admissible pairs with free nodes in range")
     report = {"command": "nu-atlas", "rows": rows}
     _emit(args, lines, report)
     return 0

@@ -116,7 +116,7 @@ def parse_scalar(text: str) -> Scalar:
                 raise ScalarParseError("missing ')' in scalar text")
             pos += 1
         elif tok.__class__ is int:
-            out = Scalar.from_int(tok)
+            out = Scalar.gaussian(tok)
         elif tok in _ATOMS:
             out = _ATOMS[tok]
         else:

@@ -319,14 +319,13 @@ def c_closed(params: QSPParameters, i, j) -> Element:
         out = (Bj * zi).scale(_qi(datum, i))
         out = out + (rz.scale(_qi(datum, i) ** 2) + irz.scale(Scalar.v_pow(4 * epj) * _qi(datum, i, -1) ** 2)).scale(denom).scale(params.c[i])
         return out
-    if aij == -2:
-        two = qint(2, eps)
-        out = (q_commutator(Bi, Bj, 0) * zi).scale(_qi(datum, i) * two * two)
-        jinv = _ef_inverse(datum, j)
-        out = out + (Bi * rz).scale(-(_qi(datum, i) ** 4) * two * jinv).scale(params.c[i])
-        out = out + (Bi * irz).scale(Scalar.v_pow(4 * epj) * (_qi(datum, i, -1) ** 6) * two * jinv).scale(params.c[i])
-        return out
-    raise NoClosedFormulaError(f"unhandled case a_{i}{j} = {aij}")
+    # aij == -2, since scope_violation refuses every other entry towards X
+    two = qint(2, eps)
+    out = (q_commutator(Bi, Bj, 0) * zi).scale(_qi(datum, i) * two * two)
+    jinv = _ef_inverse(datum, j)
+    out = out + (Bi * rz).scale(-(_qi(datum, i) ** 4) * two * jinv).scale(params.c[i])
+    out = out + (Bi * irz).scale(Scalar.v_pow(4 * epj) * (_qi(datum, i, -1) ** 6) * two * jinv).scale(params.c[i])
+    return out
 
 
 def c_closed_torus(params: QSPParameters, i, j) -> Element:
@@ -354,9 +353,9 @@ def c_closed_torus(params: QSPParameters, i, j) -> Element:
     if aij == -2:
         Bi = b_generator(params, i)
         three = qint(3, eps)
-        inner = (Bi * Bj).scale(three) - (Bj * Bi).scale(qi ** 2 + Scalar.from_int(2))
+        inner = (Bi * Bj).scale(three) - (Bj * Bi).scale(qi ** 2 + Scalar.gaussian(2))
         out = (inner * zi).scale(qi ** 2)
-        inner2 = (Bi * Bj).scale(Scalar.from_int(2) + _qi(datum, i, -1) ** 2) - (Bj * Bi).scale(three)
+        inner2 = (Bi * Bj).scale(Scalar.gaussian(2) + _qi(datum, i, -1) ** 2) - (Bj * Bi).scale(three)
         out = out - zi * inner2
         out = out.scale(_ef_inverse(datum, i))
         coeff = (

@@ -571,12 +571,6 @@ class Scalar:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def from_int(n):
-        if n == 0:
-            return ZERO
-        return Scalar({0: GaussianRational(n)})
-
-    @staticmethod
     def gaussian(re, im=0):
         c = GaussianRational(re, im)
         return Scalar({0: c}) if c else ZERO
@@ -820,7 +814,7 @@ def is_bar_fixed(a: Scalar) -> bool:
 
 def fourth_root_power(n) -> Scalar:
     """i^n for an integer n (fourth roots of unity in Q(i))."""
-    return (I_UNIT, Scalar.from_int(-1), -I_UNIT, ONE)[(n - 1) % 4]
+    return (I_UNIT, Scalar.gaussian(-1), -I_UNIT, ONE)[(n - 1) % 4]
 
 
 # ---------------------------------------------------------------------------

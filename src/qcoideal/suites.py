@@ -105,7 +105,7 @@ _SCALAR_POOL = (
     Q ** 2,
     ONE + Q ** 2,
     qint(2, 1),
-    Scalar.from_int(2),
+    Scalar.gaussian(2),
 )
 
 

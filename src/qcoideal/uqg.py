@@ -440,8 +440,6 @@ class Element(_Linear):
     def __rmul__(self, other):
         if isinstance(other, Scalar):
             return self.scale(other)
-        if isinstance(other, int):
-            return self.scale(Scalar.from_int(other))
         return NotImplemented
 
     def __mul__(self, other):
@@ -449,7 +447,7 @@ class Element(_Linear):
         (F_{f1} E_{e2}) K_{k2} F_{f2}, straightened by `_straighten` for
         each pair of terms with the product of their coefficients."""
         if other.__class__ is not Element:
-            return self.__rmul__(other)  # a Scalar or an int
+            return NotImplemented  # a Scalar scales from the left only
         if self.datum is not other.datum:
             raise ValueError("elements of different Cartan data do not combine")
         datum = self.datum

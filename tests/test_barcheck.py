@@ -285,7 +285,7 @@ def test_nu_sign_refuses_a_node_in_x_and_a_sign_other_than_one(monkeypatch):
     with pytest.raises(ValueError, match="outside X"):
         nu_sign(context_for(_fresh_aiv()), 2)
     unpatched = barcheck.sigma
-    monkeypatch.setattr(barcheck, "sigma", lambda a: unpatched(a).scale(Scalar.from_int(2)))
+    monkeypatch.setattr(barcheck, "sigma", lambda a: unpatched(a).scale(Scalar.gaussian(2)))
     with pytest.raises(EngineInconsistencyError, match="node 1"):
         nu_sign(context_for(_fresh_aiv()), 1)
 
@@ -358,3 +358,33 @@ def test_bar_twist_preserves_passing_relation():
     bad = QSPParameters(pair, {1: Q ** 2, 2: Q ** 5})
     assert not bar_exists(bad).exists
     assert not equals(_split_closed_form(bad, 1, False), _split_closed_form(bad, 1, True))
+
+
+def test_tau_relabel_renames_k_parts_and_is_an_algebra_map():
+    """`nu_sign` relabels only K-free elements, so the K path of
+    `tau_relabel` is pinned here: on A3 with tau = (1 3) it sends
+    K_{alpha_1} E_2 F_3 to K_{alpha_3} E_2 F_1, and products to products."""
+    pair = validate_admissible(A3, set(), {1: 3, 2: 2, 3: 1})
+
+    def relabel(a):
+        return barcheck.tau_relabel(pair, a)
+
+    E, F, K = (lambda i: Element.E(A3, i)), (lambda i: Element.F(A3, i)), (lambda i, p=1: Element.K_i(A3, i, p))
+    assert relabel(K(1) * E(2) * F(3)) == K(3) * E(2) * F(1)
+    rng = random.Random(5)
+    letters = [E(i) for i in (1, 2, 3)] + [F(i) for i in (1, 2, 3)]
+    coeffs = [ONE, Q, -Q ** -2, I_UNIT, (ONE + Q).inverse()]
+
+    def draw():
+        x = Element.zero(A3)
+        for _ in range(3):
+            term = K(rng.choice((1, 2, 3)), rng.choice((-1, 1, 2)))
+            for _ in range(rng.randint(1, 3)):
+                term = term * rng.choice(letters)
+            x = x + term.scale(rng.choice(coeffs))
+        return x
+
+    for _ in range(12):
+        x, y = draw(), draw()
+        assert any(any(k) for _e, k, _f in x.terms)
+        assert relabel(x * y) == relabel(x) * relabel(y)

@@ -208,7 +208,7 @@ def _reference_braid(op, a):
 
 
 def _random_element(datum, rng):
-    coeffs = (Scalar.from_int(1), Q, -Q ** -2, qfact(2, 1).inverse(), Scalar.from_int(3))
+    coeffs = (Scalar.gaussian(1), Q, -Q ** -2, qfact(2, 1).inverse(), Scalar.gaussian(3))
     labels = datum.labels
     # one word as both E- and F-word, so an image memoised for one kind
     # would answer for the other

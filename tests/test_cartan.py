@@ -8,6 +8,7 @@ from qcoideal.cartan import (
     AdmissibleError,
     CartanDatum,
     FiniteTypeError,
+    admissible_violations,
     cartan_datum,
     datum_from_json,
     datum_to_json,
@@ -449,3 +450,18 @@ def test_validate_admissible_builds_a_new_pair_each_call():
     assert first is not second
     assert first.wX_word == second.wX_word == (2,)
     assert first.two_rho_X == second.two_rho_X == a3.simple_root(2)
+
+
+def test_a_tau_that_is_no_involution_is_refused():
+    """The CLI builds tau from swaps, always an involution, so only the
+    Python API can hand `admissible_violations` a three-cycle."""
+    A3 = cartan_datum("A", 3)
+    violations = admissible_violations(A3, [], {1: 2, 2: 3, 3: 1})
+    assert violations == ["tau is not involutive", "tau does not preserve the Cartan matrix"]
+
+
+def test_admissible_pair_repr_names_x_and_the_moved_nodes():
+    A3 = cartan_datum("A", 3)
+    assert repr(validate_admissible(A3, [2], tau_from_swaps(A3, [[1, 3]]))) == \
+        "AdmissiblePair(X=[2], tau={1: 3, 3: 1})"
+    assert repr(validate_admissible(A3, [], tau_from_swaps(A3, []))) == "AdmissiblePair(X=[], tau=id)"

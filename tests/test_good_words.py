@@ -216,7 +216,7 @@ def _random_element(rng, datum, terms=4):
     for _ in range(terms):
         ee = tuple(rng.sample(e, len(e)))
         ff = tuple(rng.sample(f, len(f)))
-        c = Scalar.q_pow(rng.randint(-2, 2)) * Scalar.from_int(rng.choice((1, -1, 2)))
+        c = Scalar.q_pow(rng.randint(-2, 2)) * Scalar.gaussian(rng.choice((1, -1, 2)))
         out = out + Element.monomial(datum, ee, k, ff, c)
     return out
 

@@ -26,7 +26,7 @@ A2 = cartan_datum("A", 2)
 
 
 def test_scalar_text_forms():
-    assert scalar_to_text(Scalar.from_int(0)) == "0"
+    assert scalar_to_text(Scalar.gaussian(0)) == "0"
     assert scalar_to_text(Q + Q ** -1) == "v^2 + v^-2"
     assert parse_scalar("q + q^-1") == Q + Q ** -1
     assert parse_scalar("3/2 * v^4") == Scalar.gaussian("3/2") * Scalar.v_pow(4)
@@ -93,7 +93,7 @@ def test_element_from_json_rejects_unknown_letters():
 
 def test_signs_in_front_of_a_factor_apply_to_its_whole_power():
     V = Scalar.v_pow(1)
-    two = Scalar.from_int(2)
+    two = Scalar.gaussian(2)
     assert parse_scalar("2*-v^2") == -two * V ** 2 == parse_scalar("-2*v^2")
     assert parse_scalar("2*-q^2") == -two * Q ** 2
     assert parse_scalar("1+-v^2") == ONE - V ** 2
@@ -131,7 +131,7 @@ def test_scalar_text_must_be_a_string(value):
 
 
 def test_long_sums_and_sign_chains_parse_and_deep_nesting_is_refused():
-    assert parse_scalar("+".join(["1"] * 100001)) == Scalar.from_int(100001)
+    assert parse_scalar("+".join(["1"] * 100001)) == Scalar.gaussian(100001)
     assert parse_scalar("-" * 100000 + "v") == Scalar.v_pow(1)
     assert parse_scalar("-" * 99999 + "v") == -Scalar.v_pow(1)
     assert parse_scalar("(" * 100 + "q" + ")" * 100) == Q
@@ -258,10 +258,32 @@ def test_cli_refuses_a_tau_that_is_no_diagram_automorphism(capsys):
 
 def test_cli_refuses_a_matrix_that_is_no_cartan_matrix(capsys):
     for cartan, message in [('{"A": [[2,-1],[-1,3]]}', "must be square with 2 on the diagonal"),
-                            ('{"A": [[2,-1,-1],[-1,2,-1],[-2,-1,2]]}', "not symmetrizable")]:
+                            ('{"A": [[2,-1,-1],[-1,2,-1],[-2,-1,2]]}', "not symmetrizable"),
+                            ('{"A": [[2,-1],[-1,2]], "labels": [1,1]}', "node labels must be distinct"),
+                            ('{"A": [[2,-1],[-1,2]], "eps": [0,1]}', "symmetrizers must be positive"),
+                            ('{"A": [[2,-1],[-2,2]], "eps": [1,1]}', "D*A is not symmetric"),
+                            ('{"A": [[2,-1],[-1,2]], "nodes": 3}', "'nodes' disagrees with matrix size"),
+                            ("A:0", "type A needs rank >= 1"),
+                            ("affine:A:0", "affine:A needs rank >= 1"),
+                            ("E:5", "type E needs rank 6, 7 or 8"),
+                            ("F:3", "type F needs rank 4")]:
         argv = ["--cartan", cartan, "--pair", '{"X": [], "tau": []}', "validate-pair"]
         assert main(argv) == 2, cartan
         assert message in _one_error_line(capsys, "error: "), cartan
+
+
+def test_cli_names_the_input_a_command_lacks(capsys):
+    a3 = ["--cartan", "A:3", "--pair", '{"X": [2], "tau": [[1,3]]}',
+          "--params", '{"c": {"1": "q", "3": "q"}}']
+    for argv, message in [
+        (["--pair", '{"X": [], "tau": []}', "validate-pair"], "a Cartan datum is required (--cartan)"),
+        (["--cartan", "A:2", "validate-pair"], "missing required JSON input"),
+        (["--cartan", "A:2", "canonical"], "an admissible pair is required (--pair)"),
+        (a3 + ["compute", "--what", "Bi"], "--i is required for compute"),
+        (a3 + ["compute", "--what", "Wij", "--i", "1"], "--j is required for Wij"),
+    ]:
+        assert main(argv) == 2, argv
+        assert _one_error_line(capsys, "error: ") == f"error: {message}\n", argv
 
 
 def test_cli_reads_a_pair_from_a_json_file(tmp_path, capsys):
@@ -499,10 +521,11 @@ def test_cli_nu_atlas_affine(tmp_path, capsys):
 
 
 def test_cli_nu_atlas_checks_its_input_before_work(monkeypatch, capsys):
-    """A rank bound outside 1..cap, a listed family that names no datum in
-    range and a datum past the enumeration cap are refused with exit 2
-    before any enumeration; invalid ranks inside the range (B1, G3) are
-    skipped, and so are the ranks the default families lack (D below 4)."""
+    """A rank bound outside 1..cap, an empty entry of --families (an empty
+    list is not the default), a listed family that names no datum in range
+    and a datum past the enumeration cap are refused with exit 2 before any
+    enumeration; invalid ranks inside the range (B1, G3) are skipped, and
+    so are the ranks the default families lack (D below 4)."""
     import qcoideal.cli as cli
 
     def never(datum):
@@ -511,6 +534,9 @@ def test_cli_nu_atlas_checks_its_input_before_work(monkeypatch, capsys):
     monkeypatch.setattr(cli, "enumerate_admissible", never)
     for argv in (
         ["--families", "b"],
+        ["--families", ","],
+        ["--families", ""],
+        ["--families", "A,,B"],
         ["--max-rank", "-3"],
         ["--max-rank", "0"],
         ["--max-rank", "11"],

@@ -187,7 +187,7 @@ def check_common_scale():
     serre = serre_polynomial(d, 1, 2, Element.E(d, 1), Element.E(d, 2))
     s1 = Element.E(d, 1, 1, 2)
     assert serre.terms[((1, 1, 2), (0, 0), ())] == ONE
-    return not is_zero(s1.scale((Scalar.v_pow(2) + Scalar.from_int(3)).inverse()) + serre - s1)
+    return not is_zero(s1.scale((Scalar.v_pow(2) + Scalar.gaussian(3)).inverse()) + serre - s1)
 
 
 def check_x_minus_x():
@@ -215,7 +215,7 @@ def check_fourth_root():
     if any(scalars.fourth_root_power(n) != I_UNIT ** n for n in range(-8, 9)):
         return False
     pair = validate_admissible(CartanDatum(cartan_datum("A", 4).A), {2, 3}, {1: 4, 2: 3, 3: 2, 4: 1})
-    return qsp.s_value(pair, 1) == qsp.s_value(pair, 4) == Scalar.from_int(-1)
+    return qsp.s_value(pair, 1) == qsp.s_value(pair, 4) == Scalar.gaussian(-1)
 
 
 def check_split_rule():

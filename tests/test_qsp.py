@@ -53,7 +53,7 @@ def test_s_value_at_even_pairings():
     j = 4, so s_1 = i^-2 and s_4 = i^2, both -1 whichever node takes the
     sign."""
     pair = validate_admissible(cartan_datum("A", 4), {2, 3}, {1: 4, 2: 3, 3: 2, 4: 1})
-    assert s_value(pair, 1) == s_value(pair, 4) == Scalar.from_int(-1)
+    assert s_value(pair, 1) == s_value(pair, 4) == Scalar.gaussian(-1)
 
 
 def test_theta_twist_values():
@@ -183,6 +183,11 @@ def test_closed_forms_refuse_what_they_do_not_cover():
             c_closed_torus(params, i, j)
     with pytest.raises(ValueError, match="outside X"):
         context_for(params.pair).theta_fk(3)
+    # a_12 = -3 towards j in X: admissible once a_21 is even, past the torus form
+    datum = CartanDatum([[2, -3], [-2, 2]])
+    params = QSPParameters(validate_admissible(datum, {2}, {1: 1, 2: 2}), {1: Q})
+    with pytest.raises(NoClosedFormulaError, match="got -3"):
+        c_closed_torus(params, 1, 2)
 
 
 def test_g2_case4_closed_vs_oracle():

@@ -144,19 +144,19 @@ def test_fourth_root_power_is_the_power_of_i():
     the even n give i^2 = -1."""
     for n in range(-8, 9):
         assert fourth_root_power(n) == I_UNIT ** n
-    assert fourth_root_power(2) == Scalar.from_int(-1)
+    assert fourth_root_power(2) == Scalar.gaussian(-1)
 
 
 def test_bar_fixes_gaussian_unit():
     i = I_UNIT
     assert i.bar() == i
-    assert i * i == Scalar.from_int(-1)
+    assert i * i == Scalar.gaussian(-1)
 
 
 # -- normalisation: cyclotomic factor cache, trial division, cofactor Euclid --
 
 def _n(k):
-    return Scalar.from_int(k)
+    return Scalar.gaussian(k)
 
 
 PINNED = [
@@ -802,8 +802,8 @@ def test_int_and_fraction_built_values_agree():
     s = Scalar({0: G(2), 3: G(Fraction(1, 3))})
     t = Scalar({0: G(Fraction(4, 2)), 3: G(Fraction(2, 6))})
     assert s == t and hash(s) == hash(t)
-    assert Scalar.gaussian(Fraction(8, 4)) == Scalar.from_int(2)
-    assert hash(Scalar.gaussian(Fraction(8, 4))) == hash(Scalar.from_int(2))
+    assert Scalar.gaussian(Fraction(8, 4)) == Scalar.gaussian(2)
+    assert hash(Scalar.gaussian(Fraction(8, 4))) == hash(Scalar.gaussian(2))
     assert ONE != 1
 
 
@@ -913,3 +913,36 @@ def test_power_by_repeated_squaring(monkeypatch):
         assert x ** n == product and x ** -n == product.inverse(), n
         assert scalar_to_text(x ** n) == scalar_to_text(product), n
     assert x ** 0 == ONE and x ** 1 is x
+
+
+def test_refusals_and_edge_values_that_no_suite_meets():
+    with pytest.raises(ZeroDivisionError, match="zero denominator"):
+        Scalar({0: scalars.GQ_ONE}, {})
+    with pytest.raises(ZeroDivisionError, match="division by zero Gaussian rational"):
+        scalars.GaussianRational(1, 2) / scalars.GaussianRational(0)
+    with pytest.raises(ValueError, match="m must be nonnegative"):
+        qbinom_eps(-1, 0)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        qshifted_factorial(Q, -1)
+    assert qint(0) is ZERO and qint(0, -1) is ZERO
+    for n in (1, 2, 5):
+        assert qint(-n) == -qint(n) and qint(-n, 2) == -qint(n, 2), n
+    assert -ZERO is ZERO
+    assert scalars._pmul({}, {0: scalars.GQ_ONE}) == {} == scalars._pmul({0: scalars.GQ_ONE}, {})
+    x, y = (ONE + V).inverse(), (ONE - Q).inverse()
+    assert scalars.scalar_sum((x, ZERO, y)) == x + y
+    assert scalars.scalar_sum((ZERO, ZERO)) is ZERO
+
+
+def test_scalars_are_immutable_and_compare_only_with_numbers():
+    g = scalars.GaussianRational(1, -2)
+    for value, name in ((g, "re"), (Q, "num")):
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(value, name, 0)
+    assert g.__eq__("1 - 2i") is NotImplemented and g != "1 - 2i"
+    assert scalars.GaussianRational(3) == 3 and Q.__eq__(1) is NotImplemented
+
+
+def test_reprs_show_the_exact_value():
+    assert repr(scalars.GaussianRational(1, -2)) == "GaussianRational(Fraction(1, 1), Fraction(-2, 1))"
+    assert repr(Scalar.v_pow(2) + I_UNIT) == "Scalar('v^2 + i')"

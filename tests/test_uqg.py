@@ -10,7 +10,7 @@ import pytest
 from qcoideal.braid import apply_braid, braid_T
 from qcoideal.cartan import CartanDatum, cartan_datum
 from qcoideal.grammar import element_from_json, parse_element
-from qcoideal.scalars import I_UNIT, ONE, Scalar, integer_numerators, qbinom_eps, qfact, qint, scalar_sum
+from qcoideal.scalars import I_UNIT, ONE, ZERO, Scalar, integer_numerators, qbinom_eps, qfact, qint, scalar_sum
 from qcoideal.uqg import (
     Element,
     Tensor,
@@ -496,7 +496,7 @@ def test_integer_walk_matches_the_scalar_walk():
         Scalar.gaussian(2, -3), I_UNIT * V - ONE,
         Scalar.gaussian(Fraction(3, 7)), Scalar.gaussian(Fraction(1, 2), Fraction(-5, 3)),
         qint(3).inverse() * Q, (Q - Q ** -1).inverse(), qint(2).inverse() * I_UNIT,
-        (V ** 2 + Scalar.from_int(3)).inverse(), (V ** 2 + Scalar.from_int(3)).inverse() * qint(2).inverse(),
+        (V ** 2 + Scalar.gaussian(3)).inverse(), (V ** 2 + Scalar.gaussian(3)).inverse() * qint(2).inverse(),
     ]
     rng = random.Random(23)
     for datum in (A2, cartan_datum("B", 2)):
@@ -692,7 +692,7 @@ def test_serre_polynomial_matches_the_binomial_form():
     """The iterated q-commutator has the terms of the binomial form, for
     a_ij = 0, -1, -2, -3 and non-homogeneous x, y with E, K and F parts."""
     V = Scalar.v_pow(1)
-    coeffs = [ONE, Q, (V ** 2 + Scalar.from_int(3)).inverse(), qint(2).inverse(), I_UNIT * V - ONE]
+    coeffs = [ONE, Q, (V ** 2 + Scalar.gaussian(3)).inverse(), qint(2).inverse(), I_UNIT * V - ONE]
 
     def draw(rng, datum, i):
         out = Element.zero(datum)
@@ -777,7 +777,7 @@ def _word_element(rng, datum, coeffs=None):
     parts and Scalar coefficients drawn from coeffs, by default some with a
     denominator."""
     if coeffs is None:
-        coeffs = [ONE, Q, Scalar.from_int(3), qint(2).inverse(), (Q - Q ** -1).inverse()]
+        coeffs = [ONE, Q, Scalar.gaussian(3), qint(2).inverse(), (Q - Q ** -1).inverse()]
     out = Element.zero(datum)
     for _ in range(rng.randint(2, 4)):
         labels = datum.labels[:2] if rng.random() < 0.5 else datum.labels
@@ -1037,6 +1037,35 @@ def test_scalar_times_element_scales_it():
     assert q * Element.E(A2, 1) == Element.E(A2, 1).scale(q)
 
 
+def test_only_a_scalar_on_the_left_multiplies_an_element():
+    x = Element.E(A2, 1)
+    for product in (lambda: 2 * x, lambda: x * 2, lambda: x * ONE):
+        with pytest.raises(TypeError):
+            product()
+
+
+def test_refusals_and_zero_cases_of_the_element_api():
+    x = Element.E(A2, 1)
+    with pytest.raises(ValueError, match="negative powers are not defined"):
+        x ** -1
+    with pytest.raises(ValueError, match="different Cartan data"):
+        q_commutator(x, Element.E(cartan_datum("A", 3), 1), 0)
+    with pytest.raises(ValueError, match="use counit"):
+        _tensor_of_elements([x]).counit_slot(0)
+    assert x.scale(ZERO) == Element.zero(A2) and coproduct(x).scale(ZERO) == Tensor(A2, 2)
+    assert Element.monomial(A2, (1,), (0, 0), (), ZERO) == Element.zero(A2)
+    assert x.__eq__(x.terms) is NotImplemented and x != x.terms
+    # a zero addend under a repeated key reaches the n-ary sum, which skips it
+    c = (ONE + Scalar.v_pow(1)).inverse()
+    assert parse_element(A2, "E[1] * (1/(1 + v)) + E[1] * (0)") == x.scale(c)
+
+
+def test_reprs_show_the_text_form_or_the_size():
+    x = Element.E(A2, 1) + Element.K_i(A2, 2).scale(qint(2))
+    assert repr(x) == "Element('K{2:1} * (v^2 + v^-2) + E[1] * (1)')"
+    assert repr(coproduct(Element.E(A2, 1))) == "Tensor(arity=2, terms=2)"
+
+
 # The one accumulator of linear combinations, `_gather` and `_settle`.
 
 def _accumulate(addends, key="x"):
@@ -1079,7 +1108,7 @@ def test_sums_of_several_addends_are_the_left_fold():
     cofactor v^2 + 3 sum, in every order, to the left fold of +, and a key
     whose addends cancel is dropped."""
     e = (Q - Q ** -1).inverse()
-    r = (Scalar.v_pow(2) + Scalar.from_int(3)).inverse()
+    r = (Scalar.v_pow(2) + Scalar.gaussian(3)).inverse()
     groups = [
         [Q * e, -(Q ** -1 * e), qint(3).inverse()],
         [qint(2).inverse(), qfact(3).inverse(), -qint(2).inverse(), qint(3).inverse()],
@@ -1330,7 +1359,7 @@ def test_products_match_per_row_products(name, monkeypatch):
     rng = random.Random(53)
     coeffs = [Scalar.gaussian(2, -1), I_UNIT, Scalar.gaussian(Fraction(-3, 4)),
               qint(3).inverse(), (Q - Q ** -1).inverse(),
-              (Scalar.v_pow(2) + Scalar.from_int(3)).inverse()]
+              (Scalar.v_pow(2) + Scalar.gaussian(3)).inverse()]
     for t in range(12):
         x, y = _word_element(rng, datum), _word_element(rng, datum)
         x, y = x.scale(coeffs[t % len(coeffs)]), y.scale(rng.choice(coeffs))
@@ -1365,7 +1394,7 @@ def test_q_commutator_makes_one_product_per_pair_of_terms(monkeypatch):
     x y - q y x makes one Scalar product per pair of terms, where the two
     products and the scaling made six."""
     datum = CartanDatum(cartan_datum("A", 2).A)
-    two, three, five = (Scalar.from_int(n) for n in (2, 3, 5))
+    two, three, five = (Scalar.gaussian(n) for n in (2, 3, 5))
     x = Element.E(datum, 1).scale(two) + Element.E(datum, 2).scale(three)
     y = Element.monomial(datum, (1,), (1, 0), (), five)
     products = []
@@ -1390,7 +1419,7 @@ def test_one_product_per_distinct_base(monkeypatch):
     holds another Scalar equal to ONE, and a product with ONE returns the
     other operand itself."""
     datum = CartanDatum(((2,),))
-    one = Scalar.from_int(1)  # a copy of ONE planted in the pool must not replace ONE
+    one = Scalar.gaussian(1)  # a copy of ONE planted in the pool must not replace ONE
     datum.caches["pool"][one] = one
     x, y = Element.F(datum, 1).scale(Q - Q ** -1), Element.E(datum, 1)
     products = []

@@ -18,8 +18,6 @@ once, for `corollary_conditions` and `in_set_D` alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .cartan import AdmissiblePair
 from .grammar import scalar_to_text
 from .qsp import (
@@ -87,17 +85,18 @@ def check_ocZ(ctx: QSPContext, i) -> bool:
     return equals(bar_element(ctx.z(i)), rhs)
 
 
-@dataclass
 class BarReport:
     """Outcome of the bar-involution existence decision for one parameter set."""
 
-    nu: dict
-    ell: dict
-    ocZ: dict
-    verdict: str
-    failing_nodes: list = field(default_factory=list)
-    skipped_nodes: list = field(default_factory=list)
-    rescaled_nodes: list = field(default_factory=list)
+    def __init__(self, nu: dict, ell: dict, ocZ: dict, verdict: str,
+                 failing_nodes=None, skipped_nodes=None, rescaled_nodes=None):
+        self.nu = nu
+        self.ell = ell
+        self.ocZ = ocZ
+        self.verdict = verdict
+        self.failing_nodes = [] if failing_nodes is None else failing_nodes
+        self.skipped_nodes = [] if skipped_nodes is None else skipped_nodes
+        self.rescaled_nodes = [] if rescaled_nodes is None else rescaled_nodes
 
     @property
     def exists(self) -> bool:

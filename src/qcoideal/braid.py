@@ -25,7 +25,7 @@ are memoised under "twist" (`qsp.QSPContext.twisted`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from operator import mul
 
@@ -86,13 +86,11 @@ def _word_image(datum, op, kind, word) -> Element:
     return img
 
 
-@dataclass(frozen=True)
-class BraidOperator:
-    """T''_{i,e} (double_prime=True) or T'_{i,e} on the quantum algebra."""
+class BraidOperator(namedtuple("BraidOperator", "i double_prime e", defaults=(True, 1))):
+    """T''_{i,e} (double_prime=True) or T'_{i,e} on the quantum algebra; a
+    tuple (i, double_prime, e), so it equals (1, True, 1) for T''_{1,1}."""
 
-    i: int
-    double_prime: bool = True
-    e: int = 1
+    __slots__ = ()
 
     def inverse(self) -> "BraidOperator":
         """T''_{i,e} and T'_{i,-e} are mutually inverse."""

@@ -1,6 +1,6 @@
 """The process-wide memos, one dict per namespace: "cyclotomic", "factors",
-"products" and "strips" (scalars) and "datum" (the named Cartan data by
-(kind, rank)).  `CartanDatum.caches` holds what is memoised per datum."""
+"products", "strips" and "lefts" (scalars) and "datum" (the named Cartan
+data by (kind, rank)).  `CartanDatum.caches` holds what is memoised per datum."""
 
 from collections import defaultdict
 

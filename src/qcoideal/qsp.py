@@ -196,9 +196,7 @@ def w_element(ctx: QSPContext, i, j) -> Element:
     if pairing == 0:
         if is_zero(num):
             return Element.zero(datum)
-        raise ValueError(
-            "w_element undefined: orthogonal nodes with nonvanishing numerator"
-        )
+        raise RuntimeError("internal: w_element undefined: orthogonal nodes with nonvanishing numerator")
     denom = ONE - Scalar.v_pow(4 * pairing)
     return num.scale(denom.inverse())
 

@@ -20,7 +20,8 @@ Phi_k of the vector is Phi_1, Phi_2 or Phi_4, the numerator's dict is
 first evaluated at the roots 1, -1 and i, as sums of its coefficients by
 exponent mod 2 or 4, and most such numerators are ruled out there.  What
 remains is divided once per process: `_STRIPS` keeps the outcome of each
-(vector, numerator) pair under a flat key of ints.  A denominator from
+(vector, numerator) pair under a flat key of ints, with one remainder
+vector dict per distinct vector (`_LEFTS`).  A denominator from
 outside (`Scalar(num, den)`, `inverse`) is factored once, as
 lead * prod Phi_k^m_k * cofactor, by exact trial division by every Phi_k
 of degree at most its own, and cached under a key of Python ints.  These
@@ -247,6 +248,7 @@ _CYCLOTOMIC = MEMOS["cyclotomic"]  # k -> dense integer coefficients of Phi_k(v)
 _FACTORS = MEMOS["factors"]        # denominator key -> (exponent vector, monic cofactor)
 _PRODUCTS = MEMOS["products"]      # ((k, n), ...) -> prod Phi_k^n as its interned _Den
 _STRIPS = MEMOS["strips"]          # (vector, numerator) key -> `_trial_division` of the pair
+_LEFTS = MEMOS["lefts"]            # sorted items of a remainder vector -> the one dict of it
 
 
 class _Den(dict):
@@ -364,6 +366,8 @@ def _trial_division(p, vec):
     split = any(re) and any(im) and any(n for k, n in left.items() if k % 4 == 0)
     if left == vec:
         return None, None, split
+    # few remainder vectors occur: the entries of `_STRIPS` share one dict each
+    left = _LEFTS.setdefault(tuple(sorted(left.items())), left)
     return _from_ints(re, im, s, L), left, split
 
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import traceback
-from multiprocessing import Pool
 
 from .barcheck import (
     bar_exists,
@@ -638,6 +636,8 @@ def _serre_group(args):
         except ZeroTestGuardError:
             raise
         except Exception as exc:
+            import traceback
+
             traceback.print_exc()
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         checks.append(_check(tag, ok, detail))
@@ -648,6 +648,9 @@ def suite_serre_sweep(seed=0, jobs=1):
     # a worker started by spawn or forkserver does not inherit the bound
     tasks = [task + (zero_test_bound.get(),) for task in _serre_tasks()]
     if jobs > 1:
+        # imported here: a run without a pool never loads multiprocessing
+        from multiprocessing import Pool
+
         with Pool(jobs) as pool:
             groups = pool.map(_serre_group, tasks)
     else:

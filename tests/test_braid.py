@@ -80,6 +80,23 @@ def test_word_independence_of_parabolic_longest():
         assert equals(apply_word(w1, g), apply_word(w2, g))
 
 
+def test_braid_operator_is_an_immutable_value():
+    """T''_{i,1} by default; equal by value with equal hashes, immutable,
+    printed with its fields, and inverse() is an involution."""
+    op = BraidOperator(1)
+    assert op == BraidOperator(1, True, 1) == BraidOperator(i=1, double_prime=True, e=1)
+    assert hash(op) == hash(BraidOperator(1, True, 1))
+    assert op != BraidOperator(1, False, 1) and op != BraidOperator(1, True, -1)
+    with pytest.raises(AttributeError):
+        op.e = -1
+    assert repr(op) == "BraidOperator(i=1, double_prime=True, e=1)"
+    assert op.inverse() == BraidOperator(1, False, -1)
+    for dp in (True, False):
+        for e in (1, -1):
+            other = BraidOperator(2, dp, e)
+            assert other.inverse().inverse() == other
+
+
 def test_braid_relations_rank2():
     for datum in (CartanDatum([[2, 0], [0, 2]]), A2, cartan_datum("B", 2)):
         m = datum.coxeter_m(1, 2)

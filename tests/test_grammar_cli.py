@@ -329,15 +329,16 @@ def test_cli_verify_unknown_suite(capsys):
 
 
 def test_cli_verify_checks_limits_before_work(monkeypatch, capsys):
+    import multiprocessing
     import os
 
     import qcoideal.cli as cli
-    import qcoideal.suites as suites
 
     def never(*args, **kwargs):
         raise AssertionError("work started despite an invalid limit")
 
-    monkeypatch.setattr(suites, "Pool", never)
+    # the sweep imports Pool from multiprocessing when it starts a pool
+    monkeypatch.setattr(multiprocessing, "Pool", never)
     work = (
         "run_suite", "enumerate_admissible", "nu_sign", "bar_exists", "canonical_params",
         "context_for", "b_generator", "w_element", "c_closed", "c_oracle",
@@ -610,6 +611,19 @@ def test_cli_internal_runtime_errors_exit_3(monkeypatch, capsys):
             "--params", '{"c": {"1": "q", "2": "1"}}', "compute", "--what", "Zi", "--i", "1"]
     assert main(argv) == 3
     assert "internal error: RuntimeError: internal: Z element" in capsys.readouterr().err
+
+
+def test_cli_w_element_guard_is_an_internal_error(monkeypatch, capsys):
+    """The numerator of W_ij vanishes whenever i and j are orthogonal; a
+    zero test that says otherwise is the engine's fault (exit 3), not an
+    input error."""
+    import qcoideal.qsp as qsp
+
+    monkeypatch.setattr(qsp, "is_zero", lambda a: False)
+    params = ('{"cartan": {"A": [[2,0],[0,2]]}, "pair": {"X": [2], "tau": []}, '
+              '"c": {"1": "1"}}')
+    assert main(["--params", params, "compute", "--what", "Wij", "--i", "1", "--j", "2"]) == 3
+    assert "internal error: RuntimeError: internal: w_element undefined" in capsys.readouterr().err
 
 
 def test_cli_non_exact_division_is_an_internal_error(monkeypatch, capsys):

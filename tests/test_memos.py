@@ -1,9 +1,13 @@
 """One memo mechanism: every process-wide memo of the engine is a namespace
 of `qcoideal.memos.MEMOS`, which the fixture `fresh_memos` empties, and
 what is memoised per datum lives in `CartanDatum.caches`.  The source scans
-here also find every import that its module never reads."""
+here also find every import that its module never reads, and one child
+process checks which standard-library modules the package loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from qcoideal import scalars
@@ -60,9 +64,29 @@ def test_no_module_imports_a_name_it_does_not_read():
     assert hits == []
 
 
+# each is loaded only by work that a default run never does: multiprocessing
+# (with socket and pickle) by `--jobs` above 1, traceback by a failing sweep
+# case; dataclasses, inspect, ast and typing by no module of the package
+LAZY_MODULES = ("multiprocessing", "dataclasses", "inspect", "traceback", "typing", "socket", "pickle", "ast")
+
+
+def test_cli_import_loads_no_module_a_default_run_leaves_unused():
+    """`import qcoideal.cli` in a fresh interpreter; the child compares
+    `sys.modules` before and after, so what `site` preloads does not count."""
+    child = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import qcoideal.cli\n"
+        f"print(sorted(m for m in {LAZY_MODULES!r} if m in sys.modules and m not in before))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_scalar_memos_and_named_data_live_in_memos(fresh_memos):
     for ns, name in (("cyclotomic", "_CYCLOTOMIC"), ("factors", "_FACTORS"),
-                     ("products", "_PRODUCTS"), ("strips", "_STRIPS")):
+                     ("products", "_PRODUCTS"), ("strips", "_STRIPS"), ("lefts", "_LEFTS")):
         assert getattr(scalars, name) is MEMOS[ns]
     assert not any(MEMOS.values())
     a3 = cartan_datum("A", 3)

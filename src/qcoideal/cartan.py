@@ -107,6 +107,8 @@ class CartanDatum:
         self.gram = tuple(
             tuple(eps[i] * A[i][j] for j in range(n)) for i in range(n)
         )
+        # the simple roots alpha_i as unit vectors, by position
+        self.units = tuple(tuple(int(t == p) for t in range(n)) for p in range(n))
         # the v-exponents 2 (alpha_i, alpha_j) by label, vgram[i][j]
         self.vgram = {
             i: {j: 2 * g for j, g in zip(labels, row)} for i, row in zip(labels, self.gram)
@@ -142,8 +144,7 @@ class CartanDatum:
         return self.eps[self.pos(i)]
 
     def simple_root(self, i):
-        p = self.pos(i)
-        return tuple(1 if t == p else 0 for t in range(self.n))
+        return self.units[self.pos(i)]
 
     def zero_vector(self):
         return (0,) * self.n

@@ -82,8 +82,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if type(re) is int else _rational(re))
-        object.__setattr__(self, "im", im if type(im) is int else _rational(im))
+        _set_re(self, re if type(re) is int else _rational(re))
+        _set_im(self, im if type(im) is int else _rational(im))
 
     def __setattr__(self, *a):
         raise AttributeError("GaussianRational is immutable")
@@ -102,21 +102,29 @@ class GaussianRational:
         return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        re, im = -self.re, -self.im
+        if not im and type(re) is int and -_SMALL_BOUND <= re <= _SMALL_BOUND:
+            return _SMALL[re]
+        return GaussianRational(re, im)
 
     def __add__(self, other):
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        re, im = self.re + other.re, self.im + other.im
+        if not im and type(re) is int and -_SMALL_BOUND <= re <= _SMALL_BOUND:
+            return _SMALL[re]
+        return GaussianRational(re, im)
 
     def __sub__(self, other):
         return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other):
         if not self.im and not other.im:
-            return GaussianRational(self.re * other.re, 0)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+            re, im = self.re * other.re, 0
+        else:
+            re = self.re * other.re - self.im * other.im
+            im = self.re * other.im + self.im * other.re
+        if not im and type(re) is int and -_SMALL_BOUND <= re <= _SMALL_BOUND:
+            return _SMALL[re]
+        return GaussianRational(re, im)
 
     def __truediv__(self, other):
         if not other.im:
@@ -133,8 +141,19 @@ class GaussianRational:
         return f"GaussianRational({Fraction(self.re)!r}, {Fraction(self.im)!r})"
 
 
-GQ_ZERO = GaussianRational(0)
-GQ_ONE = GaussianRational(1)
+# the slot setters of GaussianRational, which bypass its __setattr__ as
+# object.__setattr__ does, without looking the slot up by name
+_set_re = GaussianRational.re.__set__
+_set_im = GaussianRational.im.__set__
+
+# the real integers -_SMALL_BOUND..._SMALL_BOUND, one shared object each, which
+# negation, sums and products return: _SMALL[n] is n, a negative n read from
+# the end of the list
+_SMALL_BOUND = 64
+_SMALL = [GaussianRational(n) for n in range(_SMALL_BOUND + 1)]
+_SMALL += [GaussianRational(n) for n in range(-_SMALL_BOUND, 0)]
+GQ_ZERO = _SMALL[0]
+GQ_ONE = _SMALL[1]
 GQ_I = GaussianRational(0, 1)
 
 
@@ -525,10 +544,11 @@ def _normalised(num, dens):
 
 
 def _make(num, den):
-    """The Scalar num / den for a pair known to be canonical."""
-    s = Scalar.__new__(Scalar)
-    object.__setattr__(s, "num", num)
-    object.__setattr__(s, "den", den)
+    """The Scalar num / den for a pair known to be canonical, its slots set
+    by their descriptors (`_set_num`, `_set_den`)."""
+    s = _new(Scalar)
+    _set_num(s, num)
+    _set_den(s, den)
     return s
 
 
@@ -552,8 +572,8 @@ class Scalar:
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
-            object.__setattr__(self, "num", {})
-            object.__setattr__(self, "den", _DEN_ONE)
+            _set_num(self, {})
+            _set_den(self, _DEN_ONE)
             return
         sn, sd = min(num), min(den)
         a = _pshift(num, -sn) if sn else dict(num)
@@ -566,8 +586,8 @@ class Scalar:
             num, den = _pshift(a, shift), _DEN_ONE
         else:
             num, den = _cancel(a, b, shift, _reduced)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, *a):
         raise AttributeError("Scalar is immutable")
@@ -715,6 +735,13 @@ class Scalar:
     def __repr__(self):
         from .grammar import scalar_to_text
         return f"Scalar({scalar_to_text(self)!r})"
+
+
+# the slot setters of Scalar, which bypass its __setattr__ as object.__setattr__
+# does, without looking the slot up by name
+_new = object.__new__
+_set_num = Scalar.num.__set__
+_set_den = Scalar.den.__set__
 
 
 def _over_lcm(dens):

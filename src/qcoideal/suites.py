@@ -60,6 +60,7 @@ from .uqg import (
     counit,
     equals,
     is_zero,
+    q_commutator,
     serre_polynomial,
     sigma,
     skew_ir,
@@ -305,16 +306,21 @@ def suite_derivations(seed=0):
                 shuffled = list(w)
                 rng.shuffle(shuffled)
                 x = x + Element.E(datum, *shuffled).scale(rng.choice(_SCALAR_POOL))
+            # each derivation and sigma(x) is built once and read by every
+            # check of the draw
+            r = {}
             for i in datum.labels:
-                lhs = x * Element.F(datum, i) - Element.F(datum, i) * x
+                r[i] = skew_r(i, x)
+                lhs = q_commutator(x, Element.F(datum, i), 0)
                 rhs = (
-                    skew_r(i, x) * Element.K_i(datum, i)
+                    r[i] * Element.K_i(datum, i)
                     - Element.K_i(datum, i, -1) * skew_ir(i, x)
                 ).scale(_ef_inverse(datum, i))
                 ok_comm = ok_comm and equals(lhs, rhs)
             i = rng.choice(datum.labels)
-            ok_sigma = ok_sigma and sigma(skew_r(i, x)) == skew_ir(i, sigma(x))
-            ok_invol = ok_invol and sigma(sigma(x)) == x
+            sx = sigma(x)
+            ok_sigma = ok_sigma and sigma(r[i]) == skew_ir(i, sx)
+            ok_invol = ok_invol and sigma(sx) == x
             beta = word_weight(datum, w)
             factor = Scalar.v_pow(
                 2 * datum.bilinear(
@@ -323,9 +329,9 @@ def suite_derivations(seed=0):
                 )
             )
             ok_bar = ok_bar and equals(
-                bar_element(skew_r(i, x)), skew_ir(i, bar_element(x)).scale(factor)
+                bar_element(r[i]), skew_ir(i, bar_element(x)).scale(factor)
             )
-            ok_cop = ok_cop and equals(_r_via_coproduct(x, i), skew_r(i, x))
+            ok_cop = ok_cop and equals(_r_via_coproduct(x, i), r[i])
         checks.append(_check(f"derivations/{name}/commutator-form", ok_comm))
         checks.append(_check(f"derivations/{name}/sigma-intertwiner", ok_sigma))
         checks.append(_check(f"derivations/{name}/sigma-involutive", ok_invol))

@@ -80,7 +80,9 @@ of the entry's distinct bases; a pair of terms with coefficient product c
 forms c times each base once, so that Henrici's cross-cancellation runs
 once per base and not once per row, negates each such product at most
 once, and reaches each row by one shift.  `_straighten` is this step for
-one pair of terms; products and q-commutators share it.
+one pair of terms; products and q-commutators share it, except a product
+with a factor that is one monomial needing no table, which maps each term
+of the other factor to one term and sums nothing.
 
 A q-commutator x y - v^s y x is one pass over the pairs of terms: each
 pair forms its coefficient product c once and straightens both orders
@@ -445,12 +447,32 @@ class Element(_Linear):
     def __mul__(self, other):
         """(E_{e1} K_{k1} F_{f1})(E_{e2} K_{k2} F_{f2}) = E_{e1} K_{k1}
         (F_{f1} E_{e2}) K_{k2} F_{f2}, straightened by `_straighten` for
-        each pair of terms with the product of their coefficients."""
+        each pair of terms with the product of their coefficients.
+
+        A factor that is one monomial needing no table, c2 K_{k2} F_{f2} on
+        the right or c1 E_{e1} K_{k1} on the left, maps each term of the
+        other to one term, K_{k2} passing its F-word or E_{e1} passing its
+        K-part with one `_pass_shift`.  The map is injective on monomials,
+        so the terms come in the pair loop's order with nothing to sum."""
         if other.__class__ is not Element:
             return NotImplemented  # a Scalar scales from the left only
         if self.datum is not other.datum:
             raise ValueError("elements of different Cartan data do not combine")
         datum = self.datum
+        if len(other.terms) == 1:
+            ((e2, k2, f2), c2), = other.terms.items()
+            if not e2:
+                r2 = _shift_row(datum, k2)
+                return Element(datum, {
+                    (e, tuple(map(add, k, k2)), f + f2): (c * c2).shifted(_pass_shift(datum, None, (), r2, f))
+                    for (e, k, f), c in self.terms.items()})
+        if len(self.terms) == 1:
+            ((e1, k1, f1), c1), = self.terms.items()
+            if not f1:
+                r1 = _shift_row(datum, k1)
+                return Element(datum, {
+                    (e1 + e, tuple(map(add, k1, k)), f): (c1 * c).shifted(_pass_shift(datum, r1, e, None, ()))
+                    for (e, k, f), c in other.terms.items()})
         out = {}
         left = _operands(datum, self)
         for b, c2 in _operands(datum, other):

@@ -18,9 +18,13 @@ same checks either way:
   of every row of the commutation table and reads every shift off the
   K-vectors (`_per_row_straighten` of test_uqg.py), not one product per
   distinct base with shifts read off the shift rows
-- commutator: `q_commutator`, as uqg and qsp import it, is two products, a
-  scaling and a difference (`_ref_q_commutator` of test_uqg.py), not one
-  pass over the pairs of terms
+- commutator: `q_commutator`, as uqg, qsp and suites import it, is two
+  products, a scaling and a difference (`_ref_q_commutator` of
+  test_uqg.py), not one pass over the pairs of terms
+- product: `Element.__mul__` straightens every pair of terms by
+  `_straighten` (`_ref_element_mul` of test_uqg.py), also where a factor
+  is one monomial that needs no table and the shipped product maps each
+  term of the other factor to one term
 - pairwise: every linear combination is summed pairwise by `_ref_add` of
   test_uqg.py, with `_settle` the identity, in every module that imports
   them
@@ -50,7 +54,10 @@ def _rebind(mode):
 
     if mode == "commutator":
         from test_uqg import _ref_q_commutator
-        uqg.q_commutator = qsp.q_commutator = _ref_q_commutator
+        uqg.q_commutator = qsp.q_commutator = suites.q_commutator = _ref_q_commutator
+    elif mode == "product":
+        from test_uqg import _ref_element_mul
+        uqg.Element.__mul__ = _ref_element_mul
     elif mode == "walk":
         suites.equals = barcheck.equals = lambda a, b: uqg.is_zero(a - b)
         suites.tensor_equals = lambda s, t: uqg.tensor_is_zero(s - t)

@@ -36,6 +36,14 @@ def test_bilinear_values():
     assert a2.bilinear(v, v) == 2
 
 
+def test_simple_roots_are_the_unit_vectors_built_once():
+    datum = CartanDatum(cartan_datum("B", 3).A, labels=(7, 3, 5))
+    assert [datum.simple_root(i) for i in (7, 3, 5)] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert datum.simple_root(3) is datum.simple_root(3)
+    with pytest.raises(ValueError, match="unknown node label"):
+        datum.simple_root(1)
+
+
 def test_weyl_action():
     a2 = cartan_datum("A", 2)
     assert a2.weyl_action((1,), a2.simple_root(1)) == vec_neg(a2.simple_root(1))

@@ -946,3 +946,35 @@ def test_scalars_are_immutable_and_compare_only_with_numbers():
 def test_reprs_show_the_exact_value():
     assert repr(scalars.GaussianRational(1, -2)) == "GaussianRational(Fraction(1, 1), Fraction(-2, 1))"
     assert repr(Scalar.v_pow(2) + I_UNIT) == "Scalar('v^2 + i')"
+
+
+def test_small_real_integers_are_shared():
+    """Negations, sums and products whose value is a real int in the table's
+    range return the table's object, equal to and hashing like the same int
+    built directly; results out of range, with an imaginary part or with a
+    Fraction component are built as before, and no shared value can be
+    assigned to."""
+    G, bound = scalars.GaussianRational, scalars._SMALL_BOUND
+    table = {n: scalars._SMALL[n] for n in range(-bound, bound + 1)}
+    assert scalars.GQ_ZERO is table[0] and scalars.GQ_ONE is table[1]
+    for n, g in table.items():
+        assert g.re == n and type(g.re) is int and g.im == 0 and type(g.im) is int
+        assert g == G(n) and hash(g) == hash(G(n)) == hash(n)
+        assert -G(-n) is g
+    assert G(40) + G(24) is table[64] and G(-30) + G(-34) is table[-64]
+    assert G(3, 2) + G(4, -2) is table[7] and G(8) * G(-8) is table[-64]
+    assert G(1, 1) * G(1, -1) is table[2] and G(0, 3) * G(0, 3) is table[-9]
+    for big in (G(40) + G(25), -G(65), G(9) * G(9), G(-13) * G(5)):
+        assert abs(big.re) > bound and all(big is not g for g in table.values())
+        assert big == G(big.re) and hash(big) == hash(big.re)
+    gauss = G(2, 1) + G(1, 1)
+    assert gauss == G(3, 2) and all(gauss is not g for g in table.values())
+    one = G(Fraction(1, 2)) * G(2)
+    assert one == 1 and type(one.re) is int and one.re == 1 and one.im == 0
+    half = G(Fraction(1, 2)) + G(0)
+    assert half == Fraction(1, 2) and half not in table.values()
+    for g in (table[0], table[1], table[-1], table[bound]):
+        for name in ("re", "im"):
+            with pytest.raises(AttributeError, match="is immutable"):
+                setattr(g, name, 5)
+    assert table[5].re == 5 and scalars.GQ_ONE.re == 1

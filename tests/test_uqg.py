@@ -26,6 +26,7 @@ from qcoideal.uqg import (
     _pack,
     _settle,
     _shift_row,
+    _straighten,
     _tensor_of_elements,
     _word_count,
     adjoint_E,
@@ -1305,6 +1306,67 @@ def _ref_q_commutator(x, y, s):
     """x y - v^s y x as two products, a scaling and a difference, as it was
     built before one pass straightened both orders of every pair of terms."""
     return x * y - (y * x).scale(Scalar.v_pow(s))
+
+
+def _ref_element_mul(x, y):
+    """x y by the pair loop alone: y's terms outer and x's inner, every pair
+    straightened by `_straighten` with the product of its coefficients, also
+    where a factor is one monomial that needs no table."""
+    if y.__class__ is not Element:
+        return NotImplemented
+    if x.datum is not y.datum:
+        raise ValueError("elements of different Cartan data do not combine")
+    datum, out = x.datum, {}
+    left = [(m + (_shift_row(datum, m[1]),), c) for m, c in x.terms.items()]
+    for m, c2 in y.terms.items():
+        b = m + (_shift_row(datum, m[1]),)
+        for a, c1 in left:
+            _straighten(datum, out, a, b, c1 * c2)
+    return Element(datum, _settle(out))
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_single_monomial_products_match_the_pair_loop(name):
+    """A product with one monomial c K_k F_f on the right or c E_e K_k on the
+    left gives the terms of the pair loop, the same keys and coefficients in
+    the same order, without straightening a pair: for Elements with Gaussian
+    coefficients over 1, [2]!, [3]! and q_i - q_i^-1, negative K entries and
+    empty words.  A one-term factor that needs a table, F_1 on the left of
+    E_1, still matches the pair loop."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    import qcoideal.uqg as uqg
+
+    datum = cartan_datum(name[0], int(name[1]))
+    dens = [ONE, qint(2).inverse(), qfact(3).inverse()] + [_ef_inverse(datum, i) for i in datum.labels]
+    gauss = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(any).map(lambda t: Scalar.gaussian(*t))
+    coeff = st.builds(lambda g, d, s: (g * d).shifted(s), gauss, st.sampled_from(dens), st.integers(-3, 3))
+    word = st.lists(st.sampled_from(datum.labels), max_size=3).map(tuple)
+    torus = st.tuples(*[st.integers(-2, 2)] * datum.n)
+    monomial = st.builds(lambda e, k, f, c: Element.monomial(datum, e, k, f, c), word, torus, word, coeff)
+    element = st.lists(monomial, max_size=4).map(lambda ms: reduce(add, ms, Element.zero(datum)))
+    right = st.builds(lambda k, f, c: Element.monomial(datum, (), k, f, c), torus, word, coeff)
+    left = st.builds(lambda e, k, c: Element.monomial(datum, e, k, (), c), word, torus, coeff)
+
+    def no_pair(*args):
+        raise AssertionError("a single-monomial product straightened a pair of terms")
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(element, right, left)
+    def check(x, r, l):
+        want = [_ref_element_mul(a, b) for a, b in ((x, r), (l, x), (l, r), (r, l))]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(uqg, "_straighten", no_pair)
+            got = [x * r, l * x, l * r]
+        got.append(r * l)  # K_k F_f E_e: the F-word meets the E-word
+        assert [_items(g) for g in got] == [_items(w) for w in want]
+
+    check()
+    E1, F1 = Element.E(datum, 1), Element.F(datum, 1)
+    assert len((F1 * E1).terms) == 3
+    assert _items(F1 * E1) == _items(_ref_element_mul(F1, E1))
 
 
 def _ref_letter_pass(datum, f, e):

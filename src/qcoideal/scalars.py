@@ -82,8 +82,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        _set_re(self, re if type(re) is int else _rational(re))
-        _set_im(self, im if type(im) is int else _rational(im))
+        object.__setattr__(self, "re", re if type(re) is int else _rational(re))
+        object.__setattr__(self, "im", im if type(im) is int else _rational(im))
 
     def __setattr__(self, *a):
         raise AttributeError("GaussianRational is immutable")
@@ -102,29 +102,21 @@ class GaussianRational:
         return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __neg__(self):
-        re, im = -self.re, -self.im
-        if not im and type(re) is int and -_SMALL_BOUND <= re <= _SMALL_BOUND:
-            return _SMALL[re]
-        return GaussianRational(re, im)
+        return _gaussian(-self.re, -self.im)
 
     def __add__(self, other):
-        re, im = self.re + other.re, self.im + other.im
-        if not im and type(re) is int and -_SMALL_BOUND <= re <= _SMALL_BOUND:
-            return _SMALL[re]
-        return GaussianRational(re, im)
+        return _gaussian(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other):
         return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other):
         if not self.im and not other.im:
-            re, im = self.re * other.re, 0
-        else:
-            re = self.re * other.re - self.im * other.im
-            im = self.re * other.im + self.im * other.re
-        if not im and type(re) is int and -_SMALL_BOUND <= re <= _SMALL_BOUND:
-            return _SMALL[re]
-        return GaussianRational(re, im)
+            return _gaussian(self.re * other.re, 0)
+        return _gaussian(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
 
     def __truediv__(self, other):
         if not other.im:
@@ -141,17 +133,23 @@ class GaussianRational:
         return f"GaussianRational({Fraction(self.re)!r}, {Fraction(self.im)!r})"
 
 
-# the slot setters of GaussianRational, which bypass its __setattr__ as
-# object.__setattr__ does, without looking the slot up by name
-_set_re = GaussianRational.re.__set__
-_set_im = GaussianRational.im.__set__
-
-# the real integers -_SMALL_BOUND..._SMALL_BOUND, one shared object each, which
-# negation, sums and products return: _SMALL[n] is n, a negative n read from
-# the end of the list
-_SMALL_BOUND = 64
+# the real integers -16..16, one shared object each: _SMALL[n] is n, a
+# negative n read from the end of the list.  Nearly every real int that
+# negation, sums and products give lies there (one pass of each benchmark
+# workload at seed 0: 99.96% or more of them, by magnitude at most 16).
+_SMALL_BOUND = 16
 _SMALL = [GaussianRational(n) for n in range(_SMALL_BOUND + 1)]
 _SMALL += [GaussianRational(n) for n in range(-_SMALL_BOUND, 0)]
+
+
+def _gaussian(re, im):
+    """GaussianRational(re, im), the shared object of `_SMALL` for a small
+    real int."""
+    if not im and type(re) is int and -_SMALL_BOUND <= re <= _SMALL_BOUND:
+        return _SMALL[re]
+    return GaussianRational(re, im)
+
+
 GQ_ZERO = _SMALL[0]
 GQ_ONE = _SMALL[1]
 GQ_I = GaussianRational(0, 1)
@@ -544,11 +542,10 @@ def _normalised(num, dens):
 
 
 def _make(num, den):
-    """The Scalar num / den for a pair known to be canonical, its slots set
-    by their descriptors (`_set_num`, `_set_den`)."""
-    s = _new(Scalar)
-    _set_num(s, num)
-    _set_den(s, den)
+    """The Scalar num / den for a pair known to be canonical."""
+    s = Scalar.__new__(Scalar)
+    object.__setattr__(s, "num", num)
+    object.__setattr__(s, "den", den)
     return s
 
 
@@ -572,8 +569,8 @@ class Scalar:
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
-            _set_num(self, {})
-            _set_den(self, _DEN_ONE)
+            object.__setattr__(self, "num", {})
+            object.__setattr__(self, "den", _DEN_ONE)
             return
         sn, sd = min(num), min(den)
         a = _pshift(num, -sn) if sn else dict(num)
@@ -586,8 +583,8 @@ class Scalar:
             num, den = _pshift(a, shift), _DEN_ONE
         else:
             num, den = _cancel(a, b, shift, _reduced)
-        _set_num(self, num)
-        _set_den(self, den)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("Scalar is immutable")
@@ -735,13 +732,6 @@ class Scalar:
     def __repr__(self):
         from .grammar import scalar_to_text
         return f"Scalar({scalar_to_text(self)!r})"
-
-
-# the slot setters of Scalar, which bypass its __setattr__ as object.__setattr__
-# does, without looking the slot up by name
-_new = object.__new__
-_set_num = Scalar.num.__set__
-_set_den = Scalar.den.__set__
 
 
 def _over_lcm(dens):

@@ -80,9 +80,10 @@ of the entry's distinct bases; a pair of terms with coefficient product c
 forms c times each base once, so that Henrici's cross-cancellation runs
 once per base and not once per row, negates each such product at most
 once, and reaches each row by one shift.  `_straighten` is this step for
-one pair of terms; products and q-commutators share it, except a product
-with a factor that is one monomial needing no table, which maps each term
-of the other factor to one term and sums nothing.
+one pair of terms; products and q-commutators share it.  A pair that needs
+no table is one term, `_pass`; a product with a factor that is one monomial
+needing no table is one such term per term of the other factor and sums
+nothing.
 
 A q-commutator x y - v^s y x is one pass over the pairs of terms: each
 pair forms its coefficient product c once and straightens both orders
@@ -311,18 +312,29 @@ def _operands(datum, x):
     return [(_operand(datum, m), c) for m, c in x.terms.items()]
 
 
+def _pass(datum, a, b, c, s=0):
+    """(key, coefficient) of v^s c times the product of the monomials a =
+    (e1, k1, f1, r1) and b = (e2, k2, f2, r2) of `_operands` when f1 or e2
+    is empty, so that F_{f1} E_{e2} = E_{e2} F_{f1} needs no table: E_{e1
+    e2} K_{k1 + k2} F_{f1 f2} with the shift 2 (k1, wt e2) + 2 (k2, wt f1)."""
+    e1, k1, f1, r1 = a
+    e2, k2, f2, r2 = b
+    key = (e1 + e2, tuple(map(add, k1, k2)), f1 + f2)
+    return key, c.shifted(_pass_shift(datum, r1, e2, r2, f1) + s)
+
+
 def _straighten(datum, out, a, b, c, s=0):
     """Gather v^s c times the product of the monomials a = (e1, k1, f1, r1)
     and b = (e2, k2, f2, r2) of `_operands` into out.  Each term E_e K_k
     F_f of the table expansion of F_{f1} E_{e2} gives E_{e1 e} K_{k1 + k +
     k2} F_{f f2} with the extra shift 2 (k1, wt e) + 2 (k2, wt f); when f1
-    or e2 is empty, F_{f1} E_{e2} = E_{e2} F_{f1} needs no table."""
+    or e2 is empty, the product is the one term of `_pass`."""
     e1, k1, f1, r1 = a
     e2, k2, f2, r2 = b
-    k12 = tuple(map(add, k1, k2))
     if not f1 or not e2:
-        _gather(out, (e1 + e2, k12, f1 + f2), c.shifted(_pass_shift(datum, r1, e2, r2, f1) + s))
+        _gather(out, *_pass(datum, a, b, c, s))
         return
+    k12 = tuple(map(add, k1, k2))
     bases, negs, rows = _commute(datum, f1, e2)
     prods = [c * base for base in bases]
     prods += [-prods[n] for n in negs]
@@ -449,33 +461,23 @@ class Element(_Linear):
         (F_{f1} E_{e2}) K_{k2} F_{f2}, straightened by `_straighten` for
         each pair of terms with the product of their coefficients.
 
-        A factor that is one monomial needing no table, c2 K_{k2} F_{f2} on
-        the right or c1 E_{e1} K_{k1} on the left, maps each term of the
-        other to one term, K_{k2} passing its F-word or E_{e1} passing its
-        K-part with one `_pass_shift`.  The map is injective on monomials,
-        so the terms come in the pair loop's order with nothing to sum."""
+        A factor that is one monomial needing no table, c E_e K_k on the
+        left or c K_k F_f on the right, makes every pair one term of `_pass`.
+        The map is injective on monomials, so the terms come in the pair
+        loop's order with nothing to sum."""
         if other.__class__ is not Element:
             return NotImplemented  # a Scalar scales from the left only
         if self.datum is not other.datum:
             raise ValueError("elements of different Cartan data do not combine")
         datum = self.datum
-        if len(other.terms) == 1:
-            ((e2, k2, f2), c2), = other.terms.items()
-            if not e2:
-                r2 = _shift_row(datum, k2)
-                return Element(datum, {
-                    (e, tuple(map(add, k, k2)), f + f2): (c * c2).shifted(_pass_shift(datum, None, (), r2, f))
-                    for (e, k, f), c in self.terms.items()})
-        if len(self.terms) == 1:
-            ((e1, k1, f1), c1), = self.terms.items()
-            if not f1:
-                r1 = _shift_row(datum, k1)
-                return Element(datum, {
-                    (e1 + e, tuple(map(add, k1, k)), f): (c1 * c).shifted(_pass_shift(datum, r1, e, None, ()))
-                    for (e, k, f), c in other.terms.items()})
-        out = {}
         left = _operands(datum, self)
-        for b, c2 in _operands(datum, other):
+        right = _operands(datum, other)
+        if (len(left) == 1 and not left[0][0][2]  # c E_e K_k on the left
+                or len(right) == 1 and not right[0][0][0]):  # c K_k F_f on the right
+            return Element(datum, dict(
+                _pass(datum, a, b, c1 * c2) for b, c2 in right for a, c1 in left))
+        out = {}
+        for b, c2 in right:
             for a, c1 in left:
                 _straighten(datum, out, a, b, c1 * c2)
         return Element(datum, _settle(out))

@@ -961,10 +961,10 @@ def test_small_real_integers_are_shared():
         assert g.re == n and type(g.re) is int and g.im == 0 and type(g.im) is int
         assert g == G(n) and hash(g) == hash(G(n)) == hash(n)
         assert -G(-n) is g
-    assert G(40) + G(24) is table[64] and G(-30) + G(-34) is table[-64]
-    assert G(3, 2) + G(4, -2) is table[7] and G(8) * G(-8) is table[-64]
+    assert G(10) + G(6) is table[16] and G(-7) + G(-9) is table[-16]
+    assert G(3, 2) + G(4, -2) is table[7] and G(4) * G(-4) is table[-16]
     assert G(1, 1) * G(1, -1) is table[2] and G(0, 3) * G(0, 3) is table[-9]
-    for big in (G(40) + G(25), -G(65), G(9) * G(9), G(-13) * G(5)):
+    for big in (G(10) + G(7), -G(17), G(5) * G(5), G(-13) * G(5)):
         assert abs(big.re) > bound and all(big is not g for g in table.values())
         assert big == G(big.re) and hash(big) == hash(big.re)
     gauss = G(2, 1) + G(1, 1)

@@ -811,10 +811,10 @@ def skew_ir(i, a: Element) -> Element:
     order in which r_i meets them in sigma(a)."""
     datum = a.datum
     _check_skew_input(a)
-    alpha = datum.simple_root(i)
+    row = datum.gram[datum.pos(i)]
     out = {}
     for (e, k, f), c in a.terms.items():
-        shift = -2 * datum.bilinear(alpha, k)
+        shift = -2 * sum(map(mul, row, k))
         for x, rest in reversed(_deletions(datum, e, i)):
             _gather(out, (rest, k, f), c.shifted(shift + x))
     return Element(datum, _settle(out))

@@ -307,7 +307,7 @@ MUTANTS = {
     # the torus part K_k gives the letters a left skew derivation deletes
     # no shift -2 (alpha_i, k)
     "drop_skew_torus_shift": ("skew-ir-torus", [
-        ("uqg.py", "shift = -2 * datum.bilinear(alpha, k)", "shift = 0"),
+        ("uqg.py", "shift = -2 * sum(map(mul, row, k))", "shift = 0"),
     ]),
     # the zero walk reads its coefficients without their imaginary parts
     "drop_imaginary_parts": ("gaussian-coefficient", [

@@ -7,10 +7,11 @@ exact old text, new text).  `plant` copies the package and this module
 into a directory and applies the edits there; `run_checks` runs checks in
 a fresh interpreter that imports that copy:
 
-    PYTHONPATH=COPY python -m mutation_checks CHECK...
+    PYTHONPATH=COPY python -S -m mutation_checks CHECK...
 
 which exits 0 when every check holds and 1 when one fails.  It imports no
-pytest, and it asserts that the engine it imported lies in the copy.
+pytest, and it stops with a traceback when the engine it imported lies
+outside the copy.
 """
 
 import os
@@ -373,14 +374,16 @@ def plant(root, edits):
     return root
 
 
-def run_checks(root, names):
+def run_checks(root, names, path=()):
     """The exit status of the checks `names` run in a fresh interpreter on
     the copy in `root`: 0 when all hold, 1 when one fails.  Any other
     status, or any output on stderr (a traceback also exits 1), is a
     RuntimeError that shows it, so a fault of the harness is never read as
-    a failing check."""
-    env = dict(os.environ, PYTHONPATH=str(root), PYTHONDONTWRITEBYTECODE="1")
-    child = subprocess.run([sys.executable, "-m", "mutation_checks", *names],
+    a failing check.  The child's path is the copy, then the directories
+    `path`, then the standard library: `-S` leaves out site-packages, where
+    an installed qcoideal may lie."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, [root, *path])))
+    child = subprocess.run([sys.executable, "-S", "-m", "mutation_checks", *names],
                            cwd=root, env=env, capture_output=True, text=True)
     if child.returncode not in (0, 1) or child.stderr:
         raise RuntimeError(f"the checks {names} exited {child.returncode}:\n{child.stderr}")
@@ -388,9 +391,12 @@ def run_checks(root, names):
 
 
 def main(names):
+    """0 when the checks `names` hold on the engine beside this file, 1
+    when one fails."""
     here = Path(__file__).resolve().parent
     engine = Path(qcoideal.__file__).resolve()
-    assert engine.parent.parent == here, f"the engine {engine} lies outside the copy {here}"
+    if engine.parent.parent != here:
+        raise RuntimeError(f"the engine {engine} lies outside the copy {here}")
     return 0 if all(CHECKS[name]() for name in names) else 1
 
 

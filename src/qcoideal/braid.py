@@ -11,16 +11,19 @@ weight-twist relation between the two families), which the test suite
 checks on every datum it touches.
 
 Each operator is an algebra automorphism (Lusztig, *Introduction to
-Quantum Groups*, 1993, ch. 37), so the image of an E- or F-word is the
-image of the word without its last letter times the image of that letter.
-These images carry no coefficient and are memoised per prefix in the
-datum's declared `caches` under "braid", keyed by (i, e, family, E or F,
-word), with one object per distinct monomial and coefficient drawn from
-"pool", where a coefficient equal to 1 is ONE itself.  A monomial's image
-is its E-word's image times K_{s_i beta} times its F-word's image, scaled
-once by its coefficient.  `apply_word` and `inverse_word` always check
-that their word is reduced.  The twists T_{w_X}(E_j) of symmetric pairs
-are memoised under "twist" (`qsp.QSPContext.twisted`).
+Quantum Groups*, 1993, ch. 37), so a sum of E-words (or of F-words) maps
+by Horner's rule over common suffixes: the words are shortened one letter
+at a time from the front, and the partial sums of each suffix combine, and
+cancel, before they are multiplied by the next letter's image.  The terms
+of an element are grouped by K-vector; a group of E-words alone or of
+F-words alone is one such sum times K_{s_i beta}, and a group that mixes
+them takes one product per term.  Only the images of single letters E_j
+and F_j are memoised, in the datum's declared `caches` under "braid",
+keyed by (i, e, family, E or F, j), with one object per distinct monomial
+and coefficient drawn from "pool", where a coefficient equal to 1 is ONE
+itself.  `apply_word` and `inverse_word` always check that their word is
+reduced.  The twists T_{w_X}(E_j) of symmetric pairs are memoised under
+"twist" (`qsp.QSPContext.twisted`).
 """
 
 from __future__ import annotations
@@ -59,31 +62,49 @@ def _image_E(datum, i, e, double_prime, j) -> Element:
     return Element(datum, _settle(out))
 
 
-def _word_image(datum, op, kind, word) -> Element:
-    """Image of the nonempty E- or F-word (kind "E" or "F") under the
-    operator, memoised per prefix."""
+def _letter(datum, op, kind, j) -> Element:
+    """Image of the letter E_j (kind "E") or F_j (kind "F") under the
+    operator, memoised in the datum's "braid" cache."""
     cache = datum.caches["braid"]
-    img = cache.get((op.i, op.e, op.double_prime, kind, word))
-    if img is not None:
-        return img
-    intern = _interner(datum)
-    for n in range(1, len(word) + 1):
-        key = (op.i, op.e, op.double_prime, kind, word[:n])
-        nxt = cache.get(key)
-        if nxt is None:
-            if n > 1:
-                nxt = img * _word_image(datum, op, kind, word[n - 1:n])
-            elif kind == "E":
-                nxt = _image_E(datum, op.i, op.e, op.double_prime, word[0])
-            else:
-                # the mirror of T_{i,-e}(E_j), whose F-word has at most one letter
-                mirror = _image_E(datum, op.i, -op.e, op.double_prime, word[0]).terms
-                nxt = Element(datum, {(f, k, w[::-1]): c for (w, k, f), c in mirror.items()})
-            # the images repeat most monomials and coefficients: hold one of each
-            nxt.terms = {intern(m, m): intern(c, c) for m, c in nxt.terms.items()}
-            cache[key] = nxt
-        img = nxt
+    key = (op.i, op.e, op.double_prime, kind, j)
+    img = cache.get(key)
+    if img is None:
+        if kind == "E":
+            img = _image_E(datum, op.i, op.e, op.double_prime, j)
+        else:
+            # the mirror of T_{i,-e}(E_j), whose F-word has at most one letter
+            mirror = _image_E(datum, op.i, -op.e, op.double_prime, j).terms
+            img = Element(datum, {(f, k, w[::-1]): c for (w, k, f), c in mirror.items()})
+        # the images repeat most monomials and coefficients: hold one of each
+        intern = _interner(datum)
+        img.terms = {intern(m, m): intern(c, c) for m, c in img.terms.items()}
+        cache[key] = img
     return img
+
+
+def _image(datum, op, kind, words) -> Element:
+    """Image of sum_w c_w X_w for words = {w: c_w}, X_w the E- or F-word w
+    (kind "E" or "F"), by Horner's rule over common suffixes: with A(s) the
+    image of sum_p c_{ps} X_p, A(s) = c_s + sum_j A(js) T(X_j), and the
+    image is A(()).  The A(s) of one suffix length are finished before the
+    next shorter one, so sums cancel before they are multiplied and no word
+    length meets the recursion limit."""
+    unit = ((), datum.zero_vector(), ())
+    levels = [{} for _ in range(max(map(len, words)) + 1)]
+    for w, c in words.items():
+        levels[len(w)][w] = {unit: c}
+    while len(levels) > 1:
+        level = levels.pop()
+        below = levels[-1]
+        for s, a in level.items():
+            a = _settle(a)
+            letter = _letter(datum, op, kind, s[0])
+            # A(s) = c_s when no longer word ends in s: a scaling, not a product
+            img = letter.scale(a[unit]) if len(a) == 1 and unit in a else Element(datum, a) * letter
+            out = below.setdefault(s[1:], {})
+            for key, c in img.terms.items():
+                _gather(out, key, c)
+    return Element(datum, _settle(levels[0].get((), {})))
 
 
 class BraidOperator(namedtuple("BraidOperator", "i double_prime e", defaults=(True, 1))):
@@ -103,18 +124,31 @@ def braid_T(datum, i) -> BraidOperator:
 
 
 def apply_braid(op: BraidOperator, a: Element) -> Element:
-    """Apply the operator monomialwise as an algebra map; K_beta -> K_{s_i beta}."""
+    """Apply the operator as an algebra map; K_beta -> K_{s_i beta}.  The
+    terms of one K-vector that are all E-words (or all F-words) are summed
+    by `_image` and multiplied by the twisted K once; a K-vector that mixes
+    them takes one product per term."""
     datum = a.datum
-    out = {}
+    groups = {}
     for (e_word, k, f_word), c in a.terms.items():
-        parts = [_word_image(datum, op, "E", e_word)] if e_word else []
-        if any(k):
-            parts.append(Element.K(datum, datum.reflect(op.i, k)))
-        if f_word:
-            parts.append(_word_image(datum, op, "F", f_word))
-        img = reduce(mul, parts) if parts else Element.one(datum)
+        groups.setdefault(k, []).append((e_word, f_word, c))
+    images = []
+    for k, terms in groups.items():
+        K = [Element.K(datum, datum.reflect(op.i, k))] if any(k) else []
+        if not any(f for _, f, _ in terms):
+            images.append(reduce(mul, [_image(datum, op, "E", {e: c for e, _, c in terms})] + K))
+        elif not any(e for e, _, _ in terms):
+            images.append(reduce(mul, K + [_image(datum, op, "F", {f: c for _, f, c in terms})]))
+        else:
+            images += [reduce(mul, [_image(datum, op, "E", {e: c})] + K
+                              + ([_image(datum, op, "F", {f: ONE})] if f else []))
+                       for e, f, c in terms]
+    if len(images) == 1:
+        return images[0]
+    out = {}
+    for img in images:
         for key, x in img.terms.items():
-            _gather(out, key, x * c)
+            _gather(out, key, x)
     return Element(datum, _settle(out))
 
 

@@ -119,9 +119,9 @@ class CartanDatum:
         # None), "weight" (word weights), "efinv", "commute" and "good"
         # (uqg; the normal-ordered F_f E_e per (f, e), good-word
         # prefixes per weight, the good Lyndon words under None), "braid"
-        # (braid images of E- and F-words, per prefix), "pool" (one object
+        # (braid images of the single letters E_j and F_j), "pool" (one object
         # per word, vector and coefficient base of the commutation table and
-        # per monomial and scalar of the braid images, ONE as itself),
+        # per monomial and scalar of the letter images, ONE as itself),
         # "twist" (qsp).  A named datum is kept in `MEMOS["datum"]`
         # (`cartan_datum`), so its caches, and with them its enumerated
         # pairs and their QSP contexts, live for the whole process.

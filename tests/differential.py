@@ -31,6 +31,10 @@ same checks either way:
 - strip: numerators are cancelled against exponent vectors by plain trial
   division over Q(i) (`_ref_strip` of test_scalars.py), with no root test
   on the coefficient dict and no memo
+- braid: `apply_braid`, as braid and suites import it, is the product of
+  the generator images for every monomial with no memo (`_reference_braid`
+  of test_braid.py), not Horner's rule over memoised letter images;
+  `apply_word` and `inverse_word` reach it through braid's own global
 - tensor: `Tensor.__mul__`, `Tensor.contract` and `Tensor.coproduct_slot`
   are the per-term loops that build an Element around every monomial
   (`_ref_mul`, `_ref_contract` and `_ref_coproduct_slot` of test_uqg.py),
@@ -77,6 +81,9 @@ def _rebind(mode):
     elif mode == "strip":
         from test_scalars import _ref_strip
         scalars._strip = _ref_strip
+    elif mode == "braid":
+        from test_braid import _reference_braid
+        braid.apply_braid = suites.apply_braid = _reference_braid
     elif mode == "tensor":
         from test_uqg import _ref_contract, _ref_coproduct_slot, _ref_mul
         uqg.Tensor.__mul__ = _ref_mul

@@ -104,7 +104,7 @@ def check_q_commutator():
 
 def check_braid_inverse_warm():
     """T'_{1,-1}(T''_{1,1}(x)) = x for x = E_1 E_2, after T''_{1,-1} has
-    memoised the images of the words of x."""
+    memoised the images of the letters of x."""
     d = _a2()
     x = Element.E(d, 1, 2)
     apply_braid(BraidOperator(1, True, -1), x)
@@ -279,13 +279,11 @@ MUTANTS = {
         ("uqg.py", "cache[nu] = frozenset(out)",
          "cache[nu] = frozenset(out) - {(1, 2)} if nu == (1, 1) else frozenset(out)"),
     ]),
-    # the braid image memo is keyed without the sign e, so an image
+    # the braid letter-image memo is keyed without the sign e, so an image
     # memoised for one sign answers for the other
     "drop_braid_sign": ("braid-inverse-warm", [
-        ("braid.py", "cache.get((op.i, op.e, op.double_prime, kind, word))",
-         "cache.get((op.i, op.double_prime, kind, word))"),
-        ("braid.py", "key = (op.i, op.e, op.double_prime, kind, word[:n])",
-         "key = (op.i, op.double_prime, kind, word[:n])"),
+        ("braid.py", "key = (op.i, op.e, op.double_prime, kind, j)",
+         "key = (op.i, op.double_prime, kind, j)"),
     ]),
     # (a / b)(c / d) tries a against the Phi_k of d only, never c against b
     "skip_c_against_b": ("cross-cancellation", [

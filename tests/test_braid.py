@@ -60,8 +60,8 @@ def test_divided_power_formula_doubly_laced():
 
 
 def test_long_word_images_are_built_iteratively():
-    # a word image is built one prefix at a time, so the length of an input
-    # word is not bounded by the interpreter's recursion limit
+    # a word image is built one suffix length at a time, so the length of an
+    # input word is not bounded by the interpreter's recursion limit
     a3 = CartanDatum(cartan_datum("A", 3).A)
     x = Element.E(a3, *(3,) * 1200)
     assert apply_braid(braid_T(a3, 1), x) == x
@@ -253,6 +253,60 @@ def test_memoised_images_match_per_monomial_products(kind, rank):
                 op = BraidOperator(i, dp, e)
                 for x in elems:
                     assert apply_braid(op, x) == _reference_braid(op, x)
+
+
+def _suffix_sharing_words(datum, i):
+    """Eight words in i and a neighbour j that share suffixes and repeat i,
+    with the empty word, so Horner's rule merges them before multiplying."""
+    j = next(l for l in datum.labels if datum.a(i, l) < 0)
+    return [(), (i,), (j, i), (i, i), (i, j, i), (j, j, i), (i, i, j, i), (j,), (i, j)]
+
+
+def _word_sum(datum, words, k, kind):
+    """sum_w c_w E_w K_k (kind "E") or c_w K_k F_w over the words, with
+    coefficients that cycle through a few scalars."""
+    coeffs = (ONE, -Q, Q ** -2, qfact(2, 1).inverse(), Scalar.gaussian(3), -ONE)
+    out = Element.zero(datum)
+    for t, w in enumerate(words):
+        e, f = (w, ()) if kind == "E" else ((), w)
+        out = out + Element.monomial(datum, e, k, f, coeffs[t % len(coeffs)])
+    return out
+
+
+@pytest.mark.parametrize("kind, rank", [("A", 2), ("B", 2), ("G", 2), ("B", 3)])
+def test_suffix_sharing_sums_match_per_monomial_products(kind, rank):
+    # sums of E-words, of F-words, each with the K-vectors 0 and k, and a
+    # K-vector that mixes E- and F-words, under both families and signs of
+    # every node; the words share suffixes and repeat the operator's node
+    datum = CartanDatum(cartan_datum(kind, rank).A)
+    zero = datum.zero_vector()
+    k = tuple(1 if t % 2 else -1 for t in range(datum.n))
+    for i in datum.labels:
+        words = _suffix_sharing_words(datum, i)
+        e_sum = _word_sum(datum, words, zero, "E") + _word_sum(datum, words[1:5], k, "E")
+        f_sum = _word_sum(datum, words, zero, "F") + _word_sum(datum, words[3:], k, "F")
+        mixed = (_word_sum(datum, words[1:4], k, "E") + _word_sum(datum, words[4:6], k, "F")
+                 + Element.monomial(datum, words[2], k, words[1], Q))
+        for dp in (True, False):
+            for e in (1, -1):
+                op = BraidOperator(i, dp, e)
+                for x in (e_sum, f_sum, mixed):
+                    assert apply_braid(op, x) == _reference_braid(op, x)
+
+
+def test_braid_memo_holds_letter_images_only():
+    """The memo holds the images of single letters, however long the words
+    it meets: one entry after E_3^1200 under T_1, and only letters after
+    the G2 braid relation on E_1."""
+    a3 = CartanDatum(cartan_datum("A", 3).A)
+    x = Element.E(a3, *(3,) * 1200)
+    assert apply_braid(braid_T(a3, 1), x) == x
+    assert list(a3.caches["braid"]) == [(1, 1, True, "E", 3)]
+    g2 = CartanDatum(cartan_datum("G", 2).A)
+    e1 = Element.E(g2, 1)
+    assert equals(apply_word((1, 2) * 3, e1), apply_word((2, 1) * 3, e1))
+    keys = list(g2.caches["braid"])
+    assert keys and all(key[-1] in g2.labels for key in keys)
 
 
 def test_pooled_coefficients_equal_to_one_are_one(fresh_memos):

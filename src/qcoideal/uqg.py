@@ -98,7 +98,11 @@ is therefore built as the iterated q-commutator (ad_q x)^m (y): left and
 right multiplication by x commute, and by the q-binomial theorem
 prod_{k<m} (L_x - q_i^{m-1-2k} R_x) is the binomial sum (Jantzen,
 *Lectures on Quantum Groups*, 1996, ch. 4), with m one-pass
-q-commutators.
+q-commutators.  The factors commute, so their order changes only the
+intermediates, and it is chosen so that the torus terms of the longer
+factor cancel their leading parts at the first step: k runs down from
+m - 1 when x has at least as many terms as y, as x = B_i, and up from 0
+otherwise, as x = F_i against y = B_j (see `serre_polynomial`).
 Memo tables (word weights, the commutation table, 1/(q_i - q_i^{-1}) and
 the good words) live in the datum's declared `caches` under "weight",
 "commute", "efinv" and "good"; the commutation table draws one object per
@@ -932,17 +936,16 @@ def _zero_walk(datum, terms) -> bool:
     return _walk(datum, _pack(integer_numerators(terms)))
 
 
-def _pack(polys, b=None):
+def _pack(polys):
     """{key: (N, lo, b)} for {key: integer polynomial} of
     `integer_numerators`: p = sum_k c_k v^k packs to N = sum_k c_k
-    2^(b (k - lo)), lo the least exponent of p, in digits of b bits, by
-    default the width that `_zero_walk` proves exact for the walk over
-    polys.  Empty polynomials and values that pack to 0 are left out."""
-    if b is None:
-        l1 = sum(abs(c) for p in polys.values() for c in p.values())
-        paths = max((prod(factorial(len(e)) * factorial(len(f)) for e, _k, f in prefix + (key,))
-                     for prefix, key in polys), default=1)
-        b = (l1 * paths).bit_length() + 2
+    2^(b (k - lo)), lo the least exponent of p, in digits of b bits, the
+    width that `_zero_walk` proves exact for the walk over polys.  Empty
+    polynomials and values that pack to 0 are left out."""
+    l1 = sum(abs(c) for p in polys.values() for c in p.values())
+    paths = max((prod(factorial(len(e)) * factorial(len(f)) for e, _k, f in prefix + (key,))
+                 for prefix, key in polys), default=1)
+    b = (l1 * paths).bit_length() + 2
     out = {}
     for key, p in polys.items():
         if not p:
@@ -1099,19 +1102,29 @@ def tensor_equals(s: Tensor, t: Tensor) -> bool:
 
 def serre_polynomial(datum, i, j, x: Element, y: Element) -> Element:
     """F_ij(x, y) = sum_n (-1)^n [m choose n]_{q_i} x^{m-n} y x^n, m = 1 - a_ij,
-    built as the iterated q-commutator z <- x z - q_i^{m-1-2k} z x for
-    k = 0..m-1, starting from z = y, each step one `q_commutator` with
-    the v-exponent 2 eps_i (m - 1 - 2k).
+    built as the iterated q-commutator z <- x z - q_i^{m-1-2k} z x, starting
+    from z = y, each step one `q_commutator` with the v-exponent
+    2 eps_i (m - 1 - 2k).
 
     Left and right multiplication by x commute, so by the q-binomial theorem
     prod_k (L_x - q_i^{m-1-2k} R_x) = sum_n (-1)^n [m choose n]_{q_i}
     L_x^{m-n} R_x^n: both forms are the same element of the algebra without
     Serre relations that straightening works in, whose normal-ordered
     monomials are a basis, so they have the same terms.
+
+    The factors commute too, so their order changes only the intermediates,
+    and it follows the torus part of the longer factor.  When x has at
+    least as many terms as y, k runs down from m - 1: every term of
+    B_i - F_i is E_e K_{-alpha_i}, F-free, and K_{-alpha_i} passes F_i^t F_j
+    with q_i^{a_ij + 2t} = q_i^{m-1-2k} for k = m - 1 - t, so step t of the
+    descending order, whose z is led by F_i^t F_j, cancels the leading
+    parts of those terms' two products.  Otherwise k runs up from 0: for
+    x = F_i against y = B_j, i in X, the torus part K_{-alpha_j} is y's, and
+    F_i passes it with q_i^{-a_ij} = q_i^{m-1}, the factor k = 0.
     """
     m = 1 - datum.a(i, j)
     eps = datum.epsilon(i)
     z = y
-    for k in range(m):
+    for k in range(m - 1, -1, -1) if len(x.terms) >= len(y.terms) else range(m):
         z = q_commutator(x, z, 2 * eps * (m - 1 - 2 * k))
     return z

@@ -21,6 +21,10 @@ same checks either way:
 - commutator: `q_commutator`, as uqg, qsp and suites import it, is two
   products, a scaling and a difference (`_ref_q_commutator` of
   test_uqg.py), not one pass over the pairs of terms
+- serre-order: `serre_polynomial`, as uqg, qsp and suites import it,
+  applies its q-commutator factors in ascending order whatever the lengths
+  of x and y (`_ref_serre_polynomial` of test_uqg.py), not descending
+  where x is at least as long as y
 - product: `Element.__mul__` straightens every pair of terms by
   `_straighten` (`_ref_element_mul` of test_uqg.py), also where a factor
   is one monomial that needs no table and the shipped product maps each
@@ -59,6 +63,9 @@ def _rebind(mode):
     if mode == "commutator":
         from test_uqg import _ref_q_commutator
         uqg.q_commutator = qsp.q_commutator = suites.q_commutator = _ref_q_commutator
+    elif mode == "serre-order":
+        from test_uqg import _ref_serre_polynomial
+        uqg.serre_polynomial = qsp.serre_polynomial = suites.serre_polynomial = _ref_serre_polynomial
     elif mode == "product":
         from test_uqg import _ref_element_mul
         uqg.Element.__mul__ = _ref_element_mul

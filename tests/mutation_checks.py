@@ -24,7 +24,7 @@ import qcoideal
 from qcoideal import barcheck, qsp, scalars
 from qcoideal.braid import BraidOperator, apply_braid
 from qcoideal.cartan import CartanDatum, cartan_datum, validate_admissible
-from qcoideal.scalars import I_UNIT, ONE, Scalar, qfact, qint
+from qcoideal.scalars import I_UNIT, ONE, Scalar, qbinom_eps, qfact, qint
 from qcoideal.uqg import (
     Element,
     coproduct,
@@ -92,6 +92,19 @@ def check_serre_g2():
     d = CartanDatum(cartan_datum("G", 2).A)
     E1, E2 = Element.E(d, 1), Element.E(d, 2)
     return is_zero(serre_polynomial(d, 1, 2, E1, E2)) and is_zero(serre_polynomial(d, 2, 1, E2, E1))
+
+
+def check_serre_ascending():
+    """F_21(F_2, B_1) = sum_n (-1)^n [3 choose n]_q F_2^{3-n} B_1 F_2^n on B2,
+    X = {2}: x = F_2 is shorter than B_1, so the q-commutator factors run
+    up from k = 0, an order that the checks on E_1 and E_2 never take."""
+    d = CartanDatum(cartan_datum("B", 2).A)
+    params = qsp.QSPParameters(validate_admissible(d, {2}, {1: 1, 2: 2}), {1: Q})
+    x, y = qsp.b_generator(params, 2), qsp.b_generator(params, 1)
+    want = Element.zero(d)
+    for n in range(4):
+        want = want + (x ** (3 - n) * y * x ** n).scale(qbinom_eps(3, n) * Scalar.gaussian((-1) ** n))
+    return len(x.terms) < len(y.terms) and equals(serre_polynomial(d, 2, 1, x, y), want)
 
 
 def check_q_commutator():
@@ -244,6 +257,7 @@ CHECKS = {
     "x-minus-x": check_x_minus_x,
     "strip-memo": check_strip_memo,
     "serre-g2": check_serre_g2,
+    "serre-ascending": check_serre_ascending,
     "fourth-root": check_fourth_root,
     "split-rule": check_split_rule,
 }
@@ -321,7 +335,7 @@ MUTANTS = {
     # the walk packs its polynomials in digits of one bit, too narrow to
     # hold their coefficients apart
     "narrow_pack_width": ("mixed-sign-coefficient", [
-        ("uqg.py", "_pack(integer_numerators(terms))", "_pack(integer_numerators(terms), 1)"),
+        ("uqg.py", "b = (l1 * paths).bit_length() + 2", "b = 1"),
     ]),
     # a deferred key whose addends cancel is kept with coefficient 0
     "keep_vanishing_sums": ("x-minus-x", [
@@ -338,6 +352,11 @@ MUTANTS = {
     ]),
     "add_commutator_swap": ("serre-g2", [
         ("uqg.py", "_straighten(datum, out, b, a, -c, s)", "_straighten(datum, out, b, a, c, s)"),
+    ]),
+    # the ascending order, taken where x is the shorter factor, loses its
+    # first factor k = 0
+    "drop_ascending_factor": ("serre-ascending", [
+        ("uqg.py", "else range(m):", "else range(1, m):"),
     ]),
     # i^2 = +1 among the fourth roots of unity
     "square_i_to_one": ("fourth-root", [

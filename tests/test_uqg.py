@@ -587,14 +587,20 @@ def test_pack_is_exact_at_its_digit_bound():
     assert l1 * paths < 2 ** (b - 2) <= 2 * l1 * paths
     for key, (n, lo, _b) in packed.items():
         assert _unpack(n, lo, b) == polys[key]
+
+    def pack(p):
+        """p packed as `_pack` packs it, in digits of b bits."""
+        lo = min(p)
+        return sum(c << b * (k - lo) for k, c in p.items()), lo, b
+
     top = 2 ** (b - 1) - 1
     p = {-5: top, -2: -top, -1: 1, 0: -1, 3: top, 6: -top}
-    ((n, lo, _b),) = _pack({"p": p}, b).values()
+    n, lo, _b = pack(p)
     assert n and _unpack(n, lo, b) == p
     out = {}
     _add_shifted(out, "p", (n, lo, b), 3)
     assert _unpack(*out["p"]) == {k + 6: c for k, c in p.items()}
-    ((m, mlo, _b),) = _pack({"p": {k + 6: -c for k, c in p.items()}}, b).values()
+    m, mlo, _b = pack({k + 6: -c for k, c in p.items()})
     _add_shifted(out, "p", (m, mlo - 4, b), 2)
     assert not out
 
@@ -689,15 +695,30 @@ def _serre_binomial(datum, i, j, x, y):
     return out
 
 
+def _ref_serre_polynomial(datum, i, j, x, y):
+    """F_ij(x, y) as the iterated q-commutator z <- x z - q_i^{m-1-2k} z x
+    for k = 0..m-1 in ascending order, starting from z = y, whatever the
+    lengths of x and y."""
+    m = 1 - datum.a(i, j)
+    eps = datum.epsilon(i)
+    z = y
+    for k in range(m):
+        z = q_commutator(x, z, 2 * eps * (m - 1 - 2 * k))
+    return z
+
+
 def test_serre_polynomial_matches_the_binomial_form():
     """The iterated q-commutator has the terms of the binomial form, for
-    a_ij = 0, -1, -2, -3 and non-homogeneous x, y with E, K and F parts."""
+    a_ij = 0, -1, -2, -3 and non-homogeneous x, y with E, K and F parts,
+    with x shorter than y (factors in ascending order), as long and longer
+    (descending order)."""
     V = Scalar.v_pow(1)
     coeffs = [ONE, Q, (V ** 2 + Scalar.gaussian(3)).inverse(), qint(2).inverse(), I_UNIT * V - ONE]
 
-    def draw(rng, datum, i):
+    def draw(rng, datum, i, size=3):
+        """The first `size` of c E_i K, c F_i K and c K, for random c and K."""
         out = Element.zero(datum)
-        for e, f in (((i,), ()), ((), (i,)), ((), ())):
+        for e, f in (((i,), ()), ((), (i,)), ((), ()))[:size]:
             k = tuple(rng.randint(-1, 1) for _ in range(datum.n))
             out = out + Element.monomial(datum, e, k, f, rng.choice(coeffs))
         return out
@@ -711,10 +732,75 @@ def test_serre_polynomial_matches_the_binomial_form():
         x, y = draw(rng, datum, i), draw(rng, datum, j)
         new = serre_polynomial(datum, i, j, x, y)
         assert new.terms and new == _serre_binomial(datum, i, j, x, y)
+    # x shorter than y, and longer
+    for datum, i, j in cases:
+        for sizes in ((1, 3), (1, 2), (3, 1)):
+            x, y = draw(rng, datum, i, sizes[0]), draw(rng, datum, j, sizes[1])
+            assert (len(x.terms), len(y.terms)) == sizes
+            new = serre_polynomial(datum, i, j, x, y)
+            assert new.terms and new == _serre_binomial(datum, i, j, x, y)
     # the Serre relation itself, on the generators
     for datum, i, j in cases:
         Ei, Ej = Element.E(datum, i), Element.E(datum, j)
         assert serre_polynomial(datum, i, j, Ei, Ej) == _serre_binomial(datum, i, j, Ei, Ej)
+
+
+def test_serre_polynomial_matches_the_ascending_order_on_b_generators():
+    """F_ij(B_i, B_j) has the terms of the ascending order, key for key, on
+    the closed-formula cases and every ordered (i, j) of every admissible
+    pair of A3 and B3: with i in X, where x = F_i is the shorter factor, and
+    with j in X or both free, where B_i is at least as long."""
+    from qcoideal.cartan import enumerate_admissible
+    from qcoideal.qsp import b_generator
+    from qcoideal.suites import CLOSED_CASES, _build_pair, _default_params
+
+    cases = [(_default_params(_build_pair(*case[:4])), *case[4:6]) for case in CLOSED_CASES]
+    for kind in ("A", "B"):
+        for pair in enumerate_admissible(cartan_datum(kind, 3)):
+            params = _default_params(pair)
+            cases += [(params, i, j) for i, j in itertools.permutations(pair.datum.labels, 2)]
+    seen = set()
+    for params, i, j in cases:
+        datum, X = params.datum, params.pair.X
+        x, y = b_generator(params, i), b_generator(params, j)
+        seen.add((i in X, j in X, len(x.terms) < len(y.terms)))
+        got = serre_polynomial(datum, i, j, x, y)
+        assert got.terms and got.terms == _ref_serre_polynomial(datum, i, j, x, y).terms
+    assert {(True, False, True), (False, True, False), (False, False, False)} <= seen
+
+
+def test_serre_polynomial_cancels_the_torus_part_at_the_first_step(monkeypatch):
+    """On D4, X = {1, 2, 3}, tau = (1 3), F_42(B_4, F_2) builds
+    intermediates of 18 and 514 terms: its first factor, k = m - 1, cancels
+    the leading parts of B_4's torus terms against F_2, where the first
+    factor of the ascending order, k = 0, leaves 34 terms.  F_24(F_2, B_4)
+    runs up from k = 0, which cancels them against F_2, and builds 18 and
+    15 terms, where k = m - 1 first leaves 34."""
+    import qcoideal.uqg as uqg
+    from qcoideal.qsp import b_generator
+    from qcoideal.suites import _build_pair, _default_params
+
+    params = _default_params(_build_pair("D", 4, (1, 2, 3), ((1, 3),)))
+    datum = params.datum
+    b4, f2 = b_generator(params, 4), b_generator(params, 2)
+    assert (len(b4.terms), len(f2.terms), datum.a(4, 2), datum.a(2, 4)) == (17, 1, -1, -1)
+    sizes = []
+    original = uqg.q_commutator
+
+    def counting(x, y, s):
+        z = original(x, y, s)
+        sizes.append(len(z.terms))
+        return z
+
+    monkeypatch.setattr(uqg, "q_commutator", counting)
+    for (i, j, x, y), want in (((4, 2, b4, f2), [18, 514]), ((2, 4, f2, b4), [18, 15])):
+        sizes.clear()
+        got = serre_polynomial(datum, i, j, x, y)
+        assert sizes == want
+        assert got.terms == _ref_serre_polynomial(datum, i, j, x, y).terms
+    monkeypatch.undo()
+    # the first factor of the other order, v^2 for k = 0 and v^-2 for k = 1
+    assert len(q_commutator(b4, f2, 2).terms) == len(q_commutator(f2, b4, -2).terms) == 34
 
 
 def test_sigma_of_f_free_terms_is_the_straightened_product():

@@ -101,8 +101,8 @@ prod_{k<m} (L_x - q_i^{m-1-2k} R_x) is the binomial sum (Jantzen,
 q-commutators.  The factors commute, so their order changes only the
 intermediates, and it is chosen so that the torus terms of the longer
 factor cancel their leading parts at the first step: k runs down from
-m - 1 when x has at least as many terms as y, as x = B_i, and up from 0
-otherwise, as x = F_i against y = B_j (see `serre_polynomial`).
+m - 1 when x has at least as many terms as y, as x = B_i against F_j, and
+up from 0 otherwise, as x = F_i against y = B_j (see `serre_polynomial`).
 Memo tables (word weights, the commutation table, 1/(q_i - q_i^{-1}) and
 the good words) live in the datum's declared `caches` under "weight",
 "commute", "efinv" and "good"; the commutation table draws one object per
@@ -1113,14 +1113,18 @@ def serre_polynomial(datum, i, j, x: Element, y: Element) -> Element:
     monomials are a basis, so they have the same terms.
 
     The factors commute too, so their order changes only the intermediates,
-    and it follows the torus part of the longer factor.  When x has at
+    and it follows the torus terms of the longer factor, since both B_i and
+    B_j can carry them and the longer one carries more.  When x has at
     least as many terms as y, k runs down from m - 1: every term of
     B_i - F_i is E_e K_{-alpha_i}, F-free, and K_{-alpha_i} passes F_i^t F_j
     with q_i^{a_ij + 2t} = q_i^{m-1-2k} for k = m - 1 - t, so step t of the
     descending order, whose z is led by F_i^t F_j, cancels the leading
-    parts of those terms' two products.  Otherwise k runs up from 0: for
-    x = F_i against y = B_j, i in X, the torus part K_{-alpha_j} is y's, and
-    F_i passes it with q_i^{-a_ij} = q_i^{m-1}, the factor k = 0.
+    parts of those terms' two products.  Otherwise k runs up from 0: y's
+    torus terms carry K_{-alpha_j}, and the F_i of x passes it with
+    q_i^{-a_ij} = q_i^{m-1}, the factor k = 0.  That is x = F_i against
+    y = B_j for i in X, and also a free B_i with fewer terms than a free
+    B_j, as on B3 with X = {3}, where F_12(B_1, B_2) builds 9 terms at its
+    first step up and 11 at its first step down.
     """
     m = 1 - datum.a(i, j)
     eps = datum.epsilon(i)

@@ -748,8 +748,9 @@ def test_serre_polynomial_matches_the_binomial_form():
 def test_serre_polynomial_matches_the_ascending_order_on_b_generators():
     """F_ij(B_i, B_j) has the terms of the ascending order, key for key, on
     the closed-formula cases and every ordered (i, j) of every admissible
-    pair of A3 and B3: with i in X, where x = F_i is the shorter factor, and
-    with j in X or both free, where B_i is at least as long."""
+    pair of A3 and B3: with i in X, where x = F_i is the shorter factor,
+    with j in X, where B_i is at least as long, and with both free, where
+    B_i can be longer than B_j or shorter."""
     from qcoideal.cartan import enumerate_admissible
     from qcoideal.qsp import b_generator
     from qcoideal.suites import CLOSED_CASES, _build_pair, _default_params
@@ -766,7 +767,7 @@ def test_serre_polynomial_matches_the_ascending_order_on_b_generators():
         seen.add((i in X, j in X, len(x.terms) < len(y.terms)))
         got = serre_polynomial(datum, i, j, x, y)
         assert got.terms and got.terms == _ref_serre_polynomial(datum, i, j, x, y).terms
-    assert {(True, False, True), (False, True, False), (False, False, False)} <= seen
+    assert {(True, False, True), (False, True, False), (False, False, False), (False, False, True)} <= seen
 
 
 def test_serre_polynomial_cancels_the_torus_part_at_the_first_step(monkeypatch):
@@ -775,7 +776,9 @@ def test_serre_polynomial_cancels_the_torus_part_at_the_first_step(monkeypatch):
     the leading parts of B_4's torus terms against F_2, where the first
     factor of the ascending order, k = 0, leaves 34 terms.  F_24(F_2, B_4)
     runs up from k = 0, which cancels them against F_2, and builds 18 and
-    15 terms, where k = m - 1 first leaves 34."""
+    15 terms, where k = m - 1 first leaves 34.  On B3, X = {3}, both nodes
+    free, F_12(B_1, B_2) runs up from k = 0 against the longer B_2 and
+    builds 9 and 16 terms, where k = m - 1 first leaves 11."""
     import qcoideal.uqg as uqg
     from qcoideal.qsp import b_generator
     from qcoideal.suites import _build_pair, _default_params
@@ -792,15 +795,21 @@ def test_serre_polynomial_cancels_the_torus_part_at_the_first_step(monkeypatch):
         sizes.append(len(z.terms))
         return z
 
+    b3 = _default_params(_build_pair("B", 3, (3,), ()))
+    b1, b2 = b_generator(b3, 1), b_generator(b3, 2)
+    assert (len(b1.terms), len(b2.terms), b3.datum.a(1, 2)) == (2, 4, -1)
     monkeypatch.setattr(uqg, "q_commutator", counting)
-    for (i, j, x, y), want in (((4, 2, b4, f2), [18, 514]), ((2, 4, f2, b4), [18, 15])):
+    for (d, i, j, x, y), want in (((datum, 4, 2, b4, f2), [18, 514]), ((datum, 2, 4, f2, b4), [18, 15]),
+                                  ((b3.datum, 1, 2, b1, b2), [9, 16])):
         sizes.clear()
-        got = serre_polynomial(datum, i, j, x, y)
+        got = serre_polynomial(d, i, j, x, y)
         assert sizes == want
-        assert got.terms == _ref_serre_polynomial(datum, i, j, x, y).terms
+        assert got.terms == _ref_serre_polynomial(d, i, j, x, y).terms
     monkeypatch.undo()
-    # the first factor of the other order, v^2 for k = 0 and v^-2 for k = 1
+    # the first factor of the other order: k = 0 for B_4 against F_2, and
+    # k = m - 1, v^{-2 eps_i}, for F_2 against B_4 and B_1 against B_2
     assert len(q_commutator(b4, f2, 2).terms) == len(q_commutator(f2, b4, -2).terms) == 34
+    assert len(q_commutator(b1, b2, -2 * b3.datum.epsilon(1)).terms) == 11
 
 
 def test_sigma_of_f_free_terms_is_the_straightened_product():

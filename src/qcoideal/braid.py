@@ -107,11 +107,24 @@ def _image(datum, op, kind, words) -> Element:
     return Element(datum, _settle(levels[0].get((), {})))
 
 
-class BraidOperator(namedtuple("BraidOperator", "i double_prime e", defaults=(True, 1))):
+class BraidOperator(namedtuple("BraidOperator", "i double_prime e")):
     """T''_{i,e} (double_prime=True) or T'_{i,e} on the quantum algebra; a
     tuple (i, double_prime, e), so it equals (1, True, 1) for T''_{1,1}."""
 
     __slots__ = ()
+
+    def __new__(cls, i, double_prime=True, e=1):
+        """Lusztig's operators take e = 1 or -1, and double_prime is a bool."""
+        if double_prime.__class__ is not bool:
+            raise ValueError(f"double_prime {double_prime!r} is not a bool")
+        if e.__class__ is not int or e not in (1, -1):
+            raise ValueError(f"braid operator sign e = {e!r} is not 1 or -1")
+        return super().__new__(cls, i, double_prime, e)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Through `__new__`'s checks, for `_make` and `_replace` too."""
+        return cls(*iterable)
 
     def inverse(self) -> "BraidOperator":
         """T''_{i,e} and T'_{i,-e} are mutually inverse."""

@@ -53,6 +53,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from .cartan import exact_int
 from .memos import MEMOS
 
 
@@ -598,17 +599,19 @@ class Scalar:
 
     @staticmethod
     def v_pow(k):
-        return Scalar({k: GQ_ONE})
+        """v^k as a Scalar; k must be an int."""
+        return Scalar({exact_int(k, "v-exponent"): GQ_ONE})
 
     @staticmethod
     def q_pow(n):
-        """q^n as a Scalar; n may be a Fraction with denominator 1 or 2."""
+        """q^n as a Scalar; n is an int, or a Fraction with denominator 1
+        or 2."""
         if isinstance(n, Fraction):
             k = n * 2
             if k.denominator != 1:
                 raise ValueError("q-exponent must be a half integer")
             return Scalar({int(k): GQ_ONE})
-        return Scalar({2 * n: GQ_ONE})
+        return Scalar({2 * exact_int(n, "q-exponent"): GQ_ONE})
 
     # -- predicates ----------------------------------------------------------
 

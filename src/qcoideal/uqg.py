@@ -117,7 +117,7 @@ from contextvars import ContextVar
 from math import factorial, prod
 from operator import add, lt, mul, sub
 
-from .cartan import FiniteTypeError, positive_parabolic_roots, vec_sub
+from .cartan import FiniteTypeError, exact_int, positive_parabolic_roots, vec_sub
 from .scalars import ONE, Scalar, integer_numerators, scalar_sum
 
 class ZeroTestGuardError(RuntimeError):
@@ -150,6 +150,16 @@ def word_weight(datum, word):
             v[datum.pos(i)] += 1
         w = cache[word] = tuple(v)
     return w
+
+
+def _k_vector(datum, k):
+    """k as a tuple; a ValueError unless it has `datum.n` int entries."""
+    k = tuple(k)
+    if len(k) != datum.n:
+        raise ValueError(f"K-vector {k!r} has {len(k)} entries, not {datum.n}")
+    for x in k:
+        exact_int(x, "K-vector entry")
+    return k
 
 
 def _vexp(datum, beta, word):
@@ -438,8 +448,8 @@ class Element(_Linear):
 
     @classmethod
     def K(cls, datum, beta):
-        """K_beta for beta a coordinate tuple."""
-        return cls(datum, {((), tuple(beta), ()): ONE})
+        """K_beta for beta a coordinate tuple of `datum.n` ints."""
+        return cls(datum, {((), _k_vector(datum, beta), ()): ONE})
 
     @classmethod
     def K_i(cls, datum, i, power=1):
@@ -449,9 +459,14 @@ class Element(_Linear):
 
     @classmethod
     def monomial(cls, datum, e, k, f, coeff=ONE):
+        """coeff E_e K_k F_f, with the letters of e and f checked as `E` and
+        `F` check theirs and k as `K` checks it."""
+        for i in (*e, *f):
+            datum.pos(i)
+        k = _k_vector(datum, k)
         if not coeff:
             return cls.zero(datum)
-        return cls(datum, {(tuple(e), tuple(k), tuple(f)): coeff})
+        return cls(datum, {(tuple(e), k, tuple(f)): coeff})
 
     # -- multiplication ------------------------------------------------------
 

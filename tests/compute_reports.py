@@ -1,24 +1,20 @@
 """Write the `compute` reports of the closed-formula cases.
 
-    PYTHONPATH=src python tests/compute_reports.py DIR
-
 For every case of `qcoideal.suites.CLOSED_CASES`, with the pair's default
-parameters, this runs `compute --what T --i i --j j --out DIR/<case>-T.json`
-for T in Zi, Bi, Cij-closed and Cij-oracle, and for Wij where j lies in X,
-and writes its stdout to DIR/<case>-T.txt.  Each command runs through
+parameters, `write_reports(DIR)` runs
+`compute --what T --i i --j j --out DIR/<case>-T.json` for T in Zi, Bi,
+Cij-closed and Cij-oracle, and for Wij where j lies in X, and writes its
+stdout to DIR/<case>-T.txt.  Each command runs through
 `qcoideal.cli.main` in this process.  `tests/data/compute.sha256` holds the
-digests of every file, to be checked from the repository root with
-`sha256sum -c` after a run with DIR = compute-reports.
+digest of every file, as written with DIR = compute-reports;
+`test_grammar_cli.py` checks them all.
 """
 
-import contextlib
-import io
 import json
-import sys
 from pathlib import Path
 
+from pair_reports import run_report
 from qcoideal.cartan import datum_to_json, pair_to_json
-from qcoideal.cli import main
 from qcoideal.grammar import scalar_to_text
 from qcoideal.suites import CLOSED_CASES, _build_pair, _default_params, _dname
 
@@ -53,19 +49,4 @@ def write_reports(directory):
     paths written, relative to it."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for stem, args in runs():
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            code = main(["--out", str(directory / f"{stem}.json")] + args)
-        if code != 0:
-            raise RuntimeError(f"compute {stem} exited with {code}")
-        (directory / f"{stem}.txt").write_text(stdout.getvalue(), encoding="utf-8")
-        written += [f"{stem}.json", f"{stem}.txt"]
-    return written
-
-
-if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: compute_reports.py DIR")
-    write_reports(sys.argv[1])
+    return [name for stem, args in runs() for name in run_report(directory, stem, args)]

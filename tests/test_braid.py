@@ -97,6 +97,23 @@ def test_braid_operator_is_an_immutable_value():
             assert other.inverse().inverse() == other
 
 
+def test_braid_operator_refuses_a_sign_other_than_one_or_minus_one():
+    """Lusztig's T'_{i,e} and T''_{i,e} take e = 1 or -1 (e = 2 used to map
+    E_2 to E[1,2] - v^-4 E[2,1] on A2), and the family is a bool."""
+    for e in (2, 0, -2, 1.0, True):
+        with pytest.raises(ValueError, match="sign"):
+            BraidOperator(1, True, e)
+    for dp in (1, 0, None, "yes"):
+        with pytest.raises(ValueError, match="double_prime"):
+            BraidOperator(1, dp, -1)
+    with pytest.raises(ValueError, match="sign"):
+        BraidOperator(i=1, e=2)
+    with pytest.raises(ValueError, match="sign"):
+        BraidOperator(1)._replace(e=2)
+    with pytest.raises(ValueError, match="double_prime"):
+        BraidOperator._make((1, 1, 1))
+
+
 def test_braid_relations_rank2():
     for datum in (CartanDatum([[2, 0], [0, 2]]), A2, cartan_datum("B", 2)):
         m = datum.coxeter_m(1, 2)

@@ -1,7 +1,9 @@
 """The demo scripts run to completion against the package.  Each demo
 asserts every identity verdict it prints at the value its text claims, so
-a false identity exits non-zero here."""
+a false identity exits non-zero here, and its stdout has the digest
+recorded in tests/data/demos.sha256."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -11,14 +13,17 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-DEMOS = (
-    "01_exact_scalars.py",
-    "02_root_data_and_admissible_pairs.py",
-    "03_quantum_algebra.py",
-    "04_braid_operators.py",
-    "05_coideal_serre_relations.py",
-    "06_bar_involution_decisions.py",
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
+
+RECORDED = dict(
+    reversed(line.split())
+    for line in (ROOT / "tests" / "data" / "demos.sha256").read_text().splitlines()
 )
+
+
+def test_every_demo_has_a_recorded_digest():
+    """demos.sha256 records the stdout of every demo and nothing else."""
+    assert sorted(RECORDED) == sorted(f"demos-out/{Path(d).stem}.txt" for d in DEMOS)
 
 
 @pytest.mark.parametrize("demo", DEMOS)
@@ -29,6 +34,8 @@ def test_demo_runs(demo):
     )
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=env, capture_output=True, timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0, proc.stderr.decode()
+    path = f"demos-out/{Path(demo).stem}.txt"
+    assert hashlib.sha256(proc.stdout).hexdigest() == RECORDED[path], path

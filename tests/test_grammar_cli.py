@@ -1,12 +1,14 @@
 import hashlib
-import importlib.util
 import json
 import os
 import random
+import re
 from pathlib import Path
 
 import pytest
 
+import compute_reports
+import pair_reports
 from qcoideal.cartan import cartan_datum
 from qcoideal.cli import main
 from qcoideal.grammar import (
@@ -474,36 +476,6 @@ def test_cli_out_in_a_missing_directory_is_refused_before_work(tmp_path, monkeyp
         assert json.loads((tmp_path / written).read_text())["command"] == "canonical"
 
 
-def test_recorded_digests_cover_every_suite():
-    """CI checks each seed-0 report and its stdout against the recorded
-    digests; a suite without both lines would escape that check."""
-    from pathlib import Path
-
-    from qcoideal.suites import SUITES
-
-    digests = Path(__file__).parent / "data" / "verify_seed0.sha256"
-    names = [line.split()[1] for line in digests.read_text().splitlines() if line.strip()]
-    expected = [f"verify-seed0/{s}.{ext}" for s in SUITES for ext in ("json", "txt")]
-    assert sorted(names) == sorted(expected)
-
-
-@pytest.mark.parametrize("suite", ["hopf", "derivations", "cij-closed-vs-oracle", "qsp-structure"])
-def test_coproduct_suite_reports_match_the_recorded_digests(suite, tmp_path, capsys):
-    """`verify --suite S --seed 0 --out` writes the report and prints the
-    text whose sha256 digests are recorded, for the suites that use the
-    coproduct."""
-    import hashlib
-    from pathlib import Path
-
-    digests = Path(__file__).parent / "data" / "verify_seed0.sha256"
-    recorded = dict(reversed(line.split()) for line in digests.read_text().splitlines() if line.strip())
-    out = tmp_path / f"{suite}.json"
-    assert main(["--seed", "0", "--out", str(out), "verify", "--suite", suite]) == 0
-    stdout = capsys.readouterr().out.encode()
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == recorded[f"verify-seed0/{suite}.json"]
-    assert hashlib.sha256(stdout).hexdigest() == recorded[f"verify-seed0/{suite}.txt"]
-
-
 def test_cli_nu_atlas_report(tmp_path, capsys):
     out = tmp_path / "atlas.json"
     assert main(["--out", str(out), "nu-atlas", "--families", "G", "--max-rank", "2"]) == 0
@@ -655,31 +627,88 @@ def test_run_suite_unknown_name_is_an_input_error():
         run_suite("does-not-exist")
 
 
-def _assert_recorded_digests(tmp_path, script, digests, directory):
-    """Run `script`'s write_reports into tmp_path/directory and compare every
-    file written with the digests recorded in tests/data/`digests`."""
-    here = Path(__file__).parent
-    spec = importlib.util.spec_from_file_location(script, here / f"{script}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    written = module.write_reports(tmp_path / directory)
-    recorded = {}
-    for line in (here / "data" / digests).read_text().splitlines():
-        digest, path = line.split()
-        recorded[path] = digest
-    assert sorted(recorded) == sorted(f"{directory}/{name}" for name in written)
+DATA = Path(__file__).parent / "data"
+
+
+def _assert_recorded_digests(tmp_path, writer, digests, directory):
+    """Write the reports of `writer` into tmp_path/directory and compare
+    them with the digest file `digests`: the files written must be the
+    files it records, each with its recorded digest.  A failure names the
+    path."""
+    out = tmp_path / directory
+    out.mkdir(parents=True)
+    written = {f"{directory}/{name}" for name in writer(out)}
+    recorded = dict(reversed(line.split()) for line in Path(digests).read_text().splitlines())
+    assert written == recorded.keys(), (
+        f"written, not recorded: {sorted(written - recorded.keys())}; "
+        f"recorded, not written: {sorted(recorded.keys() - written)}"
+    )
     for path, digest in recorded.items():
         assert hashlib.sha256((tmp_path / path).read_bytes()).hexdigest() == digest, path
+
+
+def _verify_reports(directory):
+    """`verify --suite S --seed 0` of every suite: its report and stdout."""
+    from qcoideal.suites import SUITES
+
+    return [
+        name
+        for suite in SUITES
+        for name in pair_reports.run_report(
+            directory, suite, ["--seed", "0", "verify", "--suite", suite]
+        )
+    ]
+
+
+def _nu_atlas_report(directory):
+    """The default `nu-atlas` report and its stdout."""
+    return pair_reports.run_report(directory, "report", ["nu-atlas"], stdout="stdout.txt")
+
+
+def test_verify_reports_match_the_recorded_digests(tmp_path):
+    """The seed-0 `verify` report of every suite and its stdout have the
+    digest recorded in tests/data/verify_seed0.sha256, which records both
+    files of every suite and nothing else."""
+    _assert_recorded_digests(
+        tmp_path, _verify_reports, DATA / "verify_seed0.sha256", "verify-seed0"
+    )
+
+
+def test_nu_atlas_report_matches_the_recorded_digests(tmp_path):
+    """The default `nu-atlas` report and its stdout have the digests
+    recorded in tests/data/nu_atlas.sha256."""
+    _assert_recorded_digests(tmp_path, _nu_atlas_report, DATA / "nu_atlas.sha256", "nu-atlas-cli")
 
 
 def test_compute_reports_match_the_recorded_digests(tmp_path):
     """Every `compute` report of the closed-formula cases and its stdout
     have the digest recorded in tests/data/compute.sha256."""
-    _assert_recorded_digests(tmp_path, "compute_reports", "compute.sha256", "compute-reports")
+    _assert_recorded_digests(
+        tmp_path, compute_reports.write_reports, DATA / "compute.sha256", "compute-reports"
+    )
 
 
 def test_pair_reports_match_the_recorded_digests(tmp_path):
     """Every `canonical` and `bar-exists` report of the atlas pairs with a
     free node and its stdout have the digest recorded in
     tests/data/pairs.sha256."""
-    _assert_recorded_digests(tmp_path, "pair_reports", "pairs.sha256", "pair-reports")
+    _assert_recorded_digests(
+        tmp_path, pair_reports.write_reports, DATA / "pairs.sha256", "pair-reports"
+    )
+
+
+def test_digest_gate_names_a_changed_or_missing_path(tmp_path):
+    """The gate fails, naming the path, on a digest file with one digest
+    changed and on one with a line removed."""
+    lines = (DATA / "nu_atlas.sha256").read_text().splitlines()
+    digest, path = lines[0].split()
+    flipped = digest[:-1] + ("1" if digest.endswith("0") else "0")
+    cases = {
+        path: [f"{flipped}  {path}"] + lines[1:],
+        lines[-1].split()[1]: lines[:-1],
+    }
+    for k, (named, text) in enumerate(cases.items()):
+        digests = tmp_path / f"{k}.sha256"
+        digests.write_text("\n".join(text) + "\n")
+        with pytest.raises(AssertionError, match=re.escape(named)):
+            _assert_recorded_digests(tmp_path / str(k), _nu_atlas_report, digests, "nu-atlas-cli")

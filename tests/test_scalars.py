@@ -59,6 +59,22 @@ def test_q_pow_takes_half_integer_exponents():
         Scalar.q_pow(Fraction(1, 3))
 
 
+def test_v_pow_refuses_an_inexact_exponent():
+    """v^1.5 is no element of Q(i)(v): an exponent that is not an int is
+    refused, not stored as a key."""
+    for k in (1.5, 1.0, True, Fraction(2), "1"):
+        with pytest.raises(ValueError, match="v-exponent"):
+            Scalar.v_pow(k)
+
+
+def test_q_pow_refuses_an_inexact_exponent():
+    """A q-exponent is an int or a half-integer Fraction, never a float."""
+    for n in (0.75, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="q-exponent"):
+            Scalar.q_pow(n)
+    assert Scalar.q_pow(Fraction(3, 2)) == Scalar.v_pow(3) and Scalar.q_pow(-2) == Scalar.v_pow(-4)
+
+
 def test_qbinom_basics():
     assert qbinom_eps(2, 1) == Q + Q ** -1
     assert qbinom_eps(3, 0) == ONE

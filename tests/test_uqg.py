@@ -681,6 +681,35 @@ def test_elements_of_two_data_do_not_mix():
         x + _tensor(x)
 
 
+def test_k_i_refuses_an_inexact_power():
+    for power in (0.5, 1.0, True):
+        with pytest.raises(ValueError, match="K-vector entry"):
+            Element.K_i(A2, 1, power)
+    assert Element.K_i(A2, 2, -3) == Element.K(A2, (0, -3))
+
+
+def test_k_refuses_a_vector_of_the_wrong_length():
+    """K_(1,0,5) on A2 used to multiply as K_(1,0): the product zips the
+    vectors and drops the third entry."""
+    for beta in ((1, 0, 5), (1,), ()):
+        with pytest.raises(ValueError, match="entries, not 2"):
+            Element.K(A2, beta)
+    with pytest.raises(ValueError, match="K-vector entry"):
+        Element.K(A2, (1, 0.0))
+
+
+def test_monomial_checks_its_letters_and_k_vector():
+    """Letters are checked as `E` and `F` check theirs, and the K-vector as
+    `K` checks it, also when the coefficient is zero."""
+    bad = (((3,), (0, 0), ()), ((), (0, 0), (1, 0)), ((), (0, 0, 0), ()), ((), (0.5, 0), (1,)))
+    for e, k, f in bad:
+        for coeff in (ONE, ZERO):
+            with pytest.raises(ValueError):
+                Element.monomial(A2, e, k, f, coeff)
+    got = Element.monomial(A2, [1], [0, 1], [2])
+    assert got == Element.E(A2, 1) * Element.K(A2, (0, 1)) * Element.F(A2, 2)
+
+
 def _serre_binomial(datum, i, j, x, y):
     """The Serre polynomial in its binomial form,
     sum_n (-1)^n [m choose n]_{q_i} x^{m-n} y x^n with m = 1 - a_ij."""

@@ -629,16 +629,23 @@ def test_run_suite_unknown_name_is_an_input_error():
 
 DATA = Path(__file__).parent / "data"
 
+# The suites whose reports go through the coproduct.
+COPRODUCT_SUITES = ["hopf", "derivations", "cij-closed-vs-oracle", "qsp-structure"]
 
-def _assert_recorded_digests(tmp_path, writer, digests, directory):
+
+def _recorded(digests):
+    """The digests of the file `digests`, by path."""
+    return dict(reversed(line.split()) for line in Path(digests).read_text().splitlines())
+
+
+def _assert_recorded_digests(tmp_path, writer, recorded, directory):
     """Write the reports of `writer` into tmp_path/directory and compare
-    them with the digest file `digests`: the files written must be the
+    them with `recorded`, a digest by path: the files written must be the
     files it records, each with its recorded digest.  A failure names the
     path."""
     out = tmp_path / directory
     out.mkdir(parents=True)
     written = {f"{directory}/{name}" for name in writer(out)}
-    recorded = dict(reversed(line.split()) for line in Path(digests).read_text().splitlines())
     assert written == recorded.keys(), (
         f"written, not recorded: {sorted(written - recorded.keys())}; "
         f"recorded, not written: {sorted(recorded.keys() - written)}"
@@ -647,17 +654,25 @@ def _assert_recorded_digests(tmp_path, writer, digests, directory):
         assert hashlib.sha256((tmp_path / path).read_bytes()).hexdigest() == digest, path
 
 
-def _verify_reports(directory):
-    """`verify --suite S --seed 0` of every suite: its report and stdout."""
-    from qcoideal.suites import SUITES
+def _assert_verify_digests(tmp_path, suites):
+    """`verify --suite S --seed 0` of each of `suites` writes the report and
+    prints the text whose digests tests/data/verify_seed0.sha256 records."""
+    recorded = {
+        path: digest
+        for path, digest in _recorded(DATA / "verify_seed0.sha256").items()
+        if Path(path).stem in suites
+    }
 
-    return [
-        name
-        for suite in SUITES
-        for name in pair_reports.run_report(
-            directory, suite, ["--seed", "0", "verify", "--suite", suite]
-        )
-    ]
+    def write(directory):
+        return [
+            name
+            for suite in suites
+            for name in pair_reports.run_report(
+                directory, suite, ["--seed", "0", "verify", "--suite", suite]
+            )
+        ]
+
+    _assert_recorded_digests(tmp_path, write, recorded, "verify-seed0")
 
 
 def _nu_atlas_report(directory):
@@ -665,26 +680,47 @@ def _nu_atlas_report(directory):
     return pair_reports.run_report(directory, "report", ["nu-atlas"], stdout="stdout.txt")
 
 
+def test_recorded_digests_cover_every_suite():
+    """tests/data/verify_seed0.sha256 records the report and the stdout of
+    every suite and nothing else; a suite without both lines would escape
+    the digest checks below."""
+    from qcoideal.suites import SUITES
+
+    expected = {f"verify-seed0/{s}.{ext}" for s in SUITES for ext in ("json", "txt")}
+    assert _recorded(DATA / "verify_seed0.sha256").keys() == expected
+
+
+@pytest.mark.parametrize("suite", COPRODUCT_SUITES)
+def test_coproduct_suite_reports_match_the_recorded_digests(suite, tmp_path):
+    """The seed-0 `verify` report and stdout of each suite that uses the
+    coproduct have their recorded digests."""
+    _assert_verify_digests(tmp_path, [suite])
+
+
 def test_verify_reports_match_the_recorded_digests(tmp_path):
-    """The seed-0 `verify` report of every suite and its stdout have the
-    digest recorded in tests/data/verify_seed0.sha256, which records both
-    files of every suite and nothing else."""
-    _assert_recorded_digests(
-        tmp_path, _verify_reports, DATA / "verify_seed0.sha256", "verify-seed0"
-    )
+    """The seed-0 `verify` report and stdout of every other suite have
+    their recorded digests."""
+    from qcoideal.suites import SUITES
+
+    _assert_verify_digests(tmp_path, [s for s in SUITES if s not in COPRODUCT_SUITES])
 
 
 def test_nu_atlas_report_matches_the_recorded_digests(tmp_path):
     """The default `nu-atlas` report and its stdout have the digests
     recorded in tests/data/nu_atlas.sha256."""
-    _assert_recorded_digests(tmp_path, _nu_atlas_report, DATA / "nu_atlas.sha256", "nu-atlas-cli")
+    _assert_recorded_digests(
+        tmp_path, _nu_atlas_report, _recorded(DATA / "nu_atlas.sha256"), "nu-atlas-cli"
+    )
 
 
 def test_compute_reports_match_the_recorded_digests(tmp_path):
     """Every `compute` report of the closed-formula cases and its stdout
     have the digest recorded in tests/data/compute.sha256."""
     _assert_recorded_digests(
-        tmp_path, compute_reports.write_reports, DATA / "compute.sha256", "compute-reports"
+        tmp_path,
+        compute_reports.write_reports,
+        _recorded(DATA / "compute.sha256"),
+        "compute-reports",
     )
 
 
@@ -693,7 +729,7 @@ def test_pair_reports_match_the_recorded_digests(tmp_path):
     free node and its stdout have the digest recorded in
     tests/data/pairs.sha256."""
     _assert_recorded_digests(
-        tmp_path, pair_reports.write_reports, DATA / "pairs.sha256", "pair-reports"
+        tmp_path, pair_reports.write_reports, _recorded(DATA / "pairs.sha256"), "pair-reports"
     )
 
 
@@ -711,4 +747,6 @@ def test_digest_gate_names_a_changed_or_missing_path(tmp_path):
         digests = tmp_path / f"{k}.sha256"
         digests.write_text("\n".join(text) + "\n")
         with pytest.raises(AssertionError, match=re.escape(named)):
-            _assert_recorded_digests(tmp_path / str(k), _nu_atlas_report, digests, "nu-atlas-cli")
+            _assert_recorded_digests(
+                tmp_path / str(k), _nu_atlas_report, _recorded(digests), "nu-atlas-cli"
+            )

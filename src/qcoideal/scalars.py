@@ -569,6 +569,10 @@ class Scalar:
             den = _DEN_ONE
         if not den:
             raise ZeroDivisionError("zero denominator")
+        for part in (num, den):
+            for e in part:
+                if e.__class__ is not int:
+                    exact_int(e, "v-exponent")
         if not num:
             object.__setattr__(self, "num", {})
             object.__setattr__(self, "den", _DEN_ONE)
@@ -600,7 +604,7 @@ class Scalar:
     @staticmethod
     def v_pow(k):
         """v^k as a Scalar; k must be an int."""
-        return Scalar({exact_int(k, "v-exponent"): GQ_ONE})
+        return Scalar({k: GQ_ONE})
 
     @staticmethod
     def q_pow(n):
@@ -703,8 +707,9 @@ class Scalar:
         return self * other.inverse()
 
     def __pow__(self, n):
-        """self^n by repeated squaring, in O(log |n|) products."""
-        if n == 0:
+        """self^n by repeated squaring, in O(log |n|) products; n must be an
+        int."""
+        if exact_int(n, "Scalar exponent") == 0:
             return ONE
         base = self if n > 0 else self.inverse()
         n = abs(n)
@@ -847,7 +852,7 @@ def fourth_root_power(n) -> Scalar:
 
 def qint(n: int, eps: int = 1) -> Scalar:
     """Balanced quantum integer [n] in base q^eps; [n] = -[-n]."""
-    if n < 0:
+    if exact_int(n, "quantum integer") < 0:
         return -qint(-n, eps)
     if n == 0:
         return ZERO
@@ -855,8 +860,9 @@ def qint(n: int, eps: int = 1) -> Scalar:
 
 
 def qfact(n: int, eps: int = 1) -> Scalar:
+    """[n]! = [2] [3] ... [n] in base q^eps, ONE for n < 2."""
     out = ONE
-    for k in range(2, n + 1):
+    for k in range(2, exact_int(n, "quantum factorial") + 1):
         out = out * qint(k, eps)
     return out
 

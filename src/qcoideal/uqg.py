@@ -31,7 +31,8 @@ ch. 4; Rosso's quantum shuffles), each subset kept in word order:
 Every term is in normal order, and its second factor has Q-degree
 wt S - wt T; a graded cell enumerates only the splits of its degree.  The
 splits of repeated letters that meet on one term are summed as a Laurent
-polynomial in v, which multiplies the monomial's coefficient once.
+polynomial in v, which multiplies the monomial's coefficient once.  A
+monomial with no F-letters or no E-letters splits only the word it has.
 
 Element and Tensor share one linear layer, `_Linear`: a dict from keys to
 nonzero Scalars over one CartanDatum, in insertion order, with ==, +, -,
@@ -676,7 +677,10 @@ def coproduct(a: Element) -> Tensor:
 
 def coproduct_graded(a: Element, target=None) -> Tensor:
     """Terms of the coproduct whose second factor has Q-degree `target`, all
-    when None: c times `_monomial_coproduct` of each term c m, in order."""
+    when None: c times `_monomial_coproduct` of each term c m, in order.
+    A term with no F-letters or no E-letters expands only the word it has,
+    with no join of the two sides: the other side is the one split of the
+    empty word, ONE, so the terms and their order are those of the join."""
     out = {}
     for m, c in a.terms.items():
         for keys, p in _monomial_coproduct(a.datum, m, target):
@@ -697,9 +701,25 @@ def _monomial_coproduct(datum, m, target):
     degree wt S - wt T; P = P_E P_F sums the splits onto one key.  Only
     splits of the target degree are built: target <= wt S <= target + wt f
     bounds the E-side, its splits bound the F-side, and the two are joined
-    on the degree.  Terms come in the order of the letter-by-letter product."""
+    on the degree.  Terms come in the order of the letter-by-letter product.
+
+    A one-sided monomial skips the join.  E_e K_k (K_k alone included)
+    expands only its E-word, with wt S = target, into E_{e-S} K_{k+wt S}
+    (x) E_S K_k; K_k F_f only its F-word, with wt T = -target, into
+    K_k F_{f-T} (x) K_{k-wt(f-T)} F_T.  The empty word has one split, of
+    weight 0 with P = ONE, and it lies within its bounds whenever the other
+    word has a split of the target degree; so the join would give these
+    terms, in this order, with the coefficient P * ONE, which is P itself."""
     e, k, f = m
+    if not f:
+        return [(((rest, tuple(map(add, k, wt)), ()), (moved, k, ())), pe)
+                for (rest, moved, wt), pe in _splits(datum, e, 1, target, target).items()]
     wf = word_weight(datum, f)
+    k2 = tuple(map(sub, k, wf))
+    if not e:
+        lo = None if target is None else tuple(-x for x in target)
+        return [((((), k, stay), ((), tuple(map(add, k2, wt)), moved)), pf)
+                for (stay, moved, wt), pf in _splits(datum, f, -1, lo, lo).items()]
     if target is None:
         es, fs = _splits(datum, e, 1, None, None), _splits(datum, f, -1, None, None)
     else:
@@ -708,7 +728,6 @@ def _monomial_coproduct(datum, m, target):
             return []
         need = [tuple(map(sub, wt, target)) for _, _, wt in es]  # the values of wt T
         fs = _splits(datum, f, -1, tuple(map(min, zip(*need))), tuple(map(max, zip(*need))))
-    k2 = tuple(map(sub, k, wf))
     by_degree = {}  # the F-splits in order, under wt T (under None for all)
     for (stay, moved, wt), pf in fs.items():
         part = (stay, tuple(map(add, k2, wt)), moved, pf)

@@ -126,6 +126,18 @@ def _tensor():
     uqg.Tensor.coproduct_slot = _ref_coproduct_slot
 
 
+def _coproduct():
+    """`_monomial_coproduct`, which `coproduct_graded` and
+    `Tensor.coproduct_slot` call on every monomial, splits both words and
+    joins the two sides on the degree (`_ref_monomial_coproduct` of
+    test_uqg.py) also for a monomial with no E- or no F-letters, not
+    splitting only the word it has"""
+    from qcoideal import uqg
+    from test_uqg import _ref_monomial_coproduct
+
+    uqg._monomial_coproduct = _ref_monomial_coproduct
+
+
 def _product():
     """`Element.__mul__` straightens every pair of terms by `_straighten`
     (`_ref_element_mul` of test_uqg.py), also where a factor is one
@@ -176,6 +188,7 @@ MODES = {
     "commutator": _commutator,
     "serre-order": _serre_order,
     "tensor": _tensor,
+    "coproduct": _coproduct,
     "product": _product,
     "braid": _braid,
     "warm": _warm,

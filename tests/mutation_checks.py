@@ -317,6 +317,17 @@ MUTANTS = {
     "flip_f_split_sign": ("coproduct-f-side", [
         ("uqg.py", "x = sign * 2 * sum(map(mul, row, wt))", "x = 2 * sum(map(mul, row, wt))"),
     ]),
+    # the coproduct of a monomial with no F-letters leaves K_k, not
+    # K_{k+wt S}, on its first factor; that of a monomial with no E-letters
+    # puts K_{k-wt f}, not K_{k-wt(f-T)}, on its second
+    "unshift_f_free_first_k": ("coproduct-e-side", [
+        ("uqg.py", "(((rest, tuple(map(add, k, wt)), ()), (moved, k, ())), pe)",
+         "(((rest, k, ()), (moved, k, ())), pe)"),
+    ]),
+    "unshift_e_free_second_k": ("coproduct-f-side", [
+        ("uqg.py", "((((), k, stay), ((), tuple(map(add, k2, wt)), moved)), pf)",
+         "((((), k, stay), ((), k2, moved)), pf)"),
+    ]),
     # the torus part K_k gives the letters a left skew derivation deletes
     # no shift -2 (alpha_i, k)
     "drop_skew_torus_shift": ("skew-ir-torus", [

@@ -8,6 +8,7 @@ from qcoideal.braid import apply_braid, apply_word, braid_T
 from qcoideal.cartan import cartan_datum
 from qcoideal.grammar import scalar_to_text
 from qcoideal.scalars import (
+    GQ_ONE,
     I_UNIT,
     ONE,
     ZERO,
@@ -65,6 +66,39 @@ def test_v_pow_refuses_an_inexact_exponent():
     for k in (1.5, 1.0, True, Fraction(2), "1"):
         with pytest.raises(ValueError, match="v-exponent"):
             Scalar.v_pow(k)
+
+
+def test_dict_constructor_refuses_an_inexact_exponent():
+    """A numerator or denominator dict keyed by a v-exponent that is not an
+    int is refused, not stored: v^1.5 is no element of Q(i)(v)."""
+    for k in (1.5, 1.0, True, Fraction(2)):
+        with pytest.raises(ValueError, match="v-exponent"):
+            Scalar({k: GQ_ONE})
+        with pytest.raises(ValueError, match="v-exponent"):
+            Scalar({0: GQ_ONE}, {0: GQ_ONE, k: GQ_ONE})
+    assert Scalar({1: GQ_ONE}, {0: GQ_ONE, 2: GQ_ONE}) == (V + V ** -1).inverse()
+
+
+def test_qint_refuses_an_inexact_argument():
+    for n in (1.5, 2.0, True):
+        with pytest.raises(ValueError, match="quantum integer"):
+            qint(n)
+    assert qint(-2) == -(Q + Q ** -1)
+
+
+def test_qfact_refuses_an_inexact_argument():
+    for n in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match="quantum factorial"):
+            qfact(n)
+    assert qfact(1) == ONE and qfact(3) == qint(2) * qint(3)
+
+
+def test_power_refuses_an_inexact_exponent():
+    """v ** 1.5 is refused by name, not as a TypeError of the bit test."""
+    for n in (1.5, 2.0, True, Fraction(2)):
+        with pytest.raises(ValueError, match="Scalar exponent"):
+            V ** n
+    assert V ** -2 == Scalar.v_pow(-2) and V ** 0 == ONE
 
 
 def test_q_pow_refuses_an_inexact_exponent():

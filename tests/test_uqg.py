@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 from math import factorial
-from operator import add, mul
+from operator import add, mul, sub
 
 import pytest
 
@@ -26,6 +26,7 @@ from qcoideal.uqg import (
     _pack,
     _settle,
     _shift_row,
+    _splits,
     _straighten,
     _tensor_of_elements,
     _word_count,
@@ -897,18 +898,47 @@ def _letter_by_letter_coproduct(a):
     return terms
 
 
-def _word_element(rng, datum, coeffs=None):
+def _ref_monomial_coproduct(datum, m, target):
+    """`_monomial_coproduct` with every monomial, one-sided ones included,
+    expanded by the split of both words and the join of the two sides on
+    the degree."""
+    e, k, f = m
+    wf = word_weight(datum, f)
+    if target is None:
+        es, fs = _splits(datum, e, 1, None, None), _splits(datum, f, -1, None, None)
+    else:
+        es = _splits(datum, e, 1, target, tuple(map(add, target, wf)))
+        if not es:
+            return []
+        need = [tuple(map(sub, wt, target)) for _, _, wt in es]
+        fs = _splits(datum, f, -1, tuple(map(min, zip(*need))), tuple(map(max, zip(*need))))
+    k2 = tuple(map(sub, k, wf))
+    by_degree = {}
+    for (stay, moved, wt), pf in fs.items():
+        part = (stay, tuple(map(add, k2, wt)), moved, pf)
+        by_degree.setdefault(None if target is None else wt, []).append(part)
+    out = []
+    for (rest, moved, wt), pe in es.items():
+        k1 = tuple(map(add, k, wt))
+        degree = None if target is None else tuple(map(sub, wt, target))
+        for stay, k2t, fmoved, pf in by_degree.get(degree, ()):
+            out.append((((rest, k1, stay), (moved, k2t, fmoved)), pe * pf))
+    return out
+
+
+def _word_element(rng, datum, coeffs=None, words="EF"):
     """Two to four monomials whose E- and F-words repeat letters, with K
     parts and Scalar coefficients drawn from coeffs, by default some with a
-    denominator."""
+    denominator; the E-word (F-word) is empty unless "E" ("F") is in
+    `words`."""
     if coeffs is None:
         coeffs = [ONE, Q, Scalar.gaussian(3), qint(2).inverse(), (Q - Q ** -1).inverse()]
     out = Element.zero(datum)
     for _ in range(rng.randint(2, 4)):
         labels = datum.labels[:2] if rng.random() < 0.5 else datum.labels
-        e = tuple(rng.choice(labels) for _ in range(rng.randint(0, 4)))
+        e = tuple(rng.choice(labels) for _ in range(rng.randint(0, 4))) if "E" in words else ()
         k = tuple(rng.randint(-1, 1) for _ in range(datum.n))
-        f = tuple(rng.choice(labels) for _ in range(rng.randint(0, 3)))
+        f = tuple(rng.choice(labels) for _ in range(rng.randint(0, 3))) if "F" in words else ()
         out = out + Element.monomial(datum, e, k, f, rng.choice(coeffs))
     return out
 
@@ -917,17 +947,23 @@ def _word_element(rng, datum, coeffs=None):
 def test_coproduct_matches_the_letter_by_letter_product(name):
     """The subset expansion of each monomial equals the product of the
     generators' coproducts, term for term and in the same order, for the
-    whole coproduct, every graded cell present and one absent cell."""
+    whole coproduct, every graded cell present and two absent cells, one
+    above zero and one with a negative entry, on elements with both words
+    and on elements that have only E-words, only F-words or only K parts,
+    which expand one word or none."""
     datum = cartan_datum(name[:-1], int(name[-1]))
     rng = random.Random(23)
-    for _ in range(6):
-        x = _word_element(rng, datum)
+    zero = datum.zero_vector()
+    absent = [tuple(c + 5 for c in zero), (-5,) + zero[1:]]
+    for words in ["EF"] * 6 + ["E", "F", ""]:
+        x = _word_element(rng, datum, words=words)
+        sides = {side for e, _k, f in x.terms for side, word in (("E", e), ("F", f)) if word}
+        assert sides == set(words) or words == "EF"
         want = _letter_by_letter_coproduct(x)
         assert list(coproduct(x).terms.items()) == list(want.items())
         degrees = {x.degree_of_key(m2) for _m1, m2 in want}
-        absent = tuple(c + 5 for c in datum.zero_vector())
-        assert absent not in degrees
-        for d in sorted(degrees) + [absent]:
+        assert not degrees & set(absent)
+        for d in sorted(degrees) + absent:
             cell = [(key, c) for key, c in want.items() if x.degree_of_key(key[1]) == d]
             assert list(coproduct_graded(x, d).terms.items()) == cell
 
@@ -1144,6 +1180,7 @@ def test_monomial_coproduct_is_the_coproduct_of_one_monomial(name):
             keys = [key for key, _p in got]
             assert got and len(set(keys)) == len(keys)
             assert got == _items(coproduct_graded(Element(datum, {m: ONE}), target))
+            assert got == _ref_monomial_coproduct(datum, m, target)
         past = (we[0] + 1,) + datum.zero_vector()[1:]
         assert _monomial_coproduct(datum, m, past) == []
 

@@ -373,11 +373,9 @@ def serre_projection(params: QSPParameters, i, j):
     The cell is the part of the coproduct of Y whose second factor is
     exactly K_{-lambda_ij}, with the counit applied to that factor;
     Y - cell is the projection formula for C_ij(c), so the cell is the
-    oracle's Serre defect.
+    oracle's Serre defect.  `serre_polynomial` refuses i == j.
     """
     datum = params.datum
-    if i == j:
-        raise ValueError("Serre relations require i != j")
     Bi = b_generator(params, i)
     Bj = b_generator(params, j)
     Y = serre_polynomial(datum, i, j, Bi, Bj)

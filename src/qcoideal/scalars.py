@@ -869,9 +869,9 @@ def qfact(n: int, eps: int = 1) -> Scalar:
 
 def qbinom_eps(m: int, k: int, eps: int = 1) -> Scalar:
     """Gaussian binomial [m choose k] in base q^eps; 0 outside 0 <= k <= m."""
-    if m < 0:
+    if exact_int(m, "Gaussian binomial m") < 0:
         raise ValueError("m must be nonnegative")
-    if k < 0 or k > m:
+    if exact_int(k, "Gaussian binomial k") < 0 or k > m:
         return ZERO
     k = min(k, m - k)
     out = ONE
@@ -882,7 +882,7 @@ def qbinom_eps(m: int, k: int, eps: int = 1) -> Scalar:
 
 def qshifted_factorial(x: Scalar, n: int) -> Scalar:
     """(x; x)_n = prod_{k=1..n} (1 - x^k); empty product for n = 0."""
-    if n < 0:
+    if exact_int(n, "q-shifted factorial length") < 0:
         raise ValueError("n must be nonnegative")
     out = ONE
     p = ONE

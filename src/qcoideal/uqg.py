@@ -84,7 +84,18 @@ once, and reaches each row by one shift.  `_straighten` is this step for
 one pair of terms; products and q-commutators share it.  A pair that needs
 no table is one term, `_pass`; a product with a factor that is one monomial
 needing no table is one such term per term of the other factor and sums
-nothing.
+nothing.  A group of at least three terms E_e K_{k2} F_{f2} of the right
+factor that share K-part and F-word meets each F-word f1 of the left factor
+once: `_f_word_pass` moves F_{f1} past the group's whole E-part, letter by
+letter from the right, as the skew-derivation form of [x, F_j] does
+(Jantzen, ch. 6), the words of the sum cancelling inside each pass, and
+each term E_e K_k F_f of the result gives E_{e1 e} K_{k1 + k + k2}
+F_{f f2} as a table row does.  Every other pair keeps `_straighten`.  The
+terms equal the pair loop's as a dict, in another order; reports sort
+the terms, and Scalars are canonical.  Three terms measured best: with
+groups of two, the hopf-derivations benchmark also passes its 661
+two-term groups, whose tables are warm, and its `wall_s` read 2-4% above
+that with three in two probe sets; with four, serre-sweep read 1-4% above.
 
 A q-commutator x y - v^s y x is one pass over the pairs of terms: each
 pair forms its coefficient product c once and straightens both orders
@@ -358,6 +369,82 @@ def _straighten(datum, out, a, b, c, s=0):
         _gather(out, (e1 + e, tuple(map(add, k12, k)), f + f2), prods[j].shifted(x + s + t))
 
 
+def _groups(x):
+    """{(K-part, F-word): [(E-word, coefficient)]} of the groups of at
+    least three terms of x that share their K-part and F-word, the terms
+    whose products `_straighten_groups` forms."""
+    if len(x.terms) < 3:
+        return {}
+    out = {}
+    for (e, k, f), c in x.terms.items():
+        out.setdefault((k, f), []).append((e, c))
+    return {key: g for key, g in out.items() if len(g) >= 3}
+
+
+def _f_word_pass(datum, f, group):
+    """F_f times sum c E_e, for the pairs (e, c) of `group`, in normal order
+    as {(E-word, K-vector, F-word): coefficient}.  The letters of f pass
+    from the right, each one over the whole sum:
+        F_j E_e K_k F_g = v^{2 (k, alpha_j)} E_e K_k F_{j g}
+            - sum_p (v^{y_p} E_{e-p} K_{k+alpha_j}
+                     - v^{-y_p} E_{e-p} K_{k-alpha_j}) F_g / (q_j - q_j^{-1}),
+    p running over the letters j of e, y_p = 2 (alpha_j, wt of the letters
+    after p); the words of the sum cancel as each pass meets them.  A
+    term's F-word g keeps the letters of f that passed it, so the factors
+    1 / (q_j - q_j^{-1}) of its torus pieces are those of the letters of f
+    missing from g: the passes leave them out, and each term takes their
+    product once at the end."""
+    cur = {(e, datum.zero_vector(), ()): c for e, c in group}
+    for j in reversed(f):
+        p = datum.pos(j)
+        row, vrow = datum.gram[p], datum.vgram[j]
+        nxt = {}
+        for (e, k, g), c in cur.items():
+            _gather(nxt, (e, k, (j,) + g), c.shifted(2 * sum(map(mul, row, k))))
+            if j in e:
+                nc = -c
+                up = tuple(b + 1 if t == p else b for t, b in enumerate(k))
+                down = tuple(b - 1 if t == p else b for t, b in enumerate(k))
+                total = sum(map(vrow.__getitem__, e)) - vrow[j]
+                for x, rest in _deletions(datum, e, j):
+                    _gather(nxt, (rest, up, g), nc.shifted(total - x))
+                    _gather(nxt, (rest, down, g), c.shifted(x - total))
+        cur = _settle(nxt)
+    inverses = {}  # F-word -> product of 1 / (q_j - q_j^{-1}) over the missing letters
+    for key, c in cur.items():
+        g = key[2]
+        s = inverses.get(g)
+        if s is None:
+            s = ONE
+            for label, n in zip(datum.labels, map(sub, word_weight(datum, f), word_weight(datum, g))):
+                if n:
+                    s = s * _ef_inverse(datum, label) ** n
+            inverses[g] = s
+        cur[key] = c * s
+    return cur
+
+
+def _straighten_groups(datum, out, left, groups, s=0):
+    """Gather v^s times the products of the terms (a, c1) of `left` that
+    have F-letters with the groups of `_groups` into out.  F_{f1} times a
+    group's E-part is `_f_word_pass`, formed once per F-word f1 and group;
+    each of its terms E_e K_k F_f gives E_{e1 e} K_{k1 + k + k2} F_{f f2}
+    with c1 and the shift of `_pass_shift`."""
+    for (k2, f2), group in groups.items():
+        r2 = _shift_row(datum, k2)
+        passes = {}
+        for (e1, k1, f1, r1), c1 in left:
+            if not f1:
+                continue
+            rows = passes.get(f1)
+            if rows is None:
+                rows = passes[f1] = [(e, tuple(map(add, k, k2)), f, c)
+                                     for (e, k, f), c in _f_word_pass(datum, f1, group).items()]
+            for e, k, f, c in rows:
+                x = _pass_shift(datum, r1, e, r2, f)
+                _gather(out, (e1 + e, tuple(map(add, k1, k)), f + f2), (c1 * c).shifted(x + s))
+
+
 class _Linear:
     """The linear structure of Element and Tensor: a Scalar-linear
     combination {key: coefficient} over one CartanDatum.  `_args` are the
@@ -484,7 +571,15 @@ class Element(_Linear):
         A factor that is one monomial needing no table, c E_e K_k on the
         left or c K_k F_f on the right, makes every pair one term of `_pass`.
         The map is injective on monomials, so the terms come in the pair
-        loop's order with nothing to sum."""
+        loop's order with nothing to sum.
+
+        Otherwise a group of `_groups`, three or more terms of the right
+        factor with one K-part and F-word, meets every left term with
+        F-letters in `_straighten_groups`, which passes each F-word over the
+        group's E-part once; three, since the passes over groups of two
+        cost more than the warm tables they replace (see the module
+        docstring).  The terms equal the pair loop's as a dict, not in its
+        order."""
         if other.__class__ is not Element:
             return NotImplemented  # a Scalar scales from the left only
         if self.datum is not other.datum:
@@ -496,14 +591,19 @@ class Element(_Linear):
                 or len(right) == 1 and not right[0][0][0]):  # c K_k F_f on the right
             return Element(datum, dict(
                 _pass(datum, a, b, c1 * c2) for b, c2 in right for a, c1 in left))
+        groups = _groups(other)
         out = {}
         for b, c2 in right:
+            grouped = (b[1], b[2]) in groups
             for a, c1 in left:
-                _straighten(datum, out, a, b, c1 * c2)
+                if not (grouped and a[2]):
+                    _straighten(datum, out, a, b, c1 * c2)
+        if groups:
+            _straighten_groups(datum, out, left, groups)
         return Element(datum, _settle(out))
 
     def __pow__(self, n):
-        if n < 0:
+        if exact_int(n, "Element exponent") < 0:
             raise ValueError("negative powers are not defined in U_q")
         out = Element.one(self.datum)
         for _ in range(n):
@@ -526,17 +626,34 @@ class Element(_Linear):
 def q_commutator(x: Element, y: Element, s) -> Element:
     """x y - v^s y x for an integer v-exponent s, in one pass: each pair of
     terms forms its coefficient product c once, straightens x y with c and
-    y x with -c and v^s added to every row's shift, into one sum."""
+    y x with -c and v^s added to every row's shift, into one sum.
+
+    As in `Element.__mul__`, the groups of three or more terms of one
+    K-part and F-word, of y for x y and of x for y x, meet the other
+    factor's F-words once each in `_straighten_groups`, and those pairs
+    skip `_straighten` in that order only; the terms equal the pair loop's
+    as a dict."""
     if x.datum is not y.datum:
         raise ValueError("elements of different Cartan data do not combine")
     datum = x.datum
     out = {}
-    left = _operands(datum, x)
-    for b, c2 in _operands(datum, y):
+    left, right = _operands(datum, x), _operands(datum, y)
+    xgroups, ygroups = _groups(x), _groups(y)
+    for b, c2 in right:
+        grouped = (b[1], b[2]) in ygroups
         for a, c1 in left:
-            c = c1 * c2
-            _straighten(datum, out, a, b, c)
-            _straighten(datum, out, b, a, -c, s)
+            xy = not (grouped and a[2])
+            yx = not (b[2] and (a[1], a[2]) in xgroups)
+            if xy or yx:
+                c = c1 * c2
+                if xy:
+                    _straighten(datum, out, a, b, c)
+                if yx:
+                    _straighten(datum, out, b, a, -c, s)
+    if ygroups:
+        _straighten_groups(datum, out, left, ygroups)
+    if xgroups:
+        _straighten_groups(datum, out, [(b, -c) for b, c in right if b[2]], xgroups, s)
     return Element(datum, _settle(out))
 
 
@@ -832,6 +949,7 @@ def skew_r(i, a: Element) -> Element:
     It acts term by term on every E-only element, torus parts included."""
     datum = a.datum
     _check_skew_input(a)
+    datum.pos(i)
     row = datum.vgram[i]
     out = {}
     for (e, k, f), c in a.terms.items():
@@ -1160,6 +1278,8 @@ def serre_polynomial(datum, i, j, x: Element, y: Element) -> Element:
     B_j, as on B3 with X = {3}, where F_12(B_1, B_2) builds 9 terms at its
     first step up and 11 at its first step down.
     """
+    if i == j:
+        raise ValueError("Serre relations require i != j")
     m = 1 - datum.a(i, j)
     eps = datum.epsilon(i)
     z = y

@@ -149,6 +149,19 @@ def _product():
     uqg.Element.__mul__ = _ref_element_mul
 
 
+def _sums():
+    """`Element.__mul__` is the pair loop of `_ref_element_mul` and
+    `q_commutator`, as uqg, qsp and suites import it, is the two products
+    of `_ref_q_commutator` (test_uqg.py), so that no F-word passes a group
+    of terms sharing their K-part and F-word at once: every pair of terms
+    is straightened by `_straighten`"""
+    from qcoideal import qsp, suites, uqg
+    from test_uqg import _ref_element_mul, _ref_q_commutator
+
+    uqg.Element.__mul__ = _ref_element_mul
+    uqg.q_commutator = qsp.q_commutator = suites.q_commutator = _ref_q_commutator
+
+
 def _braid():
     """`apply_braid`, as braid and suites import it, is the product of the
     generator images for every monomial with no memo (`_reference_braid` of
@@ -190,6 +203,7 @@ MODES = {
     "tensor": _tensor,
     "coproduct": _coproduct,
     "product": _product,
+    "sums": _sums,
     "braid": _braid,
     "warm": _warm,
 }

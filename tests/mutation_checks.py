@@ -27,9 +27,11 @@ from qcoideal.cartan import CartanDatum, cartan_datum, validate_admissible
 from qcoideal.scalars import I_UNIT, ONE, Scalar, qbinom_eps, qfact, qint
 from qcoideal.uqg import (
     Element,
+    _ef_inverse,
     coproduct,
     equals,
     is_zero,
+    q_commutator,
     serre_polynomial,
     sigma,
     skew_ir,
@@ -170,6 +172,21 @@ def check_skew_ir_torus():
     return list(skew_ir(1, x).terms.items()) == list(want.terms.items())
 
 
+def check_grouped_pass():
+    """On B2, for x = E_12 + q E_21 + 3 E_112 + E_211, four terms of one
+    K-part and F-word that an F-word passes at once: [x, F_i] = (r_i(x) K_i
+    - K_i^{-1} _ir(x)) / (q_i - q_i^{-1}) for each i, and F_1 F_2 x = F_1
+    (F_2 x), whose left side passes two letters over x."""
+    d = CartanDatum(cartan_datum("B", 2).A)
+    x = (Element.E(d, 1, 2) + Element.E(d, 2, 1).scale(Q) + Element.E(d, 1, 1, 2).scale(Scalar.gaussian(3))
+         + Element.E(d, 2, 1, 1))
+    for i in d.labels:
+        rhs = (skew_r(i, x) * Element.K_i(d, i) - Element.K_i(d, i, -1) * skew_ir(i, x)).scale(_ef_inverse(d, i))
+        if not equals(q_commutator(x, Element.F(d, i), 0), rhs):
+            return False
+    return equals(Element.F(d, 1, 2) * x, Element.F(d, 1) * (Element.F(d, 2) * x))
+
+
 def check_gaussian_coefficient():
     """E_1 i is not zero: its coefficient is imaginary."""
     d = _a2()
@@ -251,6 +268,7 @@ CHECKS = {
     "coproduct-e-side": check_coproduct_e_side,
     "coproduct-f-side": check_coproduct_f_side,
     "skew-ir-torus": check_skew_ir_torus,
+    "grouped-pass": check_grouped_pass,
     "gaussian-coefficient": check_gaussian_coefficient,
     "mixed-sign-coefficient": check_mixed_sign_coefficient,
     "common-scale": check_common_scale,
@@ -327,6 +345,29 @@ MUTANTS = {
     "unshift_e_free_second_k": ("coproduct-f-side", [
         ("uqg.py", "((((), k, stay), ((), tuple(map(add, k2, wt)), moved)), pf)",
          "((((), k, stay), ((), k2, moved)), pf)"),
+    ]),
+    # an F-word passing a group of E-words at once: the torus pieces with
+    # their signs swapped, the lead without its shift 2 (k, alpha_j), the
+    # letters passed from the left, and y_p read before the deleted letter
+    # p instead of after it
+    "swap_pass_torus_signs": ("grouped-pass", [
+        ("uqg.py", "_gather(nxt, (rest, up, g), nc.shifted(total - x))",
+         "_gather(nxt, (rest, up, g), c.shifted(total - x))"),
+        ("uqg.py", "_gather(nxt, (rest, down, g), c.shifted(x - total))",
+         "_gather(nxt, (rest, down, g), nc.shifted(x - total))"),
+    ]),
+    "drop_pass_lead_shift": ("grouped-pass", [
+        ("uqg.py", "_gather(nxt, (e, k, (j,) + g), c.shifted(2 * sum(map(mul, row, k))))",
+         "_gather(nxt, (e, k, (j,) + g), c)"),
+    ]),
+    "pass_letters_from_the_left": ("grouped-pass", [
+        ("uqg.py", "for j in reversed(f):", "for j in f:"),
+    ]),
+    "pass_shift_before_the_letter": ("grouped-pass", [
+        ("uqg.py", "_gather(nxt, (rest, up, g), nc.shifted(total - x))",
+         "_gather(nxt, (rest, up, g), nc.shifted(x))"),
+        ("uqg.py", "_gather(nxt, (rest, down, g), c.shifted(x - total))",
+         "_gather(nxt, (rest, down, g), c.shifted(-x))"),
     ]),
     # the torus part K_k gives the letters a left skew derivation deletes
     # no shift -2 (alpha_i, k)

@@ -974,6 +974,11 @@ def test_refusals_and_edge_values_that_no_suite_meets():
         qbinom_eps(-1, 0)
     with pytest.raises(ValueError, match="n must be nonnegative"):
         qshifted_factorial(Q, -1)
+    for m, k in ((3, 1.0), (3, 1.5), (True, 1), (2.5, 1)):
+        with pytest.raises(ValueError, match="Gaussian binomial"):
+            qbinom_eps(m, k)
+    with pytest.raises(ValueError, match="q-shifted factorial length"):
+        qshifted_factorial(Scalar.v_pow(1), 1.5)
     assert qint(0) is ZERO and qint(0, -1) is ZERO
     for n in (1, 2, 5):
         assert qint(-n) == -qint(n) and qint(-n, 2) == -qint(n, 2), n

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -193,6 +194,8 @@ def test_skew_derivation_input_checks():
             skew(1, Element.F(A2, 1))
         with pytest.raises(ValueError):
             skew(1, Element.E(A2, 1) + Element.E(A2, 1) * Element.F(A2, 2))
+        with pytest.raises(ValueError, match="unknown node label 3"):
+            skew(3, Element.E(A2, 1))
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "affine:A1"])
@@ -943,6 +946,39 @@ def _word_element(rng, datum, coeffs=None, words="EF"):
     return out
 
 
+def _grouped_element(rng, datum, coeffs=None):
+    """Three to five terms of one K-part and one F-word of length 0-2, with
+    distinct E-words of length 0-3 that repeat letters, beside one or two
+    terms whose F-words have length 1-3: a factor whose group an F-word of
+    the other factor passes at once, and whose own F-words pass the other
+    factor's groups.  Coefficients as in `_word_element`."""
+    if coeffs is None:
+        coeffs = [ONE, Q, Scalar.gaussian(3), qint(2).inverse(), (Q - Q ** -1).inverse()]
+    labels = datum.labels[:2]
+    k = tuple(rng.randint(-1, 1) for _ in range(datum.n))
+    f = tuple(rng.choice(labels) for _ in range(rng.randint(0, 2)))
+    size, es = rng.randint(3, 5), set()
+    while len(es) < size:
+        es.add(tuple(rng.choice(labels) for _ in range(rng.randint(0, 3))))
+    out = Element.zero(datum)
+    for e in sorted(es):
+        out = out + Element.monomial(datum, e, k, f, rng.choice(coeffs))
+    for _ in range(rng.randint(1, 2)):
+        e = tuple(rng.choice(labels) for _ in range(rng.randint(0, 2)))
+        fk = tuple(rng.randint(-1, 1) for _ in range(datum.n))
+        f1 = tuple(rng.choice(datum.labels) for _ in range(rng.randint(1, 3)))
+        out = out + Element.monomial(datum, e, fk, f1, rng.choice(coeffs))
+    return out
+
+
+def _grouped_pairs(x, y):
+    """The terms of x with F-letters times the groups of at least three
+    terms of y that share K-part and F-word: the products of x y that pass
+    an F-word over a whole group."""
+    sizes = collections.Counter((k, f) for _e, k, f in y.terms)
+    return sum(1 for _e, _k, f in x.terms if f) * sum(1 for n in sizes.values() if n >= 3)
+
+
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "D4", "affine:A1"])
 def test_coproduct_matches_the_letter_by_letter_product(name):
     """The subset expansion of each monomial equals the product of the
@@ -1210,6 +1246,11 @@ def test_refusals_and_zero_cases_of_the_element_api():
     x = Element.E(A2, 1)
     with pytest.raises(ValueError, match="negative powers are not defined"):
         x ** -1
+    for n in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="Element exponent"):
+            x ** n
+    with pytest.raises(ValueError, match="i != j"):
+        serre_polynomial(A2, 1, 1, x, x)
     with pytest.raises(ValueError, match="different Cartan data"):
         q_commutator(x, Element.E(cartan_datum("A", 3), 1), 0)
     with pytest.raises(ValueError, match="use counit"):
@@ -1311,18 +1352,24 @@ def _letter_pass_mul(a, b):
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "affine:A1"])
 def test_table_product_matches_the_letter_pass(name):
-    """Products through the commutation table equal the letter-pass
-    products, on random elements with K parts and denominators on both
-    sides."""
+    """Products through the commutation table, and through F-words passing
+    a group of terms at once, equal the letter-pass products, on random
+    elements with K parts and denominators on both sides, and on factors
+    with groups of three to five terms of one K-part and F-word."""
     datum = cartan_datum(name[:-1], int(name[-1]))
     rng = random.Random(41)
     both = 0  # pairs of terms with K parts on both sides that meet the table
-    for _ in range(12):
-        x, y = _word_element(rng, datum), _word_element(rng, datum)
+    grouped = 0  # terms with F-letters times the groups they pass
+    for t in range(18):
+        if t < 12:
+            x, y = _word_element(rng, datum), _word_element(rng, datum)
+        else:
+            x, y = _grouped_element(rng, datum), _grouped_element(rng, datum)
         assert (x * y).terms == _letter_pass_mul(x, y)
         both += sum(1 for (_e1, k1, f1) in x.terms for (e2, k2, _f2) in y.terms
                     if any(k1) and any(k2) and f1 and e2)
-    assert both > 10
+        grouped += _grouped_pairs(x, y)
+    assert both > 10 and grouped >= 6
 
 
 def test_two_data_never_share_a_table():
@@ -1598,16 +1645,25 @@ def test_products_match_per_row_products(name, monkeypatch):
 def test_q_commutator_matches_two_products(name):
     """x y - v^s y x in one pass equals the two products' difference as a
     dict, for multi-term x and y with K parts, coefficients 1/(q_i -
-    q_i^-1), 1/[n]! and Gaussian ones, and s = -4, -2, 0, 2, 6."""
+    q_i^-1), 1/[n]! and Gaussian ones, and s = -4, -2, 0, 2, 6, and so
+    does it when both factors have groups of three to five terms of one
+    K-part and F-word, which the F-words of the other pass at once; the
+    pair loop's two products agree."""
     datum = CartanDatum(cartan_datum(name[:-1], int(name[-1])).A)
     rng = random.Random(61)
     coeffs = [ONE, Q, Scalar.gaussian(2, -1), I_UNIT * Q - ONE, qfact(2).inverse(), qfact(3).inverse()]
     coeffs += [_ef_inverse(datum, i) for i in datum.labels]
+    grouped = 0  # terms with F-letters times the groups they pass, both orders
     for s in (-4, -2, 0, 2, 6):
-        for _ in range(4):
-            x, y = _word_element(rng, datum, coeffs), _word_element(rng, datum, coeffs)
+        for t in range(6):
+            draw = _word_element if t < 4 else _grouped_element
+            x, y = draw(rng, datum, coeffs), draw(rng, datum, coeffs)
             got = q_commutator(x, y, s)
             assert got.terms and got.terms == _ref_q_commutator(x, y, s).terms
+            pairs = _ref_element_mul(x, y) - _ref_element_mul(y, x).scale(Scalar.v_pow(s))
+            assert got.terms == pairs.terms
+            grouped += _grouped_pairs(x, y) + _grouped_pairs(y, x)
+    assert grouped >= 20
     E1 = Element.E(datum, datum.labels[0])
     assert not q_commutator(E1, E1, 0).terms
 
